@@ -82,28 +82,11 @@ fn bench_merkle(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("append_batch_100_then_root", |b| {
-        let leaves: Vec<[u8; 8]> = (0..100u64).map(|i| i.to_le_bytes()).collect();
-        b.iter_batched(
-            || {
-                let mut t = MerkleTree::new();
-                for i in 0..10_000u64 {
-                    t.append(&i.to_le_bytes());
-                }
-                t
-            },
-            |mut t| {
-                t.append_batch(leaves.iter().map(|l| l.as_slice()));
-                black_box(t.root())
-            },
-            BatchSize::LargeInput,
-        )
-    });
     let mut tree = MerkleTree::new();
     for i in 0..10_000u64 {
         tree.append(&i.to_le_bytes());
     }
-    g.bench_function("root_cached", |b| b.iter(|| black_box(tree.root())));
+    g.bench_function("root", |b| b.iter(|| black_box(tree.root())));
     g.bench_function("prove_in_10k_tree", |b| b.iter(|| tree.prove(black_box(5_000)).unwrap()));
     let proof = tree.prove(5000).unwrap();
     let root = tree.root();

@@ -1,6 +1,6 @@
 //! Fast-path cryptography numbers for EXPERIMENTS.md: the seed
 //! double-and-add verify vs the windowed Strauss–Shamir verify, batched
-//! verification at consensus-round sizes, and amortized Merkle appends.
+//! verification at consensus-round sizes, and Merkle append + root.
 //!
 //! Run with: `cargo run --release -p ccf-bench --bin bench_crypto`
 //!
@@ -81,7 +81,7 @@ fn main() {
         .unwrap();
     fields.push(("ed25519_batch64_speedup_vs_fast_single".into(), fast_ns / batch64_per_sig));
 
-    // Merkle: 100 appends + root on a 10k-leaf tree, one by one vs batched.
+    // Merkle: 100 appends + root on a 10k-leaf tree.
     let mut base = MerkleTree::new();
     for i in 0..10_000u64 {
         base.append(&i.to_le_bytes());
@@ -94,19 +94,13 @@ fn main() {
         }
         std::hint::black_box(t.root());
     });
-    let batch_append_ns = median_ns_per_call(samples, 20, || {
-        let mut t = base.clone();
-        t.append_batch(leaves.iter().map(|l| l.as_slice()));
-        std::hint::black_box(t.root());
-    });
     fields.push(("merkle_append_100_then_root_ns".into(), append_ns));
-    fields.push(("merkle_append_batch_100_then_root_ns".into(), batch_append_ns));
 
-    // Cached root read on an otherwise idle tree.
+    // Root read on an idle tree: a fold over the peak stack.
     let root_ns = median_ns_per_call(samples, 10_000, || {
         std::hint::black_box(base.root());
     });
-    fields.push(("merkle_root_cached_ns".into(), root_ns));
+    fields.push(("merkle_root_ns".into(), root_ns));
 
     let json = format!(
         "{{{}}}",

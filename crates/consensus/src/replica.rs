@@ -274,10 +274,6 @@ pub struct Replica<F: SignatureFactory> {
     events: Vec<Event>,
 
     metrics: Option<ReplicaMetrics>,
-    /// In-flight election span: opened at `start_election`, recorded at
-    /// `become_primary` (so the duration covers winning elections only;
-    /// lost candidacies just drop the token).
-    election_span: Option<ccf_obs::SpanToken>,
     /// Traced entries appended but not yet committed, by seqno. Pruned
     /// on commit (closing their stage spans) and on rollback (dropping
     /// them silently).
@@ -327,7 +323,6 @@ impl<F: SignatureFactory> Replica<F> {
         outbox: Vec::new(),
             events: Vec::new(),
             metrics: None,
-            election_span: None,
             inflight_traces: std::collections::BTreeMap::new(),
         };
         r.reset_election_timer();
@@ -511,15 +506,9 @@ impl<F: SignatureFactory> Replica<F> {
                     self.status_from_view_history(txid)
                 }
             }
-            None => {
-                if txid.seqno <= self.base_seqno {
-                    // Covered by a snapshot: committed prefix, but we can
-                    // no longer compare views precisely; use view history.
-                    self.status_from_view_history(txid)
-                } else {
-                    self.status_from_view_history(txid)
-                }
-            }
+            // Not held (past our log, or covered by a snapshot so views
+            // can no longer be compared precisely): use view history.
+            None => self.status_from_view_history(txid),
         }
     }
 
@@ -963,6 +952,8 @@ impl<F: SignatureFactory> Replica<F> {
         }
     }
 
+    /// Moves the commit point to `seqno`: found by the primary's quorum
+    /// search, or taken from the primary's AppendEntries on a backup.
     fn advance_commit(&mut self, seqno: Seqno) {
         debug_assert!(seqno > self.commit_seqno);
         debug_assert!(seqno <= self.last_seqno());
@@ -1010,7 +1001,6 @@ impl<F: SignatureFactory> Replica<F> {
         if let Some(m) = &self.metrics {
             m.elections_started.inc();
             m.reg.flight(m.node, "election", "start", None, self.view + 1, self.last_sig.seqno);
-            self.election_span = Some(m.reg.span_enter("consensus.election"));
         }
         self.role = Role::Candidate;
         self.view += 1;
@@ -1049,9 +1039,6 @@ impl<F: SignatureFactory> Replica<F> {
         if let Some(m) = &self.metrics {
             m.elections_won.inc();
             m.reg.flight(m.node, "election", "won", None, self.view, self.last_seqno());
-            if let Some(span) = self.election_span.take() {
-                m.reg.span_exit(span);
-            }
         }
         // Discard everything after the last signature transaction (§4.2).
         self.truncate_to(self.last_sig.seqno.max(self.commit_seqno));
@@ -1075,8 +1062,6 @@ impl<F: SignatureFactory> Replica<F> {
     }
 
     fn become_backup(&mut self, view: View, _reason: &str) {
-        // A candidacy that did not win leaves no span record.
-        self.election_span = None;
         let was_leaderish = matches!(self.role, Role::Primary | Role::Candidate | Role::Retiring);
         if view > self.view {
             self.view = view;
@@ -1317,7 +1302,7 @@ impl<F: SignatureFactory> Replica<F> {
         // `min(last_seqno)` could land mid-unsigned-block.
         let new_commit = m.commit_seqno.min(self.last_sig.seqno.max(self.base_seqno));
         if new_commit > self.commit_seqno {
-            self.advance_commit_backup(new_commit);
+            self.advance_commit(new_commit);
         }
 
         self.outbox.push((
@@ -1330,38 +1315,6 @@ impl<F: SignatureFactory> Replica<F> {
                 traces: appended_traces,
             }),
         ));
-    }
-
-    /// Commit advancement on backups: same config pruning as the primary
-    /// path, without the quorum search.
-    fn advance_commit_backup(&mut self, seqno: Seqno) {
-        self.commit_seqno = seqno;
-        self.note_commit(seqno);
-        self.close_committed_traces(seqno);
-        self.events.push(Event::Committed { seqno });
-        let was_in_current = self
-            .active_configs
-            .first()
-            .is_some_and(|c| c.nodes.contains(&self.id));
-        let newest_committed = self
-            .active_configs
-            .iter()
-            .rev()
-            .find(|c| c.seqno <= seqno)
-            .map(|c| c.seqno);
-        if let Some(newest) = newest_committed {
-            self.active_configs.retain(|c| c.seqno >= newest);
-        }
-        let in_current = self
-            .active_configs
-            .first()
-            .is_some_and(|c| c.nodes.contains(&self.id));
-        if was_in_current
-            && !in_current
-            && self.active_configs.first().is_some_and(|c| c.seqno <= seqno)
-        {
-            self.events.push(Event::RetirementCommitted);
-        }
     }
 
     fn on_append_entries_response(&mut self, m: AppendEntriesResponse) {

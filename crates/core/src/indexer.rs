@@ -12,8 +12,9 @@ use ccf_ledger::TxId;
 use std::collections::BTreeMap;
 
 /// An indexing strategy: invoked once, in order, for every committed
-/// transaction with its (decrypted) write set.
-pub trait IndexingStrategy: Send {
+/// transaction with its (decrypted) write set. Readers get the concrete
+/// strategy back by upcasting to [`std::any::Any`] and downcasting.
+pub trait IndexingStrategy: Send + std::any::Any {
     /// Processes one committed transaction.
     fn handle_committed(&mut self, txid: TxId, writes: &WriteSet);
     /// The strategy's name (diagnostics).
@@ -152,8 +153,7 @@ impl Indexer {
         self.processed_upto = seqno;
     }
 
-    /// Access a registered strategy by index (typed access is the
-    /// application's business; see `ServiceCluster::with_index`).
+    /// Access a registered strategy by index, in registration order.
     pub fn strategy(&self, i: usize) -> Option<&dyn IndexingStrategy> {
         self.strategies.get(i).map(|b| b.as_ref())
     }

@@ -3,11 +3,15 @@
 //!
 //! The node is internally synchronized: request execution reads from
 //! lock-free store snapshots, while a single commit lock serializes
-//! OCC validation → consensus proposal → uniform state application. All
-//! state mutation flows through consensus [`Event`]s — the primary applies
-//! its own entries through exactly the same path backups use, which is
-//! what makes rollback after view changes (and snapshot install) a matter
-//! of restoring an earlier CHAMP snapshot.
+//! OCC validation → consensus proposal → state application. All state
+//! mutation flows through consensus [`Event`]s on the primary and on
+//! backups alike, which is what makes rollback after view changes (and
+//! snapshot install) a matter of restoring an earlier CHAMP snapshot.
+//! They differ only in where an entry's write set comes from: a backup
+//! decrypts and decodes each entry once, on append; the primary applies
+//! the write set it validated and sealed, and never opens its own
+//! ciphertext. Either way the applied writes are kept with the rollback
+//! state until commit, when they feed the indexer.
 
 use crate::app::{
     split_query, AppError, Application, AuthPolicy, Caller, EndpointContext, Request, Response,
@@ -183,8 +187,12 @@ struct NodeInner {
     service_identity: Option<VerifyingKey>,
     service_key: Option<SigningKey>,
     ledger_writer: LedgerWriter,
-    recent_states: BTreeMap<Seqno, Arc<StoreState>>,
+    /// Entries that may still roll back, plus the commit point.
+    recent_states: BTreeMap<Seqno, Applied>,
     indexer: Indexer,
+    /// The write set just proposed here as primary, applied by its
+    /// `Appended` event instead of a decrypt of the sealed entry.
+    own_proposal: Option<(TxId, WriteSet)>,
     gov: GovernanceEngine,
     rng: ChaChaRng,
     script_app: Option<Arc<ScriptApp>>,
@@ -220,6 +228,14 @@ struct NodeInner {
     signed_enqueue_times: BTreeMap<u64, u64>,
 }
 
+/// An applied entry, kept until commit: the store state after it (the
+/// rollback target) and the writes it applied (for the indexer).
+struct Applied {
+    state: Arc<StoreState>,
+    txid: TxId,
+    writes: WriteSet,
+}
+
 /// How many seqno → trace-id mappings a node retains (receipt markers
 /// and forward lookups only need recent history).
 const TRACE_MAP_CAPACITY: usize = 1024;
@@ -246,18 +262,40 @@ pub struct CcfNode {
 impl CcfNode {
     /// Creates a node that is the first node of a brand-new service.
     pub fn new_start_node(opts: NodeOpts, app: Arc<Application>) -> Arc<CcfNode> {
+        Self::assemble(opts, app, |o, factory| {
+            let config = [o.id.clone()].into_iter().collect();
+            Replica::new(o.id.clone(), config, o.consensus.clone(), o.seed, factory)
+        })
+    }
+
+    /// Creates a joining node (PENDING), optionally from a snapshot copied
+    /// over by the operator (§4.4, Figure 9's step B).
+    pub fn new_joining_node(
+        opts: NodeOpts,
+        app: Arc<Application>,
+        snapshot: Option<Snapshot>,
+    ) -> Arc<CcfNode> {
+        let node = Self::assemble(opts, app, |o, factory| {
+            Replica::join(o.id.clone(), o.consensus.clone(), o.seed, factory, snapshot)
+        });
+        // Process the boot snapshot events (install kv state).
+        node.handle_events(&mut node.inner.lock());
+        node
+    }
+
+    /// Derives the node's keys from its seed and wraps the replica that
+    /// `make_replica` builds around the node's signature factory.
+    fn assemble(
+        opts: NodeOpts,
+        app: Arc<Application>,
+        make_replica: impl FnOnce(&NodeOpts, KeyedSignatureFactory) -> Replica<KeyedSignatureFactory>,
+    ) -> Arc<CcfNode> {
         let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
         let node_key = SigningKey::generate(&mut rng);
         let dh_key = DhKeyPair::generate(&mut rng);
         let code_id = CodeId::measure(app.code_version.as_bytes());
         let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let mut replica = Replica::new(
-            opts.id.clone(),
-            [opts.id.clone()].into_iter().collect(),
-            opts.consensus.clone(),
-            opts.seed,
-            factory,
-        );
+        let mut replica = make_replica(&opts, factory);
         replica.set_registry(&opts.obs);
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
         Arc::new(CcfNode {
@@ -272,6 +310,7 @@ impl CcfNode {
                 ledger_writer: LedgerWriter::new(),
                 recent_states: BTreeMap::new(),
                 indexer: Indexer::new(),
+                own_proposal: None,
                 gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
                 rng,
                 script_app: None,
@@ -299,74 +338,6 @@ impl CcfNode {
             metrics,
             opts,
         })
-    }
-
-    /// Creates a joining node (PENDING), optionally from a snapshot copied
-    /// over by the operator (§4.4, Figure 9's step B).
-    pub fn new_joining_node(
-        opts: NodeOpts,
-        app: Arc<Application>,
-        snapshot: Option<Snapshot>,
-    ) -> Arc<CcfNode> {
-        let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
-        let node_key = SigningKey::generate(&mut rng);
-        let dh_key = DhKeyPair::generate(&mut rng);
-        let code_id = CodeId::measure(app.code_version.as_bytes());
-        let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let mut replica = Replica::join(
-            opts.id.clone(),
-            opts.consensus.clone(),
-            opts.seed,
-            factory,
-            snapshot,
-        );
-        replica.set_registry(&opts.obs);
-        let metrics = NodeMetrics::new(&opts.obs, &opts.id);
-        let node = Arc::new(CcfNode {
-            id: opts.id.clone(),
-            app,
-            store: Store::new(),
-            inner: Mutex::new(NodeInner {
-                replica,
-                secrets: None,
-                service_identity: None,
-                service_key: None,
-                ledger_writer: LedgerWriter::new(),
-                recent_states: BTreeMap::new(),
-                indexer: Indexer::new(),
-                gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
-                rng,
-                script_app: None,
-                script_app_version: 0,
-                last_applied: TxId::ZERO,
-                commits_since_snapshot: 0,
-                retired: false,
-                handled_rekey: None,
-                view_epoch: 0,
-                signed_request_queue: Vec::new(),
-                signed_request_responses: BTreeMap::new(),
-                next_signed_ticket: 0,
-                record_events: false,
-                recorded_events: Vec::new(),
-                trace_by_seqno: BTreeMap::new(),
-                inflight_traces: BTreeMap::new(),
-                signed_enqueue_times: BTreeMap::new(),
-            }),
-            last_applied_view: std::sync::atomic::AtomicU64::new(0),
-            last_applied_seqno: std::sync::atomic::AtomicU64::new(0),
-            script_app_cache: parking_lot::RwLock::new(None),
-            node_key,
-            dh_key,
-            code_id,
-            metrics,
-            opts,
-        });
-        // Process the boot snapshot events (install kv state).
-        {
-            let mut inner = node.inner.lock();
-            node.handle_events(&mut inner);
-        }
-        node
     }
 
     // ------------------------------------------------------------------
@@ -516,19 +487,14 @@ impl CcfNode {
     // ------------------------------------------------------------------
 
     /// Validates `tx` and proposes its write set as a ledger entry; the
-    /// state application happens via the `Appended` event, uniformly with
-    /// backups. Caller holds the inner lock.
+    /// state application happens via the `Appended` event. Caller holds
+    /// the inner lock.
     fn propose_tx(&self, inner: &mut NodeInner, tx: Transaction) -> Result<TxId, ProposeError> {
-        self.store.validate(&tx).map_err(|_| {
-            // Surface conflicts as a retryable error at the caller.
-            ProposeError::NotPrimary(None)
-        })?;
-        let (_, ws) = {
-            // Decompose without applying.
-            let ws = tx.write_set().clone();
-            (tx, ws)
-        };
-        self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE)
+        // Surface conflicts as a retryable error at the caller.
+        self.store
+            .validate(&tx)
+            .map_err(|_| ProposeError::NotPrimary(None))?;
+        self.propose_write_set(inner, tx.write_set().clone(), None, ccf_obs::TraceId::NONE)
     }
 
     /// Proposes a prepared write set with optional claims. A non-NONE
@@ -585,6 +551,7 @@ impl CcfNode {
                 inner.trace_by_seqno.pop_first();
             }
         }
+        inner.own_proposal = Some((txid, ws));
         self.handle_events(inner);
         Ok(txid)
     }
@@ -672,7 +639,7 @@ impl CcfNode {
                     self.publish_last_applied(snapshot.last_txid);
                     self.store.install(state);
                     inner.recent_states.clear();
-                    inner.recent_states.insert(snapshot.last_txid.seqno, self.store.snapshot());
+                    self.keep_applied(inner, snapshot.last_txid, WriteSet::new());
                     inner.ledger_writer =
                         LedgerWriter::starting_from(snapshot.last_txid.seqno + 1);
                     inner.indexer.reset_to(snapshot.last_txid.seqno);
@@ -692,19 +659,24 @@ impl CcfNode {
     }
 
     fn on_appended(&self, inner: &mut NodeInner, entry: ReplicatedEntry) {
-        let seqno = entry.entry.txid.seqno;
-        if seqno <= self.store.version() {
+        let txid = entry.entry.txid;
+        // Entries this node did not propose (a backup's, or a signature
+        // the replica built) are decoded here, once.
+        let own = inner.own_proposal.take().filter(|(t, _)| *t == txid);
+        if txid.seqno <= self.store.version() {
             // Duplicate delivery (can happen after snapshot install).
             return;
         }
-        let ws = self.decode_entry_writes(inner, &entry.entry);
-        self.store.apply_at(&ws, seqno);
-        inner.last_applied = entry.entry.txid;
-        self.publish_last_applied(entry.entry.txid);
-        inner.recent_states.insert(seqno, self.store.snapshot());
-        inner.ledger_writer.append(entry.entry.clone());
+        let ws = match own {
+            Some((_, ws)) => ws,
+            None => self.decode_entry_writes(inner, &entry.entry),
+        };
+        self.store.apply_at(&ws, txid.seqno);
+        inner.last_applied = txid;
+        self.publish_last_applied(txid);
+        inner.ledger_writer.append(entry.entry);
         // React to writes addressed to this node (ledger rekey dist).
-        self.check_rekey_distribution(inner, &ws, entry.entry.txid);
+        self.check_rekey_distribution(inner, &ws, txid);
         // Live app / constitution updates take effect on append (they are
         // rolled back with the entry if it never commits, restoring the
         // previous app on the state rollback path).
@@ -713,6 +685,19 @@ impl CcfNode {
         {
             self.reload_dynamic_state(inner);
         }
+        self.keep_applied(inner, txid, ws);
+    }
+
+    fn keep_applied(&self, inner: &mut NodeInner, txid: TxId, writes: WriteSet) {
+        let state = self.store.snapshot();
+        inner.recent_states.insert(
+            txid.seqno,
+            Applied {
+                state,
+                txid,
+                writes,
+            },
+        );
     }
 
     /// Decodes an entry into its full (public + decrypted private) writes.
@@ -750,30 +735,25 @@ impl CcfNode {
                 self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
             }
         }
-        // Feed the indexer, in order, with decrypted committed writes.
+        // Feed the indexer, in order, with the writes applied at append.
         while inner.indexer.processed_upto() < seqno {
             let next = inner.indexer.processed_upto() + 1;
-            let Some(entry) = inner.replica.entry_at(next).cloned() else {
+            match inner.recent_states.get(&next) {
+                Some(applied) => inner.indexer.feed(applied.txid, &applied.writes),
                 // Entry below our snapshot base; skip forward.
-                inner.indexer.reset_to(next);
-                continue;
-            };
-            let ws = self.decode_entry_writes(inner, &entry.entry);
-            inner.indexer.feed(entry.entry.txid, &ws);
+                None => inner.indexer.reset_to(next),
+            }
         }
         // Prune rollback snapshots: only seqnos >= commit can roll back.
-        let keep: BTreeMap<Seqno, Arc<StoreState>> =
-            inner.recent_states.split_off(&seqno);
-        inner.recent_states = keep;
+        inner.recent_states = inner.recent_states.split_off(&seqno);
         // Snapshot production (§4.4).
         inner.commits_since_snapshot += 1;
         if self.opts.snapshot_interval > 0
             && inner.commits_since_snapshot >= self.opts.snapshot_interval
         {
             inner.commits_since_snapshot = 0;
-            if let Some(state) = inner.recent_states.get(&seqno).cloned() {
-                if let Some(snapshot) =
-                    inner.replica.snapshot_descriptor(state.serialize())
+            if let Some(applied) = inner.recent_states.get(&seqno) {
+                if let Some(snapshot) = inner.replica.snapshot_descriptor(applied.state.serialize())
                 {
                     inner.replica.set_latest_snapshot(snapshot);
                 }
@@ -914,7 +894,7 @@ impl CcfNode {
         let state = inner
             .recent_states
             .get(&seqno)
-            .cloned()
+            .map(|applied| applied.state.clone())
             .unwrap_or_else(|| {
                 // Rolling back to the commit point with no retained
                 // snapshot should be impossible; fall back to replay-free
@@ -1028,8 +1008,8 @@ impl CcfNode {
     pub fn latest_snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.lock();
         let commit = inner.replica.commit_seqno();
-        let state = inner.recent_states.get(&commit).cloned()?;
-        inner.replica.snapshot_descriptor(state.serialize())
+        let applied = inner.recent_states.get(&commit)?;
+        inner.replica.snapshot_descriptor(applied.state.serialize())
     }
 
     /// Persisted ledger chunk blobs (what the host's disk holds — the
@@ -1669,9 +1649,7 @@ impl CcfNode {
         let (tickets, envelopes): (Vec<u64>, Vec<SignedRequest>) = batch.into_iter().unzip();
         self.metrics.signed_batches.inc();
         self.metrics.batch_verify_size.observe(envelopes.len() as u64);
-        let span = self.metrics.reg.span_enter("node.signed_batch");
         let responses = self.handle_signed_user_requests(&envelopes);
-        self.metrics.reg.span_exit(span);
         let mut inner = self.inner.lock();
         let now = self.metrics.reg.now();
         for (ticket, resp) in tickets.into_iter().zip(responses) {

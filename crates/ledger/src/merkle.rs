@@ -12,8 +12,6 @@
 //! the retained leaf digests. Consensus can roll back uncommitted suffixes
 //! after a view change, so the tree supports truncation.
 
-use std::cell::Cell;
-
 use ccf_crypto::sha2::{sha256_fixed65, Sha256};
 use ccf_crypto::Digest32;
 
@@ -131,8 +129,6 @@ struct Peak {
 #[derive(Clone, Debug)]
 struct MerkleMetrics {
     appends: ccf_obs::Counter,
-    root_cache_hits: ccf_obs::Counter,
-    root_cache_misses: ccf_obs::Counter,
     truncations: ccf_obs::Counter,
 }
 
@@ -140,29 +136,16 @@ impl MerkleMetrics {
     fn new(reg: &ccf_obs::Registry) -> MerkleMetrics {
         MerkleMetrics {
             appends: reg.counter("ledger.merkle_appends"),
-            root_cache_hits: reg.counter("ledger.merkle_root_cache_hits"),
-            root_cache_misses: reg.counter("ledger.merkle_root_cache_misses"),
             truncations: reg.counter("ledger.merkle_truncations"),
         }
     }
 }
 
 /// The incremental Merkle tree.
-///
-/// The root is cached between appends: folding the peak stack costs
-/// O(log n) hashes, and the node asks for the root far more often than the
-/// tree changes (every signature interval, every receipt, every status
-/// probe). Invariant: `cached_root` is only ever `Some(r)` when `r` equals
-/// the fold of the current peak stack; every mutation (append, truncate)
-/// clears it before touching the peaks, so a stale value can never be
-/// observed. `Cell` keeps `root(&self)` a shared-reference call; the tree
-/// is only ever used behind a `Mutex` (or single-threaded), so the lost
-/// `Sync` does not matter.
 #[derive(Clone, Debug, Default)]
 pub struct MerkleTree {
     leaves: Vec<Digest32>,
     peaks: Vec<Peak>,
-    cached_root: Cell<Option<Digest32>>,
     metrics: Option<MerkleMetrics>,
 }
 
@@ -198,38 +181,8 @@ impl MerkleTree {
         if let Some(m) = &self.metrics {
             m.appends.inc();
         }
-        self.cached_root.set(None);
         self.leaves.push(digest);
         self.merge_peak(digest);
-    }
-
-    /// Appends many leaves (raw bytes) in one call. One cache invalidation
-    /// and one capacity reservation for the whole batch; the per-leaf work
-    /// is just the leaf hash plus the amortized-O(1) peak merge.
-    pub fn append_batch<'a, I>(&mut self, leaves: I)
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        self.append_digests(leaves.into_iter().map(leaf_hash));
-    }
-
-    /// Appends many precomputed leaf digests in one call.
-    pub fn append_digests<I>(&mut self, digests: I)
-    where
-        I: IntoIterator<Item = Digest32>,
-    {
-        self.cached_root.set(None);
-        let digests = digests.into_iter();
-        let (lower, _) = digests.size_hint();
-        self.leaves.reserve(lower);
-        let before = self.leaves.len();
-        for digest in digests {
-            self.leaves.push(digest);
-            self.merge_peak(digest);
-        }
-        if let Some(m) = &self.metrics {
-            m.appends.add((self.leaves.len() - before) as u64);
-        }
     }
 
     /// Pushes a height-0 peak and merges equal-height neighbours, keeping
@@ -253,20 +206,9 @@ impl MerkleTree {
     }
 
     /// The current root. Peaks are folded right-to-left, which reproduces
-    /// the RFC 6962 root for any tree size. The fold is cached until the
-    /// next mutation, so repeated reads within a signature interval are
-    /// free.
+    /// the RFC 6962 root for any tree size in O(log n) hashes.
     pub fn root(&self) -> Digest32 {
-        if let Some(root) = self.cached_root.get() {
-            if let Some(m) = &self.metrics {
-                m.root_cache_hits.inc();
-            }
-            return root;
-        }
-        if let Some(m) = &self.metrics {
-            m.root_cache_misses.inc();
-        }
-        let root = match self.peaks.len() {
+        match self.peaks.len() {
             0 => empty_root(),
             _ => {
                 let mut iter = self.peaks.iter().rev();
@@ -276,9 +218,7 @@ impl MerkleTree {
                 }
                 acc
             }
-        };
-        self.cached_root.set(Some(root));
-        root
+        }
     }
 
     /// Removes all leaves at index >= `new_len` (consensus rollback).
@@ -287,7 +227,6 @@ impl MerkleTree {
         if let Some(m) = &self.metrics {
             m.truncations.inc();
         }
-        self.cached_root.set(None);
         self.leaves.truncate(new_len as usize);
         // Rebuild the peak stack from the retained leaves. Rollbacks are
         // rare (view changes), so O(n) is acceptable.
@@ -535,74 +474,23 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_matches_sequential_appends() {
-        for n in [0u64, 1, 2, 3, 7, 8, 33, 100] {
-            let ls = leaves(n);
-            let mut one_by_one = MerkleTree::new();
-            for leaf in &ls {
-                one_by_one.append(leaf);
-            }
-            let mut batched = MerkleTree::new();
-            batched.append_batch(ls.iter().map(|l| l.as_slice()));
-            assert_eq!(batched.root(), one_by_one.root(), "n={n}");
-            assert_eq!(batched.len(), one_by_one.len());
-            // Split batches agree too.
-            let mut split = MerkleTree::new();
-            let mid = ls.len() / 2;
-            split.append_batch(ls[..mid].iter().map(|l| l.as_slice()));
-            split.append_batch(ls[mid..].iter().map(|l| l.as_slice()));
-            assert_eq!(split.root(), one_by_one.root(), "split n={n}");
-        }
-    }
-
-    #[test]
-    fn append_digests_matches_append_digest() {
-        let digests: Vec<Digest32> = (0..20u8).map(|i| ccf_crypto::sha2::sha256(&[i])).collect();
-        let mut one_by_one = MerkleTree::new();
-        for d in &digests {
-            one_by_one.append_digest(*d);
-        }
-        let mut batched = MerkleTree::new();
-        batched.append_digests(digests.iter().copied());
-        assert_eq!(batched.root(), one_by_one.root());
-    }
-
-    #[test]
-    fn cached_root_tracks_every_mutation() {
-        let mut tree = MerkleTree::new();
-        assert_eq!(tree.root(), empty_root());
-        for (i, leaf) in leaves(40).iter().enumerate() {
-            tree.append(leaf);
-            // First read populates the cache, second read must agree with
-            // the slow recursive oracle.
-            let first = tree.root();
-            assert_eq!(first, tree.root());
-            assert_eq!(first, tree.root_recursive(), "size {}", i + 1);
-        }
-        // Truncation invalidates; a clone carries a still-correct cache.
-        let snapshot = tree.clone();
-        tree.truncate(17);
-        assert_eq!(tree.root(), tree.root_recursive());
-        assert_eq!(snapshot.root(), snapshot.root_recursive());
-        tree.append_batch([b"x".as_slice(), b"y".as_slice()]);
-        assert_eq!(tree.root(), tree.root_recursive());
-    }
-
-    #[test]
-    fn metrics_count_appends_hits_misses_truncations() {
+    fn metrics_count_appends_and_truncations() {
         let reg = ccf_obs::Registry::new();
         let mut tree = MerkleTree::new();
         tree.set_registry(&reg);
-        tree.append(b"a");
-        tree.append_batch([b"b".as_slice(), b"c".as_slice()]);
-        let _ = tree.root(); // miss (mutated since construction)
-        let _ = tree.root(); // hit
+        for leaf in [b"a", b"b", b"c"] {
+            tree.append(leaf);
+        }
         tree.truncate(1);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["ledger.merkle_appends"], 3);
-        assert_eq!(snap.counters["ledger.merkle_root_cache_misses"], 1);
-        assert_eq!(snap.counters["ledger.merkle_root_cache_hits"], 1);
         assert_eq!(snap.counters["ledger.merkle_truncations"], 1);
+    }
+
+    #[test]
+    fn tree_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<MerkleTree>();
     }
 
     #[test]

@@ -14,6 +14,9 @@ cargo test -q
 echo "== tier1: cargo bench --no-run"
 cargo bench --no-run -q
 
+echo "== tier1: repo benchmark builds (perfbench, path deps on the crates)"
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== tier1: replica hardening regressions (release)"
 # Two of the fixed bugs were debug_assert!s that compiled away under
 # --release; the regression tests must exercise the release path.

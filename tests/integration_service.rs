@@ -3,6 +3,8 @@
 //! live code updates, failure handling.
 
 use ccf_core::app::{AppResult, Application, EndpointDef};
+use ccf_core::indexer::KeyToTxIds;
+use ccf_core::node::CcfNode;
 use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
 use std::sync::Arc;
@@ -23,6 +25,12 @@ fn logging_app() -> Application {
         }))
         .endpoint(EndpointDef::write("POST", "/log_public", |ctx| {
             let (id, msg) = ctx.body_kv()?;
+            ctx.put_public("msgs", id.as_bytes(), msg.as_bytes());
+            AppResult::ok(b"stored".to_vec())
+        }))
+        .endpoint(EndpointDef::write("POST", "/log_both", |ctx| {
+            let (id, msg) = ctx.body_kv()?;
+            ctx.put_private("msgs", id.as_bytes(), msg.as_bytes());
             ctx.put_public("msgs", id.as_bytes(), msg.as_bytes());
             AppResult::ok(b"stored".to_vec())
         }))
@@ -318,4 +326,80 @@ fn historical_queries_and_index() {
     // Out-of-range queries are rejected.
     assert!(node.historical_writes(0, 1).is_err());
     assert!(node.historical_writes(1, 99999).is_err());
+}
+
+#[test]
+fn entries_are_decrypted_once_per_backup_and_applied_identically() {
+    const N: u64 = 3;
+    let mut service = start_open(24, N as usize);
+    for node in service.nodes.values() {
+        node.register_key_index("msgs");
+        node.register_key_index("public:msgs");
+    }
+    let sealed = service.obs().counter("crypto.gcm_sealed_bytes");
+    let opened = service.obs().counter("crypto.gcm_opened_bytes");
+    let (sealed_before, opened_before) = (sealed.get(), opened.get());
+    let mut txids = Vec::new();
+    for i in 0..24 {
+        let path = ["/log", "/log_public", "/log_both"][i % 3];
+        let resp = service.user_request(0, "POST", path, format!("k{}={i}", i % 5).as_bytes());
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        txids.push(resp.txid.unwrap());
+    }
+    service.run_until_committed(*txids.last().unwrap());
+    assert!(
+        service.run_until(5_000, |c| {
+            let first = c.nodes.values().next().unwrap().commit_seqno();
+            c.nodes.values().all(|n| n.commit_seqno() == first)
+        }),
+        "nodes never agreed on a commit seqno"
+    );
+
+    // Backups open each private write once; the primary never opens the
+    // entries it sealed, and the indexer reuses the writes applied at
+    // append.
+    let (sealed, opened) = (sealed.get() - sealed_before, opened.get() - opened_before);
+    assert!(sealed > 0);
+    assert!(
+        opened <= (N - 1) * sealed,
+        "opened {opened} bytes for {sealed} sealed"
+    );
+
+    // The primary's validated write set and the backups' decoded ones
+    // leave byte-identical state at the common commit seqno.
+    let states: Vec<Vec<u8>> = service
+        .nodes
+        .values()
+        .map(|n| n.latest_snapshot().unwrap().kv_state)
+        .collect();
+    assert!(
+        states.windows(2).all(|w| w[0] == w[1]),
+        "kv state diverged across nodes"
+    );
+
+    // Both indexes list the same txids on the primary and on the backups.
+    let index = |node: &CcfNode| {
+        node.with_indexer(|idx| {
+            (0..2)
+                .map(|i| {
+                    let strategy: &dyn std::any::Any = idx.strategy(i).unwrap();
+                    let keys = strategy.downcast_ref::<KeyToTxIds>().unwrap();
+                    (0..5)
+                        .map(|k| keys.txids_for(format!("k{k}").as_bytes()).to_vec())
+                        .collect()
+                })
+                .collect::<Vec<Vec<_>>>()
+        })
+    };
+    let primary = index(&service.nodes[&service.primary().unwrap()]);
+    assert_eq!(primary[0].iter().map(Vec::len).sum::<usize>(), 16);
+    assert_eq!(primary[1].iter().map(Vec::len).sum::<usize>(), 16);
+    for node in service.nodes.values() {
+        assert_eq!(
+            index(node),
+            primary,
+            "index on {} differs from the primary's",
+            node.id
+        );
+    }
 }
