@@ -3,8 +3,7 @@
 //! BTreeMap snapshots, encryption on/off, signature cost, replication
 //! step cost).
 
-use ccf_consensus::harness::{user_entry, Cluster, KeyedSignatureFactory};
-use ccf_consensus::message::Message;
+use ccf_consensus::harness::{Cluster, KeyedSignatureFactory};
 use ccf_consensus::replica::ReplicaConfig;
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::gcm::AesGcm256;

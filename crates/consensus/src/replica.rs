@@ -89,10 +89,11 @@ pub trait SignatureFactory {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// An entry was appended (speculatively — may still roll back).
-    /// The node layer applies its write set to the kv store.
+    /// The node layer applies its write set to the kv store, reading
+    /// the entry from [`Replica::entry_at`].
     Appended {
-        /// The appended entry.
-        entry: ReplicatedEntry,
+        /// The appended entry's id.
+        txid: TxId,
     },
     /// Everything up to `seqno` is durable: will never roll back.
     Committed {
@@ -719,8 +720,8 @@ impl<F: SignatureFactory> Replica<F> {
             self.view_history.push((view, entry.entry.txid.seqno));
         }
         self.note_append_traces(&entry);
-        self.ledger.push(entry.clone());
-        self.events.push(Event::Appended { entry });
+        self.events.push(Event::Appended { txid: entry.entry.txid });
+        self.ledger.push(entry);
         // A single-node configuration commits its own signatures instantly.
         if self.is_primary() {
             self.try_advance_commit();

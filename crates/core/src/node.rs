@@ -36,7 +36,7 @@ use ccf_governance::{
 use ccf_kv::store::StoreState;
 use ccf_kv::{builtin, MapName, Store, Transaction, WriteSet};
 use ccf_ledger::entry::EntryKind;
-use ccf_ledger::files::LedgerWriter;
+use ccf_ledger::files::closed_chunks;
 use ccf_ledger::receipt::endorsement_bytes;
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{LedgerEntry, Receipt, SignaturePayload, TxId};
@@ -186,7 +186,6 @@ struct NodeInner {
     secrets: Option<LedgerSecrets>,
     service_identity: Option<VerifyingKey>,
     service_key: Option<SigningKey>,
-    ledger_writer: LedgerWriter,
     /// Entries that may still roll back, plus the commit point.
     recent_states: BTreeMap<Seqno, Applied>,
     indexer: Indexer,
@@ -307,7 +306,6 @@ impl CcfNode {
                 secrets: None,
                 service_identity: None,
                 service_key: None,
-                ledger_writer: LedgerWriter::new(),
                 recent_states: BTreeMap::new(),
                 indexer: Indexer::new(),
                 own_proposal: None,
@@ -619,9 +617,9 @@ impl CcfNode {
         }
         for event in events {
             match event {
-                Event::Appended { entry } => {
+                Event::Appended { txid } => {
                     self.metrics.entries_applied.inc();
-                    self.on_appended(inner, entry)
+                    self.on_appended(inner, txid)
                 }
                 Event::Committed { seqno } => {
                     self.metrics.commit_events.inc();
@@ -640,8 +638,6 @@ impl CcfNode {
                     self.store.install(state);
                     inner.recent_states.clear();
                     self.keep_applied(inner, snapshot.last_txid, WriteSet::new());
-                    inner.ledger_writer =
-                        LedgerWriter::starting_from(snapshot.last_txid.seqno + 1);
                     inner.indexer.reset_to(snapshot.last_txid.seqno);
                     self.reload_dynamic_state(inner);
                 }
@@ -658,10 +654,10 @@ impl CcfNode {
         }
     }
 
-    fn on_appended(&self, inner: &mut NodeInner, entry: ReplicatedEntry) {
-        let txid = entry.entry.txid;
+    fn on_appended(&self, inner: &mut NodeInner, txid: TxId) {
         // Entries this node did not propose (a backup's, or a signature
-        // the replica built) are decoded here, once.
+        // the replica built) are decoded here, once, from the replica's
+        // log.
         let own = inner.own_proposal.take().filter(|(t, _)| *t == txid);
         if txid.seqno <= self.store.version() {
             // Duplicate delivery (can happen after snapshot install).
@@ -669,12 +665,16 @@ impl CcfNode {
         }
         let ws = match own {
             Some((_, ws)) => ws,
-            None => self.decode_entry_writes(inner, &entry.entry),
+            None => match inner.replica.entry_at(txid.seqno) {
+                Some(e) if e.entry.txid == txid => self.decode_entry_writes(inner, &e.entry),
+                // Truncated later in this drain: the `RolledBack` event
+                // that follows restores the state before it.
+                _ => return,
+            },
         };
         self.store.apply_at(&ws, txid.seqno);
         inner.last_applied = txid;
         self.publish_last_applied(txid);
-        inner.ledger_writer.append(entry.entry);
         // React to writes addressed to this node (ledger rekey dist).
         self.check_rekey_distribution(inner, &ws, txid);
         // Live app / constitution updates take effect on append (they are
@@ -907,7 +907,6 @@ impl CcfNode {
             });
         self.store.install((*state).clone());
         inner.recent_states.retain(|s, _| *s <= seqno);
-        inner.ledger_writer.truncate(seqno);
         inner.last_applied = inner.replica.last_txid();
         self.publish_last_applied(inner.last_applied);
         self.reload_dynamic_state(inner);
@@ -1013,9 +1012,11 @@ impl CcfNode {
     }
 
     /// Persisted ledger chunk blobs (what the host's disk holds — the
-    /// input to disaster recovery).
+    /// input to disaster recovery): the closed chunks of the replica's
+    /// log, each ending at a signature transaction.
     pub fn persisted_ledger(&self) -> Vec<Vec<u8>> {
-        self.inner.lock().ledger_writer.persisted_blobs()
+        let inner = self.inner.lock();
+        closed_chunks(inner.replica.entries_from(0).iter().map(|e| &e.entry))
     }
 
     /// Permanently stops the node (operator shutdown after retirement).
@@ -1476,9 +1477,8 @@ impl CcfNode {
         })
     }
 
-    /// Historical range query (§3.4): fetches committed entries from the
-    /// host's ledger storage, re-verifies them against the in-enclave
-    /// Merkle tree, decrypts, and returns the write sets.
+    /// Historical range query (§3.4): reads committed entries from the
+    /// replica's log, decrypts them, and returns the write sets.
     pub fn historical_writes(
         &self,
         from: Seqno,
@@ -1491,38 +1491,16 @@ impl CcfNode {
         if to > inner.replica.commit_seqno() {
             return Err("range exceeds committed prefix".to_string());
         }
-        // Fetch from (untrusted) host storage…
-        let mut by_seqno: BTreeMap<Seqno, LedgerEntry> = BTreeMap::new();
-        for chunk in inner.ledger_writer.chunks() {
-            for e in &chunk.entries {
-                if e.txid.seqno >= from && e.txid.seqno <= to {
-                    by_seqno.insert(e.txid.seqno, e.clone());
-                }
-            }
-        }
-        for e in inner.ledger_writer.open_entries() {
-            if e.txid.seqno >= from && e.txid.seqno <= to {
-                by_seqno.insert(e.txid.seqno, e.clone());
-            }
-        }
-        let mut out = Vec::new();
-        for s in from..=to {
-            let entry = by_seqno
-                .remove(&s)
-                .ok_or_else(|| format!("host storage is missing entry {s}"))?;
-            // …and verify each against the trusted ledger (leaf digests).
-            let expected = inner
-                .replica
-                .entry_at(s)
-                .map(|e| e.entry.digest())
-                .ok_or_else(|| format!("entry {s} not retained in enclave"))?;
-            if entry.digest() != expected {
-                return Err(format!("host storage returned a tampered entry at {s}"));
-            }
-            let ws = self.decode_entry_writes(&inner, &entry);
-            out.push((entry.txid, ws));
-        }
-        Ok(out)
+        (from..=to)
+            .map(|s| {
+                let entry = &inner
+                    .replica
+                    .entry_at(s)
+                    .ok_or_else(|| format!("entry {s} not retained in enclave"))?
+                    .entry;
+                Ok((entry.txid, self.decode_entry_writes(&inner, entry)))
+            })
+            .collect()
     }
 
     /// Runs a read-only closure over the node's indexer.

@@ -84,12 +84,13 @@ pub struct RecoveryCoordinator {
 impl RecoveryCoordinator {
     /// Replays and verifies ledger chunk blobs (§5.2 step 1).
     pub fn from_ledger(blobs: &[Vec<u8>]) -> Result<RecoveryCoordinator, RecoveryFailure> {
-        let entries =
+        let mut entries =
             read_chunks(blobs).map_err(|e| RecoveryFailure::BadLedger(e.to_string()))?;
         let store = Store::new();
         let mut merkle = MerkleTree::new();
         let mut view_history: Vec<(u64, u64)> = Vec::new();
         let mut last_verified: usize = 0; // number of entries proven good
+        let mut verified_state = None; // store state as of `last_verified`
 
         for (i, entry) in entries.iter().enumerate() {
             if entry.txid.seqno != i as u64 + 1 {
@@ -155,40 +156,28 @@ impl RecoveryCoordinator {
             }
             if entry.kind == EntryKind::Signature {
                 last_verified = i + 1;
+                verified_state = Some(store.snapshot());
             }
         }
-        if last_verified == 0 {
+        let Some(verified_state) = verified_state else {
             return Err(RecoveryFailure::NothingVerifiable);
-        }
+        };
         // Best-effort: discard the unverified suffix (§5.2 — committed
         // transactions beyond the last surviving signature are lost).
-        let entries: Vec<LedgerEntry> = entries.into_iter().take(last_verified).collect();
-        // Rebuild store/merkle truncated to the verified prefix.
-        let store2 = Store::new();
-        let mut merkle2 = MerkleTree::new();
-        let mut view_history2: Vec<(u64, u64)> = Vec::new();
-        for entry in &entries {
-            let ws = if entry.public_ws.is_empty() {
-                WriteSet::new()
-            } else {
-                WriteSet::decode(&entry.public_ws).expect("verified above")
-            };
-            store2.apply_at(&ws, entry.txid.seqno);
-            merkle2.append(&entry.leaf_bytes());
-            if view_history2.last().is_none_or(|&(v, _)| v < entry.txid.view) {
-                view_history2.push((entry.txid.view, entry.txid.seqno));
-            }
-        }
+        entries.truncate(last_verified);
+        store.install((*verified_state).clone());
+        merkle.truncate(last_verified as u64);
+        view_history.retain(|&(_, start)| start <= last_verified as u64);
         let previous_identity = {
-            let mut tx = store2.begin();
+            let mut tx = store.begin();
             tx.get(&map(builtin::SERVICE_INFO), b"cert")
                 .map(|v| String::from_utf8_lossy(&v).to_string())
         };
         Ok(RecoveryCoordinator {
             entries,
-            store: store2,
-            merkle: merkle2,
-            view_history: view_history2,
+            store,
+            merkle,
+            view_history,
             collector: ShareCollector::new(),
             previous_identity,
             secrets: None,

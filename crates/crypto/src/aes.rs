@@ -464,9 +464,8 @@ mod tests {
     fn t_tables_encode_mix_columns_of_sbox() {
         let t = enc_tables();
         let s = tables().sbox;
-        for x in 0..256usize {
-            let expect =
-                u32::from_be_bytes([gf_mul(s[x], 2), s[x], s[x], gf_mul(s[x], 3)]);
+        for (x, &sx) in s.iter().enumerate() {
+            let expect = u32::from_be_bytes([gf_mul(sx, 2), sx, sx, gf_mul(sx, 3)]);
             assert_eq!(t.te[0][x], expect);
             assert_eq!(t.te[1][x], expect.rotate_right(8));
             assert_eq!(t.te[2][x], expect.rotate_right(16));

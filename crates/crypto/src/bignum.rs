@@ -400,7 +400,7 @@ mod tests {
     #[test]
     fn mod_limbs_small_cases() {
         assert_eq!(mod_limbs(&[17], &[5]), vec![2]);
-        assert_eq!(mod_limbs(&[0, 1], &[7]), vec![(u64::MAX % 7 + 1) % 7]); // 2^64 mod 7
+        assert_eq!(mod_limbs(&[0, 1], &[7]), vec![2]); // 2^64 mod 7
         assert_eq!(mod_limbs(&[100, 0, 0], &[3, 0]), vec![1, 0]);
     }
 
@@ -536,8 +536,8 @@ mod tests {
                     assert_eq!(d & 1, 1, "digit at {i} must be odd");
                     assert!((d as i64).abs() < 1 << (w - 1), "digit at {i} too large for w={w}");
                     // Non-adjacency: next w-1 digits are zero.
-                    for j in i + 1..(i + w as usize).min(257) {
-                        assert_eq!(digits[j], 0, "digits {i} and {j} both set (w={w})");
+                    for (j, &dj) in digits.iter().enumerate().take(i + w as usize).skip(i + 1) {
+                        assert_eq!(dj, 0, "digits {i} and {j} both set (w={w})");
                     }
                 }
             }

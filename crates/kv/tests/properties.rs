@@ -166,10 +166,8 @@ proptest! {
             tx.put(&map, b"ctr", (v + 1).to_string().as_bytes());
             pending.push(tx);
             // Commit every other transaction late to force conflicts.
-            if i % 2 == 0 {
-                if store.commit(pending.remove(0), false).is_ok() {
-                    committed += 1;
-                }
+            if i % 2 == 0 && store.commit(pending.remove(0), false).is_ok() {
+                committed += 1;
             }
         }
         for tx in pending {

@@ -26,14 +26,7 @@ pub struct LedgerChunk {
 impl LedgerChunk {
     /// Serializes the chunk as stored on disk.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(CHUNK_MAGIC);
-        w.u64(self.first_seqno);
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.bytes(&e.encode());
-        }
-        w.finish()
+        encode_chunk(self.first_seqno, self.entries.iter())
     }
 
     /// Decodes and structurally validates a chunk read from (untrusted)
@@ -70,93 +63,35 @@ impl LedgerChunk {
     }
 }
 
-/// The host-side ledger writer: accumulates entries, closing a chunk at
-/// every signature transaction. In production these chunks are files named
-/// `ledger_<first>-<last>.committed`; here they are byte blobs handed to a
-/// storage backend (in-memory or a directory).
-#[derive(Default)]
-pub struct LedgerWriter {
-    open: Vec<LedgerEntry>,
-    open_first_seqno: u64,
-    chunks: Vec<LedgerChunk>,
+/// Encodes the closed chunks of a run of consecutive entries as the host
+/// writes them to storage: a chunk ends at each signature transaction and
+/// the next one starts after it. The unsigned suffix is left out — it is
+/// lost on crash, exactly as in the paper's model. In production these
+/// chunks are files named `ledger_<first>-<last>.committed`.
+pub fn closed_chunks<'a>(entries: impl IntoIterator<Item = &'a LedgerEntry>) -> Vec<Vec<u8>> {
+    let mut blobs = Vec::new();
+    let mut open: Vec<&LedgerEntry> = Vec::new();
+    for entry in entries {
+        open.push(entry);
+        if entry.is_signature() {
+            blobs.push(encode_chunk(open[0].txid.seqno, open.drain(..)));
+        }
+    }
+    blobs
 }
 
-impl LedgerWriter {
-    /// An empty writer expecting seqno 1 first.
-    pub fn new() -> LedgerWriter {
-        LedgerWriter { open: Vec::new(), open_first_seqno: 1, chunks: Vec::new() }
+fn encode_chunk<'a>(
+    first_seqno: u64,
+    entries: impl ExactSizeIterator<Item = &'a LedgerEntry>,
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(CHUNK_MAGIC);
+    w.u64(first_seqno);
+    w.u32(entries.len() as u32);
+    for e in entries {
+        w.bytes(&e.encode());
     }
-
-    /// An empty writer starting at `first_seqno` (node bootstrapped from a
-    /// snapshot: earlier entries exist only on other nodes' storage).
-    pub fn starting_from(first_seqno: u64) -> LedgerWriter {
-        LedgerWriter { open: Vec::new(), open_first_seqno: first_seqno, chunks: Vec::new() }
-    }
-
-    /// Appends an entry; closes the open chunk if it is a signature tx.
-    pub fn append(&mut self, entry: LedgerEntry) {
-        let is_sig = entry.is_signature();
-        if self.open.is_empty() {
-            self.open_first_seqno = entry.txid.seqno;
-        }
-        self.open.push(entry);
-        if is_sig {
-            self.chunks.push(LedgerChunk {
-                first_seqno: self.open_first_seqno,
-                entries: std::mem::take(&mut self.open),
-            });
-        }
-    }
-
-    /// Removes every entry with seqno > `seqno` (consensus rollback). Whole
-    /// chunks are dropped and the open chunk truncated as needed.
-    pub fn truncate(&mut self, seqno: u64) {
-        self.open.retain(|e| e.txid.seqno <= seqno);
-        while let Some(last) = self.chunks.last() {
-            if last.first_seqno > seqno {
-                self.chunks.pop();
-            } else {
-                break;
-            }
-        }
-        if let Some(last) = self.chunks.last() {
-            if last.last_txid().map_or(0, |t| t.seqno) > seqno {
-                // Re-open the last chunk and truncate within it.
-                let mut chunk = self.chunks.pop().unwrap();
-                chunk.entries.retain(|e| e.txid.seqno <= seqno);
-                self.open_first_seqno = chunk.first_seqno;
-                let mut reopened = chunk.entries;
-                reopened.append(&mut self.open);
-                self.open = reopened;
-            }
-        }
-    }
-
-    /// All closed chunks.
-    pub fn chunks(&self) -> &[LedgerChunk] {
-        &self.chunks
-    }
-
-    /// Entries of the still-open (unsigned) suffix.
-    pub fn open_entries(&self) -> &[LedgerEntry] {
-        &self.open
-    }
-
-    /// Every entry currently held, in order (closed chunks + open suffix).
-    pub fn all_entries(&self) -> Vec<&LedgerEntry> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.entries.iter())
-            .chain(self.open.iter())
-            .collect()
-    }
-
-    /// Serializes all *closed* chunks — what survives on persistent
-    /// storage for disaster recovery (the open suffix is lost on crash,
-    /// exactly as in the paper's model).
-    pub fn persisted_blobs(&self) -> Vec<Vec<u8>> {
-        self.chunks.iter().map(|c| c.encode()).collect()
-    }
+    w.finish()
 }
 
 /// Reads a set of persisted chunk blobs back into an ordered entry stream,
@@ -196,36 +131,52 @@ mod tests {
         }
     }
 
-    fn fill(writer: &mut LedgerWriter, upto: u64, sig_every: u64) {
-        for s in 1..=upto {
-            let kind = if s % sig_every == 0 { EntryKind::Signature } else { EntryKind::User };
-            writer.append(entry(1, s, kind));
-        }
+    /// Entries `from..=upto` in view 1, a signature at every multiple of
+    /// `sig_every`.
+    fn run(from: u64, upto: u64, sig_every: u64) -> Vec<LedgerEntry> {
+        (from..=upto)
+            .map(|s| {
+                let kind = if s % sig_every == 0 { EntryKind::Signature } else { EntryKind::User };
+                entry(1, s, kind)
+            })
+            .collect()
+    }
+
+    fn decoded(entries: &[LedgerEntry]) -> Vec<LedgerChunk> {
+        closed_chunks(entries).iter().map(|b| LedgerChunk::decode(b).unwrap()).collect()
     }
 
     #[test]
     fn chunks_close_at_signatures() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 10, 5);
-        assert_eq!(w.chunks().len(), 2);
-        assert_eq!(w.open_entries().len(), 0);
-        assert!(w.chunks().iter().all(|c| c.is_complete()));
-        assert_eq!(w.chunks()[0].first_seqno, 1);
-        assert_eq!(w.chunks()[1].first_seqno, 6);
+        let chunks = decoded(&run(1, 10, 5));
+        assert_eq!(chunks.len(), 2);
+        assert!(chunks.iter().all(|c| c.is_complete()));
+        assert_eq!(chunks[0].first_seqno, 1);
+        assert_eq!(chunks[1].first_seqno, 6);
 
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5);
-        assert_eq!(w.chunks().len(), 2);
-        assert_eq!(w.open_entries().len(), 2); // 11, 12 unsigned
+        // 11, 12 are unsigned and stay off storage.
+        let chunks = decoded(&run(1, 12, 5));
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[1].last_txid(), Some(TxId::new(1, 10)));
+    }
+
+    #[test]
+    fn chunks_after_snapshot_start_at_first_retained_entry() {
+        // A node that installed a snapshot at 7 holds entries from 8 on.
+        let chunks = decoded(&run(8, 16, 5));
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[0].first_seqno, 8);
+        assert_eq!(chunks[0].entries.len(), 3);
+        assert_eq!(chunks[1].first_seqno, 11);
     }
 
     #[test]
     fn chunk_encode_decode() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 5, 5);
-        let blob = w.chunks()[0].encode();
+        let entries = run(1, 5, 5);
+        let blob = closed_chunks(&entries).remove(0);
         let decoded = LedgerChunk::decode(&blob).unwrap();
-        assert_eq!(decoded, w.chunks()[0]);
+        assert_eq!(decoded, LedgerChunk { first_seqno: 1, entries });
+        assert_eq!(decoded.encode(), blob);
         // Corruption rejected.
         let mut bad = blob.clone();
         bad[0] ^= 1;
@@ -238,9 +189,7 @@ mod tests {
 
     #[test]
     fn read_chunks_reassembles_in_order() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 20, 4);
-        let mut blobs = w.persisted_blobs();
+        let mut blobs = closed_chunks(&run(1, 20, 4));
         blobs.reverse(); // order on disk is arbitrary
         let entries = read_chunks(&blobs).unwrap();
         assert_eq!(entries.len(), 20);
@@ -251,18 +200,14 @@ mod tests {
 
     #[test]
     fn read_chunks_rejects_gaps() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 20, 4);
-        let mut blobs = w.persisted_blobs();
+        let mut blobs = closed_chunks(&run(1, 20, 4));
         blobs.remove(1); // lose chunk 5..8
         assert!(read_chunks(&blobs).is_err());
     }
 
     #[test]
     fn read_chunks_tolerates_missing_tail() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 20, 4);
-        let mut blobs = w.persisted_blobs();
+        let mut blobs = closed_chunks(&run(1, 20, 4));
         blobs.pop(); // final chunk lost — best-effort recovery still works
         let entries = read_chunks(&blobs).unwrap();
         assert_eq!(entries.len(), 16);
@@ -270,36 +215,30 @@ mod tests {
 
     #[test]
     fn truncate_within_open_suffix() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5); // chunks [1-5],[6-10], open [11,12]
-        w.truncate(11);
-        assert_eq!(w.open_entries().len(), 1);
-        assert_eq!(w.chunks().len(), 2);
+        // chunks [1-5],[6-10], open [11,12]: cutting 12 changes no file.
+        let entries = run(1, 12, 5);
+        assert_eq!(closed_chunks(&entries[..11]), closed_chunks(&entries));
+        assert_eq!(closed_chunks(&entries[..11]).len(), 2);
     }
 
     #[test]
     fn truncate_into_closed_chunk_reopens_it() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5);
-        w.truncate(8);
-        assert_eq!(w.chunks().len(), 1);
-        assert_eq!(w.open_entries().len(), 3); // 6, 7, 8
-        assert_eq!(w.all_entries().len(), 8);
-        // Appending a new signature closes the reopened chunk again.
-        w.append(entry(2, 9, EntryKind::Signature));
-        assert_eq!(w.chunks().len(), 2);
-        assert_eq!(w.chunks()[1].first_seqno, 6);
-        assert!(w.chunks()[1].is_complete());
+        let entries = run(1, 12, 5);
+        let mut kept = entries[..8].to_vec();
+        assert_eq!(closed_chunks(&kept), closed_chunks(&entries)[..1]);
+        // A new signature closes the reopened chunk again: 6, 7, 8, 9.
+        kept.push(entry(2, 9, EntryKind::Signature));
+        let chunks = decoded(&kept);
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[1].first_seqno, 6);
+        assert_eq!(chunks[1].entries.len(), 4);
+        assert!(chunks[1].is_complete());
     }
 
     #[test]
     fn truncate_everything() {
-        let mut w = LedgerWriter::new();
-        fill(&mut w, 12, 5);
-        w.truncate(0);
-        assert!(w.chunks().is_empty());
-        assert!(w.open_entries().is_empty());
-        fill(&mut w, 5, 5);
-        assert_eq!(w.chunks().len(), 1);
+        let entries = run(1, 12, 5);
+        assert!(closed_chunks(&entries[..0]).is_empty());
+        assert_eq!(closed_chunks(&run(1, 5, 5)).len(), 1);
     }
 }

@@ -16,7 +16,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::arr),
             proptest::collection::btree_map("[a-z]{1,6}", inner, 0..6)
-                .prop_map(|m| Value::obj(m)),
+                .prop_map(Value::obj),
         ]
     })
 }

@@ -84,7 +84,7 @@ fn main() {
                 governance_ops += 1;
             }
             for (_, writes) in ws.maps.iter().filter(|(m, _)| m.0 == builtin::GOV_HISTORY) {
-                for (_, v) in writes {
+                for v in writes.values() {
                     // Every governance request is a verifiable signed envelope.
                     let env = ccf_governance::SignedRequest::decode(v.as_ref().unwrap()).unwrap();
                     env.verify().expect("member signature verifies offline");

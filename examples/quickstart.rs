@@ -4,7 +4,6 @@
 //! Run with: `cargo run --example quickstart`
 
 use ccf_core::app::{AppResult, Application, EndpointDef};
-use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
 use std::sync::Arc;
 

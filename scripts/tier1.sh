@@ -35,8 +35,8 @@ cargo run -q --release -p ccf-bench --bin bench_latency -- --smoke > /dev/null
 cmp OBS_latency.json OBS_latency.first.json
 rm -f OBS_latency.first.json
 
-echo "== tier1: clippy -D warnings (touched crates)"
-cargo clippy -q -p ccf-crypto -p ccf-ledger -p ccf-sim -p ccf-obs -p ccf-consensus -p ccf-core -p ccf-bench -- -D warnings
+echo "== tier1: clippy -D warnings (whole workspace: libs, tests, examples, benches)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier1: rustdoc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

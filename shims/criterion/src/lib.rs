@@ -59,16 +59,8 @@ impl Criterion {
     /// Flags (anything starting with `-`) are ignored; the first free
     /// argument becomes a substring filter on `group/id` names.
     pub fn configure_from_args(mut self) -> Self {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--bench" || a == "--test" || a.starts_with("--") && !a.contains('=') {
-                continue;
-            }
-            if a.starts_with('-') {
-                continue;
-            }
+        if let Some(a) = std::env::args().skip(1).find(|a| !a.starts_with('-')) {
             self.filter = Some(a);
-            break;
         }
         self
     }

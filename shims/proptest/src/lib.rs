@@ -704,7 +704,7 @@ mod tests {
         }
 
         #[test]
-        fn oneof_covers_all_arms(x in prop_oneof![Just(1u8), Just(2u8), (3u8..5)]) {
+        fn oneof_covers_all_arms(x in prop_oneof![Just(1u8), Just(2u8), 3u8..5]) {
             prop_assert!((1..5).contains(&x), "got {}", x);
         }
     }

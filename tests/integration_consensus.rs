@@ -45,7 +45,7 @@ fn figure9_replace_failed_primary() {
     let n0 = service.primary().unwrap();
     service.crash(&n0);
     assert!(
-        service.run_until(30_000, |c| c.primary().map_or(false, |p| p != n0)),
+        service.run_until(30_000, |c| c.primary().is_some_and(|p| p != n0)),
         "no failover"
     );
     // Reads kept working on backups throughout (checked by Fig 9 bench in

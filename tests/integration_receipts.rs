@@ -149,7 +149,7 @@ fn receipts_survive_primary_failover() {
     service.run_until_committed(txid);
     let primary = service.primary().unwrap();
     service.crash(&primary);
-    assert!(service.run_until(30_000, |c| c.primary().map_or(false, |p| p != primary)));
+    assert!(service.run_until(30_000, |c| c.primary().is_some_and(|p| p != primary)));
     service.run_for(500);
     // A receipt for the old transaction is still obtainable from the
     // survivors, signed under a signature transaction by whichever node.

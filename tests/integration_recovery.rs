@@ -124,6 +124,7 @@ fn full_disaster_recovery_flow() {
 #[test]
 fn recovery_discards_tampered_suffix() {
     let (mut blobs, _members, _) = run_and_destroy(81, 1, 1);
+    let full = RecoveryCoordinator::from_ledger(&blobs).unwrap();
     // The malicious host tampers with a chunk in the middle of the ledger
     // — bytes that a later signature transaction covers.
     let n = blobs.len();
@@ -131,22 +132,16 @@ fn recovery_discards_tampered_suffix() {
     let len = blobs[n - 2].len();
     blobs[n - 2][len / 2] ^= 0xff;
     // Recovery either rejects the bad chunk outright or — when the damage
-    // hits payload bytes — stops at the last verifiable signature.
-    match RecoveryCoordinator::from_ledger(&blobs) {
-        Ok(c) => {
-            let full = RecoveryCoordinator::from_ledger(&{
-                let (b, _, _) = run_and_destroy(81, 1, 1);
-                b
-            })
-            .unwrap();
-            assert!(
-                c.recovered_len() < full.recovered_len(),
-                "tampered suffix must be discarded ({} vs {})",
-                c.recovered_len(),
-                full.recovered_len()
-            );
-        }
-        Err(_) => {} // structural rejection is also acceptable
+    // hits payload bytes — stops at the last verifiable signature, with
+    // the replayed state rolled back to it.
+    if let Ok(c) = RecoveryCoordinator::from_ledger(&blobs) {
+        assert!(
+            c.recovered_len() < full.recovered_len(),
+            "tampered suffix must be discarded ({} vs {})",
+            c.recovered_len(),
+            full.recovered_len()
+        );
+        assert_eq!(c.recovered_state().version(), c.recovered_len());
     }
 }
 

@@ -7,6 +7,8 @@ use ccf_core::indexer::KeyToTxIds;
 use ccf_core::node::CcfNode;
 use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
+use ccf_ledger::files::LedgerChunk;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn logging_app() -> Application {
@@ -113,7 +115,7 @@ fn session_terminates_on_primary_change() {
     let old_primary = service.primary().unwrap();
     service.crash(&old_primary);
     assert!(service.run_until(30_000, |c| {
-        c.primary().map_or(false, |p| p != old_primary)
+        c.primary().is_some_and(|p| p != old_primary)
     }));
     // The pinned session must terminate, not silently switch (§4.3).
     let resp = service.session_request(session, "GET", "/log?id=1", b"");
@@ -131,7 +133,7 @@ fn primary_crash_preserves_committed_writes() {
     service.run_until_committed(txid);
     let primary = service.primary().unwrap();
     service.crash(&primary);
-    assert!(service.run_until(30_000, |c| c.primary().map_or(false, |p| p != primary)));
+    assert!(service.run_until(30_000, |c| c.primary().is_some_and(|p| p != primary)));
     for id in service.live_nodes() {
         assert_eq!(service.nodes[id].tx_status(txid), TxStatus::Committed);
     }
@@ -402,4 +404,58 @@ fn entries_are_decrypted_once_per_backup_and_applied_identically() {
             node.id
         );
     }
+}
+
+#[test]
+fn partitioned_primary_rolls_back_into_a_closed_chunk() {
+    let mut service = start_open(25, 3);
+    let r = service.user_request(0, "POST", "/log", b"1=kept");
+    service.run_until_committed(r.txid.unwrap());
+    let old = service.primary().unwrap();
+    let index_of = |s: &ServiceCluster, id: &str| s.nodes.keys().position(|k| k == id).unwrap();
+    let others: BTreeSet<String> =
+        service.nodes.keys().filter(|id| **id != old).cloned().collect();
+    service.net.partition(vec![[old.clone()].into(), others.clone()]);
+
+    // The isolated primary accepts a write and signs it, closing a chunk
+    // that only it holds.
+    let lost = service.user_request(index_of(&service, &old), "POST", "/log", b"2=lost");
+    assert_eq!(lost.status, 200, "{}", lost.text());
+    let lost = lost.txid.unwrap();
+    service.run_for(50);
+    let last_closed = LedgerChunk::decode(service.nodes[&old].persisted_ledger().last().unwrap())
+        .unwrap()
+        .last_txid()
+        .unwrap();
+    assert!(last_closed.seqno > lost.seqno, "the lost write's chunk never closed");
+
+    // The majority elects a new primary and commits a write of its own.
+    assert!(service.run_until(30_000, |c| others.iter().any(|id| c.nodes[id].is_primary())));
+    let new = others.iter().find(|id| service.nodes[*id].is_primary()).unwrap().clone();
+    let kept = service.user_request(index_of(&service, &new), "POST", "/log", b"3=majority");
+    assert_eq!(kept.status, 200, "{}", kept.text());
+    let kept = kept.txid.unwrap();
+    assert!(service.run_until(30_000, |c| {
+        others.iter().all(|id| c.nodes[id].tx_status(kept) == TxStatus::Committed)
+    }));
+
+    // Healing hands the old primary the majority's log, which cuts into
+    // its closed chunk.
+    let rollbacks = service.obs().counter("node.rollback_events");
+    let rollbacks_before = rollbacks.get();
+    service.net.heal();
+    service.run_until_committed(kept);
+    service.run_for(200);
+    assert!(rollbacks.get() > rollbacks_before, "the old primary never rolled back");
+
+    let node = service.nodes[&old].clone();
+    assert_eq!(node.tx_status(lost), TxStatus::Invalid);
+    let r = service.user_request(index_of(&service, &old), "GET", "/log?id=2", b"");
+    assert_eq!(r.status, 404, "{}", r.text());
+    let ledger = node.persisted_ledger();
+    for other in service.nodes.values() {
+        assert!(other.persisted_ledger() == ledger, "{}'s ledger files differ", other.id);
+    }
+    let commit = node.commit_seqno();
+    assert_eq!(node.historical_writes(1, commit).unwrap().len() as u64, commit);
 }
