@@ -2,10 +2,9 @@
 //!
 //! Run with: `cargo run --release -p ccf-bench --bin bench_latency`
 //!
-//! Unlike the fig7/8/9 benches (threaded real-time cluster, wall-clock
-//! numbers), this one drives a 3-node [`ServiceCluster`] entirely in
-//! virtual time: every latency below is a deterministic function of the
-//! seed. Writes enter through a session pinned to a *backup* (so they
+//! Unlike `bench_figures` (wall-clock time per node call), this one
+//! drives a 3-node [`ServiceCluster`] entirely in virtual time: every
+//! latency below is a deterministic function of the seed. Writes enter through a session pinned to a *backup* (so they
 //! take the 307 forwarding hop) and through the signed-request queue (so
 //! they pay batch signature verification), then flow
 //! queue/forward → append → replicate/sign → commit → receipt, each stage

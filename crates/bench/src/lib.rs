@@ -2,18 +2,18 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the
 //! paper's evaluation (§7); see EXPERIMENTS.md for the index and
-//! paper-vs-measured results. This library provides the closed-loop
-//! client machinery they share.
+//! paper-vs-measured results. This library provides the logging app,
+//! service options and the timed sim stepper they share.
 
 #![forbid(unsafe_code)]
 
-use ccf_core::app::{AppResult, Application, Caller, EndpointDef, Request};
-use ccf_core::rt::RtCluster;
+use ccf_consensus::{NodeId, TxStatus};
+use ccf_core::app::{AppResult, Application, Caller, EndpointDef, Request, Response};
+use ccf_core::node::CcfNode;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
 use ccf_crypto::chacha::ChaChaRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The paper's evaluation application (§7): a logging app where messages
 /// with identifiers are posted (private, 20 characters) and retrieved
@@ -40,165 +40,176 @@ pub const MESSAGE: &str = "twenty.characters.xx";
 /// Key space for the workload (pre-filled so reads hit).
 pub const KEY_SPACE: u64 = 1_000;
 
-/// Bootstraps an open service in virtual time and converts it to a
-/// threaded real-time cluster.
-pub fn start_rt(opts: ServiceOpts, app: Application) -> RtCluster {
-    let mut service = ServiceCluster::start(opts, Arc::new(app));
-    service.open_service();
-    RtCluster::from_service(service, Duration::from_millis(5))
-}
-
-/// Pre-fills the key space through the primary so that reads hit.
-pub fn prefill(cluster: &RtCluster, keys: u64) {
-    let primary = cluster.primary().expect("primary");
+/// Pre-fills the key space through `user_request` so that reads hit,
+/// then steps the service until every node has committed it.
+pub fn prefill(service: &mut ServiceCluster, keys: u64) {
+    let mut last = None;
     for k in 0..keys {
-        let req = Request::new(
-            "POST",
-            "/log",
-            Caller::User("user0".into()),
-            format!("{k}={MESSAGE}").as_bytes(),
-        );
-        let resp = primary.handle_request(&req);
+        let resp = service.user_request(0, "POST", "/log", format!("{k}={MESSAGE}").as_bytes());
         assert_eq!(resp.status, 200, "prefill failed: {}", resp.text());
+        last = resp.txid;
+    }
+    if let Some(txid) = last {
+        service.run_until_committed(txid);
     }
 }
 
-/// Throughput measurement results.
-#[derive(Clone, Copy, Debug)]
-pub struct Throughput {
-    /// Successful writes per second.
-    pub writes_per_sec: f64,
-    /// Successful reads per second.
-    pub reads_per_sec: f64,
-    /// All successful requests per second.
-    pub total_per_sec: f64,
-    /// Requests that failed (conflicts, forwarding).
-    pub errors: u64,
+/// Virtual ms a point may take to commit its last write everywhere.
+const COMMIT_LIMIT_MS: u64 = 30_000;
+
+/// Untimed virtual ms before each point, so that replication streams left
+/// running by earlier work have ended and every point starts alike.
+const SETTLE_MS: u64 = 100;
+
+/// A service driven one virtual millisecond at a time, with the wall
+/// time each node spends inside `receive`, `tick` and `handle_request`
+/// measured from outside. With every node on its own machine, as in the
+/// paper's testbed, the busiest node bounds throughput.
+pub struct TimedService {
+    /// The service. Its own clock stops at [`TimedService::new`]: step
+    /// it only through [`TimedService::step`] from then on.
+    pub service: ServiceCluster,
+    /// The nodes, in id order.
+    pub nodes: Vec<Arc<CcfNode>>,
+    ids: Vec<NodeId>,
+    /// Index of the primary in `nodes`.
+    pub primary: usize,
+    now: u64,
+    /// Wall ns inside each node's calls, indexed like `nodes`.
+    pub busy_ns: Vec<u64>,
 }
 
-/// Runs `clients` closed-loop client threads for `duration` against the
-/// cluster: a fraction `read_ratio` of requests are reads (served by all
-/// nodes round-robin); writes go directly to the primary, as in the
-/// paper's setup ("the user directly writes to the primary").
-pub fn measure(
-    cluster: &RtCluster,
-    clients: usize,
-    duration: Duration,
-    read_ratio: f64,
-    seed: u64,
-) -> Throughput {
-    let stop = Arc::new(AtomicBool::new(false));
-    let writes = Arc::new(AtomicU64::new(0));
-    let reads = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
-    let nodes: Vec<_> = cluster.nodes.values().cloned().collect();
-    let primary = cluster.primary().expect("primary");
+impl TimedService {
+    /// Takes over driving `service` (no node may be crashed).
+    pub fn new(service: ServiceCluster) -> TimedService {
+        let ids: Vec<NodeId> = service.nodes.keys().cloned().collect();
+        let primary_id = service.primary().expect("primary");
+        TimedService {
+            nodes: service.nodes.values().cloned().collect(),
+            primary: ids.iter().position(|id| *id == primary_id).expect("primary is a node"),
+            busy_ns: vec![0; ids.len()],
+            now: service.now(),
+            ids,
+            service,
+        }
+    }
 
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let stop = stop.clone();
-        let writes = writes.clone();
-        let reads = reads.clone();
-        let errors = errors.clone();
-        let nodes = nodes.clone();
-        let primary = primary.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = ChaChaRng::seed_from_u64(seed * 1000 + c as u64);
-            let mut i = c; // stagger read round-robin start per client
-            while !stop.load(Ordering::Relaxed) {
-                let key = rng.gen_range(KEY_SPACE);
-                if rng.gen_f64() < read_ratio {
-                    // Reads spread across all nodes (any node serves them).
-                    let node = &nodes[i % nodes.len()];
-                    i += 1;
-                    let req = Request::new(
-                        "GET",
-                        &format!("/log?id={key}"),
-                        Caller::User("user0".into()),
-                        b"",
-                    );
-                    let resp = node.handle_request(&req);
-                    if resp.status == 200 {
-                        reads.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    let req = Request::new(
-                        "POST",
-                        "/log",
-                        Caller::User("user0".into()),
-                        format!("{key}={MESSAGE}").as_bytes(),
-                    );
-                    let resp = primary.handle_request(&req);
-                    if resp.status == 200 {
-                        writes.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+    /// One millisecond of virtual time: the same calls, in the same
+    /// order, as `ServiceCluster::step`, each timed into its node.
+    pub fn step(&mut self) {
+        self.now += 1;
+        let svc = &mut self.service;
+        svc.obs().set_now(self.now);
+        for d in svc.net.deliveries_until(self.now) {
+            let Some(idx) = self.ids.iter().position(|id| *id == d.to) else {
+                continue;
+            };
+            let t0 = Instant::now();
+            let out = self.nodes[idx].receive(&d.from, d.msg);
+            self.busy_ns[idx] += t0.elapsed().as_nanos() as u64;
+            for (to, msg) in out {
+                svc.net.send(&d.to, &to, msg);
             }
-        }));
+        }
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let t0 = Instant::now();
+            let out = node.tick(self.now);
+            self.busy_ns[idx] += t0.elapsed().as_nanos() as u64;
+            for (to, msg) in out {
+                svc.net.send(&self.ids[idx], &to, msg);
+            }
+        }
     }
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let w = writes.load(Ordering::Relaxed) as f64 / secs;
-    let r = reads.load(Ordering::Relaxed) as f64 / secs;
-    Throughput {
-        writes_per_sec: w,
-        reads_per_sec: r,
-        total_per_sec: w + r,
-        errors: errors.load(Ordering::Relaxed),
+
+    /// Sends `req` to node `idx`; returns the response and the call's
+    /// wall ns.
+    pub fn request(&mut self, idx: usize, req: &Request) -> (Response, u64) {
+        let t0 = Instant::now();
+        let resp = self.nodes[idx].handle_request(req);
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.busy_ns[idx] += ns;
+        (resp, ns)
     }
 }
 
-/// Measures read-only throughput against ONE node in isolation (used to
-/// compute aggregate read capacity on shared-core hosts, where the
-/// paper's one-VM-per-node read scaling cannot be exhibited with
-/// concurrent threads).
-pub fn measure_reads_on(
-    node: &Arc<ccf_core::node::CcfNode>,
-    clients: usize,
-    duration: Duration,
-    seed: u64,
-) -> Throughput {
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let stop = stop.clone();
-        let reads = reads.clone();
-        let node = node.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = ChaChaRng::seed_from_u64(seed * 131 + c as u64);
-            while !stop.load(Ordering::Relaxed) {
-                let key = rng.gen_range(KEY_SPACE);
-                let req = Request::new(
-                    "GET",
-                    &format!("/log?id={key}"),
-                    Caller::User("user0".into()),
-                    b"",
-                );
-                if node.handle_request(&req).status == 200 {
-                    reads.fetch_add(1, Ordering::Relaxed);
-                }
+/// Open-loop offered load for one figure point, per virtual ms.
+#[derive(Clone, Copy)]
+pub struct Load {
+    /// Writes per virtual ms, all sent to the primary.
+    pub writes: u64,
+    /// Reads per virtual ms, sent to every node in turn.
+    pub reads: u64,
+    /// Virtual ms of load.
+    pub ms: u64,
+}
+
+/// What one figure point measured.
+#[derive(Default)]
+pub struct Measured {
+    /// Writes issued (each answered 200; the last committed everywhere).
+    pub writes: u64,
+    /// Reads issued (each answered 200).
+    pub reads: u64,
+    /// Wall ns of the busiest node, load plus commit drain.
+    pub busiest_ns: u64,
+    /// Each write call's wall ns, and whether it appended a signature.
+    pub write_calls: Vec<(u64, bool)>,
+}
+
+impl Measured {
+    /// Ops per second with every node on its own machine: ops ÷ the
+    /// busiest node's busy time.
+    pub fn ops_per_sec(&self) -> f64 {
+        (self.writes + self.reads) as f64 * 1e9 / self.busiest_ns.max(1) as f64
+    }
+}
+
+/// Settles `t` for `SETTLE_MS`, runs `load` on it with fresh busy
+/// counters, then steps until its last write is committed on every node.
+/// Panics if any request fails or the last write never commits: a point
+/// must not count broken work.
+pub fn run_load(t: &mut TimedService, load: Load, seed: u64) -> Measured {
+    for _ in 0..SETTLE_MS {
+        t.step();
+    }
+    t.busy_ns.iter_mut().for_each(|b| *b = 0);
+    let sig_txs = t.service.obs().counter("consensus.signature_txs");
+    let mut rng = ChaChaRng::seed_from_u64(seed);
+    let user = Caller::User("user0".into());
+    let mut m = Measured::default();
+    let mut last = None;
+    for _ in 0..load.ms {
+        for _ in 0..load.writes {
+            let body = format!("{}={MESSAGE}", rng.gen_range(KEY_SPACE));
+            let req = Request::new("POST", "/log", user.clone(), body.as_bytes());
+            let sigs = sig_txs.get();
+            let (resp, ns) = t.request(t.primary, &req);
+            assert_eq!(resp.status, 200, "write failed: {}", resp.text());
+            m.write_calls.push((ns, sig_txs.get() > sigs));
+            last = resp.txid;
+        }
+        for _ in 0..load.reads {
+            let path = format!("/log?id={}", rng.gen_range(KEY_SPACE));
+            let req = Request::new("GET", &path, user.clone(), b"");
+            let node = (m.reads % t.nodes.len() as u64) as usize;
+            let (resp, _) = t.request(node, &req);
+            assert_eq!(resp.status, 200, "read failed: {}", resp.text());
+            m.reads += 1;
+        }
+        t.step();
+    }
+    if let Some(txid) = last {
+        for waited in 0.. {
+            if t.nodes.iter().all(|n| n.tx_status(txid) == TxStatus::Committed) {
+                break;
             }
-        }));
+            assert!(waited < COMMIT_LIMIT_MS, "{txid} never committed on every node");
+            t.step();
+        }
     }
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let r = reads.load(Ordering::Relaxed) as f64 / secs;
-    Throughput { writes_per_sec: 0.0, reads_per_sec: r, total_per_sec: r, errors: 0 }
+    m.writes = m.write_calls.len() as u64;
+    m.busiest_ns = t.busy_ns.iter().copied().max().unwrap_or(0);
+    m
 }
 
 /// Human formatting: 64.8 K style, as in the paper's Table 5.
@@ -233,18 +244,6 @@ pub fn bench_opts(nodes: usize, seed: u64) -> ServiceOpts {
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     let n = if max > 0.0 { ((value / max) * width as f64).round() as usize } else { 0 };
     "█".repeat(n.min(width))
-}
-
-/// Index of the `q`-quantile element in a sorted sample of `len` items,
-/// rounding half-up instead of truncating (so the p99 of 1000 samples is
-/// element 989, not 988 — truncation systematically under-reports tail
-/// latency). `q` is in `[0, 1]`.
-pub fn percentile_index(len: usize, q: f64) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let idx = ((len - 1) as f64 * q + 0.5) as usize;
-    idx.min(len - 1)
 }
 
 /// Nearest-rank percentile over histogram buckets, in pure integer

@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const MAX_HEADERS: usize = 64;
+const MAX_LINE: u64 = 8 * 1024;
 const MAX_BODY: usize = 1 << 20; // 1 MiB
 
 /// A running HTTP gateway bound to one node.
@@ -106,14 +107,22 @@ struct ParsedRequest {
     keep_alive: bool,
 }
 
+/// Reads one line of at most `MAX_LINE` bytes; `Ok(None)` if it runs
+/// past the cap (a client that never sends `\n` must not grow the buffer
+/// without bound).
+fn read_line_capped(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<String>> {
+    let mut line = String::new();
+    let n = reader.by_ref().take(MAX_LINE).read_line(&mut line)?;
+    Ok((n as u64 != MAX_LINE || line.ends_with('\n')).then_some(line))
+}
+
 /// Parses one HTTP/1.1 request; `Ok(None)` on clean EOF.
 fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Option<ParsedRequest>, String> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(_) => return Ok(None),
-    }
+    let line = match read_line_capped(reader) {
+        Ok(Some(line)) if !line.is_empty() => line,
+        Ok(Some(_)) | Err(_) => return Ok(None),
+        Ok(None) => return Err("request line too long".to_string()),
+    };
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("malformed request line")?.to_string();
     let path = parts.next().ok_or("malformed request line")?.to_string();
@@ -124,12 +133,18 @@ fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Option<ParsedReque
     let mut content_length = 0usize;
     let mut caller = Caller::Anonymous;
     let mut keep_alive = true;
-    for _ in 0..MAX_HEADERS {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
+    let mut headers = 0;
+    loop {
+        let header = read_line_capped(reader)
+            .map_err(|e| e.to_string())?
+            .ok_or("header line too long")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err("too many headers".to_string());
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(format!("malformed header {header:?}"));
@@ -274,21 +289,21 @@ mod tests {
             }))
     }
 
-    fn serve_single_node() -> (HttpGateway, crate::rt::RtCluster) {
+    /// Serves the primary of an open one-node service. A one-node write
+    /// answers 200 without the cluster being stepped, so nothing steps it.
+    fn serve_single_node() -> HttpGateway {
         let mut service = ServiceCluster::start(
             ServiceOpts { nodes: 1, members: 1, seed: 4242, ..ServiceOpts::default() },
             std::sync::Arc::new(app()),
         );
         service.open_service();
-        let rt = crate::rt::RtCluster::from_service(service, std::time::Duration::from_millis(5));
-        let node = rt.primary().unwrap();
-        let gw = HttpGateway::serve(node, 0).unwrap();
-        (gw, rt)
+        let primary = service.primary().unwrap();
+        HttpGateway::serve(service.nodes[&primary].clone(), 0).unwrap()
     }
 
     #[test]
     fn http_write_read_roundtrip_with_txid_header() {
-        let (gw, rt) = serve_single_node();
+        let gw = serve_single_node();
         let (status, headers, body) = http_request(
             gw.addr,
             "POST",
@@ -312,12 +327,11 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, b"over http");
         gw.stop();
-        rt.stop();
     }
 
     #[test]
     fn http_auth_and_errors() {
-        let (gw, rt) = serve_single_node();
+        let gw = serve_single_node();
         // No identity header → anonymous → 403 on a UserCert endpoint.
         let (status, _, _) = http_request(gw.addr, "GET", "/log?id=1", &[], b"").unwrap();
         assert_eq!(status, 403);
@@ -336,12 +350,11 @@ mod tests {
         assert_eq!(status, 200);
         assert!(String::from_utf8_lossy(&body).contains("commit"));
         gw.stop();
-        rt.stop();
     }
 
     #[test]
     fn http_rejects_malformed_requests() {
-        let (gw, rt) = serve_single_node();
+        let gw = serve_single_node();
         // Raw garbage gets a 400 (and the server must not crash).
         let mut s = TcpStream::connect(gw.addr).unwrap();
         s.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
@@ -354,7 +367,25 @@ mod tests {
         let mut buf = String::new();
         let _ = BufReader::new(s).read_line(&mut buf);
         assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        // A line that never ends is cut at the cap, not buffered forever.
+        let mut s = TcpStream::connect(gw.addr).unwrap();
+        s.write_all(&[b'a'; MAX_LINE as usize]).unwrap();
+        let mut buf = String::new();
+        let _ = BufReader::new(s).read_line(&mut buf);
+        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        // Past MAX_HEADERS the request is refused; the extra header must
+        // not be parsed as a second request on the same connection.
+        let mut s = TcpStream::connect(gw.addr).unwrap();
+        let mut req = b"GET /log?id=1 HTTP/1.1\r\n".to_vec();
+        for _ in 0..=MAX_HEADERS {
+            req.extend_from_slice(b"x-h: v\r\n");
+        }
+        req.extend_from_slice(b"\r\n");
+        s.write_all(&req).unwrap();
+        let mut all = String::new();
+        let _ = BufReader::new(s).read_to_string(&mut all);
+        assert!(all.starts_with("HTTP/1.1 400"), "{all}");
+        assert_eq!(all.matches("HTTP/1.1 ").count(), 1, "{all}");
         gw.stop();
-        rt.stop();
     }
 }

@@ -67,7 +67,6 @@ pub mod http;
 pub mod indexer;
 pub mod node;
 pub mod recovery;
-pub mod rt;
 pub mod service;
 
 pub use app::{Application, EndpointDef, Request, Response};

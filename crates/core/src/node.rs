@@ -1152,8 +1152,8 @@ impl CcfNode {
     }
 
     /// Handles a request. Writes must land on the primary — other nodes
-    /// return a 307 with the primary hint in the body (the harness and the
-    /// rt cluster implement the forwarding of §4.3 on top).
+    /// return a 307 with the primary hint in the body (the service harness
+    /// implements the forwarding of §4.3 on top).
     pub fn handle_request(&self, req: &Request) -> Response {
         let platform = self.opts.platform;
         platform.run(|| self.handle_request_inner(req))

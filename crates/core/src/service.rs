@@ -4,9 +4,8 @@
 //! roles around the service — operators (start/join/replace nodes, copy
 //! snapshots), consortium members (propose/vote), and users (sessions
 //! with §4.3 forwarding and session consistency) — and drives virtual
-//! time. Figure 9's availability experiment and the integration tests run
-//! on this harness; the real-time threaded cluster for throughput
-//! experiments is in [`crate::rt`].
+//! time. Every experiment and integration test runs on this harness; the
+//! throughput benches time its nodes' calls from outside.
 
 use crate::app::{Application, Caller, Request, Response};
 use crate::node::{CcfNode, NodeOpts, ServiceSecrets};

@@ -14,9 +14,9 @@
 //!   minimizing expensive TEE transitions by batching through shared
 //!   memory rings.
 //! * [`platform`] — the platform cost model: `Virtual` (no overhead, the
-//!   paper's virtual mode) vs `SgxSim` (injected per-transition and
-//!   execution-proportional cost calibrated to the paper's observed SGX
-//!   slowdown), used by the Table 5 experiment.
+//!   paper's virtual mode) vs `SgxSim` (an injected cost proportional to
+//!   each request's execution time, calibrated to the paper's observed
+//!   SGX slowdown), used by the Table 5 experiment.
 //! * [`channel`] — authenticated encrypted node-to-node channels
 //!   (X25519 + HKDF + AES-256-GCM), standing in for the paper's
 //!   Diffie-Hellman node-to-node encryption (§7).

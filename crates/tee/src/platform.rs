@@ -4,11 +4,11 @@
 //! mode" (CCF without SGX) on the C++ app, attributing it to enclave
 //! transition costs, paging, and memory-encryption overhead. Real SGX
 //! hardware is unavailable here, so the `SgxSim` platform *injects* an
-//! execution-time-proportional penalty plus a fixed per-transition cost,
-//! calibrated to the paper's observed ratio. DESIGN.md documents this
-//! substitution; EXPERIMENTS.md reports the resulting Table 5 with the
-//! caveat that the SGX column's absolute factor is injected, while the
-//! C++-vs-script factor in the same table is genuinely measured.
+//! execution-time-proportional penalty, calibrated to the paper's observed
+//! ratio. DESIGN.md documents this substitution; EXPERIMENTS.md reports
+//! the resulting Table 5 with the caveat that the SGX column's absolute
+//! factor is injected, while the C++-vs-script factor in the same table
+//! is genuinely measured.
 
 use std::time::{Duration, Instant};
 
@@ -18,22 +18,19 @@ pub enum TeePlatform {
     /// No TEE: the paper's *virtual mode* (§6.4) — full functionality,
     /// no confidentiality/integrity against the host, zero overhead.
     Virtual,
-    /// Simulated SGX: work costs `overhead_factor` times longer, plus
-    /// `transition_ns` per host↔enclave boundary crossing.
+    /// Simulated SGX: each request's execution costs `1 + overhead_factor`
+    /// times as long.
     SgxSim {
         /// Multiplier on execution time (paper's observed C++ slowdown is
         /// ≈ 1.8x ⇒ factor 0.8 of *extra* work).
         overhead_factor: f64,
-        /// Fixed cost per TEE transition, in nanoseconds (the paper cites
-        /// ~8000+ cycles for an ECALL round trip).
-        transition_ns: u64,
     },
 }
 
 impl TeePlatform {
     /// The default simulated-SGX calibration used by the Table 5 bench.
     pub fn sgx_default() -> TeePlatform {
-        TeePlatform::SgxSim { overhead_factor: 0.8, transition_ns: 3000 }
+        TeePlatform::SgxSim { overhead_factor: 0.8 }
     }
 
     /// True when running without a TEE.
@@ -44,17 +41,10 @@ impl TeePlatform {
     /// Charges the platform tax for a unit of enclave work that took
     /// `elapsed` of real time: spins for `overhead_factor × elapsed`.
     pub fn charge_execution(&self, elapsed: Duration) {
-        if let TeePlatform::SgxSim { overhead_factor, .. } = self {
+        if let TeePlatform::SgxSim { overhead_factor } = self {
             spin_for(Duration::from_nanos(
                 (elapsed.as_nanos() as f64 * overhead_factor) as u64,
             ));
-        }
-    }
-
-    /// Charges the fixed cost of one TEE boundary transition.
-    pub fn charge_transition(&self) {
-        if let TeePlatform::SgxSim { transition_ns, .. } = self {
-            spin_for(Duration::from_nanos(*transition_ns));
         }
     }
 
@@ -92,28 +82,19 @@ mod tests {
     fn virtual_mode_adds_no_overhead() {
         let p = TeePlatform::Virtual;
         let start = Instant::now();
-        p.charge_transition();
         p.charge_execution(Duration::from_millis(10));
         assert!(start.elapsed() < Duration::from_millis(2));
     }
 
     #[test]
     fn sgx_sim_slows_execution_proportionally() {
-        let p = TeePlatform::SgxSim { overhead_factor: 1.0, transition_ns: 0 };
+        let p = TeePlatform::SgxSim { overhead_factor: 1.0 };
         let work = Duration::from_millis(5);
         let start = Instant::now();
         p.run(|| spin_for(work));
         let total = start.elapsed();
         // factor 1.0 ⇒ roughly double the time (work + equal penalty).
         assert!(total >= Duration::from_millis(9), "total {total:?}");
-    }
-
-    #[test]
-    fn transition_cost_is_charged() {
-        let p = TeePlatform::SgxSim { overhead_factor: 0.0, transition_ns: 2_000_000 };
-        let start = Instant::now();
-        p.charge_transition();
-        assert!(start.elapsed() >= Duration::from_millis(2));
     }
 
     #[test]

@@ -28,6 +28,9 @@ cargo run -q --release -p ccf-bench --bin chaos -- --seeds 25
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke
 
+echo "== tier1: paper figure shapes (Fig. 7, Fig. 8, Table 5 on the sim service)"
+cargo run -q --release -p ccf-bench --bin bench_figures -- --smoke
+
 echo "== tier1: trace determinism (two same-seed bench_latency runs, byte-identical)"
 cargo run -q --release -p ccf-bench --bin bench_latency -- --smoke > /dev/null
 cp OBS_latency.json OBS_latency.first.json
