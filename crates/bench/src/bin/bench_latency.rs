@@ -15,8 +15,9 @@
 //! no floats anywhere, so the output (and the committed
 //! `BENCH_latency.json`) is byte-identical across same-seed runs.
 //! `--smoke` runs a short workload and writes the full observability
-//! snapshot to `OBS_latency.json` (gitignored); the tier-1 gate runs it
-//! twice and diffs the two files byte-for-byte.
+//! snapshot to `OBS_latency.json`; the tier-1 gate runs it twice, diffs
+//! the two files byte-for-byte, and fails if the result differs from the
+//! committed `OBS_latency.json` (the reference virtual-time schedule).
 
 use ccf_bench::{bench_opts, hist_percentile, logging_app, MESSAGE};
 use ccf_core::service::ServiceCluster;

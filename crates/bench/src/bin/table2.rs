@@ -13,6 +13,7 @@ use ccf_consensus::quorum;
 use ccf_consensus::replica::ReplicaConfig;
 use ccf_ledger::TxId;
 use ccf_sim::NetConfig;
+use std::sync::Arc;
 
 fn cfg() -> ReplicaConfig {
     ReplicaConfig { signature_interval_ms: 0, ..ReplicaConfig::default() }
@@ -28,7 +29,7 @@ fn main() {
             if s % 2 == 0 {
                 e.entry.kind = ccf_ledger::entry::EntryKind::Signature;
             }
-            entries.push(e);
+            entries.push(Arc::new(e));
         }
         entries
     };

@@ -9,11 +9,17 @@
 use crate::{ActiveConfig, NodeId, Seqno, View};
 use ccf_ledger::{LedgerEntry, TxId};
 use ccf_obs::TraceId;
+use std::sync::Arc;
 
 /// An entry as replicated: the ledger entry plus, for reconfiguration
 /// transactions, the configuration it installs (so backups can activate it
 /// on append, before commit — §4.4).
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Entries are immutable once proposed and are shared behind an [`Arc`]:
+/// the replica log and every [`AppendEntries`] batch cut from it point at
+/// the same allocation, so (re)sending an entry costs a refcount, not a
+/// copy of its write sets. The type is deliberately not `Clone`.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReplicatedEntry {
     /// The ledger entry.
     pub entry: LedgerEntry,
@@ -39,8 +45,9 @@ pub struct AppendEntries {
     /// backup must have exactly this entry (the Raft consistency check,
     /// strengthened to full TxIds).
     pub prev: TxId,
-    /// The entries to append (empty for a pure heartbeat).
-    pub entries: Vec<ReplicatedEntry>,
+    /// The entries to append (empty for a pure heartbeat), shared with the
+    /// sender's log.
+    pub entries: Vec<Arc<ReplicatedEntry>>,
     /// The primary's commit sequence number, so backups advance theirs.
     pub commit_seqno: Seqno,
 }

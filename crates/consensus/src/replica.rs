@@ -18,6 +18,7 @@ use ccf_ledger::entry::EntryKind;
 use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
 use ccf_obs::TraceId;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Milliseconds of virtual (or real) time.
 pub type Time = u64;
@@ -244,8 +245,9 @@ pub struct Replica<F: SignatureFactory> {
     voted_for: Option<NodeId>,
     leader_hint: Option<NodeId>,
 
-    // Ledger: entries [base_seqno+1 ..= last_seqno].
-    ledger: Vec<ReplicatedEntry>,
+    // Ledger: entries [base_seqno+1 ..= last_seqno], shared with the
+    // AppendEntries batches that carry them.
+    ledger: Vec<Arc<ReplicatedEntry>>,
     base_seqno: Seqno,
     base_txid: TxId,
     merkle: MerkleTree,
@@ -455,11 +457,11 @@ impl<F: SignatureFactory> Replica<F> {
         if seqno <= self.base_seqno || seqno > self.last_seqno() {
             return None;
         }
-        self.ledger.get((seqno - self.base_seqno - 1) as usize)
+        self.ledger.get((seqno - self.base_seqno - 1) as usize).map(Arc::as_ref)
     }
 
     /// All retained entries from `from` (exclusive of base) onwards.
-    pub fn entries_from(&self, from: Seqno) -> &[ReplicatedEntry] {
+    pub fn entries_from(&self, from: Seqno) -> &[Arc<ReplicatedEntry>] {
         let start = from.max(self.base_seqno + 1);
         if start > self.last_seqno() {
             return &[];
@@ -638,7 +640,7 @@ impl<F: SignatureFactory> Replica<F> {
         let txid = TxId::new(self.view, self.last_seqno() + 1);
         let entry = build(txid);
         assert_eq!(entry.entry.txid, txid, "builder must use the assigned TxId");
-        self.append_local(entry);
+        self.append_local(Arc::new(entry));
         if self.unsigned_since_sig >= self.cfg.signature_interval {
             self.emit_signature();
         }
@@ -672,7 +674,7 @@ impl<F: SignatureFactory> Replica<F> {
             .filter(|t| t.signed_at.is_none())
             .map(|t| t.trace)
             .collect();
-        self.append_local(ReplicatedEntry { entry, config: None, traces: covered });
+        self.append_local(Arc::new(ReplicatedEntry { entry, config: None, traces: covered }));
         // Replicate eagerly: commit latency is dominated by signature
         // round-trips (Figure 8).
         self.broadcast_entries();
@@ -690,7 +692,7 @@ impl<F: SignatureFactory> Replica<F> {
         self.cfg.signature_interval_ms = interval_ms;
     }
 
-    fn append_local(&mut self, entry: ReplicatedEntry) {
+    fn append_local(&mut self, entry: Arc<ReplicatedEntry>) {
         debug_assert_eq!(entry.entry.txid.seqno, self.last_seqno() + 1);
         self.merkle.append(&entry.entry.leaf_bytes());
         if entry.entry.kind == EntryKind::Signature {
@@ -875,6 +877,7 @@ impl<F: SignatureFactory> Replica<F> {
             .expect("next-1 is within the retained ledger by the check above");
         let from_idx = (next - self.base_seqno - 1) as usize;
         let to_idx = (from_idx + self.cfg.max_batch).min(self.ledger.len());
+        // Copies pointers: the batch shares the log's entries.
         let entries = self.ledger[from_idx..to_idx].to_vec();
         if let Some(m) = &self.metrics {
             m.append_batches.inc();
@@ -897,9 +900,16 @@ impl<F: SignatureFactory> Replica<F> {
             return;
         }
         // Highest signature transaction of the current view replicated to a
-        // quorum of every active configuration (§4.1, §4.4).
+        // quorum of every active configuration (§4.1, §4.4). Nothing after
+        // the last signature can qualify, so the scan starts there; the
+        // primary calls this on every append, and walking the unsigned
+        // suffix each time made a write cost O(signature interval).
+        if self.last_sig.seqno <= self.commit_seqno {
+            return;
+        }
+        let end = self.last_sig.seqno.saturating_sub(self.base_seqno) as usize;
         let mut candidate = None;
-        for e in self.ledger.iter().rev() {
+        for e in self.ledger[..end].iter().rev() {
             let txid = e.entry.txid;
             if txid.seqno <= self.commit_seqno {
                 break;
@@ -1210,6 +1220,7 @@ impl<F: SignatureFactory> Replica<F> {
         }
 
         // Append, resolving conflicts in the primary's favour (§4.2).
+        let batch_end = m.prev.seqno + m.entries.len() as u64;
         let mut appended_traces: Vec<TraceId> = Vec::new();
         for re in m.entries {
             let s = re.entry.txid.seqno;
@@ -1306,13 +1317,23 @@ impl<F: SignatureFactory> Replica<F> {
             self.advance_commit(new_commit);
         }
 
+        // Claim only what this message proved. A tip from the current view
+        // was written by this primary, so by Log Matching the whole log
+        // matches; otherwise a stale suffix from an older view may lie
+        // beyond the batch, and acking it would let the primary count us
+        // toward a quorum for entries it never checked.
+        let matched = if self.last_txid().view == self.view {
+            self.last_seqno()
+        } else {
+            batch_end
+        };
         self.outbox.push((
             from.clone(),
             Message::AppendEntriesResponse(AppendEntriesResponse {
                 view: self.view,
                 from: self.id.clone(),
                 success: true,
-                last_seqno: self.last_seqno(),
+                last_seqno: matched,
                 traces: appended_traces,
             }),
         ));

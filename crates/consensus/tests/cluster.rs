@@ -9,6 +9,7 @@ use ccf_consensus::{Config, NodeId, TxStatus};
 use ccf_ledger::TxId;
 use ccf_sim::NetConfig;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn fast_cfg() -> ReplicaConfig {
     ReplicaConfig {
@@ -223,9 +224,9 @@ fn table2_election_vote_matrix() {
                 // built via the factory in real runs; kind matters here).
                 let mut e = user_entry(TxId::new(3, s), b"sig");
                 e.entry.kind = ccf_ledger::entry::EntryKind::Signature;
-                entries.push(e);
+                entries.push(Arc::new(e));
             } else {
-                entries.push(user_entry(TxId::new(3, s), b"user"));
+                entries.push(Arc::new(user_entry(TxId::new(3, s), b"user")));
             }
         }
         entries

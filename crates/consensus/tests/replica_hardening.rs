@@ -3,7 +3,8 @@
 //! hand-crafted messages — no network, no timing — so the exact buggy
 //! branch is hit deterministically, in release builds as well as debug
 //! (two of the original bugs were `debug_assert!`s that vanished under
-//! `--release` and silently corrupted state).
+//! `--release` and silently corrupted state). The last test guards the
+//! write path's sharing of entries between the log and its batches.
 
 use ccf_consensus::harness::{user_entry, KeyedSignatureFactory};
 use ccf_consensus::message::ReplicatedEntry;
@@ -13,6 +14,7 @@ use ccf_consensus::{
 };
 use ccf_crypto::SigningKey;
 use ccf_ledger::TxId;
+use std::sync::Arc;
 
 fn factory(id: &str) -> KeyedSignatureFactory {
     let mut seed = [7u8; 32];
@@ -25,12 +27,12 @@ fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
     Replica::new(id, config, ReplicaConfig::default(), 1, factory(id))
 }
 
-fn sig_entry(author: &str, txid: TxId) -> ReplicatedEntry {
-    ReplicatedEntry {
+fn sig_entry(author: &str, txid: TxId) -> Arc<ReplicatedEntry> {
+    Arc::new(ReplicatedEntry {
         entry: factory(author).make_signature(txid, [0u8; 32]),
         config: None,
         traces: Vec::new(),
-    }
+    })
 }
 
 /// Sends `m` as an AppendEntries from `from` and returns the responses
@@ -62,7 +64,7 @@ fn backup_with_committed_prefix() -> Replica<KeyedSignatureFactory> {
             leader: "p".to_string(),
             prev: TxId::ZERO,
             entries: vec![
-                user_entry(TxId::new(1, 1), b"committed-payload"),
+                user_entry(TxId::new(1, 1), b"committed-payload").into(),
                 sig_entry("p", TxId::new(1, 2)),
             ],
             commit_seqno: 2,
@@ -93,7 +95,7 @@ fn conflicting_entries_below_commit_are_refused() {
             view: 2,
             leader: "q".to_string(),
             prev: TxId::ZERO,
-            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history")],
+            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()],
             commit_seqno: 0,
         },
     );
@@ -130,7 +132,7 @@ fn truncate_never_crosses_commit_point() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted")],
+            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted").into()],
             commit_seqno: 2,
         },
     );
@@ -145,7 +147,7 @@ fn truncate_never_crosses_commit_point() {
             view: 2,
             leader: "c".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(2, 3), b"replacement")],
+            entries: vec![user_entry(TxId::new(2, 3), b"replacement").into()],
             commit_seqno: 2,
         },
     );
@@ -175,7 +177,7 @@ fn gapped_batch_is_rejected_with_retransmission_hint() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(1, 4), b"gapped")],
+            entries: vec![user_entry(TxId::new(1, 4), b"gapped").into()],
             commit_seqno: 2,
         },
     );
@@ -187,10 +189,53 @@ fn gapped_batch_is_rejected_with_retransmission_hint() {
     assert!(b.entry_at(4).is_none());
 }
 
+/// A backup whose uncommitted tip is from an older view must ack only
+/// the entries the new primary's message proved. The backup holds
+/// `(1,1) (1,2) (1,3)`; the view-2 primary sends `prev = (1,1)` with
+/// `[(1,2)]`. Acking its whole log (3) would set the primary's match
+/// index over `(1,3)`, which the primary never checked: it could then
+/// count this backup toward a quorum for a different entry at seqno 3.
+#[test]
+fn ack_from_stale_tip_claims_only_the_batch() {
+    let mut b = replica("b", &["p", "b", "c"]);
+    let resps = deliver(
+        &mut b,
+        "p",
+        AppendEntries {
+            view: 1,
+            leader: "p".to_string(),
+            prev: TxId::ZERO,
+            entries: vec![
+                user_entry(TxId::new(1, 1), b"signed").into(),
+                sig_entry("p", TxId::new(1, 2)),
+                user_entry(TxId::new(1, 3), b"stale-suffix").into(),
+            ],
+            commit_seqno: 0,
+        },
+    );
+    assert_eq!(resps.last().map(|r| (r.success, r.last_seqno)), Some((true, 3)));
+
+    let resps = deliver(
+        &mut b,
+        "c",
+        AppendEntries {
+            view: 2,
+            leader: "c".to_string(),
+            prev: TxId::new(1, 1),
+            entries: vec![sig_entry("p", TxId::new(1, 2))],
+            commit_seqno: 0,
+        },
+    );
+    let resp = resps.last().expect("a reply must be sent");
+    assert!(resp.success);
+    assert_eq!(resp.last_seqno, 2, "the ack must not cover the unchecked (1,3)");
+    assert_eq!(b.last_seqno(), 3, "a matching batch truncates nothing");
+}
+
 /// Drives `p` to primary of a {p, b} configuration by feeding it the
-/// peer's vote, then builds a log of `n` user entries plus a closing
-/// signature. Returns the replica with its outbox drained.
-fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
+/// peer's vote. Returns the replica with its view-opening signature
+/// still in the outbox.
+fn elected_primary() -> Replica<KeyedSignatureFactory> {
     let mut p = replica("p", &["p", "b"]);
     p.tick(10_000); // well past any election timeout draw
     assert_eq!(p.role(), Role::Candidate);
@@ -200,6 +245,13 @@ fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
         Message::RequestVoteResponse(RequestVoteResponse { view, from: "b".to_string(), granted: true }),
     );
     assert_eq!(p.role(), Role::Primary);
+    p
+}
+
+/// [`elected_primary`] with a log of `n` user entries plus a closing
+/// signature, and its outbox drained.
+fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
+    let mut p = elected_primary();
     for i in 0..n {
         p.propose(|txid| user_entry(txid, format!("entry-{i}").as_bytes())).unwrap();
     }
@@ -279,4 +331,43 @@ fn negative_ack_backoff_reaches_hint_in_one_round_trip() {
     p.drain_outbox();
     let backward = probe_seqnos(&mut p, 5, 50);
     assert_eq!(backward, vec![5], "expected one round trip, got probes {backward:?}");
+}
+
+/// AppendEntries batches carry the primary's log entries themselves, not
+/// copies, and a backup appends the allocation it received: re-sending an
+/// entry costs a refcount. Fails if a deep copy comes back anywhere on the
+/// path from the primary's log to the backup's.
+#[test]
+fn batches_share_the_log_entries() {
+    let mut p = elected_primary();
+    p.drain_outbox();
+    for i in 0..4 {
+        p.propose(|txid| user_entry(txid, format!("entry-{i}").as_bytes())).unwrap();
+    }
+    p.emit_signature();
+    let ae = p
+        .drain_outbox()
+        .into_iter()
+        .find_map(|(to, msg)| match msg {
+            Message::AppendEntries(ae) if to == "b" => Some(ae),
+            _ => None,
+        })
+        .expect("the signature must be broadcast");
+    assert_eq!(ae.prev, TxId::ZERO);
+    assert_eq!(ae.entries.len(), 6, "view-opening signature, 4 writes, closing signature");
+    let logged = p.entries_from(1);
+    assert_eq!(logged.len(), ae.entries.len());
+    for (sent, held) in ae.entries.iter().zip(logged) {
+        assert!(Arc::ptr_eq(sent, held), "batch entry {} is a copy", sent.entry.txid);
+    }
+
+    let sent = ae.entries.clone();
+    let mut b = replica("b", &["p", "b"]);
+    let resps = deliver(&mut b, "p", ae);
+    assert!(resps.last().is_some_and(|r| r.success));
+    let appended = b.entries_from(1);
+    assert_eq!(appended.len(), sent.len());
+    for (sent, held) in sent.iter().zip(appended) {
+        assert!(Arc::ptr_eq(sent, held), "backup entry {} is a copy", sent.entry.txid);
+    }
 }

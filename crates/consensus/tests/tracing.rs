@@ -52,12 +52,13 @@ fn trace_survives_leader_change() {
         leader: "p".to_string(),
         prev: TxId::ZERO,
         entries: vec![
-            traced_user_entry(TxId::new(1, 1), b"traced-write", trace),
+            traced_user_entry(TxId::new(1, 1), b"traced-write", trace).into(),
             ccf_consensus::message::ReplicatedEntry {
                 entry: factory("p").make_signature(TxId::new(1, 2), [0u8; 32]),
                 config: None,
                 traces: vec![trace],
-            },
+            }
+            .into(),
         ],
         commit_seqno: 0,
     };
@@ -184,7 +185,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::ZERO,
-            entries: vec![traced_user_entry(TxId::new(1, 1), b"committed", committed), sig],
+            entries: vec![traced_user_entry(TxId::new(1, 1), b"committed", committed).into(), sig.into()],
             commit_seqno: 2,
         }),
     );
@@ -197,7 +198,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![traced_user_entry(TxId::new(1, 3), b"in-flight", inflight)],
+            entries: vec![traced_user_entry(TxId::new(1, 3), b"in-flight", inflight).into()],
             commit_seqno: 2,
         }),
     );
@@ -210,7 +211,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
             view: 2,
             leader: "q".to_string(),
             prev: TxId::ZERO,
-            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history")],
+            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()],
             commit_seqno: 0,
         }),
     );

@@ -241,13 +241,9 @@ impl<M: Eq + Clone> SimNet<M> {
         let duplicate = self.duplicate_probability > 0.0
             && self.rng.gen_bool(self.duplicate_probability);
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            deliver_at: self.now + delay,
-            seq: self.seq,
-            from: from.clone(),
-            to: to.clone(),
-            msg: msg.clone(),
-        }));
+        let seq = self.seq;
+        // Only a drawn duplicate costs a clone; the original is moved in.
+        // The queue orders by (deliver_at, seq), so push order is free.
         if duplicate {
             let delay2 = self.rng.gen_range_in(lo, hi.max(lo + 1) * 2);
             self.seq += 1;
@@ -256,9 +252,16 @@ impl<M: Eq + Clone> SimNet<M> {
                 seq: self.seq,
                 from: from.clone(),
                 to: to.clone(),
-                msg,
+                msg: msg.clone(),
             }));
         }
+        self.queue.push(Reverse(Scheduled {
+            deliver_at: self.now + delay,
+            seq,
+            from: from.clone(),
+            to: to.clone(),
+            msg,
+        }));
     }
 
     /// Pops every message due at or before `t`, advancing time to `t`.
@@ -507,5 +510,34 @@ mod tests {
         for i in 0..10 {
             assert_eq!(d.iter().filter(|x| x.msg == i).count(), 2);
         }
+    }
+
+    /// Counts its own clones, so tests can see what `send` copies.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn send_clones_only_drawn_duplicates() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut net: SimNet<Counted> = SimNet::new(NetConfig::default(), 5);
+        for _ in 0..10 {
+            net.send(&n("a"), &n("b"), Counted(clones.clone()));
+        }
+        assert_eq!(net.deliveries_until(100).len(), 10);
+        assert_eq!(clones.get(), 0, "fault-free sends must move the message");
+
+        net.set_duplicate_probability(1.0);
+        for _ in 0..10 {
+            net.send(&n("a"), &n("b"), Counted(clones.clone()));
+        }
+        assert_eq!(net.deliveries_until(300).len(), 20);
+        assert_eq!(clones.get(), 10, "one clone per duplicate");
     }
 }

@@ -37,6 +37,9 @@ cp OBS_latency.json OBS_latency.first.json
 cargo run -q --release -p ccf-bench --bin bench_latency -- --smoke > /dev/null
 cmp OBS_latency.json OBS_latency.first.json
 rm -f OBS_latency.first.json
+# The committed file is the reference virtual-time schedule: a change that
+# moves the schedule must regenerate and commit it.
+git diff --exit-code -- OBS_latency.json
 
 echo "== tier1: clippy -D warnings (whole workspace: libs, tests, examples, benches)"
 cargo clippy -q --workspace --all-targets -- -D warnings
