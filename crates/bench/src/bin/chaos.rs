@@ -12,7 +12,10 @@
 //! violation (or a panic), the runner delta-debugs the schedule down to a
 //! minimal failing subsequence, prints the seed and the shrunk schedule,
 //! and exits non-zero. Everything is deterministic in the seed: rerunning
-//! with `--only <seed>` replays the failure bit-for-bit.
+//! with `--only <seed>` replays the failure bit-for-bit. Each harness also
+//! prints how many replica transition records its checker consumed from
+//! the flight recorder, and the sweep fails if a harness consumed none:
+//! a checker that read nothing vouched for nothing.
 //!
 //! ```text
 //! chaos [--seeds N] [--start S] [--horizon MS] [--service-horizon MS]
@@ -113,6 +116,7 @@ fn main() {
     let mut failures = 0u64;
     let mut total_commits = 0u64;
     let mut total_faults = 0usize;
+    let mut vacuous = false;
     // Last passing seed's metrics per harness: the baseline for the
     // per-seed diff printed when an invariant trips, and the per-run
     // OBS_chaos.json artifact at the end of the sweep.
@@ -120,11 +124,13 @@ fn main() {
     let wall = std::time::Instant::now();
     for &(harness, h_ms, n_events) in &harnesses {
         let mut virt_ms = 0u64;
+        let mut records = 0u64;
         for &seed in &seed_range {
             let schedule = FaultSchedule::generate(seed, h_ms, n_events);
             virt_ms += h_ms;
             match run_one(harness, seed, &schedule, h_ms) {
                 Outcome::Pass(report) => {
+                    records += report.protocol_records;
                     total_commits += report.max_commit;
                     total_faults += report.faults_applied;
                     if only.is_some() {
@@ -190,12 +196,17 @@ fn main() {
             }
         }
         println!(
-            "[{}] {} seeds x {:.1} virtual min: {} failures",
+            "[{}] {} seeds x {:.1} virtual min: {} failures, {} protocol records checked",
             harness.name(),
             seed_range.len(),
             virt_ms as f64 / 60_000.0,
-            failures
+            failures,
+            records
         );
+        if records == 0 {
+            println!("[{}] the checker consumed no protocol records", harness.name());
+            vacuous = true;
+        }
     }
     std::panic::set_hook(default_hook);
     if let Some(metrics) = &last_pass_metrics {
@@ -210,7 +221,7 @@ fn main() {
         total_faults,
         failures
     );
-    if failures > 0 {
+    if failures > 0 || vacuous {
         std::process::exit(1);
     }
 }

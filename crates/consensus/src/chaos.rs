@@ -28,6 +28,8 @@ pub struct ChaosReport {
     pub faults_applied: usize,
     /// Invariant violations (empty = run passed).
     pub violations: Vec<Violation>,
+    /// Replica transition records the invariant checker consumed.
+    pub protocol_records: u64,
     /// End-of-run observability snapshot (deterministic in the seed:
     /// same-seed runs produce `==` snapshots and byte-identical JSON).
     pub metrics: ccf_obs::Snapshot,
@@ -67,7 +69,7 @@ pub fn chaos_net_config() -> NetConfig {
 /// schedule, horizon)`.
 pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> ChaosReport {
     let mut cluster = Cluster::new(5, chaos_replica_config(), chaos_net_config(), seed);
-    let mut checker = InvariantChecker::new();
+    let mut checker = InvariantChecker::new(cluster.obs());
     let mut report = ChaosReport {
         seed,
         steps: 0,
@@ -75,6 +77,7 @@ pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -
         proposals: 0,
         faults_applied: 0,
         violations: Vec::new(),
+        protocol_records: 0,
         metrics: ccf_obs::Snapshot::default(),
         forensics: None,
     };
@@ -106,6 +109,7 @@ pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -
     if report.violations.is_empty() {
         report.violations = checker.violations().to_vec();
     }
+    report.protocol_records = checker.protocol_records();
     report.metrics = cluster.obs().snapshot();
     report
 }
@@ -227,5 +231,8 @@ mod tests {
         let commits = a.metrics.counters.get("consensus.commits").copied().unwrap_or(0);
         assert!(commits > 0, "chaos run produced no commits: {:?}", a.metrics.counters);
         assert!(a.metrics.counters.get("net.messages_sent").copied().unwrap_or(0) > 0);
+        // The checker read the replicas' transition records.
+        assert!(a.protocol_records > 0);
+        assert_eq!(a.protocol_records, b.protocol_records);
     }
 }

@@ -8,7 +8,7 @@
 //! one seed, so failures replay exactly.
 
 use crate::message::{Message, ReplicatedEntry};
-use crate::replica::{Event, ProposeError, Replica, ReplicaConfig, SignatureFactory};
+use crate::replica::{ProposeError, Replica, ReplicaConfig, SignatureFactory};
 use crate::{Config, NodeId, Seqno, View};
 use ccf_crypto::Digest32;
 use ccf_kv::{builtin, MapName, WriteSet};
@@ -113,8 +113,6 @@ pub struct Cluster {
     pub replicas: BTreeMap<NodeId, Replica<KeyedSignatureFactory>>,
     /// The simulated network.
     pub net: SimNet<Message>,
-    /// Events drained from each replica, in emission order.
-    pub events: BTreeMap<NodeId, Vec<Event>>,
     crashed: HashSet<NodeId>,
     now: u64,
     tick_ms: u64,
@@ -136,18 +134,15 @@ impl Cluster {
                 ccf_crypto::sha2::sha256(format!("node-key-{seed}-{i}").as_bytes()),
             );
             let factory = KeyedSignatureFactory::new(id.clone(), key);
-            let mut replica =
-                Replica::new(id.clone(), initial.clone(), cfg.clone(), seed * 1000 + i as u64, factory);
-            replica.set_registry(&obs);
+            let node_seed = seed * 1000 + i as u64;
+            let replica =
+                Replica::new(id.clone(), initial.clone(), cfg.clone(), node_seed, factory, &obs);
             replicas.insert(id.clone(), replica);
         }
-        let mut net = SimNet::new(net_cfg, seed);
-        net.set_registry(&obs);
-        net.set_flight_tagger(Message::kind);
+        let net = SimNet::new(net_cfg, seed, &obs, Message::kind);
         Cluster {
             replicas,
             net,
-            events: BTreeMap::new(),
             crashed: HashSet::new(),
             now: 0,
             tick_ms: 1,
@@ -188,15 +183,17 @@ impl Cluster {
             self.seed * 1000 + self.next_node_seed,
             factory,
             snapshot,
+            &self.obs,
         );
-        replica.set_registry(&self.obs);
         replica.tick(self.now);
         self.replicas.insert(id.clone(), replica);
         id
     }
 
     /// Advances the simulation by one tick: deliver due messages, tick
-    /// replicas, flush outboxes.
+    /// replicas, flush outboxes. Node-layer events are dropped: there is
+    /// no node layer here, and every transition is already in the
+    /// registry's flight recorder.
     pub fn step(&mut self) {
         self.now += self.tick_ms;
         self.obs.set_now(self.now);
@@ -218,8 +215,7 @@ impl Cluster {
             for (to, msg) in replica.drain_outbox() {
                 self.net.send(&id, &to, msg);
             }
-            let events = replica.drain_events();
-            self.events.entry(id.clone()).or_default().extend(events);
+            replica.drain_events();
         }
     }
 

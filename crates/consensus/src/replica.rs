@@ -86,8 +86,10 @@ pub trait SignatureFactory {
     fn make_signature(&mut self, txid: TxId, root: Digest32) -> LedgerEntry;
 }
 
-/// Commands for the node layer, emitted in order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Commands for the node layer, emitted in order. Every command but
+/// [`Event::Appended`] is also written once to the run's flight recorder,
+/// which the chaos invariant checker reads.
+#[derive(Debug, PartialEq, Eq)]
 pub enum Event {
     /// An entry was appended (speculatively — may still roll back).
     /// The node layer applies its write set to the kv store, reading
@@ -125,14 +127,29 @@ pub enum Event {
     },
     /// This node's removal from the configuration has committed (§4.5).
     RetirementCommitted,
-    /// The replica refused a message that would have violated a safety
-    /// invariant (e.g. rolling back committed entries). Unlike a
-    /// `debug_assert!`, this fires in release builds too; the chaos
-    /// harness treats any occurrence among honest nodes as a bug.
-    InvariantRejected {
-        /// Human-readable description of the refused action.
-        reason: String,
-    },
+}
+
+/// Flight-recorder `(kind, tag)` of each replica transition record. `a`
+/// is the replica's view and `b` the seqno the transition concerns,
+/// except for [`REJECTED`](record::REJECTED).
+pub(crate) mod record {
+    /// The commit point advanced to `b` ([`Event::Committed`](super::Event::Committed)).
+    pub const COMMIT: (&str, &str) = ("commit", "advance");
+    /// Entries after `b` were discarded ([`Event::RolledBack`](super::Event::RolledBack)).
+    pub const ROLLBACK: (&str, &str) = ("rollback", "truncate");
+    /// Became primary for view `a`, log ending at `b`.
+    pub const PRIMARY: (&str, &str) = ("election", "won");
+    /// Stepped down from primary or candidate, log ending at `b`.
+    pub const BACKUP: (&str, &str) = ("election", "step_down");
+    /// A snapshot up to `b` replaced local state.
+    pub const SNAPSHOT: (&str, &str) = ("snapshot", "installed");
+    /// This node's removal committed at `b`.
+    pub const RETIREMENT: (&str, &str) = ("retirement", "committed");
+    /// A safety guard refused a message or a truncation to `a` because it
+    /// would cross the commit point `b`. Unlike a `debug_assert!`, the
+    /// guard fires in release builds too; the chaos checker treats any
+    /// occurrence among honest nodes as a bug. Not a node-layer command.
+    pub const REJECTED: (&str, &str) = ("invariant", "rejected");
 }
 
 /// Errors from [`Replica::propose`].
@@ -165,8 +182,8 @@ const ROLLBACK_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 pub const LATENCY_BUCKETS: &[u64] =
     &[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000];
 
-/// Cached observability handles (`consensus.*`); created once by
-/// [`Replica::set_registry`] so hot-path increments are lock-free.
+/// Cached observability handles (`consensus.*`); created once at
+/// construction so hot-path increments are lock-free.
 struct ReplicaMetrics {
     reg: ccf_obs::Registry,
     node: ccf_obs::NodeRef,
@@ -276,7 +293,7 @@ pub struct Replica<F: SignatureFactory> {
     outbox: Vec<(NodeId, Message)>,
     events: Vec<Event>,
 
-    metrics: Option<ReplicaMetrics>,
+    metrics: ReplicaMetrics,
     /// Traced entries appended but not yet committed, by seqno. Pruned
     /// on commit (closing their stage spans) and on rollback (dropping
     /// them silently).
@@ -285,16 +302,22 @@ pub struct Replica<F: SignatureFactory> {
 
 impl<F: SignatureFactory> Replica<F> {
     /// Creates a replica that is part of the service's initial
-    /// configuration (service start, §2).
+    /// configuration (service start, §2). It reports into `reg`: the
+    /// `consensus.*` metrics, the Merkle tree's `ledger.merkle_*`, and a
+    /// flight record per transition.
     pub fn new(
         id: impl Into<NodeId>,
         initial_config: Config,
         cfg: ReplicaConfig,
         seed: u64,
         sig_factory: F,
+        reg: &ccf_obs::Registry,
     ) -> Self {
         let id = id.into();
         let participating = initial_config.contains(&id);
+        let mut merkle = MerkleTree::new();
+        merkle.set_registry(reg);
+        let metrics = ReplicaMetrics::new(reg, &id);
         let mut r = Replica {
             id,
             cfg,
@@ -307,7 +330,7 @@ impl<F: SignatureFactory> Replica<F> {
             ledger: Vec::new(),
             base_seqno: 0,
             base_txid: TxId::ZERO,
-            merkle: MerkleTree::new(),
+            merkle,
             last_sig: TxId::ZERO,
             unsigned_since_sig: 0,
             commit_seqno: 0,
@@ -323,33 +346,27 @@ impl<F: SignatureFactory> Replica<F> {
             election_deadline: 0,
             next_heartbeat: 0,
             last_sig_emit: 0,
-        outbox: Vec::new(),
+            outbox: Vec::new(),
             events: Vec::new(),
-            metrics: None,
+            metrics,
             inflight_traces: std::collections::BTreeMap::new(),
         };
         r.reset_election_timer();
         r
     }
 
-    /// Attaches observability handles (`consensus.*`, plus the Merkle
-    /// tree's `ledger.merkle_*`) from `reg`. Without this the replica
-    /// records nothing.
-    pub fn set_registry(&mut self, reg: &ccf_obs::Registry) {
-        self.merkle.set_registry(reg);
-        self.metrics = Some(ReplicaMetrics::new(reg, &self.id));
-    }
-
     /// Creates a joining replica (status PENDING until a reconfiguration
-    /// adds it, §4.4), optionally bootstrapped from a snapshot.
+    /// adds it, §4.4), optionally bootstrapped from a snapshot, whose
+    /// install and commit are recorded like any other.
     pub fn join(
         id: impl Into<NodeId>,
         cfg: ReplicaConfig,
         seed: u64,
         sig_factory: F,
         snapshot: Option<Snapshot>,
+        reg: &ccf_obs::Registry,
     ) -> Self {
-        let mut r = Self::new(id, Config::new(), cfg, seed, sig_factory);
+        let mut r = Self::new(id, Config::new(), cfg, seed, sig_factory, reg);
         r.role = Role::Pending;
         r.participating = false;
         r.active_configs.clear();
@@ -412,16 +429,6 @@ impl<F: SignatureFactory> Replica<F> {
         self.last_sig
     }
 
-    /// The current Merkle root over the whole ledger.
-    pub fn merkle_root(&self) -> Digest32 {
-        self.merkle.root()
-    }
-
-    /// Inclusion proof for the entry at `seqno` against the current root.
-    pub fn merkle_proof(&self, seqno: Seqno) -> Option<ccf_ledger::MerkleProof> {
-        seqno.checked_sub(1).and_then(|i| self.merkle.prove(i))
-    }
-
     /// Inclusion proof for the entry at `seqno` against the tree as of
     /// `tree_size` leaves — i.e. against the root signed by the signature
     /// transaction at seqno `tree_size + 1` (receipts, §3.5).
@@ -431,11 +438,6 @@ impl<F: SignatureFactory> Replica<F> {
         tree_size: Seqno,
     ) -> Option<ccf_ledger::MerkleProof> {
         seqno.checked_sub(1).and_then(|i| self.merkle.prove_at_size(i, tree_size))
-    }
-
-    /// The Merkle root over the first `size` entries.
-    pub fn merkle_root_at(&self, size: Seqno) -> Option<Digest32> {
-        self.merkle.root_at_size(size)
     }
 
     /// The active configurations, current first (§4.4).
@@ -614,8 +616,9 @@ impl<F: SignatureFactory> Replica<F> {
                 }
             }
             if heard < quorum(config.nodes.len()) && !config.nodes.is_empty() {
+                // Lost contact with a quorum.
                 let view = self.view;
-                self.become_backup(view, "lost contact with quorum");
+                self.become_backup(view);
                 return;
             }
         }
@@ -656,9 +659,7 @@ impl<F: SignatureFactory> Replica<F> {
         if self.unsigned_since_sig == 0 {
             return; // last entry is already a signature
         }
-        if let Some(m) = &self.metrics {
-            m.signature_txs.inc();
-        }
+        self.metrics.signature_txs.inc();
         self.last_sig_emit = self.now;
         let txid = TxId::new(self.view, self.last_seqno() + 1);
         let root = self.merkle.root();
@@ -678,11 +679,6 @@ impl<F: SignatureFactory> Replica<F> {
         // Replicate eagerly: commit latency is dominated by signature
         // round-trips (Figure 8).
         self.broadcast_entries();
-    }
-
-    /// Number of entries appended since the last signature transaction.
-    pub fn unsigned_since_signature(&self) -> u64 {
-        self.unsigned_since_sig
     }
 
     /// Changes the signature policy at runtime (benchmarks sweep this;
@@ -722,7 +718,7 @@ impl<F: SignatureFactory> Replica<F> {
             self.view_history.push((view, entry.entry.txid.seqno));
         }
         self.note_append_traces(&entry);
-        self.events.push(Event::Appended { txid: entry.entry.txid });
+        self.emit(Event::Appended { txid: entry.entry.txid });
         self.ledger.push(entry);
         // A single-node configuration commits its own signatures instantly.
         if self.is_primary() {
@@ -737,7 +733,7 @@ impl<F: SignatureFactory> Replica<F> {
     /// identically on the primary (its own appends) and on backups
     /// (piggybacked ids), so traces survive leader changes.
     fn note_append_traces(&mut self, entry: &ReplicatedEntry) {
-        let Some(m) = &self.metrics else { return };
+        let m = &self.metrics;
         let seqno = entry.entry.txid.seqno;
         if entry.entry.kind == EntryKind::Signature {
             if entry.traces.is_empty() {
@@ -787,7 +783,7 @@ impl<F: SignatureFactory> Replica<F> {
         }
         let rest = self.inflight_traces.split_off(&(seqno + 1));
         let done = std::mem::replace(&mut self.inflight_traces, rest);
-        let Some(m) = &self.metrics else { return };
+        let m = &self.metrics;
         for t in done.into_values() {
             m.commit_latency.observe(self.now - t.appended_at);
             if let Some(signed) = t.signed_at {
@@ -808,11 +804,8 @@ impl<F: SignatureFactory> Replica<F> {
     /// when the entry is re-proposed or survives on another node.
     fn drop_rolled_back_traces(&mut self, seqno: Seqno) {
         let dropped = self.inflight_traces.split_off(&(seqno + 1));
-        if dropped.is_empty() {
-            return;
-        }
-        if let Some(m) = &self.metrics {
-            m.traces_dropped.add(dropped.len() as u64);
+        if !dropped.is_empty() {
+            self.metrics.traces_dropped.add(dropped.len() as u64);
         }
     }
 
@@ -846,18 +839,11 @@ impl<F: SignatureFactory> Replica<F> {
         if next <= self.base_seqno {
             // The peer needs entries we no longer retain: offer a snapshot.
             if let Some(snapshot) = &self.latest_snapshot {
-                if let Some(m) = &self.metrics {
-                    m.snapshots_sent.inc();
-                    let peer = m.reg.node_ref(peer);
-                    m.reg.flight(
-                        m.node,
-                        "snapshot",
-                        "sent",
-                        Some(peer),
-                        self.view,
-                        snapshot.last_txid.seqno,
-                    );
-                }
+                let m = &self.metrics;
+                m.snapshots_sent.inc();
+                let to = m.reg.node_ref(peer);
+                let seqno = snapshot.last_txid.seqno;
+                m.reg.flight(m.node, "snapshot", "sent", Some(to), self.view, seqno);
                 self.outbox.push((
                     peer.clone(),
                     Message::InstallSnapshot(InstallSnapshot {
@@ -879,10 +865,8 @@ impl<F: SignatureFactory> Replica<F> {
         let to_idx = (from_idx + self.cfg.max_batch).min(self.ledger.len());
         // Copies pointers: the batch shares the log's entries.
         let entries = self.ledger[from_idx..to_idx].to_vec();
-        if let Some(m) = &self.metrics {
-            m.append_batches.inc();
-            m.append_batch_entries.observe(entries.len() as u64);
-        }
+        self.metrics.append_batches.inc();
+        self.metrics.append_batch_entries.observe(entries.len() as u64);
         self.outbox.push((
             peer.clone(),
             Message::AppendEntries(AppendEntries {
@@ -953,14 +937,49 @@ impl<F: SignatureFactory> Replica<F> {
         true
     }
 
-    /// Records a commit advancement in the metrics (counter + high-water
-    /// gauge; the gauge is shared by every replica on the registry, so it
-    /// tracks the cluster-wide maximum).
-    fn note_commit(&self, seqno: Seqno) {
-        if let Some(m) = &self.metrics {
-            m.commits.inc();
-            m.commit_seqno.fetch_max(seqno);
-        }
+    /// Queues `event` for the node layer and, for every command but
+    /// [`Event::Appended`] (which fires per entry; the log itself records
+    /// it), writes its flight record: the one place a transition is
+    /// recorded. Commits, won elections and snapshot installs are also
+    /// counted here.
+    fn emit(&mut self, event: Event) {
+        let m = &self.metrics;
+        let ((kind, tag), seqno) = match &event {
+            Event::Appended { .. } => {
+                self.events.push(event);
+                return;
+            }
+            Event::Committed { seqno } => {
+                // The gauge is shared by every replica on the registry,
+                // so it tracks the cluster-wide maximum.
+                m.commits.inc();
+                m.commit_seqno.fetch_max(*seqno);
+                (record::COMMIT, *seqno)
+            }
+            Event::RolledBack { seqno } => (record::ROLLBACK, *seqno),
+            Event::BecamePrimary { .. } => {
+                m.elections_won.inc();
+                (record::PRIMARY, self.last_seqno())
+            }
+            Event::BecameBackup { .. } => (record::BACKUP, self.last_seqno()),
+            Event::SnapshotInstalled { snapshot } => {
+                m.snapshots_installed.inc();
+                (record::SNAPSHOT, snapshot.last_txid.seqno)
+            }
+            Event::RetirementCommitted => (record::RETIREMENT, self.commit_seqno),
+        };
+        m.reg.flight(m.node, kind, tag, None, self.view, seqno);
+        self.events.push(event);
+    }
+
+    /// Counts and records a refusal by a safety guard (see
+    /// [`record::REJECTED`]).
+    fn reject(&self, peer: Option<&NodeId>, seqno: Seqno) {
+        let m = &self.metrics;
+        m.invariant_rejections.inc();
+        let peer = peer.map(|p| m.reg.node_ref(p));
+        let (kind, tag) = record::REJECTED;
+        m.reg.flight(m.node, kind, tag, peer, seqno, self.commit_seqno);
     }
 
     /// Moves the commit point to `seqno`: found by the primary's quorum
@@ -969,9 +988,8 @@ impl<F: SignatureFactory> Replica<F> {
         debug_assert!(seqno > self.commit_seqno);
         debug_assert!(seqno <= self.last_seqno());
         self.commit_seqno = seqno;
-        self.note_commit(seqno);
         self.close_committed_traces(seqno);
-        self.events.push(Event::Committed { seqno });
+        self.emit(Event::Committed { seqno });
         // §4.5: retirement commits when the node was in the current
         // configuration and a newly committed reconfiguration excludes it.
         let was_in_current = self
@@ -997,7 +1015,7 @@ impl<F: SignatureFactory> Replica<F> {
             && !in_current
             && self.active_configs.first().is_some_and(|c| c.seqno <= seqno)
         {
-            self.events.push(Event::RetirementCommitted);
+            self.emit(Event::RetirementCommitted);
             if self.role == Role::Primary {
                 self.role = Role::Retiring;
             }
@@ -1009,10 +1027,9 @@ impl<F: SignatureFactory> Replica<F> {
     // ------------------------------------------------------------------
 
     fn start_election(&mut self) {
-        if let Some(m) = &self.metrics {
-            m.elections_started.inc();
-            m.reg.flight(m.node, "election", "start", None, self.view + 1, self.last_sig.seqno);
-        }
+        let m = &self.metrics;
+        m.elections_started.inc();
+        m.reg.flight(m.node, "election", "start", None, self.view + 1, self.last_sig.seqno);
         self.role = Role::Candidate;
         self.view += 1;
         self.voted_for = Some(self.id.clone());
@@ -1047,15 +1064,11 @@ impl<F: SignatureFactory> Replica<F> {
     }
 
     fn become_primary(&mut self) {
-        if let Some(m) = &self.metrics {
-            m.elections_won.inc();
-            m.reg.flight(m.node, "election", "won", None, self.view, self.last_seqno());
-        }
         // Discard everything after the last signature transaction (§4.2).
         self.truncate_to(self.last_sig.seqno.max(self.commit_seqno));
         self.role = Role::Primary;
         self.leader_hint = Some(self.id.clone());
-        self.events.push(Event::BecamePrimary { view: self.view });
+        self.emit(Event::BecamePrimary { view: self.view });
         let last = self.last_seqno();
         self.next_seqno.clear();
         self.match_seqno.clear();
@@ -1072,7 +1085,7 @@ impl<F: SignatureFactory> Replica<F> {
         self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
     }
 
-    fn become_backup(&mut self, view: View, _reason: &str) {
+    fn become_backup(&mut self, view: View) {
         let was_leaderish = matches!(self.role, Role::Primary | Role::Candidate | Role::Retiring);
         if view > self.view {
             self.view = view;
@@ -1082,7 +1095,7 @@ impl<F: SignatureFactory> Replica<F> {
             self.role = Role::Backup;
         }
         if was_leaderish {
-            self.events.push(Event::BecameBackup { view: self.view });
+            self.emit(Event::BecameBackup { view: self.view });
         }
         self.votes.clear();
         self.reset_election_timer();
@@ -1094,26 +1107,14 @@ impl<F: SignatureFactory> Replica<F> {
     /// hold in release builds, not only under `debug_assert!`.
     fn truncate_to(&mut self, seqno: Seqno) -> bool {
         if seqno < self.commit_seqno {
-            if let Some(m) = &self.metrics {
-                m.invariant_rejections.inc();
-                m.reg.flight(m.node, "invariant", "rejected", None, seqno, self.commit_seqno);
-            }
-            self.events.push(Event::InvariantRejected {
-                reason: format!(
-                    "truncate to {seqno} would roll back committed prefix {}",
-                    self.commit_seqno
-                ),
-            });
+            self.reject(None, seqno);
             return false;
         }
         if seqno >= self.last_seqno() {
             return true;
         }
-        if let Some(m) = &self.metrics {
-            m.rollbacks.inc();
-            m.rollback_entries.observe(self.last_seqno() - seqno);
-            m.reg.flight(m.node, "rollback", "truncate", None, seqno, self.last_seqno() - seqno);
-        }
+        self.metrics.rollbacks.inc();
+        self.metrics.rollback_entries.observe(self.last_seqno() - seqno);
         self.drop_rolled_back_traces(seqno);
         self.ledger.truncate((seqno - self.base_seqno) as usize);
         self.merkle.truncate(seqno);
@@ -1137,7 +1138,7 @@ impl<F: SignatureFactory> Replica<F> {
             .rev()
             .take_while(|e| e.entry.kind != EntryKind::Signature)
             .count() as u64;
-        self.events.push(Event::RolledBack { seqno });
+        self.emit(Event::RolledBack { seqno });
         true
     }
 
@@ -1175,7 +1176,7 @@ impl<F: SignatureFactory> Replica<F> {
             return;
         }
         if m.view > self.view || matches!(self.role, Role::Primary | Role::Candidate) {
-            self.become_backup(m.view, "append_entries from current/newer primary");
+            self.become_backup(m.view);
         }
         if self.role == Role::Pending {
             // First contact from the service: we are now receiving the
@@ -1238,17 +1239,7 @@ impl<F: SignatureFactory> Replica<F> {
                     // what we committed. Refuse the whole message (§4.1);
                     // truncate_to would also refuse, but rejecting here
                     // records the violation before touching any state.
-                    if let Some(m) = &self.metrics {
-                        m.invariant_rejections.inc();
-                        let peer = m.reg.node_ref(from);
-                        m.reg.flight(m.node, "invariant", "rejected", Some(peer), s, self.commit_seqno);
-                    }
-                    self.events.push(Event::InvariantRejected {
-                        reason: format!(
-                            "append entries from {from} conflict at {s} below commit {}",
-                            self.commit_seqno
-                        ),
-                    });
+                    self.reject(Some(from), s);
                     self.outbox.push((
                         from.clone(),
                         Message::AppendEntriesResponse(AppendEntriesResponse {
@@ -1341,7 +1332,7 @@ impl<F: SignatureFactory> Replica<F> {
 
     fn on_append_entries_response(&mut self, m: AppendEntriesResponse) {
         if m.view > self.view {
-            self.become_backup(m.view, "response from newer view");
+            self.become_backup(m.view);
             return;
         }
         if !matches!(self.role, Role::Primary | Role::Retiring) || m.view < self.view {
@@ -1358,10 +1349,8 @@ impl<F: SignatureFactory> Replica<F> {
                 self.send_entries_to(&m.from.clone());
             }
         } else {
-            if let Some(mm) = &self.metrics {
-                mm.negative_acks.inc();
-                mm.retransmits.inc();
-            }
+            self.metrics.negative_acks.inc();
+            self.metrics.retransmits.inc();
             // Jump straight to the peer's hint (§4.2) — in either
             // direction. The hint is the peer's last matching seqno (or
             // its snapshot base), so `hint + 1` is the exact next entry it
@@ -1378,7 +1367,7 @@ impl<F: SignatureFactory> Replica<F> {
 
     fn on_request_vote(&mut self, m: RequestVote) {
         if m.view > self.view {
-            self.become_backup(m.view, "vote request from newer view");
+            self.become_backup(m.view);
         }
         let up_to_date = m.last_signature.view > self.last_sig.view
             || (m.last_signature.view == self.last_sig.view
@@ -1402,7 +1391,7 @@ impl<F: SignatureFactory> Replica<F> {
 
     fn on_request_vote_response(&mut self, m: RequestVoteResponse) {
         if m.view > self.view {
-            self.become_backup(m.view, "vote response from newer view");
+            self.become_backup(m.view);
             return;
         }
         if self.role != Role::Candidate || m.view < self.view || !m.granted {
@@ -1417,7 +1406,7 @@ impl<F: SignatureFactory> Replica<F> {
             return;
         }
         if m.view > self.view || matches!(self.role, Role::Primary | Role::Candidate) {
-            self.become_backup(m.view, "snapshot from current/newer primary");
+            self.become_backup(m.view);
         }
         if self.role == Role::Pending {
             self.role = Role::Backup;
@@ -1442,8 +1431,7 @@ impl<F: SignatureFactory> Replica<F> {
         let commit = m.commit_seqno.min(self.last_seqno());
         if commit > self.commit_seqno {
             self.commit_seqno = commit;
-            self.note_commit(commit);
-            self.events.push(Event::Committed { seqno: commit });
+            self.emit(Event::Committed { seqno: commit });
         }
         self.outbox.push((
             m.leader.clone(),
@@ -1465,12 +1453,8 @@ impl<F: SignatureFactory> Replica<F> {
         self.base_seqno = snapshot.last_txid.seqno;
         self.base_txid = snapshot.last_txid;
         self.merkle = MerkleTree::new();
-        if let Some(m) = &self.metrics {
-            m.snapshots_installed.inc();
-            m.reg.flight(m.node, "snapshot", "installed", None, self.view, self.base_seqno);
-            // The fresh tree must keep reporting into the same registry.
-            self.merkle.set_registry(&m.reg);
-        }
+        // The fresh tree must keep reporting into the same registry.
+        self.merkle.set_registry(&self.metrics.reg);
         for leaf in &snapshot.merkle_leaves {
             self.merkle.append_digest(*leaf);
         }
@@ -1494,10 +1478,9 @@ impl<F: SignatureFactory> Replica<F> {
             self.role = Role::Backup;
             self.reset_election_timer();
         }
-        self.events.push(Event::SnapshotInstalled { snapshot });
+        self.emit(Event::SnapshotInstalled { snapshot });
         if at_boot && self.commit_seqno > 0 {
-            self.note_commit(self.commit_seqno);
-            self.events.push(Event::Committed { seqno: self.commit_seqno });
+            self.emit(Event::Committed { seqno: self.commit_seqno });
         }
     }
 

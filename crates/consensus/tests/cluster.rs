@@ -3,8 +3,9 @@
 //! election scenario — all on the deterministic simulator.
 
 use ccf_consensus::harness::{reconfig_entry, user_entry, Cluster};
+use ccf_consensus::invariants::InvariantChecker;
 use ccf_consensus::message::{AppendEntries, Message, RequestVote};
-use ccf_consensus::replica::{Event, ReplicaConfig, Role};
+use ccf_consensus::replica::{ReplicaConfig, Role};
 use ccf_consensus::{Config, NodeId, TxStatus};
 use ccf_ledger::TxId;
 use ccf_sim::NetConfig;
@@ -172,10 +173,12 @@ fn divergent_suffix_rolled_back_after_heal() {
     cluster.net.partition(vec![minority, majority.clone()]);
 
     // Stale primary appends a suffix that can never commit.
+    let mut stale = Vec::new();
     {
         let r = cluster.replicas.get_mut(&old_primary).unwrap();
         for i in 0..5 {
-            let _ = r.propose(|txid| user_entry(txid, format!("stale{i}").as_bytes()));
+            let txid = r.propose(|txid| user_entry(txid, format!("stale{i}").as_bytes()));
+            stale.push(txid.expect("still primary right after the partition"));
         }
         r.emit_signature();
     }
@@ -196,6 +199,8 @@ fn divergent_suffix_rolled_back_after_heal() {
         r.emit_signature();
     }
     cluster.run_for(2000);
+    let rollbacks = cluster.obs().counter("consensus.rollbacks");
+    let rollbacks_before = rollbacks.get();
     cluster.net.heal();
     cluster.run_for(5000);
     // The old primary must have rolled back its stale suffix and adopted
@@ -204,10 +209,10 @@ fn divergent_suffix_rolled_back_after_heal() {
     let old = &cluster.replicas[&old_primary];
     let new = &cluster.replicas[&new_primary];
     assert!(old.commit_seqno() >= new.commit_seqno().min(old.last_seqno()));
-    let rolled_back = cluster.events[&old_primary]
-        .iter()
-        .any(|e| matches!(e, Event::RolledBack { .. }));
-    assert!(rolled_back, "stale primary never rolled back");
+    assert!(rollbacks.get() > rollbacks_before, "stale primary never rolled back");
+    for txid in stale {
+        assert_eq!(old.tx_status(txid), TxStatus::Invalid, "stale {txid} survived");
+    }
 }
 
 /// The Figure 5 (left) / Table 2 election scenario: five nodes whose last
@@ -389,9 +394,7 @@ fn retiring_primary_stops_proposing_and_successor_emerges() {
         "reconfig did not commit on the retiring primary"
     );
     // The primary saw its retirement commit.
-    assert!(cluster.events[&primary]
-        .iter()
-        .any(|e| matches!(e, Event::RetirementCommitted)));
+    assert_eq!(cluster.replicas[&primary].role(), Role::Retiring);
     // It now refuses proposals…
     {
         let r = cluster.replicas.get_mut(&primary).unwrap();
@@ -448,6 +451,32 @@ fn snapshot_bootstraps_new_node_without_full_replay() {
     assert!(cluster.replicas[&new_id].entry_at(1).is_none());
     assert!(cluster.replicas[&new_id].entry_at(snap_seqno + 1).is_some());
     cluster.assert_committed_prefixes_consistent();
+}
+
+/// A node booted from a snapshot records its install and boot commit
+/// like any other transition: `consensus.snapshots_installed` counts it,
+/// and the invariant checker consumes the boot commit record.
+#[test]
+fn snapshot_join_records_its_boot_install_and_commit() {
+    let mut cluster = Cluster::new(3, fast_cfg(), quiet_net(), 12);
+    assert!(cluster.run_until(5000, |c| c.primary().is_some()));
+    for i in 0..8 {
+        cluster.propose(format!("entry{i}").as_bytes()).unwrap();
+    }
+    cluster.emit_signature();
+    let primary = cluster.primary().unwrap();
+    assert!(cluster.run_until(5000, |c| c.replicas[&primary].commit_seqno() >= 8));
+    let snapshot = cluster.replicas[&primary].snapshot_descriptor(Vec::new()).unwrap();
+    let snap_seqno = snapshot.last_txid.seqno;
+
+    let mut checker = InvariantChecker::new(cluster.obs());
+    let installs = cluster.obs().counter("consensus.snapshots_installed");
+    let before = installs.get();
+    let id = cluster.add_node("n3", fast_cfg(), Some(snapshot));
+    assert_eq!(installs.get(), before + 1, "the boot install was not counted");
+    checker.check_cluster(&cluster);
+    assert!(checker.ok(), "{:?}", checker.violations());
+    assert_eq!(checker.record_commit(&id), snap_seqno, "no boot commit record for {id}");
 }
 
 #[test]

@@ -7,13 +7,13 @@
 //! write path's sharing of entries between the log and its batches.
 
 use ccf_consensus::harness::{user_entry, KeyedSignatureFactory};
+use ccf_consensus::invariants::InvariantChecker;
 use ccf_consensus::message::ReplicatedEntry;
 use ccf_consensus::replica::{Replica, ReplicaConfig, Role, SignatureFactory};
-use ccf_consensus::{
-    AppendEntries, AppendEntriesResponse, Config, Event, Message, RequestVoteResponse,
-};
+use ccf_consensus::{AppendEntries, AppendEntriesResponse, Config, Message, RequestVoteResponse};
 use ccf_crypto::SigningKey;
 use ccf_ledger::TxId;
+use ccf_obs::Registry;
 use std::sync::Arc;
 
 fn factory(id: &str) -> KeyedSignatureFactory {
@@ -22,9 +22,17 @@ fn factory(id: &str) -> KeyedSignatureFactory {
     KeyedSignatureFactory::new(id, SigningKey::from_seed(seed))
 }
 
-fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+fn replica_on(reg: &Registry, id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
     let config: Config = config.iter().map(|s| s.to_string()).collect();
-    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id))
+    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id), reg)
+}
+
+fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+    replica_on(&Registry::new(), id, config)
+}
+
+fn rejections(reg: &Registry) -> u64 {
+    reg.counter("consensus.invariant_rejections").get()
 }
 
 fn sig_entry(author: &str, txid: TxId) -> Arc<ReplicatedEntry> {
@@ -53,9 +61,9 @@ fn deliver(
 }
 
 /// Replicates a two-entry prefix (user tx then signature) from primary
-/// `p` and commits it, returning the backup.
-fn backup_with_committed_prefix() -> Replica<KeyedSignatureFactory> {
-    let mut b = replica("b", &["p", "b", "c"]);
+/// `p` and commits it, returning the backup, which reports into `reg`.
+fn backup_with_committed_prefix(reg: &Registry) -> Replica<KeyedSignatureFactory> {
+    let mut b = replica_on(reg, "b", &["p", "b", "c"]);
     let resps = deliver(
         &mut b,
         "p",
@@ -84,12 +92,26 @@ fn backup_with_committed_prefix() -> Replica<KeyedSignatureFactory> {
 /// exercise the path where the debug_assert used to vanish.
 #[test]
 fn conflicting_entries_below_commit_are_refused() {
-    let mut b = backup_with_committed_prefix();
+    let reg = Registry::new();
+    let mut b = backup_with_committed_prefix(&reg);
     let committed_txid = b.entry_at(1).unwrap().entry.txid;
 
-    // "q" claims a newer view and rewrites history from seqno 1.
-    let resps = deliver(
-        &mut b,
+    let resps = rewrite_history(&mut b);
+
+    // Refused: negative reply pointing at our commit point, committed
+    // entry untouched, and the violation is counted (and recorded).
+    let resp = resps.last().expect("a reply must be sent");
+    assert!(!resp.success);
+    assert_eq!(resp.last_seqno, 2);
+    assert_eq!(b.commit_seqno(), 2);
+    assert_eq!(b.entry_at(1).unwrap().entry.txid, committed_txid);
+    assert_eq!(rejections(&reg), 1, "rollback-past-commit attempt must count a rejection");
+}
+
+/// "q" claims a newer view and rewrites `b`'s history from seqno 1.
+fn rewrite_history(b: &mut Replica<KeyedSignatureFactory>) -> Vec<AppendEntriesResponse> {
+    deliver(
+        b,
         "q",
         AppendEntries {
             view: 2,
@@ -98,21 +120,28 @@ fn conflicting_entries_below_commit_are_refused() {
             entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()],
             commit_seqno: 0,
         },
-    );
+    )
+}
 
-    // Refused: negative reply pointing at our commit point, committed
-    // entry untouched, and the violation is surfaced as an event.
-    let resp = resps.last().expect("a reply must be sent");
-    assert!(!resp.success);
-    assert_eq!(resp.last_seqno, 2);
-    assert_eq!(b.commit_seqno(), 2);
-    assert_eq!(b.entry_at(1).unwrap().entry.txid, committed_txid);
-    assert!(
-        b.drain_events()
-            .iter()
-            .any(|e| matches!(e, Event::InvariantRejected { .. })),
-        "rollback-past-commit attempt must emit InvariantRejected"
-    );
+/// The same refusal seen end to end: the invariant checker reads the
+/// backup's flight records (its commit, then the rejection) from the
+/// shared registry and reports exactly one violation, on the backup.
+#[test]
+fn checker_reports_the_refused_rewrite_once() {
+    let reg = Registry::new();
+    let mut checker = InvariantChecker::new(&reg);
+    let mut b = backup_with_committed_prefix(&reg);
+    let id = "b".to_string();
+    checker.check([(&id, &b)]);
+    assert!(checker.ok(), "{:?}", checker.violations());
+    assert_eq!(checker.record_commit("b"), 2, "the commit record was not consumed");
+
+    rewrite_history(&mut b);
+    checker.check([(&id, &b)]);
+    assert_eq!(checker.violations().len(), 1, "{:?}", checker.violations());
+    assert_eq!(checker.violations()[0].node, "b");
+    checker.check([(&id, &b)]);
+    assert_eq!(checker.violations().len(), 1, "a record must be checked once");
 }
 
 /// Same bug, via the `truncate_to` path: the conflict sits *above* the
@@ -123,7 +152,8 @@ fn conflicting_entries_below_commit_are_refused() {
 /// anything lower is refused inside `truncate_to` itself.
 #[test]
 fn truncate_never_crosses_commit_point() {
-    let mut b = backup_with_committed_prefix();
+    let reg = Registry::new();
+    let mut b = backup_with_committed_prefix(&reg);
     // Extend with an uncommitted entry at 3.
     let resps = deliver(
         &mut b,
@@ -154,10 +184,7 @@ fn truncate_never_crosses_commit_point() {
     assert!(resps.last().is_some_and(|r| r.success), "truncating at commit is legal");
     assert_eq!(b.entry_at(3).unwrap().entry.txid, TxId::new(2, 3));
     assert_eq!(b.commit_seqno(), 2);
-    assert!(
-        !b.drain_events().iter().any(|e| matches!(e, Event::InvariantRejected { .. })),
-        "honest suffix replacement must not be flagged"
-    );
+    assert_eq!(rejections(&reg), 0, "honest suffix replacement must not be flagged");
 }
 
 /// Bug 2 (was `debug_assert_eq!(s, last_seqno + 1)`): a batch whose
@@ -167,7 +194,7 @@ fn truncate_never_crosses_commit_point() {
 /// ledger whose Merkle tree no longer matched its seqnos.
 #[test]
 fn gapped_batch_is_rejected_with_retransmission_hint() {
-    let mut b = backup_with_committed_prefix();
+    let mut b = backup_with_committed_prefix(&Registry::new());
 
     // prev = (1,2) matches our tip, but the batch starts at seqno 4.
     let resps = deliver(

@@ -40,10 +40,8 @@ fn trace_survives_leader_change() {
     // Minted where the request entered: the soon-to-die primary "p".
     let trace = reg.mint_trace();
 
-    let mut b = replica("b", &["p", "b", "c"]);
-    b.set_registry(&reg);
-    let mut c = replica("c", &["p", "b", "c"]);
-    c.set_registry(&reg);
+    let mut b = replica(&reg, "b", &["p", "b", "c"]);
+    let mut c = replica(&reg, "c", &["p", "b", "c"]);
 
     // "p" replicates the traced write and its covering signature to both
     // backups, then dies before its commit point ever reaches them.
@@ -157,9 +155,9 @@ fn factory(id: &str) -> KeyedSignatureFactory {
     KeyedSignatureFactory::new(id, SigningKey::from_seed(seed))
 }
 
-fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+fn replica(reg: &ccf_obs::Registry, id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
     let config: Config = config.iter().map(|s| s.to_string()).collect();
-    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id))
+    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id), reg)
 }
 
 /// When an invariant trips, [`forensics`] bundles the flight-recorder
@@ -168,8 +166,7 @@ fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
 #[test]
 fn forensics_bundle_has_flight_tail_and_affected_trace() {
     let reg = ccf_obs::Registry::default();
-    let mut b = replica("b", &["p", "b", "c"]);
-    b.set_registry(&reg);
+    let mut b = replica(&reg, "b", &["p", "b", "c"]);
     let committed = reg.mint_trace();
     let inflight = reg.mint_trace();
 

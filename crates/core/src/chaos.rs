@@ -13,7 +13,6 @@ use crate::app::{AppResult, Application, EndpointDef};
 use crate::service::{ServiceCluster, ServiceOpts};
 use ccf_consensus::chaos::ChaosReport;
 use ccf_consensus::invariants::{InvariantChecker, StateView, Violation};
-use ccf_consensus::replica::Event;
 use ccf_consensus::NodeId;
 use ccf_crypto::Digest32;
 use ccf_governance::{Ballot, Proposal};
@@ -22,7 +21,6 @@ use ccf_ledger::TxId;
 use ccf_script::Value;
 use ccf_sim::nemesis::{FaultSchedule, NemesisOp};
 use ccf_sim::Time;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 impl StateView for crate::node::CcfNode {
@@ -55,8 +53,6 @@ fn chaos_app() -> Application {
 struct ServiceChaos {
     service: ServiceCluster,
     checker: InvariantChecker,
-    /// Accumulated consensus events per node (checker keeps cursors).
-    events: BTreeMap<NodeId, Vec<Event>>,
     /// Successful write txids not yet receipt-verified.
     pending_receipts: Vec<TxId>,
     joins: u64,
@@ -135,14 +131,7 @@ impl ServiceChaos {
     }
 
     fn check_invariants(&mut self) {
-        let ids: Vec<NodeId> = self.service.nodes.keys().cloned().collect();
-        for id in ids {
-            let node = self.service.nodes[&id].clone();
-            node.enable_event_recording();
-            let log = self.events.entry(id.clone()).or_default();
-            log.extend(node.take_recorded_events());
-            self.checker.check_node(&id, node.as_ref(), log);
-        }
+        self.checker.check(self.service.nodes.iter().map(|(id, node)| (id, node.as_ref())));
     }
 
     fn apply_op(&mut self, op: &NemesisOp, report: &mut ChaosReport) {
@@ -284,9 +273,8 @@ pub fn run_service_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> 
     let start = service.now();
 
     let mut chaos = ServiceChaos {
+        checker: InvariantChecker::new(service.obs()),
         service,
-        checker: InvariantChecker::new(),
-        events: BTreeMap::new(),
         pending_receipts: Vec::new(),
         joins: 0,
         gov_counter: 0,
@@ -298,6 +286,7 @@ pub fn run_service_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> 
         proposals: 0,
         faults_applied: 0,
         violations: Vec::new(),
+        protocol_records: 0,
         metrics: ccf_obs::Snapshot::default(),
         forensics: None,
     };
@@ -330,6 +319,7 @@ pub fn run_service_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> 
     report
         .violations
         .extend(chaos.checker.violations().iter().cloned());
+    report.protocol_records = chaos.checker.protocol_records();
     if !report.violations.is_empty() && report.forensics.is_none() {
         // Receipt-check violations surface outside the step loop.
         report.forensics =

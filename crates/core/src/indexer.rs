@@ -157,14 +157,6 @@ impl Indexer {
     pub fn strategy(&self, i: usize) -> Option<&dyn IndexingStrategy> {
         self.strategies.get(i).map(|b| b.as_ref())
     }
-
-    /// Mutable access to a registered strategy.
-    pub fn strategy_mut(&mut self, i: usize) -> Option<&mut (dyn IndexingStrategy + '_)> {
-        match self.strategies.get_mut(i) {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -104,9 +104,6 @@ struct NodeMetrics {
     batch_verify_size: ccf_obs::Histogram,
     leader_forwards: ccf_obs::Counter,
     entries_applied: ccf_obs::Counter,
-    commit_events: ccf_obs::Counter,
-    rollback_events: ccf_obs::Counter,
-    snapshot_installs: ccf_obs::Counter,
     encrypted_bytes: ccf_obs::Counter,
     batch_verifies: ccf_obs::Counter,
     batch_verify_sigs: ccf_obs::Counter,
@@ -133,9 +130,6 @@ impl NodeMetrics {
             batch_verify_size: reg.histogram("node.batch_verify_size", VERIFY_BATCH_BUCKETS),
             leader_forwards: reg.counter("node.leader_forwards"),
             entries_applied: reg.counter("node.entries_applied"),
-            commit_events: reg.counter("node.commit_events"),
-            rollback_events: reg.counter("node.rollback_events"),
-            snapshot_installs: reg.counter("node.snapshot_installs"),
             encrypted_bytes: reg.counter("ledger.encrypted_bytes"),
             batch_verifies: reg.counter("crypto.ed25519_batch_verifies"),
             batch_verify_sigs: reg.counter("crypto.ed25519_batch_sigs"),
@@ -209,12 +203,6 @@ struct NodeInner {
     signed_request_responses: BTreeMap<u64, Response>,
     /// Next queued-request ticket.
     next_signed_ticket: u64,
-    /// When true, consensus events are also copied into
-    /// `recorded_events` for the chaos invariant checker.
-    record_events: bool,
-    /// Consensus events retained for the chaos checker (drained by
-    /// [`CcfNode::take_recorded_events`]).
-    recorded_events: Vec<Event>,
     /// Causal-trace id per proposed seqno (DESIGN.md §12). Bounded:
     /// pruned from the front past `TRACE_MAP_CAPACITY`; survives commit
     /// so receipts and forwarders can look traces up after the fact.
@@ -263,7 +251,7 @@ impl CcfNode {
     pub fn new_start_node(opts: NodeOpts, app: Arc<Application>) -> Arc<CcfNode> {
         Self::assemble(opts, app, |o, factory| {
             let config = [o.id.clone()].into_iter().collect();
-            Replica::new(o.id.clone(), config, o.consensus.clone(), o.seed, factory)
+            Replica::new(o.id.clone(), config, o.consensus.clone(), o.seed, factory, &o.obs)
         })
     }
 
@@ -275,7 +263,7 @@ impl CcfNode {
         snapshot: Option<Snapshot>,
     ) -> Arc<CcfNode> {
         let node = Self::assemble(opts, app, |o, factory| {
-            Replica::join(o.id.clone(), o.consensus.clone(), o.seed, factory, snapshot)
+            Replica::join(o.id.clone(), o.consensus.clone(), o.seed, factory, snapshot, &o.obs)
         });
         // Process the boot snapshot events (install kv state).
         node.handle_events(&mut node.inner.lock());
@@ -294,8 +282,7 @@ impl CcfNode {
         let dh_key = DhKeyPair::generate(&mut rng);
         let code_id = CodeId::measure(app.code_version.as_bytes());
         let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let mut replica = make_replica(&opts, factory);
-        replica.set_registry(&opts.obs);
+        let replica = make_replica(&opts, factory);
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
         Arc::new(CcfNode {
             id: opts.id.clone(),
@@ -321,8 +308,6 @@ impl CcfNode {
                 signed_request_queue: Vec::new(),
                 signed_request_responses: BTreeMap::new(),
                 next_signed_ticket: 0,
-                record_events: false,
-                recorded_events: Vec::new(),
                 trace_by_seqno: BTreeMap::new(),
                 inflight_traces: BTreeMap::new(),
                 signed_enqueue_times: BTreeMap::new(),
@@ -611,26 +596,15 @@ impl CcfNode {
 
     /// Handles all queued consensus events. Caller holds the inner lock.
     fn handle_events(&self, inner: &mut NodeInner) {
-        let events = inner.replica.drain_events();
-        if inner.record_events {
-            inner.recorded_events.extend(events.iter().cloned());
-        }
-        for event in events {
+        for event in inner.replica.drain_events() {
             match event {
                 Event::Appended { txid } => {
                     self.metrics.entries_applied.inc();
                     self.on_appended(inner, txid)
                 }
-                Event::Committed { seqno } => {
-                    self.metrics.commit_events.inc();
-                    self.on_committed(inner, seqno)
-                }
-                Event::RolledBack { seqno } => {
-                    self.metrics.rollback_events.inc();
-                    self.on_rolled_back(inner, seqno)
-                }
+                Event::Committed { seqno } => self.on_committed(inner, seqno),
+                Event::RolledBack { seqno } => self.on_rolled_back(inner, seqno),
                 Event::SnapshotInstalled { snapshot } => {
-                    self.metrics.snapshot_installs.inc();
                     let state = StoreState::deserialize(&snapshot.kv_state)
                         .expect("snapshot kv state must deserialize");
                     inner.last_applied = snapshot.last_txid;
@@ -647,9 +621,6 @@ impl CcfNode {
                 Event::RetirementCommitted => {
                     inner.retired = true;
                 }
-                // A refused unsafe message mutates nothing; the chaos
-                // checker (if recording) flags it from the event log.
-                Event::InvariantRejected { .. } => {}
             }
         }
     }
@@ -1039,17 +1010,6 @@ impl CcfNode {
     // ------------------------------------------------------------------
     // Chaos / invariant checking hooks
     // ------------------------------------------------------------------
-
-    /// Starts retaining a copy of every consensus event for the chaos
-    /// invariant checker (off by default — unbounded if never drained).
-    pub fn enable_event_recording(&self) {
-        self.inner.lock().record_events = true;
-    }
-
-    /// Drains the events recorded since the last call.
-    pub fn take_recorded_events(&self) -> Vec<Event> {
-        std::mem::take(&mut self.inner.lock().recorded_events)
-    }
 
     /// `(txid, payload digest, kind)` of the retained ledger entry at
     /// `seqno` (`None` below the snapshot base / past the end) — the

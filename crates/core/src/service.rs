@@ -147,9 +147,7 @@ impl ServiceCluster {
             },
             app.clone(),
         );
-        let mut net = SimNet::new(opts.net.clone(), opts.seed);
-        net.set_registry(&obs);
-        net.set_flight_tagger(Message::kind);
+        let net = SimNet::new(opts.net.clone(), opts.seed, &obs, Message::kind);
         let mut cluster = ServiceCluster {
             nodes: BTreeMap::from([(start_node.id.clone(), start_node.clone())]),
             net,
@@ -217,9 +215,7 @@ impl ServiceCluster {
         let app = node.app_handle();
         let service_identity = node.service_identity();
         let obs = node.obs().clone();
-        let mut net = SimNet::new(NetConfig::default(), seed);
-        net.set_registry(&obs);
-        net.set_flight_tagger(Message::kind);
+        let net = SimNet::new(NetConfig::default(), seed, &obs, Message::kind);
         ServiceCluster {
             nodes: BTreeMap::from([(node.id.clone(), node)]),
             net,

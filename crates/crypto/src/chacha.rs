@@ -106,13 +106,6 @@ impl ChaChaRng {
         u64::from_le_bytes(b)
     }
 
-    /// A uniformly random u32.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_le_bytes(b)
-    }
-
     /// A uniform value in `[0, bound)` using rejection sampling.
     /// Panics if `bound == 0`.
     pub fn gen_range(&mut self, bound: u64) -> u64 {

@@ -56,11 +56,6 @@ impl StoreState {
         out
     }
 
-    /// Number of live keys in a map.
-    pub fn map_len(&self, map: &MapName) -> usize {
-        self.maps.get(map).map_or(0, |m| m.len())
-    }
-
     /// Names of all maps that currently exist (have ever been written).
     pub fn map_names(&self) -> Vec<MapName> {
         let mut names: Vec<_> = self.maps.keys().cloned().collect();
@@ -189,11 +184,6 @@ impl Store {
         Store { current: Mutex::new(Arc::new(StoreState::default())) }
     }
 
-    /// Builds a store from a restored state (snapshot or replay).
-    pub fn from_state(state: StoreState) -> Store {
-        Store { current: Mutex::new(Arc::new(state)) }
-    }
-
     /// Takes an immutable snapshot of the latest state.
     pub fn snapshot(&self) -> Arc<StoreState> {
         self.current.lock().clone()
@@ -290,11 +280,6 @@ pub struct Transaction {
 impl Transaction {
     fn new(snapshot: Arc<StoreState>) -> Transaction {
         Transaction { snapshot, reads: BTreeMap::new(), writes: WriteSet::new() }
-    }
-
-    /// The version this transaction is reading from.
-    pub fn snapshot_version(&self) -> u64 {
-        self.snapshot.version
     }
 
     /// Reads a key: own writes first, then the snapshot (recording the

@@ -4,7 +4,6 @@
 use ccf_crypto::sha2::{sha256, Sha256};
 use ccf_crypto::{Digest32, Signature, VerifyingKey};
 use ccf_kv::codec::{CodecError, Reader, Writer};
-use ccf_kv::WriteSet;
 
 /// A transaction ID: the ordered pair (view, sequence number) — unique per
 /// transaction across the whole service lifetime (§3.1).
@@ -123,7 +122,7 @@ pub struct LedgerEntry {
     pub txid: TxId,
     /// What kind of transaction this is.
     pub kind: EntryKind,
-    /// Public-map updates, in plain text (encoded [`WriteSet`]).
+    /// Public-map updates, in plain text (encoded [`ccf_kv::WriteSet`]).
     pub public_ws: Vec<u8>,
     /// Private-map updates, encrypted with the ledger secret
     /// (AES-256-GCM ciphertext || tag); empty if none.
@@ -173,14 +172,6 @@ impl LedgerEntry {
         h.finalize()
     }
 
-    /// Parses the public write set.
-    pub fn public_write_set(&self) -> Result<WriteSet, CodecError> {
-        if self.public_ws.is_empty() {
-            return Ok(WriteSet::new());
-        }
-        WriteSet::decode(&self.public_ws)
-    }
-
     /// Serializes the entry for replication and persistence.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(64 + self.public_ws.len() + self.private_ws_enc.len());
@@ -223,7 +214,7 @@ impl LedgerEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccf_kv::MapName;
+    use ccf_kv::{MapName, WriteSet};
 
     fn sample_entry() -> LedgerEntry {
         let mut ws = WriteSet::new();

@@ -38,9 +38,11 @@
 //!   so a trace spans nodes. [`trace::assemble`] rebuilds trace trees
 //!   from a snapshot and computes per-stage critical paths.
 //! * Flight recorder — [`Registry::flight`] records bounded structured
-//!   protocol events (message send/recv/drop, elections, rollbacks,
-//!   snapshots). When an invariant trips, the last N events — already
-//!   in causal order — are the crash forensics.
+//!   protocol events (message send/recv/drop, elections, commits,
+//!   rollbacks, snapshots). The chaos invariant checker reads it
+//!   incrementally with [`Registry::flight_since`]; when an invariant
+//!   trips, the last N events — already in causal order — are the crash
+//!   forensics.
 //! * [`Snapshot`] / JSON — [`Registry::snapshot`] captures everything
 //!   into plain sorted maps; [`Snapshot::to_json`] renders them with
 //!   deterministic key order and no floats.
@@ -205,10 +207,14 @@ impl<T: Clone> Ring<T> {
 
     /// Contents in recording order (oldest retained first).
     fn ordered(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+        self.newest(self.buf.len())
+    }
+
+    /// The last `k` retained items in recording order (fewer if the ring
+    /// holds fewer).
+    fn newest(&self, k: usize) -> Vec<T> {
+        let len = self.buf.len();
+        (len - k.min(len)..len).map(|i| self.buf[(self.head + i) % len].clone()).collect()
     }
 }
 
@@ -560,6 +566,27 @@ impl Registry {
     pub fn flight_records(&self) -> Vec<FlightRecord> {
         let recs = self.0.flight.lock().unwrap().ordered();
         recs.into_iter().map(|r| self.resolve_flight(r)).collect()
+    }
+
+    /// Total flight-recorder events ever recorded, overwritten ones
+    /// included: the cursor a [`Registry::flight_since`] reader starts
+    /// from.
+    pub fn flight_total(&self) -> u64 {
+        self.0.flight.lock().unwrap().total
+    }
+
+    /// The flight records pushed since the total was `since` (an earlier
+    /// [`Registry::flight_total`]), oldest first, with the new total. A
+    /// reader that fell more than the ring's capacity behind gets only
+    /// the retained tail: `total - since - records.len()` were lost. The
+    /// cursor is the ring's total, not `seq`, which trace spans share.
+    pub fn flight_since(&self, since: u64) -> (u64, Vec<FlightRecord>) {
+        let (total, recs) = {
+            let ring = self.0.flight.lock().unwrap();
+            let new = ring.total.saturating_sub(since);
+            (ring.total, ring.newest(usize::try_from(new).unwrap_or(usize::MAX)))
+        };
+        (total, recs.into_iter().map(|r| self.resolve_flight(r)).collect())
     }
 
     fn resolve_flight(&self, r: FlightRec) -> FlightRecord {
@@ -1073,6 +1100,28 @@ mod tests {
         assert_eq!(snap.flight, recs);
         let line = recs[0].render();
         assert!(line.contains("n0 -> n1 send append_entries"), "{line}");
+    }
+
+    #[test]
+    fn flight_since_reads_new_records_and_exposes_overwrites() {
+        let reg = Registry::with_capacities(8, 3);
+        let n0 = reg.node_ref("n0");
+        assert_eq!(reg.flight_since(0), (0, Vec::new()));
+        reg.flight(n0, "commit", "advance", None, 1, 2);
+        reg.flight(n0, "commit", "advance", None, 1, 4);
+        let (total, recs) = reg.flight_since(0);
+        assert_eq!((total, recs.iter().map(|r| r.b).collect::<Vec<_>>()), (2, vec![2, 4]));
+        assert_eq!(reg.flight_since(total), (2, Vec::new()));
+        // Four more: the ring keeps three, so a reader at 2 lost one.
+        for b in 5..9 {
+            reg.flight(n0, "commit", "advance", None, 1, b);
+        }
+        let (total, recs) = reg.flight_since(2);
+        assert_eq!(total, reg.flight_total());
+        assert_eq!((total, recs.iter().map(|r| r.b).collect::<Vec<_>>()), (6, vec![6, 7, 8]));
+        assert_eq!(recs, reg.flight_records());
+        let (_, tail) = reg.flight_since(5);
+        assert_eq!(tail.iter().map(|r| r.b).collect::<Vec<_>>(), vec![8]);
     }
 
     #[test]

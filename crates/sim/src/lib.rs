@@ -95,20 +95,29 @@ pub struct SimNet<M> {
     duplicate_probability: f64,
     sent: u64,
     dropped: u64,
-    /// Mirrors of `sent`/`dropped` in an attached observability registry
-    /// (`net.messages_sent` / `net.messages_dropped`), if any.
-    metrics: Option<(ccf_obs::Counter, ccf_obs::Counter)>,
-    /// The attached registry itself, for flight-recorder events.
-    reg: Option<ccf_obs::Registry>,
+    /// Mirrors of `sent`/`dropped` in the run's observability registry
+    /// (`net.messages_sent` / `net.messages_dropped`).
+    sent_counter: ccf_obs::Counter,
+    dropped_counter: ccf_obs::Counter,
+    /// The run's registry, for flight-recorder events.
+    reg: ccf_obs::Registry,
     /// Classifies messages into short static tags ("append_entries",
     /// "request_vote", …) for the flight recorder. A plain `fn` pointer
     /// keeps the simulator dependency-free and `SimNet` comparable.
-    tagger: Option<fn(&M) -> &'static str>,
+    tagger: fn(&M) -> &'static str,
 }
 
 impl<M: Eq + Clone> SimNet<M> {
-    /// Creates a network with the given behaviour and seed.
-    pub fn new(cfg: NetConfig, seed: u64) -> SimNet<M> {
+    /// Creates a network with the given behaviour and seed, reporting
+    /// into `reg`: the `net.messages_sent` / `net.messages_dropped`
+    /// counters, and a flight-recorder event for every send, drop and
+    /// receive, tagged by `tagger` (e.g. `Message::kind`).
+    pub fn new(
+        cfg: NetConfig,
+        seed: u64,
+        reg: &ccf_obs::Registry,
+        tagger: fn(&M) -> &'static str,
+    ) -> SimNet<M> {
         SimNet {
             cfg,
             rng: ChaChaRng::seed_from_u64(seed ^ 0x5157_0000_0000_0000),
@@ -121,51 +130,28 @@ impl<M: Eq + Clone> SimNet<M> {
             duplicate_probability: 0.0,
             sent: 0,
             dropped: 0,
-            metrics: None,
-            reg: None,
-            tagger: None,
+            sent_counter: reg.counter("net.messages_sent"),
+            dropped_counter: reg.counter("net.messages_dropped"),
+            reg: reg.clone(),
+            tagger,
         }
     }
 
-    /// Attaches observability counters (`net.messages_sent`,
-    /// `net.messages_dropped`) from `reg`; they track the same totals as
-    /// [`SimNet::sent_count`] / [`SimNet::dropped_count`] from this point
-    /// on.
-    pub fn set_registry(&mut self, reg: &ccf_obs::Registry) {
-        self.metrics = Some((reg.counter("net.messages_sent"), reg.counter("net.messages_dropped")));
-        self.reg = Some(reg.clone());
-    }
-
-    /// Enables flight-recorder events for network activity: every
-    /// send/drop/recv is logged to the attached registry's bounded flight
-    /// ring, tagged by `tagger` (e.g. `Message::kind`). Requires
-    /// [`SimNet::set_registry`]; without a tagger, no net events are
-    /// recorded (protocol layers still record their own).
-    pub fn set_flight_tagger(&mut self, tagger: fn(&M) -> &'static str) {
-        self.tagger = Some(tagger);
-    }
-
-    /// Records a net flight event if a registry and tagger are attached.
+    /// Records a net flight event.
     fn flight(&self, kind: &'static str, from: &NodeId, to: &NodeId, msg: &M, at: Time) {
-        if let (Some(reg), Some(tagger)) = (&self.reg, self.tagger) {
-            let f = reg.node_ref(from);
-            let t = reg.node_ref(to);
-            reg.flight(f, kind, tagger(msg), Some(t), at, 0);
-        }
+        let f = self.reg.node_ref(from);
+        let t = self.reg.node_ref(to);
+        self.reg.flight(f, kind, (self.tagger)(msg), Some(t), at, 0);
     }
 
     fn count_sent(&mut self) {
         self.sent += 1;
-        if let Some((sent, _)) = &self.metrics {
-            sent.inc();
-        }
+        self.sent_counter.inc();
     }
 
     fn count_dropped(&mut self) {
         self.dropped += 1;
-        if let Some((_, dropped)) = &self.metrics {
-            dropped.inc();
-        }
+        self.dropped_counter.inc();
     }
 
     /// Current virtual time.
@@ -320,11 +306,6 @@ impl<M: Eq + Clone> SimNet<M> {
         self.blocked_links.insert((from.clone(), to.clone()));
     }
 
-    /// Unblocks a directed link.
-    pub fn unblock_link(&mut self, from: &NodeId, to: &NodeId) {
-        self.blocked_links.remove(&(from.clone(), to.clone()));
-    }
-
     /// Sets the probability that a sent message is scheduled twice.
     pub fn set_duplicate_probability(&mut self, p: f64) {
         self.duplicate_probability = p.clamp(0.0, 1.0);
@@ -376,9 +357,14 @@ mod tests {
         s.to_string()
     }
 
+    /// A network on a fresh registry, tagging every message alike.
+    fn sim<M: Eq + Clone>(cfg: NetConfig, seed: u64) -> SimNet<M> {
+        SimNet::new(cfg, seed, &ccf_obs::Registry::new(), |_| "msg")
+    }
+
     #[test]
     fn delivers_in_time_order() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig { latency: (1, 10), drop_probability: 0.0 }, 1);
+        let mut net: SimNet<u32> = sim(NetConfig { latency: (1, 10), drop_probability: 0.0 }, 1);
         for i in 0..50 {
             net.send(&n("a"), &n("b"), i);
         }
@@ -398,7 +384,7 @@ mod tests {
     fn determinism_from_seed() {
         let run = |seed| {
             let mut net: SimNet<u32> =
-                SimNet::new(NetConfig { latency: (1, 20), drop_probability: 0.3 }, seed);
+                sim(NetConfig { latency: (1, 20), drop_probability: 0.3 }, seed);
             for i in 0..100 {
                 net.send(&n("a"), &n("b"), i);
             }
@@ -413,7 +399,7 @@ mod tests {
 
     #[test]
     fn crash_blocks_traffic() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        let mut net: SimNet<u32> = sim(NetConfig::default(), 1);
         net.send(&n("a"), &n("b"), 1);
         net.crash(&n("b"));
         // In-flight message to a crashed node is dropped at delivery.
@@ -430,7 +416,7 @@ mod tests {
 
     #[test]
     fn partitions_block_cross_group_traffic() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        let mut net: SimNet<u32> = sim(NetConfig::default(), 1);
         net.partition(vec![
             BTreeSet::from([n("a"), n("b")]),
             BTreeSet::from([n("c")]),
@@ -449,7 +435,7 @@ mod tests {
     #[test]
     fn drop_probability_loses_roughly_that_fraction() {
         let mut net: SimNet<u32> =
-            SimNet::new(NetConfig { latency: (1, 2), drop_probability: 0.25 }, 3);
+            sim(NetConfig { latency: (1, 2), drop_probability: 0.25 }, 3);
         for i in 0..4000 {
             net.send(&n("a"), &n("b"), i);
         }
@@ -459,7 +445,7 @@ mod tests {
 
     #[test]
     fn next_delivery_at_skips_idle_time() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig { latency: (50, 51), drop_probability: 0.0 }, 1);
+        let mut net: SimNet<u32> = sim(NetConfig { latency: (50, 51), drop_probability: 0.0 }, 1);
         assert_eq!(net.next_delivery_at(), None);
         net.send(&n("a"), &n("b"), 1);
         assert_eq!(net.next_delivery_at(), Some(50));
@@ -467,7 +453,7 @@ mod tests {
 
     #[test]
     fn next_delivery_at_skips_undeliverable_heads() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig { latency: (10, 11), drop_probability: 0.0 }, 1);
+        let mut net: SimNet<u32> = sim(NetConfig { latency: (10, 11), drop_probability: 0.0 }, 1);
         net.send(&n("a"), &n("b"), 1);
         net.advance_to(5);
         net.send(&n("a"), &n("c"), 2); // due at 15, after the doomed head
@@ -484,7 +470,7 @@ mod tests {
 
     #[test]
     fn one_way_block_is_directional() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig::default(), 1);
+        let mut net: SimNet<u32> = sim(NetConfig::default(), 1);
         net.block_link(&n("a"), &n("b"));
         net.send(&n("a"), &n("b"), 1); // blocked direction
         net.send(&n("b"), &n("a"), 2); // reverse still open
@@ -500,7 +486,7 @@ mod tests {
 
     #[test]
     fn duplication_delivers_extra_copies() {
-        let mut net: SimNet<u32> = SimNet::new(NetConfig { latency: (1, 2), drop_probability: 0.0 }, 9);
+        let mut net: SimNet<u32> = sim(NetConfig { latency: (1, 2), drop_probability: 0.0 }, 9);
         net.set_duplicate_probability(1.0);
         for i in 0..10 {
             net.send(&n("a"), &n("b"), i);
@@ -526,7 +512,7 @@ mod tests {
     #[test]
     fn send_clones_only_drawn_duplicates() {
         let clones = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut net: SimNet<Counted> = SimNet::new(NetConfig::default(), 5);
+        let mut net: SimNet<Counted> = sim(NetConfig::default(), 5);
         for _ in 0..10 {
             net.send(&n("a"), &n("b"), Counted(clones.clone()));
         }

@@ -33,11 +33,6 @@ impl TeePlatform {
         TeePlatform::SgxSim { overhead_factor: 0.8 }
     }
 
-    /// True when running without a TEE.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, TeePlatform::Virtual)
-    }
-
     /// Charges the platform tax for a unit of enclave work that took
     /// `elapsed` of real time: spins for `overhead_factor × elapsed`.
     pub fn charge_execution(&self, elapsed: Duration) {

@@ -2,6 +2,7 @@
 //! read-only fast path, forwarding & session consistency, script apps and
 //! live code updates, failure handling.
 
+use ccf_consensus::invariants::InvariantChecker;
 use ccf_core::app::{AppResult, Application, EndpointDef};
 use ccf_core::indexer::KeyToTxIds;
 use ccf_core::node::CcfNode;
@@ -406,6 +407,27 @@ fn entries_are_decrypted_once_per_backup_and_applied_identically() {
     }
 }
 
+/// A node that joins from the primary's snapshot records its install and
+/// boot commit in the service registry: `consensus.snapshots_installed`
+/// counts it, and the invariant checker consumes the boot commit record.
+#[test]
+fn snapshot_join_records_its_boot_install_and_commit() {
+    let mut service = start_open(26, 3);
+    let r = service.user_request(0, "POST", "/log", b"1=before join");
+    service.run_until_committed(r.txid.unwrap());
+    let primary = service.primary().unwrap();
+    let snap_seqno = service.nodes[&primary].latest_snapshot().unwrap().last_txid.seqno;
+
+    let mut checker = InvariantChecker::new(service.obs());
+    let installs = service.obs().counter("consensus.snapshots_installed");
+    let before = installs.get();
+    let id = service.join_pending("n3", Some(&primary));
+    assert_eq!(installs.get(), before + 1, "the boot install was not counted");
+    checker.check(service.nodes.iter().map(|(id, node)| (id, node.as_ref())));
+    assert!(checker.ok(), "{:?}", checker.violations());
+    assert_eq!(checker.record_commit(&id), snap_seqno, "no boot commit record for {id}");
+}
+
 #[test]
 fn partitioned_primary_rolls_back_into_a_closed_chunk() {
     let mut service = start_open(25, 3);
@@ -441,7 +463,7 @@ fn partitioned_primary_rolls_back_into_a_closed_chunk() {
 
     // Healing hands the old primary the majority's log, which cuts into
     // its closed chunk.
-    let rollbacks = service.obs().counter("node.rollback_events");
+    let rollbacks = service.obs().counter("consensus.rollbacks");
     let rollbacks_before = rollbacks.get();
     service.net.heal();
     service.run_until_committed(kept);
