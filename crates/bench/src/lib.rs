@@ -12,6 +12,7 @@ use ccf_core::app::{AppResult, Application, Caller, EndpointDef, Request, Respon
 use ccf_core::node::CcfNode;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
 use ccf_crypto::chacha::ChaChaRng;
+use ccf_sim::Input;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,15 +67,13 @@ const SETTLE_MS: u64 = 100;
 /// measured from outside. With every node on its own machine, as in the
 /// paper's testbed, the busiest node bounds throughput.
 pub struct TimedService {
-    /// The service. Its own clock stops at [`TimedService::new`]: step
-    /// it only through [`TimedService::step`] from then on.
+    /// The service.
     pub service: ServiceCluster,
     /// The nodes, in id order.
     pub nodes: Vec<Arc<CcfNode>>,
     ids: Vec<NodeId>,
     /// Index of the primary in `nodes`.
     pub primary: usize,
-    now: u64,
     /// Wall ns inside each node's calls, indexed like `nodes`.
     pub busy_ns: Vec<u64>,
 }
@@ -88,37 +87,27 @@ impl TimedService {
             nodes: service.nodes.values().cloned().collect(),
             primary: ids.iter().position(|id| *id == primary_id).expect("primary is a node"),
             busy_ns: vec![0; ids.len()],
-            now: service.now(),
             ids,
             service,
         }
     }
 
-    /// One millisecond of virtual time: the same calls, in the same
-    /// order, as `ServiceCluster::step`, each timed into its node.
+    /// One millisecond of virtual time: `ServiceCluster::step`'s calls
+    /// through the same [`ccf_sim::SimNet::step`], each timed into its
+    /// node.
     pub fn step(&mut self) {
-        self.now += 1;
+        let (ids, busy_ns) = (&self.ids, &mut self.busy_ns);
         let svc = &mut self.service;
-        svc.obs().set_now(self.now);
-        for d in svc.net.deliveries_until(self.now) {
-            let Some(idx) = self.ids.iter().position(|id| *id == d.to) else {
-                continue;
+        svc.net.step(&mut svc.nodes, |id, node, input| {
+            let idx = ids.iter().position(|i| i == id).expect("known node");
+            let t0 = Instant::now();
+            let out = match input {
+                Input::Receive { from, msg } => node.receive(&from, msg),
+                Input::Tick(now) => node.tick(now),
             };
-            let t0 = Instant::now();
-            let out = self.nodes[idx].receive(&d.from, d.msg);
-            self.busy_ns[idx] += t0.elapsed().as_nanos() as u64;
-            for (to, msg) in out {
-                svc.net.send(&d.to, &to, msg);
-            }
-        }
-        for (idx, node) in self.nodes.iter().enumerate() {
-            let t0 = Instant::now();
-            let out = node.tick(self.now);
-            self.busy_ns[idx] += t0.elapsed().as_nanos() as u64;
-            for (to, msg) in out {
-                svc.net.send(&self.ids[idx], &to, msg);
-            }
-        }
+            busy_ns[idx] += t0.elapsed().as_nanos() as u64;
+            out
+        });
     }
 
     /// Sends `req` to node `idx`; returns the response and the call's

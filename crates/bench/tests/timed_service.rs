@@ -1,6 +1,7 @@
-//! `TimedService` does the same work as the service's own stepping: from
-//! the same seed and the same requests, its steps leave byte-identical
-//! metrics to `ServiceCluster::run_for`.
+//! `TimedService` steps the service through the same `SimNet::step` as
+//! `ServiceCluster::step`, only with a timing closure: from the same seed
+//! and the same requests, its steps leave byte-identical metrics to
+//! `ServiceCluster::run_for`, so timing changes nothing it measures.
 
 use ccf_bench::{bench_opts, logging_app, TimedService, MESSAGE};
 use ccf_core::app::{Caller, Request};

@@ -1,5 +1,8 @@
-//! The consensus-level chaos driver: applies a seeded [`FaultSchedule`]
-//! to a [`Cluster`] while checking safety invariants after every step.
+//! The chaos driver: applies a seeded [`FaultSchedule`] to a cluster
+//! while checking safety invariants after every step. [`run_chaos`] is
+//! the one run loop and fault dispatcher; a [`ChaosHarness`] supplies
+//! what differs per cluster. This crate's harness is the consensus-level
+//! [`Cluster`]; `ccf-core` adds the full service.
 //!
 //! Everything — cluster timeouts, network latency, the fault schedule —
 //! derives from the one seed, so `run_consensus_chaos(seed, …)` is a pure
@@ -8,10 +11,11 @@
 
 use crate::harness::Cluster;
 use crate::invariants::{forensics, Forensics, InvariantChecker, Violation};
+use crate::message::Message;
 use crate::replica::ReplicaConfig;
 use crate::{Config, NodeId, Seqno};
 use ccf_sim::nemesis::{FaultSchedule, NemesisOp};
-use ccf_sim::{NetConfig, Time};
+use ccf_sim::{NetConfig, SimNet, Time};
 
 /// Outcome of one chaos run.
 #[derive(Debug, Clone)]
@@ -64,12 +68,46 @@ pub fn chaos_net_config() -> NetConfig {
     NetConfig { latency: (1, 10), drop_probability: 0.0 }
 }
 
-/// Runs a 5-node cluster under `schedule` for `horizon` virtual ms,
-/// checking invariants after every step. Deterministic in `(seed,
-/// schedule, horizon)`.
-pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> ChaosReport {
-    let mut cluster = Cluster::new(5, chaos_replica_config(), chaos_net_config(), seed);
-    let mut checker = InvariantChecker::new(cluster.obs());
+/// A cluster a chaos run can drive. [`run_chaos`] owns the run loop, the
+/// report and every network and crash fault; a harness supplies only what
+/// differs between the consensus cluster and the full service.
+pub trait ChaosHarness {
+    /// The simulated network: crash, partition and link faults act on it.
+    fn net(&mut self) -> &mut SimNet<Message>;
+    /// Advances the cluster by one virtual millisecond.
+    fn step(&mut self);
+    /// Every node id, crashed or not, in id order.
+    fn node_ids(&self) -> Vec<NodeId>;
+    /// The nodes a kill may pick from, in id order.
+    fn live_ids(&self) -> Vec<NodeId>;
+    /// The current primary, if any.
+    fn primary(&self) -> Option<NodeId>;
+    /// Feeds every node's state to `checker`.
+    fn check(&self, checker: &mut InvariantChecker);
+    /// The highest commit seqno on any node.
+    fn max_commit(&self) -> Seqno;
+    /// Submits `k` client transactions ([`NemesisOp::ClientBurst`]).
+    fn client_burst(&mut self, k: usize, report: &mut ChaosReport);
+    /// Starts adding a node ([`NemesisOp::AddNode`]).
+    fn join_node(&mut self);
+    /// Starts removing the node at `slot` ([`NemesisOp::RemoveNode`]).
+    fn remove_node(&mut self, slot: usize);
+    /// Checks the harness's own invariants into `report`: called before
+    /// every fault and once when the run ends.
+    fn audit(&mut self, _report: &mut ChaosReport) {}
+}
+
+/// Runs `harness` under `schedule` for `horizon` virtual ms from its
+/// current time, checking invariants after every step. `seed` is the one
+/// the harness and schedule derive from; the run is deterministic in it.
+pub fn run_chaos(
+    harness: &mut impl ChaosHarness,
+    seed: u64,
+    schedule: &FaultSchedule,
+    horizon: Time,
+) -> ChaosReport {
+    let reg = harness.net().registry().clone();
+    let mut checker = InvariantChecker::new(&reg);
     let mut report = ChaosReport {
         seed,
         steps: 0,
@@ -81,136 +119,172 @@ pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -
         metrics: ccf_obs::Snapshot::default(),
         forensics: None,
     };
-    let mut next_event = 0;
-    let mut added_nodes: u64 = 0;
-
-    while cluster.now() < horizon {
-        while next_event < schedule.events.len() && schedule.events[next_event].at <= cluster.now()
-        {
-            let op = schedule.events[next_event].op.clone();
-            next_event += 1;
-            apply_op(&mut cluster, &op, &mut report, &mut added_nodes);
+    let start = harness.net().now();
+    let mut events = schedule.events.iter().peekable();
+    while harness.net().now() - start < horizon {
+        let offset = harness.net().now() - start;
+        while let Some(event) = events.next_if(|e| e.at <= offset) {
+            report.faults_applied += 1;
+            harness.audit(&mut report);
+            apply_fault(harness, &event.op, &mut report);
         }
-        cluster.step();
+        harness.step();
         report.steps += 1;
-        checker.check_cluster(&cluster);
+        harness.check(&mut checker);
         if !checker.ok() {
-            report.violations = checker.violations().to_vec();
-            report.forensics = Some(forensics(cluster.obs(), 64, 4));
             break;
         }
     }
-    report.max_commit = cluster
-        .replicas
-        .values()
-        .map(|r| r.commit_seqno())
-        .max()
-        .unwrap_or(0);
-    if report.violations.is_empty() {
-        report.violations = checker.violations().to_vec();
-    }
+    harness.audit(&mut report);
+    report.max_commit = harness.max_commit();
+    report.violations.extend(checker.violations().iter().cloned());
     report.protocol_records = checker.protocol_records();
-    report.metrics = cluster.obs().snapshot();
+    if !report.ok() {
+        report.forensics = Some(forensics(&reg, 64, 4));
+    }
+    report.metrics = reg.snapshot();
     report
 }
 
-fn apply_op(cluster: &mut Cluster, op: &NemesisOp, report: &mut ChaosReport, added: &mut u64) {
-    report.faults_applied += 1;
+/// Applies one fault. Slots resolve against the membership at this
+/// moment, so a shrunk schedule still means something.
+fn apply_fault(harness: &mut impl ChaosHarness, op: &NemesisOp, report: &mut ChaosReport) {
+    let ids = harness.node_ids();
     match op {
         NemesisOp::KillPrimary => {
-            if let Some(p) = cluster.primary() {
-                if cluster.live_ids().len() > 1 {
-                    cluster.crash(&p);
+            if let Some(p) = harness.primary() {
+                if harness.live_ids().len() > 1 {
+                    harness.net().crash(&p);
                 }
             }
         }
         NemesisOp::KillNode(slot) => {
-            let live = cluster.live_ids();
+            let live = harness.live_ids();
             if live.len() > 1 {
-                let victim = live[slot % live.len()].clone();
-                cluster.crash(&victim);
+                harness.net().crash(&live[slot % live.len()]);
             }
         }
         NemesisOp::RestartNode(slot) => {
-            let down: Vec<NodeId> = cluster
-                .replicas
-                .keys()
-                .filter(|id| cluster.is_crashed(id))
-                .cloned()
-                .collect();
+            let net = harness.net();
+            let down: Vec<&NodeId> = ids.iter().filter(|id| net.is_crashed(id)).collect();
             if !down.is_empty() {
-                let back = down[slot % down.len()].clone();
-                cluster.restart(&back);
+                net.restart(down[slot % down.len()]);
             }
         }
         NemesisOp::Partition { left } => {
-            let ids: Vec<NodeId> = cluster.replicas.keys().cloned().collect();
             let cut = (*left).clamp(1, ids.len().saturating_sub(1));
             if cut < ids.len() {
                 let a = ids[..cut].iter().cloned().collect();
                 let b = ids[cut..].iter().cloned().collect();
-                cluster.net.partition(vec![a, b]);
+                harness.net().partition(vec![a, b]);
             }
         }
         NemesisOp::OneWayBlock { from, to } => {
-            let ids: Vec<NodeId> = cluster.replicas.keys().cloned().collect();
-            let f = &ids[from % ids.len()];
-            let t = &ids[to % ids.len()];
+            let (f, t) = (&ids[from % ids.len()], &ids[to % ids.len()]);
             if f != t {
-                cluster.net.block_link(f, t);
+                harness.net().block_link(f, t);
             }
         }
-        NemesisOp::Heal => cluster.net.heal(),
+        NemesisOp::Heal => harness.net().heal(),
         NemesisOp::SetDuplication(p) => {
-            cluster.net.set_duplicate_probability(f64::from(*p) / 100.0)
+            harness.net().set_duplicate_probability(f64::from(*p) / 100.0)
         }
-        NemesisOp::SetDrop(p) => cluster.net.set_drop_probability(f64::from(*p) / 100.0),
-        NemesisOp::SetLatency { lo, hi } => cluster.net.set_latency(*lo, *hi),
-        NemesisOp::ClientBurst(k) => {
-            for i in 0..*k {
-                let payload = format!("chaos-{}-{}", report.faults_applied, i);
-                if cluster.propose(payload.as_bytes()).is_ok() {
-                    report.proposals += 1;
+        NemesisOp::SetDrop(p) => harness.net().set_drop_probability(f64::from(*p) / 100.0),
+        NemesisOp::SetLatency { lo, hi } => harness.net().set_latency(*lo, *hi),
+        NemesisOp::ClientBurst(k) => harness.client_burst(*k, report),
+        NemesisOp::AddNode => harness.join_node(),
+        NemesisOp::RemoveNode(slot) => harness.remove_node(*slot),
+    }
+}
+
+/// Nodes in a consensus chaos run's initial cluster.
+const CHAOS_NODES: usize = 5;
+
+/// Runs a 5-node cluster under `schedule` for `horizon` virtual ms,
+/// checking invariants after every step. Deterministic in `(seed,
+/// schedule, horizon)`.
+pub fn run_consensus_chaos(seed: u64, schedule: &FaultSchedule, horizon: Time) -> ChaosReport {
+    let mut cluster =
+        Cluster::new(CHAOS_NODES, chaos_replica_config(), chaos_net_config(), seed);
+    run_chaos(&mut cluster, seed, schedule, horizon)
+}
+
+impl ChaosHarness for Cluster {
+    fn net(&mut self) -> &mut SimNet<Message> {
+        &mut self.net
+    }
+
+    fn step(&mut self) {
+        Cluster::step(self)
+    }
+
+    fn node_ids(&self) -> Vec<NodeId> {
+        self.replicas.keys().cloned().collect()
+    }
+
+    fn live_ids(&self) -> Vec<NodeId> {
+        Cluster::live_ids(self)
+    }
+
+    fn primary(&self) -> Option<NodeId> {
+        Cluster::primary(self)
+    }
+
+    /// Crashed replicas included: their frozen state must still agree
+    /// with history.
+    fn check(&self, checker: &mut InvariantChecker) {
+        checker.check(&self.replicas)
+    }
+
+    fn max_commit(&self) -> Seqno {
+        self.replicas.values().map(|r| r.commit_seqno()).max().unwrap_or(0)
+    }
+
+    fn client_burst(&mut self, k: usize, report: &mut ChaosReport) {
+        for i in 0..k {
+            let payload = format!("chaos-{}-{}", report.faults_applied, i);
+            if self.propose(payload.as_bytes()).is_ok() {
+                report.proposals += 1;
+            }
+        }
+    }
+
+    fn join_node(&mut self) {
+        // Cap growth; every other join (the 2nd, 4th, …) bootstraps from
+        // a snapshot of the current primary (snapshot-join under churn).
+        // Replicas are never removed, so the count names the next join.
+        if self.replicas.len() >= 9 {
+            return;
+        }
+        let joined = self.replicas.len() - CHAOS_NODES;
+        let id = format!("c{joined}");
+        let snapshot = if joined % 2 == 1 {
+            self.primary().and_then(|p| {
+                let snap = self.replicas[&p].snapshot_descriptor(Vec::new());
+                if let Some(s) = snap.clone() {
+                    self.replicas.get_mut(&p).unwrap().set_latest_snapshot(s);
                 }
-            }
+                snap
+            })
+        } else {
+            None
+        };
+        self.add_node(id.clone(), chaos_replica_config(), snapshot);
+        if let Some(p) = self.primary() {
+            let mut config: Config = self.replicas[&p].config_union();
+            config.insert(id);
+            let _ = self.propose_reconfig(&config);
         }
-        NemesisOp::AddNode => {
-            // Cap growth; every other join bootstraps from a snapshot of
-            // the current primary (snapshot-join under churn).
-            if cluster.replicas.len() >= 9 {
-                return;
-            }
-            let id = format!("c{added}");
-            *added += 1;
-            let snapshot = if (*added).is_multiple_of(2) {
-                cluster.primary().and_then(|p| {
-                    let primary = &cluster.replicas[&p];
-                    let snap = primary.snapshot_descriptor(Vec::new());
-                    if let Some(s) = snap.clone() {
-                        cluster.replicas.get_mut(&p).unwrap().set_latest_snapshot(s);
-                    }
-                    snap
-                })
-            } else {
-                None
-            };
-            cluster.add_node(id.clone(), chaos_replica_config(), snapshot);
-            if let Some(p) = cluster.primary() {
-                let mut config: Config = cluster.replicas[&p].config_union();
-                config.insert(id);
-                let _ = cluster.propose_reconfig(&config);
-            }
-        }
-        NemesisOp::RemoveNode(slot) => {
-            if let Some(p) = cluster.primary() {
-                let config: Config = cluster.replicas[&p].config_union();
-                if config.len() > 2 {
-                    let ids: Vec<NodeId> = config.iter().cloned().collect();
-                    let victim = ids[slot % ids.len()].clone();
-                    let remaining: Config =
-                        config.into_iter().filter(|n| n != &victim).collect();
-                    let _ = cluster.propose_reconfig(&remaining);
-                }
+    }
+
+    fn remove_node(&mut self, slot: usize) {
+        if let Some(p) = self.primary() {
+            let config: Config = self.replicas[&p].config_union();
+            if config.len() > 2 {
+                let ids: Vec<NodeId> = config.iter().cloned().collect();
+                let victim = ids[slot % ids.len()].clone();
+                let remaining: Config = config.into_iter().filter(|n| n != &victim).collect();
+                let _ = self.propose_reconfig(&remaining);
             }
         }
     }

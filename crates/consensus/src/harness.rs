@@ -14,8 +14,8 @@ use ccf_crypto::Digest32;
 use ccf_kv::{builtin, MapName, WriteSet};
 use ccf_ledger::entry::EntryKind;
 use ccf_ledger::{LedgerEntry, SignaturePayload, TxId};
-use ccf_sim::{NetConfig, SimNet};
-use std::collections::{BTreeMap, HashSet};
+use ccf_sim::{Input, NetConfig, SimNet};
+use std::collections::BTreeMap;
 
 /// A [`SignatureFactory`] backed by a real Ed25519 node key, producing
 /// signature entries whose payload lands in the
@@ -111,14 +111,10 @@ pub fn reconfig_entry(txid: TxId, config: &Config) -> ReplicatedEntry {
 pub struct Cluster {
     /// The replicas, by node ID (crashed ones remain, frozen).
     pub replicas: BTreeMap<NodeId, Replica<KeyedSignatureFactory>>,
-    /// The simulated network.
+    /// The simulated network (and the run's clock and registry).
     pub net: SimNet<Message>,
-    crashed: HashSet<NodeId>,
-    now: u64,
-    tick_ms: u64,
     seed: u64,
     next_node_seed: u64,
-    obs: ccf_obs::Registry,
 }
 
 impl Cluster {
@@ -140,27 +136,18 @@ impl Cluster {
             replicas.insert(id.clone(), replica);
         }
         let net = SimNet::new(net_cfg, seed, &obs, Message::kind);
-        Cluster {
-            replicas,
-            net,
-            crashed: HashSet::new(),
-            now: 0,
-            tick_ms: 1,
-            seed,
-            next_node_seed: n as u64,
-            obs,
-        }
+        Cluster { replicas, net, seed, next_node_seed: n as u64 }
     }
 
     /// Current virtual time (ms).
     pub fn now(&self) -> u64 {
-        self.now
+        self.net.now()
     }
 
     /// The observability registry shared by every replica and the
     /// network. Snapshot it to see where a run spent its virtual time.
     pub fn obs(&self) -> &ccf_obs::Registry {
-        &self.obs
+        self.net.registry()
     }
 
     /// Adds a fresh (PENDING) node, optionally bootstrapped from a
@@ -183,47 +170,37 @@ impl Cluster {
             self.seed * 1000 + self.next_node_seed,
             factory,
             snapshot,
-            &self.obs,
+            self.net.registry(),
         );
-        replica.tick(self.now);
+        replica.tick(self.now());
         self.replicas.insert(id.clone(), replica);
         id
     }
 
-    /// Advances the simulation by one tick: deliver due messages, tick
-    /// replicas, flush outboxes. Node-layer events are dropped: there is
-    /// no node layer here, and every transition is already in the
-    /// registry's flight recorder.
+    /// Advances the simulation by one millisecond ([`SimNet::step`]). A
+    /// replica's outbox is flushed only at its tick, never right after a
+    /// receive, which is the schedule every pinned seed replays.
+    /// Node-layer events are dropped: there is no node layer here, and
+    /// every transition is already in the registry's flight recorder.
     pub fn step(&mut self) {
-        self.now += self.tick_ms;
-        self.obs.set_now(self.now);
-        for d in self.net.deliveries_until(self.now) {
-            if self.crashed.contains(&d.to) {
-                continue;
+        self.net.step(&mut self.replicas, |_, replica, input| match input {
+            Input::Receive { from, msg } => {
+                replica.receive(&from, msg);
+                Vec::new()
             }
-            if let Some(replica) = self.replicas.get_mut(&d.to) {
-                replica.receive(&d.from, d.msg);
+            Input::Tick(now) => {
+                replica.tick(now);
+                replica.drain_events();
+                replica.drain_outbox()
             }
-        }
-        let ids: Vec<NodeId> = self.replicas.keys().cloned().collect();
-        for id in ids {
-            if self.crashed.contains(&id) {
-                continue;
-            }
-            let replica = self.replicas.get_mut(&id).unwrap();
-            replica.tick(self.now);
-            for (to, msg) in replica.drain_outbox() {
-                self.net.send(&id, &to, msg);
-            }
-            replica.drain_events();
-        }
+        });
     }
 
     /// Runs until `pred` holds or `deadline_ms` of virtual time passes.
     /// Returns whether the predicate held.
     pub fn run_until(&mut self, deadline_ms: u64, mut pred: impl FnMut(&Cluster) -> bool) -> bool {
-        let deadline = self.now + deadline_ms;
-        while self.now < deadline {
+        let deadline = self.now() + deadline_ms;
+        while self.now() < deadline {
             if pred(self) {
                 return true;
             }
@@ -234,8 +211,7 @@ impl Cluster {
 
     /// Runs for a fixed duration.
     pub fn run_for(&mut self, ms: u64) {
-        let deadline = self.now + ms;
-        while self.now < deadline {
+        for _ in 0..ms {
             self.step();
         }
     }
@@ -246,7 +222,7 @@ impl Cluster {
         let mut primaries: Vec<(&NodeId, View)> = self
             .replicas
             .iter()
-            .filter(|(id, r)| !self.crashed.contains(*id) && r.is_primary())
+            .filter(|(id, r)| !self.is_crashed(id) && r.is_primary())
             .map(|(id, r)| (id, r.view()))
             .collect();
         primaries.sort_by_key(|&(_, v)| std::cmp::Reverse(v));
@@ -263,7 +239,7 @@ impl Cluster {
         let primary = self
             .primary()
             .ok_or(ProposeError::NotPrimary(None))?;
-        let trace = self.obs.mint_trace();
+        let trace = self.obs().mint_trace();
         let replica = self.replicas.get_mut(&primary).unwrap();
         replica.propose(|txid| traced_user_entry(txid, payload, trace))
     }
@@ -284,8 +260,7 @@ impl Cluster {
 
     /// Kills a node (crash fault: silent, permanent).
     pub fn crash(&mut self, id: &str) {
-        self.crashed.insert(id.to_string());
-        self.net.crash(&id.to_string());
+        self.net.crash(id);
     }
 
     /// Revives a crashed node with its in-memory state intact.
@@ -296,21 +271,19 @@ impl Cluster {
     /// *exactly* the state it had, equivalent to a long full partition of
     /// that node, so every safety property must still hold.
     pub fn restart(&mut self, id: &str) {
-        if self.crashed.remove(id) {
-            self.net.restart(&id.to_string());
-        }
+        self.net.restart(id);
     }
 
     /// True if the node was crashed.
     pub fn is_crashed(&self, id: &str) -> bool {
-        self.crashed.contains(id)
+        self.net.is_crashed(id)
     }
 
     /// IDs of live (non-crashed) nodes, in deterministic order.
     pub fn live_ids(&self) -> Vec<NodeId> {
         self.replicas
             .keys()
-            .filter(|id| !self.crashed.contains(*id))
+            .filter(|id| !self.is_crashed(id))
             .cloned()
             .collect()
     }
@@ -319,7 +292,7 @@ impl Cluster {
     pub fn commit_seqnos(&self) -> BTreeMap<NodeId, Seqno> {
         self.replicas
             .iter()
-            .filter(|(id, _)| !self.crashed.contains(*id))
+            .filter(|(id, _)| !self.is_crashed(id))
             .map(|(id, r)| (id.clone(), r.commit_seqno()))
             .collect()
     }
@@ -336,7 +309,7 @@ impl Cluster {
         let live: Vec<_> = self
             .replicas
             .iter()
-            .filter(|(id, _)| !self.crashed.contains(*id))
+            .filter(|(id, _)| !self.is_crashed(id))
             .collect();
         for window in live.windows(2) {
             let (id_a, a) = window[0];

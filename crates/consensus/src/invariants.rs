@@ -29,7 +29,6 @@
 //! Receipt verifiability against the service identity is checked at the
 //! service layer (`ccf-core`), where the identity exists.
 
-use crate::harness::Cluster;
 use crate::replica::{record, Replica, SignatureFactory};
 use crate::{NodeId, Seqno, View};
 use ccf_crypto::Digest32;
@@ -263,12 +262,6 @@ impl InvariantChecker {
             _ => return,
         }
         self.protocol_records += 1;
-    }
-
-    /// Checks every replica in a consensus harness cluster (crashed nodes
-    /// included: their frozen state must still agree with history).
-    pub fn check_cluster(&mut self, cluster: &Cluster) {
-        self.check(&cluster.replicas);
     }
 }
 

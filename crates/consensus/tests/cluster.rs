@@ -474,7 +474,7 @@ fn snapshot_join_records_its_boot_install_and_commit() {
     let before = installs.get();
     let id = cluster.add_node("n3", fast_cfg(), Some(snapshot));
     assert_eq!(installs.get(), before + 1, "the boot install was not counted");
-    checker.check_cluster(&cluster);
+    checker.check(&cluster.replicas);
     assert!(checker.ok(), "{:?}", checker.violations());
     assert_eq!(checker.record_commit(&id), snap_seqno, "no boot commit record for {id}");
 }

@@ -18,7 +18,7 @@ use ccf_crypto::{SigningKey, VerifyingKey};
 use ccf_governance::{member_id, Ballot, Proposal, ProposalState};
 use ccf_ledger::{Receipt, TxId};
 use ccf_script::Value;
-use ccf_sim::{NetConfig, SimNet};
+use ccf_sim::{Input, NetConfig, SimNet};
 use ccf_tee::TeePlatform;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -81,11 +81,12 @@ impl Default for ServiceOpts {
     }
 }
 
-/// A user session (§4.3): pinned to a node; once a request has been
-/// forwarded to the primary, all subsequent requests follow, and the
+/// A user session (§4.3): a caller pinned to a node; once a request has
+/// been forwarded to the primary, all subsequent requests follow, and the
 /// session terminates if that primary changes.
 struct Session {
     node: NodeId,
+    caller: Caller,
     forwarded_to: Option<(NodeId, u64)>, // (primary, its view_epoch)
 }
 
@@ -93,7 +94,8 @@ struct Session {
 pub struct ServiceCluster {
     /// All nodes ever started (including crashed/retired), by id.
     pub nodes: BTreeMap<NodeId, Arc<CcfNode>>,
-    /// The simulated network.
+    /// The simulated network. It also holds the virtual clock and the
+    /// observability registry every node reports into.
     pub net: SimNet<Message>,
     /// Member key material, by member id.
     pub members: BTreeMap<String, MemberKeys>,
@@ -101,15 +103,10 @@ pub struct ServiceCluster {
     opts_consensus: ReplicaConfig,
     platform: TeePlatform,
     snapshot_interval: u64,
-    now: u64,
-    crashed: std::collections::HashSet<NodeId>,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
     service_identity: Option<VerifyingKey>,
     next_seed: u64,
-    /// Shared observability registry: every node, the network, and the
-    /// virtual clock report into this one registry.
-    obs: ccf_obs::Registry,
 }
 
 impl ServiceCluster {
@@ -156,13 +153,10 @@ impl ServiceCluster {
             opts_consensus: opts.consensus.clone(),
             platform: opts.platform,
             snapshot_interval: opts.snapshot_interval,
-            now: 0,
-            crashed: Default::default(),
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity: None,
             next_seed: 1,
-            obs,
         };
         // Single node elects itself…
         assert!(
@@ -201,7 +195,7 @@ impl ServiceCluster {
     /// The service-wide observability registry (shared by every node,
     /// the simulated network, and the virtual clock).
     pub fn obs(&self) -> &ccf_obs::Registry {
-        &self.obs
+        self.net.registry()
     }
 
     /// Assembles a cluster around a single already-configured node — the
@@ -214,8 +208,7 @@ impl ServiceCluster {
     ) -> ServiceCluster {
         let app = node.app_handle();
         let service_identity = node.service_identity();
-        let obs = node.obs().clone();
-        let net = SimNet::new(NetConfig::default(), seed, &obs, Message::kind);
+        let net = SimNet::new(NetConfig::default(), seed, node.obs(), Message::kind);
         ServiceCluster {
             nodes: BTreeMap::from([(node.id.clone(), node)]),
             net,
@@ -224,13 +217,10 @@ impl ServiceCluster {
             opts_consensus: ReplicaConfig::default(),
             platform: TeePlatform::Virtual,
             snapshot_interval: 20,
-            now: 0,
-            crashed: Default::default(),
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity,
             next_seed: 1,
-            obs,
         }
     }
 
@@ -265,7 +255,7 @@ impl ServiceCluster {
                 seed: self.next_seed * 7919,
                 snapshot_interval: self.snapshot_interval,
                 max_occ_retries: 8,
-                obs: self.obs.clone(),
+                obs: self.obs().clone(),
             },
             self.app.clone(),
             snapshot,
@@ -306,33 +296,15 @@ impl ServiceCluster {
 
     /// Current virtual time (ms).
     pub fn now(&self) -> u64 {
-        self.now
+        self.net.now()
     }
 
-    /// One millisecond of virtual time.
+    /// One millisecond of virtual time ([`SimNet::step`]).
     pub fn step(&mut self) {
-        self.now += 1;
-        self.obs.set_now(self.now);
-        for d in self.net.deliveries_until(self.now) {
-            if self.crashed.contains(&d.to) {
-                continue;
-            }
-            if let Some(node) = self.nodes.get(&d.to) {
-                for (to, msg) in node.receive(&d.from, d.msg) {
-                    self.net.send(&d.to, &to, msg);
-                }
-            }
-        }
-        let ids: Vec<NodeId> = self.nodes.keys().cloned().collect();
-        for id in ids {
-            if self.crashed.contains(&id) {
-                continue;
-            }
-            let node = self.nodes[&id].clone();
-            for (to, msg) in node.tick(self.now) {
-                self.net.send(&id, &to, msg);
-            }
-        }
+        self.net.step(&mut self.nodes, |_, node, input| match input {
+            Input::Receive { from, msg } => node.receive(&from, msg),
+            Input::Tick(now) => node.tick(now),
+        });
     }
 
     /// Runs for `ms` of virtual time.
@@ -344,8 +316,8 @@ impl ServiceCluster {
 
     /// Runs until `pred` holds (true) or `deadline_ms` passes (false).
     pub fn run_until(&mut self, deadline_ms: u64, mut pred: impl FnMut(&ServiceCluster) -> bool) -> bool {
-        let deadline = self.now + deadline_ms;
-        while self.now < deadline {
+        let deadline = self.now() + deadline_ms;
+        while self.now() < deadline {
             if pred(self) {
                 return true;
             }
@@ -370,7 +342,7 @@ impl ServiceCluster {
     pub fn primary(&self) -> Option<NodeId> {
         let mut best: Option<(NodeId, u64)> = None;
         for (id, node) in &self.nodes {
-            if self.crashed.contains(id) {
+            if self.is_crashed(id) {
                 continue;
             }
             if node.is_primary() {
@@ -387,19 +359,18 @@ impl ServiceCluster {
     pub fn live_nodes(&self) -> Vec<&NodeId> {
         self.nodes
             .keys()
-            .filter(|id| !self.crashed.contains(*id) && !self.nodes[*id].is_retired())
+            .filter(|id| !self.is_crashed(id) && !self.nodes[*id].is_retired())
             .collect()
     }
 
     /// Crashes a node (silent, permanent — CCF nodes are ephemeral, §6.2).
     pub fn crash(&mut self, id: &str) {
-        self.crashed.insert(id.to_string());
-        self.net.crash(&id.to_string());
+        self.net.crash(id);
     }
 
     /// True if crashed.
     pub fn is_crashed(&self, id: &str) -> bool {
-        self.crashed.contains(id)
+        self.net.is_crashed(id)
     }
 
     /// Revives a crashed node with its in-memory state intact (chaos
@@ -408,29 +379,46 @@ impl ServiceCluster {
     /// partition of that node, so it is a valid — and stronger — fault
     /// for the nemesis to inject.
     pub fn restart(&mut self, id: &str) {
-        if self.crashed.remove(id) {
-            self.net.restart(&id.to_string());
-        }
+        self.net.restart(id);
     }
 
     // ------------------------------------------------------------------
     // Users
     // ------------------------------------------------------------------
 
-    /// Opens a user session against node index `node_idx` (connect to any
-    /// node, §4.3). Crashed nodes are skipped — a real client's TCP
-    /// connect would fail and it would retry the next node (§6.3).
+    /// The live node at index `node_idx` (modulo the live count): a real
+    /// client's TCP connect to a crashed node fails and it retries the
+    /// next node (§6.3).
+    fn live_node(&self, node_idx: usize) -> NodeId {
+        let live: Vec<&NodeId> = self.nodes.keys().filter(|id| !self.is_crashed(id)).collect();
+        live[node_idx % live.len()].clone()
+    }
+
+    /// Where to follow a 307 whose body is the leader `hint`: the hinted
+    /// node if it is live, else the cluster's current primary, as a
+    /// retrying client scanning nodes would find it (the hint goes stale
+    /// when the old primary crashes). `None` when no primary is reachable.
+    fn forward_target(&self, hint: &[u8]) -> Option<NodeId> {
+        let hint = String::from_utf8_lossy(hint).to_string();
+        if self.nodes.contains_key(&hint) && !self.is_crashed(&hint) {
+            Some(hint)
+        } else {
+            self.primary()
+        }
+    }
+
+    /// Opens a session for `user0` against node index `node_idx` (connect
+    /// to any live node, §4.3).
     pub fn open_session(&mut self, node_idx: usize) -> u64 {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .filter(|id| !self.crashed.contains(*id))
-            .cloned()
-            .collect();
-        let node = live[node_idx % live.len()].clone();
+        self.open_session_as("user0", node_idx)
+    }
+
+    fn open_session_as(&mut self, user: &str, node_idx: usize) -> u64 {
+        let node = self.live_node(node_idx);
         let id = self.next_session;
         self.next_session += 1;
-        self.sessions.insert(id, Session { node, forwarded_to: None });
+        let caller = Caller::User(user.to_string());
+        self.sessions.insert(id, Session { node, caller, forwarded_to: None });
         id
     }
 
@@ -447,14 +435,14 @@ impl ServiceCluster {
         let Some(session) = self.sessions.get(&session_id) else {
             return Response::error(400, "no such session");
         };
-        if self.crashed.contains(&session.node) {
+        if self.is_crashed(&session.node) {
             return Response::error(503, "node unreachable; reconnect to another node");
         }
         // Session consistency: once forwarded, always forwarded — and if
         // the forwarding target's epoch changed, terminate the session.
         let target = match &session.forwarded_to {
             Some((primary, epoch)) => {
-                if self.crashed.contains(primary)
+                if self.is_crashed(primary)
                     || self.nodes[primary].view_epoch() != *epoch
                     || !self.nodes[primary].is_primary()
                 {
@@ -465,43 +453,45 @@ impl ServiceCluster {
             }
             None => session.node.clone(),
         };
-        let req = Request::new(method, path, Caller::User("user0".to_string()), body);
+        let req = Request::new(method, path, session.caller.clone(), body);
         let resp = self.nodes[&target].handle_request(&req);
-        if resp.status == 307 {
-            // Forward to the primary hint and pin the session (§4.3).
-            let mut hint = String::from_utf8_lossy(&resp.body).to_string();
-            if hint.is_empty() || self.crashed.contains(&hint) || !self.nodes.contains_key(&hint) {
-                // Stale hint (e.g. the old primary just crashed): fall
-                // back to the cluster's current primary, as a retrying
-                // client scanning nodes would find it.
-                match self.primary() {
-                    Some(p) => hint = p,
-                    None => return Response::error(503, "no reachable primary"),
-                }
-            }
-            let epoch = self.nodes[&hint].view_epoch();
-            self.sessions.get_mut(&session_id).unwrap().forwarded_to = Some((hint.clone(), epoch));
-            let forwarded = self.nodes[&hint].handle_request(&req);
-            // The forwarding hop is a zero-duration stage on the request's
-            // trace, attributed to the backup that issued the 307.
-            if let Some(txid) = forwarded.txid {
-                let trace = self.nodes[&hint].trace_of(txid);
-                self.obs.trace_mark(
-                    trace,
-                    ccf_obs::SpanId::NONE,
-                    "forward",
-                    self.obs.node_ref(&target),
-                );
-            }
-            return forwarded;
+        if resp.status != 307 {
+            return resp;
         }
-        resp
+        // Forward to the primary and pin the session (§4.3).
+        let Some(primary) = self.forward_target(&resp.body) else {
+            return Response::error(503, "no reachable primary");
+        };
+        let epoch = self.nodes[&primary].view_epoch();
+        self.sessions.get_mut(&session_id).unwrap().forwarded_to = Some((primary.clone(), epoch));
+        let forwarded = self.nodes[&primary].handle_request(&req);
+        // The forwarding hop is a zero-duration stage on the request's
+        // trace, attributed to the backup that issued the 307.
+        if let Some(txid) = forwarded.txid {
+            let trace = self.nodes[&primary].trace_of(txid);
+            let obs = self.obs();
+            obs.trace_mark(trace, ccf_obs::SpanId::NONE, "forward", obs.node_ref(&target));
+        }
+        forwarded
     }
 
-    /// One-shot user request against node index `node_idx`, following
+    /// One-shot `user0` request against node index `node_idx`, following
     /// forwarding (convenience for tests/benches).
     pub fn user_request(&mut self, node_idx: usize, method: &str, path: &str, body: &[u8]) -> Response {
-        let s = self.open_session(node_idx);
+        self.user_request_as("user0", node_idx, method, path, body)
+    }
+
+    /// One-shot request as `user` against the live node at index
+    /// `node_idx`, following forwarding like [`ServiceCluster::user_request`].
+    pub fn user_request_as(
+        &mut self,
+        user: &str,
+        node_idx: usize,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> Response {
+        let s = self.open_session_as(user, node_idx);
         let resp = self.session_request(s, method, path, body);
         self.sessions.remove(&s);
         resp
@@ -550,34 +540,20 @@ impl ServiceCluster {
         node_idx: usize,
         envelopes: Vec<ccf_governance::SignedRequest>,
     ) -> Vec<Response> {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .filter(|id| !self.crashed.contains(*id))
-            .cloned()
-            .collect();
-        let node_id = live[node_idx % live.len()].clone();
+        let node_id = self.live_node(node_idx);
         let mut responses = self.drive_signed_batch(&node_id, envelopes);
         // Follow forwarding: a backup answers 307 with a leader hint.
-        let hint = responses
+        let primary = responses
             .iter()
             .find(|(_, r, _)| r.status == 307)
-            .map(|(_, r, _)| String::from_utf8_lossy(&r.body).to_string());
-        if let Some(mut hint) = hint {
-            if hint.is_empty() || self.crashed.contains(&hint) || !self.nodes.contains_key(&hint) {
-                hint = match self.primary() {
-                    Some(p) => p,
-                    None => {
-                        return responses.into_iter().map(|(_, r, _)| r).collect();
-                    }
-                };
-            }
+            .and_then(|(_, r, _)| self.forward_target(&r.body));
+        if let Some(primary) = primary {
             let redo: Vec<ccf_governance::SignedRequest> = responses
                 .iter()
                 .filter(|(_, r, _)| r.status == 307)
                 .map(|(_, _, e)| e.clone())
                 .collect();
-            let redone = self.drive_signed_batch(&hint, redo);
+            let redone = self.drive_signed_batch(&primary, redo);
             let mut redone_iter = redone.into_iter();
             for slot in responses.iter_mut() {
                 if slot.1.status == 307 {
@@ -626,42 +602,6 @@ impl ServiceCluster {
             .collect()
     }
 
-    /// A request as a specific user id.
-    pub fn user_request_as(
-        &mut self,
-        user: &str,
-        node_idx: usize,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> Response {
-        let node = self
-            .nodes
-            .keys()
-            .nth(node_idx % self.nodes.len())
-            .cloned()
-            .expect("node exists");
-        let req = Request::new(method, path, Caller::User(user.to_string()), body);
-        let resp = self.nodes[&node].handle_request(&req);
-        if resp.status == 307 {
-            let hint = String::from_utf8_lossy(&resp.body).to_string();
-            if let Some(primary) = self.nodes.get(&hint) {
-                let forwarded = primary.handle_request(&req);
-                if let Some(txid) = forwarded.txid {
-                    let trace = primary.trace_of(txid);
-                    self.obs.trace_mark(
-                        trace,
-                        ccf_obs::SpanId::NONE,
-                        "forward",
-                        self.obs.node_ref(&node),
-                    );
-                }
-                return forwarded;
-            }
-        }
-        resp
-    }
-
     // ------------------------------------------------------------------
     // Governance (member tooling)
     // ------------------------------------------------------------------
@@ -679,34 +619,44 @@ impl ServiceCluster {
         self.propose_as(&member, proposal)
     }
 
-    /// Submits `proposal` signed by `member`.
+    /// Submits `proposal` signed by `member`. Returns (id, state).
     pub fn propose_as(&mut self, member: &str, proposal: Proposal) -> (String, ProposalState) {
-        let nonce = self.bump_nonce(member);
-        let primary = self.primary().expect("no primary for proposal");
-        let key = &self.members[member].signing;
-        let resp = self.nodes[&primary].submit_proposal(key, &proposal, nonce);
-        assert_eq!(resp.status, 200, "proposal failed: {}", resp.text());
-        let doc = ccf_script::parse_json(&resp.text()).expect("proposal response json");
-        let id = doc.get("proposal_id").unwrap().as_str().unwrap().to_string();
-        let state = ProposalState::parse(doc.get("state").unwrap().as_str().unwrap()).unwrap();
-        (id, state)
+        self.try_propose_as(member, &proposal).unwrap_or_else(|e| panic!("proposal failed: {e}"))
     }
 
-    /// Every member submits an approving ballot until accepted.
+    /// [`ServiceCluster::propose_as`] without panicking: `Err` says why
+    /// the proposal was not submitted (no primary, or the primary refused
+    /// it).
+    fn try_propose_as(
+        &mut self,
+        member: &str,
+        proposal: &Proposal,
+    ) -> Result<(String, ProposalState), String> {
+        let primary = self.primary().ok_or("no primary for proposal")?;
+        let nonce = self.bump_nonce(member);
+        let key = &self.members[member].signing;
+        let resp = self.nodes[&primary].submit_proposal(key, proposal, nonce);
+        let doc = gov_reply(&resp)?;
+        let id = doc.get("proposal_id").and_then(|v| v.as_str()).ok_or("no proposal_id")?;
+        Ok((id.to_string(), proposal_state(&doc)?))
+    }
+
+    /// Every member submits an approving ballot in turn, stopping once the
+    /// proposal is final, a ballot is refused (e.g. the proposal already
+    /// closed) or no primary is reachable. Returns the last state a ballot
+    /// reported.
     pub fn vote_all(&mut self, proposal_id: &str) -> ProposalState {
         let member_ids: Vec<String> = self.members.keys().cloned().collect();
         let mut last = ProposalState::Open;
         for m in member_ids {
+            let Some(primary) = self.primary() else { break };
             let nonce = self.bump_nonce(&m);
-            let primary = self.primary().expect("no primary for ballot");
             let key = &self.members[&m].signing;
             let resp = self.nodes[&primary].submit_ballot(key, proposal_id, &Ballot::approve(), nonce);
-            if resp.status != 200 {
-                // Proposal may already be closed (accepted) — stop.
-                break;
+            match gov_reply(&resp).and_then(|doc| proposal_state(&doc)) {
+                Ok(state) => last = state,
+                Err(_) => break,
             }
-            let doc = ccf_script::parse_json(&resp.text()).unwrap();
-            last = ProposalState::parse(doc.get("state").unwrap().as_str().unwrap()).unwrap();
             if last.is_final() {
                 break;
             }
@@ -714,11 +664,21 @@ impl ServiceCluster {
         last
     }
 
+    /// Submits `proposal` from the first member and, unless that settles
+    /// it, has every member vote for it. Never panics: `Err` says why the
+    /// proposal was not submitted.
+    pub fn try_propose_and_vote(&mut self, proposal: &Proposal) -> Result<ProposalState, String> {
+        let member = self.members.keys().next().cloned().ok_or("no members")?;
+        let (pid, state) = self.try_propose_as(&member, proposal)?;
+        Ok(if state.is_final() { state } else { self.vote_all(&pid) })
+    }
+
     /// Proposes and gets majority approval in one call, then waits for the
     /// commit. Returns the proposal state.
     pub fn propose_and_accept(&mut self, proposal: Proposal) -> ProposalState {
-        let (pid, state) = self.propose(proposal);
-        let state = if state.is_final() { state } else { self.vote_all(&pid) };
+        let state = self
+            .try_propose_and_vote(&proposal)
+            .unwrap_or_else(|e| panic!("proposal failed: {e}"));
         self.run_for(200);
         state
     }
@@ -741,4 +701,20 @@ impl ServiceCluster {
         }
         None
     }
+}
+
+/// The JSON body of a 200 governance response, or why there is none.
+fn gov_reply(resp: &Response) -> Result<Value, String> {
+    if resp.status != 200 {
+        return Err(format!("{}: {}", resp.status, resp.text()));
+    }
+    ccf_script::parse_json(&resp.text()).map_err(|e| format!("bad response json: {e:?}"))
+}
+
+/// The `state` field of a governance response.
+fn proposal_state(doc: &Value) -> Result<ProposalState, String> {
+    doc.get("state")
+        .and_then(|v| v.as_str())
+        .and_then(ProposalState::parse)
+        .ok_or_else(|| "response has no proposal state".to_string())
 }

@@ -9,6 +9,8 @@
 //!
 //! The simulator is generic over the message type: `ccf-consensus` drives
 //! it with consensus RPCs, `ccf-core` with full node-to-node traffic.
+//! Every cluster harness advances through the one loop, [`SimNet::step`]:
+//! each node maps an [`Input`] to the messages it sends.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -17,7 +19,7 @@ pub mod nemesis;
 
 use ccf_crypto::chacha::ChaChaRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet};
 
 /// Virtual time in milliseconds.
 pub type Time = u64;
@@ -74,8 +76,22 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
+/// One input to a node driven by [`SimNet::step`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Input<M> {
+    /// A message from `from`, due now.
+    Receive {
+        /// Sender.
+        from: NodeId,
+        /// The message.
+        msg: M,
+    },
+    /// The node's timer tick at this virtual time.
+    Tick(Time),
+}
+
 /// The simulated network: a priority queue of in-flight messages plus
-/// fault state (crashed nodes, partitions).
+/// fault state (crashed nodes, partitions) and the virtual clock.
 pub struct SimNet<M> {
     cfg: NetConfig,
     rng: ChaChaRng,
@@ -93,13 +109,10 @@ pub struct SimNet<M> {
     /// Probability of scheduling a second, independently delayed copy of
     /// any message (duplication fault; 0 = off).
     duplicate_probability: f64,
-    sent: u64,
-    dropped: u64,
-    /// Mirrors of `sent`/`dropped` in the run's observability registry
-    /// (`net.messages_sent` / `net.messages_dropped`).
+    /// `net.messages_sent` / `net.messages_dropped` in the run's registry.
     sent_counter: ccf_obs::Counter,
     dropped_counter: ccf_obs::Counter,
-    /// The run's registry, for flight-recorder events.
+    /// The run's registry: its clock and flight recorder.
     reg: ccf_obs::Registry,
     /// Classifies messages into short static tags ("append_entries",
     /// "request_vote", …) for the flight recorder. A plain `fn` pointer
@@ -128,8 +141,6 @@ impl<M: Eq + Clone> SimNet<M> {
             partition_groups: Vec::new(),
             blocked_links: HashSet::new(),
             duplicate_probability: 0.0,
-            sent: 0,
-            dropped: 0,
             sent_counter: reg.counter("net.messages_sent"),
             dropped_counter: reg.counter("net.messages_dropped"),
             reg: reg.clone(),
@@ -144,14 +155,10 @@ impl<M: Eq + Clone> SimNet<M> {
         self.reg.flight(f, kind, (self.tagger)(msg), Some(t), at, 0);
     }
 
-    fn count_sent(&mut self) {
-        self.sent += 1;
-        self.sent_counter.inc();
-    }
-
-    fn count_dropped(&mut self) {
-        self.dropped += 1;
+    /// Counts and records a lost message.
+    fn drop_msg(&self, from: &NodeId, to: &NodeId, msg: &M, at: Time) {
         self.dropped_counter.inc();
+        self.flight("drop", from, to, msg, at);
     }
 
     /// Current virtual time.
@@ -159,19 +166,9 @@ impl<M: Eq + Clone> SimNet<M> {
         self.now
     }
 
-    /// Advances virtual time (monotonic).
-    pub fn advance_to(&mut self, t: Time) {
-        self.now = self.now.max(t);
-    }
-
-    /// Total messages offered to the network.
-    pub fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    /// Messages lost to drops, crashes, or partitions.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped
+    /// The run's observability registry.
+    pub fn registry(&self) -> &ccf_obs::Registry {
+        &self.reg
     }
 
     /// Whether a message from `a` can currently reach `b` (directional:
@@ -194,29 +191,16 @@ impl<M: Eq + Clone> SimNet<M> {
         }
     }
 
-    /// True when a message queued from `s.from` to `s.to` would be dropped
-    /// rather than delivered if it came due right now.
-    fn undeliverable(&self, to: &NodeId, from: &NodeId) -> bool {
-        self.crashed.contains(to) || !self.can_communicate(from, to)
-    }
-
     /// Sends `msg` from `from` to `to`, subject to faults and latency.
     pub fn send(&mut self, from: &NodeId, to: &NodeId, msg: M) {
-        self.count_sent();
+        self.sent_counter.inc();
         self.flight("send", from, to, &msg, self.now);
-        if self.crashed.contains(from) || self.crashed.contains(to) {
-            self.count_dropped();
-            self.flight("drop", from, to, &msg, self.now);
-            return;
-        }
-        if !self.can_communicate(from, to) {
-            self.count_dropped();
-            self.flight("drop", from, to, &msg, self.now);
-            return;
-        }
-        if self.cfg.drop_probability > 0.0 && self.rng.gen_bool(self.cfg.drop_probability) {
-            self.count_dropped();
-            self.flight("drop", from, to, &msg, self.now);
+        if self.crashed.contains(from)
+            || self.crashed.contains(to)
+            || !self.can_communicate(from, to)
+            || (self.cfg.drop_probability > 0.0 && self.rng.gen_bool(self.cfg.drop_probability))
+        {
+            self.drop_msg(from, to, &msg, self.now);
             return;
         }
         let (lo, hi) = self.cfg.latency;
@@ -251,19 +235,18 @@ impl<M: Eq + Clone> SimNet<M> {
     }
 
     /// Pops every message due at or before `t`, advancing time to `t`.
-    /// Messages to nodes that crashed after sending are dropped at
-    /// delivery time.
+    /// Messages to nodes that crashed or were cut off after sending are
+    /// dropped at delivery time.
     pub fn deliveries_until(&mut self, t: Time) -> Vec<Delivery<M>> {
-        self.advance_to(t);
+        self.now = self.now.max(t);
         let mut out = Vec::new();
         while let Some(Reverse(head)) = self.queue.peek() {
             if head.deliver_at > t {
                 break;
             }
             let Reverse(s) = self.queue.pop().unwrap();
-            if self.undeliverable(&s.to, &s.from) {
-                self.count_dropped();
-                self.flight("drop", &s.from, &s.to, &s.msg, s.deliver_at);
+            if self.crashed.contains(&s.to) || !self.can_communicate(&s.from, &s.to) {
+                self.drop_msg(&s.from, &s.to, &s.msg, s.deliver_at);
                 continue;
             }
             self.flight("recv", &s.from, &s.to, &s.msg, s.deliver_at);
@@ -272,20 +255,51 @@ impl<M: Eq + Clone> SimNet<M> {
         out
     }
 
-    /// Marks a node as crashed: it sends and receives nothing.
-    pub fn crash(&mut self, node: &NodeId) {
-        self.crashed.insert(node.clone());
+    /// Advances virtual time by one millisecond and drives `nodes`
+    /// through it: the registry's clock moves to the new time, every
+    /// message now due goes to its recipient as [`Input::Receive`], then
+    /// every node not marked crashed gets [`Input::Tick`], in id order.
+    /// `f` maps a node's input to the messages it sends; they go out in
+    /// call order, so the whole step is deterministic in the seed.
+    /// Messages due to ids not in `nodes` are lost.
+    pub fn step<N>(
+        &mut self,
+        nodes: &mut BTreeMap<NodeId, N>,
+        mut f: impl FnMut(&NodeId, &mut N, Input<M>) -> Vec<(NodeId, M)>,
+    ) {
+        self.now += 1;
+        self.reg.set_now(self.now);
+        for d in self.deliveries_until(self.now) {
+            if let Some(node) = nodes.get_mut(&d.to) {
+                for (to, msg) in f(&d.to, node, Input::Receive { from: d.from, msg: d.msg }) {
+                    self.send(&d.to, &to, msg);
+                }
+            }
+        }
+        for (id, node) in nodes.iter_mut() {
+            if self.crashed.contains(id) {
+                continue;
+            }
+            for (to, msg) in f(id, node, Input::Tick(self.now)) {
+                self.send(id, &to, msg);
+            }
+        }
     }
 
-    /// Heals a crashed node's connectivity (the consensus layer treats it
-    /// as a fresh node — CCF nodes never resume, §6.2 — but benches reuse
-    /// ids for client endpoints).
-    pub fn restart(&mut self, node: &NodeId) {
+    /// Marks a node as crashed: it sends, receives and ticks nothing.
+    pub fn crash(&mut self, node: &str) {
+        self.crashed.insert(node.to_string());
+    }
+
+    /// Heals a crashed node (the consensus layer treats it as a fresh
+    /// node — CCF nodes never resume, §6.2 — but the chaos harnesses
+    /// resume it in memory).
+    pub fn restart(&mut self, node: &str) {
         self.crashed.remove(node);
     }
 
     /// True if the node is currently crashed.
-    pub fn is_crashed(&self, node: &NodeId) -> bool {
+    pub fn is_crashed(&self, node: &str) -> bool {
         self.crashed.contains(node)
     }
 
@@ -320,33 +334,6 @@ impl<M: Eq + Clone> SimNet<M> {
     pub fn set_latency(&mut self, lo: Time, hi: Time) {
         self.cfg.latency = (lo, hi.max(lo + 1));
     }
-
-    /// Draws from the simulation's RNG (for jitter decisions by harnesses,
-    /// keeping all randomness under the one seed).
-    pub fn rng(&mut self) -> &mut ChaChaRng {
-        &mut self.rng
-    }
-
-    /// Time of the next *deliverable* message, if any (lets harnesses skip
-    /// idle periods).
-    ///
-    /// Messages whose recipient is crashed or partitioned away from the
-    /// sender would be dropped at delivery time anyway; reporting their
-    /// times here made harness `step()` loops busy-advance the clock
-    /// through traffic that could never arrive. Such heads are discarded
-    /// (and counted as dropped) until a deliverable one — or nothing — is
-    /// found.
-    pub fn next_delivery_at(&mut self) -> Option<Time> {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if !self.undeliverable(&head.to, &head.from) {
-                return Some(head.deliver_at);
-            }
-            let Reverse(s) = self.queue.pop().unwrap();
-            self.count_dropped();
-            self.flight("drop", &s.from, &s.to, &s.msg, s.deliver_at);
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -360,6 +347,10 @@ mod tests {
     /// A network on a fresh registry, tagging every message alike.
     fn sim<M: Eq + Clone>(cfg: NetConfig, seed: u64) -> SimNet<M> {
         SimNet::new(cfg, seed, &ccf_obs::Registry::new(), |_| "msg")
+    }
+
+    fn dropped<M: Eq + Clone>(net: &SimNet<M>) -> u64 {
+        net.registry().counter("net.messages_dropped").get()
     }
 
     #[test]
@@ -429,7 +420,7 @@ mod tests {
         net.heal();
         net.send(&n("a"), &n("c"), 3);
         assert_eq!(net.deliveries_until(200).len(), 1);
-        assert_eq!(net.dropped_count(), 1);
+        assert_eq!(dropped(&net), 1);
     }
 
     #[test]
@@ -444,31 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn next_delivery_at_skips_idle_time() {
-        let mut net: SimNet<u32> = sim(NetConfig { latency: (50, 51), drop_probability: 0.0 }, 1);
-        assert_eq!(net.next_delivery_at(), None);
-        net.send(&n("a"), &n("b"), 1);
-        assert_eq!(net.next_delivery_at(), Some(50));
-    }
-
-    #[test]
-    fn next_delivery_at_skips_undeliverable_heads() {
-        let mut net: SimNet<u32> = sim(NetConfig { latency: (10, 11), drop_probability: 0.0 }, 1);
-        net.send(&n("a"), &n("b"), 1);
-        net.advance_to(5);
-        net.send(&n("a"), &n("c"), 2); // due at 15, after the doomed head
-        net.crash(&n("b"));
-        // The head (a→b at 10) can never arrive; the next deliverable
-        // message is a→c at 15.
-        assert_eq!(net.next_delivery_at(), Some(15));
-        assert_eq!(net.dropped_count(), 1);
-        // And with everything undeliverable, report no pending work.
-        net.crash(&n("c"));
-        assert_eq!(net.next_delivery_at(), None);
-        assert_eq!(net.dropped_count(), 2);
-    }
-
-    #[test]
     fn one_way_block_is_directional() {
         let mut net: SimNet<u32> = sim(NetConfig::default(), 1);
         net.block_link(&n("a"), &n("b"));
@@ -477,7 +443,7 @@ mod tests {
         let d = net.deliveries_until(100);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].msg, 2);
-        assert_eq!(net.dropped_count(), 1);
+        assert_eq!(dropped(&net), 1);
         // heal() clears one-way blocks too.
         net.heal();
         net.send(&n("a"), &n("b"), 3);
@@ -525,5 +491,69 @@ mod tests {
         }
         assert_eq!(net.deliveries_until(300).len(), 20);
         assert_eq!(clones.get(), 10, "one clone per duplicate");
+    }
+
+    /// A toy node for [`SimNet::step`]: on each tick it sends `fanout`
+    /// numbered messages to `peer`.
+    struct Toy {
+        peer: NodeId,
+        fanout: u32,
+    }
+
+    /// Steps `net` once, logging every call `step` makes.
+    fn step_toys(
+        net: &mut SimNet<String>,
+        nodes: &mut BTreeMap<NodeId, Toy>,
+        calls: &mut Vec<(NodeId, Input<String>)>,
+    ) {
+        net.step(nodes, |id, node, input| {
+            calls.push((id.clone(), input.clone()));
+            match input {
+                Input::Receive { .. } => Vec::new(),
+                Input::Tick(t) => (0..node.fanout)
+                    .map(|k| (node.peer.clone(), format!("{id}{t}.{k}")))
+                    .collect(),
+            }
+        });
+    }
+
+    #[test]
+    fn step_delivers_before_ticking_and_sends_in_call_order() {
+        // Latency (1, 2) is always 1 ms: a step's sends are due in
+        // exactly the next step.
+        let mut net = sim(NetConfig { latency: (1, 2), drop_probability: 0.0 }, 1);
+        let mut nodes = BTreeMap::from([
+            (n("a"), Toy { peer: n("c"), fanout: 2 }),
+            (n("b"), Toy { peer: n("c"), fanout: 2 }),
+            (n("c"), Toy { peer: n("d"), fanout: 1 }),
+            (n("d"), Toy { peer: n("a"), fanout: 0 }),
+        ]);
+        let mut calls = Vec::new();
+        step_toys(&mut net, &mut nodes, &mut calls);
+        net.crash("d");
+        step_toys(&mut net, &mut nodes, &mut calls);
+        let recv = |from: &str, msg: &str| Input::Receive { from: n(from), msg: msg.to_string() };
+        let expected = vec![
+            // Step 1: nothing in flight; every node ticks in id order.
+            (n("a"), Input::Tick(1)),
+            (n("b"), Input::Tick(1)),
+            (n("c"), Input::Tick(1)),
+            (n("d"), Input::Tick(1)),
+            // Step 2: step 1's sends arrive before any tick, in call
+            // order (a's two, then b's, each in the order sent); crashed
+            // d neither receives c's message nor ticks.
+            (n("c"), recv("a", "a1.0")),
+            (n("c"), recv("a", "a1.1")),
+            (n("c"), recv("b", "b1.0")),
+            (n("c"), recv("b", "b1.1")),
+            (n("a"), Input::Tick(2)),
+            (n("b"), Input::Tick(2)),
+            (n("c"), Input::Tick(2)),
+        ];
+        assert_eq!(calls, expected);
+        // Both of c's messages to d are lost: the one in flight when d
+        // crashed, and the one sent after.
+        assert_eq!(dropped(&net), 2);
+        assert_eq!((net.now(), net.registry().now()), (2, 2));
     }
 }

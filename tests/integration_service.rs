@@ -127,6 +127,24 @@ fn session_terminates_on_primary_change() {
 }
 
 #[test]
+fn user_request_as_skips_a_crashed_node() {
+    let mut service = start_open(42, 3);
+    let old_primary = service.primary().unwrap();
+    let old_idx = service.nodes.keys().position(|id| *id == old_primary).unwrap();
+    let old_view = service.user_request(0, "POST", "/log", b"1=x").txid.unwrap().view;
+    service.crash(&old_primary);
+    assert!(service.run_until(30_000, |c| c.primary().is_some_and(|p| p != old_primary)));
+    // The crashed node still believes it is primary; a request routed to
+    // it would get a txid from the dead view that never commits. Like
+    // `user_request`, a named user's request must reach a live primary.
+    let resp = service.user_request_as("user1", old_idx, "POST", "/log", b"2=y");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let txid = resp.txid.unwrap();
+    assert!(txid.view > old_view, "{txid} was served by the crashed view-{old_view} primary");
+    service.run_until_committed(txid);
+}
+
+#[test]
 fn primary_crash_preserves_committed_writes() {
     let mut service = start_open(15, 3);
     let resp = service.user_request(0, "POST", "/log", b"99=durable");
