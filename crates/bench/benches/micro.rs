@@ -3,14 +3,14 @@
 //! BTreeMap snapshots, encryption on/off, signature cost, replication
 //! step cost).
 
-use ccf_consensus::harness::{Cluster, KeyedSignatureFactory};
+use ccf_consensus::harness::Cluster;
 use ccf_consensus::replica::ReplicaConfig;
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::gcm::AesGcm256;
 use ccf_crypto::SigningKey;
 use ccf_kv::{ChampMap, MapName, Store};
 use ccf_ledger::secrets::LedgerSecrets;
-use ccf_ledger::{MerkleTree, TxId};
+use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
 use ccf_sim::NetConfig;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
@@ -267,19 +267,17 @@ fn bench_script_vs_native(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_signature_factory(c: &mut Criterion) {
-    let mut g = c.benchmark_group("signature_factory");
+fn bench_signature_entry(c: &mut Criterion) {
+    let mut g = c.benchmark_group("signature_entry");
     let key = SigningKey::from_seed([1u8; 32]);
-    let mut factory = KeyedSignatureFactory::new("n0", key);
     let mut rng = ChaChaRng::seed_from_u64(3);
-    g.bench_function("make_signature_entry", |b| {
+    g.bench_function("build_signature_entry", |b| {
         let mut s = 0u64;
         b.iter(|| {
             s += 1;
             let mut root = [0u8; 32];
             rng.fill_bytes(&mut root);
-            use ccf_consensus::replica::SignatureFactory;
-            black_box(factory.make_signature(TxId::new(1, s), root))
+            black_box(LedgerEntry::signature(TxId::new(1, s), root, "n0", &key))
         })
     });
     g.finish();
@@ -288,6 +286,6 @@ fn bench_signature_factory(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_crypto, bench_merkle, bench_kv_snapshots, bench_store, bench_ledger_crypt, bench_consensus_step, bench_script_vs_native, bench_signature_factory
+    targets = bench_crypto, bench_merkle, bench_kv_snapshots, bench_store, bench_ledger_crypt, bench_consensus_step, bench_script_vs_native, bench_signature_entry
 }
 criterion_main!(benches);

@@ -8,58 +8,13 @@
 //! one seed, so failures replay exactly.
 
 use crate::message::{Message, ReplicatedEntry};
-use crate::replica::{ProposeError, Replica, ReplicaConfig, SignatureFactory};
+use crate::replica::{ProposeError, Replica, ReplicaConfig};
 use crate::{Config, NodeId, Seqno, View};
-use ccf_crypto::Digest32;
 use ccf_kv::{builtin, MapName, WriteSet};
 use ccf_ledger::entry::EntryKind;
-use ccf_ledger::{LedgerEntry, SignaturePayload, TxId};
+use ccf_ledger::{LedgerEntry, TxId};
 use ccf_sim::{Input, NetConfig, SimNet};
 use std::collections::BTreeMap;
-
-/// A [`SignatureFactory`] backed by a real Ed25519 node key, producing
-/// signature entries whose payload lands in the
-/// `public:ccf.internal.signatures` map exactly as in the full system.
-pub struct KeyedSignatureFactory {
-    node_id: NodeId,
-    key: ccf_crypto::SigningKey,
-}
-
-impl KeyedSignatureFactory {
-    /// Creates a factory for `node_id` signing with `key`.
-    pub fn new(node_id: impl Into<NodeId>, key: ccf_crypto::SigningKey) -> Self {
-        KeyedSignatureFactory { node_id: node_id.into(), key }
-    }
-
-    /// The verifying key (for receipt checks in tests).
-    pub fn verifying_key(&self) -> ccf_crypto::VerifyingKey {
-        self.key.verifying_key()
-    }
-}
-
-impl SignatureFactory for KeyedSignatureFactory {
-    fn make_signature(&mut self, txid: TxId, root: Digest32) -> LedgerEntry {
-        let payload = SignaturePayload {
-            node_id: self.node_id.clone(),
-            root,
-            signature: self.key.sign(&SignaturePayload::signing_bytes(&root, txid)),
-            node_public: self.key.verifying_key(),
-        };
-        let mut ws = WriteSet::new();
-        ws.write(
-            MapName::new(builtin::SIGNATURES),
-            b"latest".to_vec(),
-            payload.encode(),
-        );
-        LedgerEntry {
-            txid,
-            kind: EntryKind::Signature,
-            public_ws: ws.encode(),
-            private_ws_enc: Vec::new(),
-            claims_digest: [0u8; 32],
-        }
-    }
-}
 
 /// Builds a plain user entry for tests/benches (no private part).
 pub fn user_entry(txid: TxId, payload: &[u8]) -> ReplicatedEntry {
@@ -110,7 +65,7 @@ pub fn reconfig_entry(txid: TxId, config: &Config) -> ReplicatedEntry {
 /// A cluster of replicas over a simulated network.
 pub struct Cluster {
     /// The replicas, by node ID (crashed ones remain, frozen).
-    pub replicas: BTreeMap<NodeId, Replica<KeyedSignatureFactory>>,
+    pub replicas: BTreeMap<NodeId, Replica>,
     /// The simulated network (and the run's clock and registry).
     pub net: SimNet<Message>,
     seed: u64,
@@ -129,10 +84,9 @@ impl Cluster {
             let key = ccf_crypto::SigningKey::from_seed(
                 ccf_crypto::sha2::sha256(format!("node-key-{seed}-{i}").as_bytes()),
             );
-            let factory = KeyedSignatureFactory::new(id.clone(), key);
             let node_seed = seed * 1000 + i as u64;
             let replica =
-                Replica::new(id.clone(), initial.clone(), cfg.clone(), node_seed, factory, &obs);
+                Replica::new(id.clone(), initial.clone(), cfg.clone(), node_seed, key, &obs);
             replicas.insert(id.clone(), replica);
         }
         let net = SimNet::new(net_cfg, seed, &obs, Message::kind);
@@ -163,12 +117,11 @@ impl Cluster {
             format!("node-key-{}-{}", self.seed, self.next_node_seed).as_bytes(),
         ));
         self.next_node_seed += 1;
-        let factory = KeyedSignatureFactory::new(id.clone(), key);
         let mut replica = Replica::join(
             id.clone(),
             cfg,
             self.seed * 1000 + self.next_node_seed,
-            factory,
+            key,
             snapshot,
             self.net.registry(),
         );

@@ -29,7 +29,7 @@
 //! Receipt verifiability against the service identity is checked at the
 //! service layer (`ccf-core`), where the identity exists.
 
-use crate::replica::{record, Replica, SignatureFactory};
+use crate::replica::{record, Replica};
 use crate::{NodeId, Seqno, View};
 use ccf_crypto::Digest32;
 use ccf_ledger::entry::EntryKind;
@@ -46,7 +46,7 @@ pub trait StateView {
     fn entry_info(&self, seqno: Seqno) -> Option<(TxId, Digest32, EntryKind)>;
 }
 
-impl<F: SignatureFactory> StateView for Replica<F> {
+impl StateView for Replica {
     fn commit_seqno(&self) -> Seqno {
         Replica::commit_seqno(self)
     }

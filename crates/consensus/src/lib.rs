@@ -39,7 +39,7 @@ pub mod message;
 pub mod replica;
 
 pub use message::{AppendEntries, AppendEntriesResponse, Message, RequestVote, RequestVoteResponse};
-pub use replica::{Event, Replica, ReplicaConfig, Role, SignatureFactory};
+pub use replica::{Event, Replica, ReplicaConfig, Role};
 
 use ccf_ledger::TxId;
 use std::collections::BTreeSet;

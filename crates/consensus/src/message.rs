@@ -65,10 +65,6 @@ pub struct AppendEntriesResponse {
     /// On failure: the responder's best guess at the latest common point,
     /// from which the primary should resend (§4.2).
     pub last_seqno: Seqno,
-    /// Causal-trace piggyback: the trace ids of the traced entries this
-    /// ack newly appended (empty on failure and for pure heartbeats), so
-    /// the primary's flight recorder can attribute acks to requests.
-    pub traces: Vec<TraceId>,
 }
 
 /// `request_vote`: sent by candidates, carrying the view and seqno of the

@@ -13,10 +13,9 @@ use crate::message::{
 };
 use crate::{quorum, ActiveConfig, Config, NodeId, Seqno, Snapshot, TxStatus, View};
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_crypto::Digest32;
+use ccf_crypto::SigningKey;
 use ccf_ledger::entry::EntryKind;
 use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
-use ccf_obs::TraceId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -76,14 +75,6 @@ pub enum Role {
     Retiring,
     /// Shut down; ignores everything.
     Retired,
-}
-
-/// Builds signature transactions on demand: the node layer owns the node's
-/// signing key and the kv write to `ccf.internal.signatures`, so consensus
-/// delegates entry construction.
-pub trait SignatureFactory {
-    /// Builds the signature entry for `txid` over Merkle root `root`.
-    fn make_signature(&mut self, txid: TxId, root: Digest32) -> LedgerEntry;
 }
 
 /// Commands for the node layer, emitted in order. Every command but
@@ -251,10 +242,11 @@ struct InflightTrace {
 }
 
 /// The consensus replica.
-pub struct Replica<F: SignatureFactory> {
+pub struct Replica {
     id: NodeId,
     cfg: ReplicaConfig,
-    sig_factory: F,
+    /// The node's identity key, which signs its signature transactions.
+    key: SigningKey,
     rng: ChaChaRng,
 
     role: Role,
@@ -300,9 +292,10 @@ pub struct Replica<F: SignatureFactory> {
     inflight_traces: std::collections::BTreeMap<Seqno, InflightTrace>,
 }
 
-impl<F: SignatureFactory> Replica<F> {
+impl Replica {
     /// Creates a replica that is part of the service's initial
-    /// configuration (service start, §2). It reports into `reg`: the
+    /// configuration (service start, §2), signing its signature
+    /// transactions with `key`. It reports into `reg`: the
     /// `consensus.*` metrics, the Merkle tree's `ledger.merkle_*`, and a
     /// flight record per transition.
     pub fn new(
@@ -310,7 +303,7 @@ impl<F: SignatureFactory> Replica<F> {
         initial_config: Config,
         cfg: ReplicaConfig,
         seed: u64,
-        sig_factory: F,
+        key: SigningKey,
         reg: &ccf_obs::Registry,
     ) -> Self {
         let id = id.into();
@@ -321,7 +314,7 @@ impl<F: SignatureFactory> Replica<F> {
         let mut r = Replica {
             id,
             cfg,
-            sig_factory,
+            key,
             rng: ChaChaRng::seed_from_u64(seed),
             role: if participating { Role::Backup } else { Role::Pending },
             view: 0,
@@ -362,11 +355,11 @@ impl<F: SignatureFactory> Replica<F> {
         id: impl Into<NodeId>,
         cfg: ReplicaConfig,
         seed: u64,
-        sig_factory: F,
+        key: SigningKey,
         snapshot: Option<Snapshot>,
         reg: &ccf_obs::Registry,
     ) -> Self {
-        let mut r = Self::new(id, Config::new(), cfg, seed, sig_factory, reg);
+        let mut r = Self::new(id, Config::new(), cfg, seed, key, reg);
         r.role = Role::Pending;
         r.participating = false;
         r.active_configs.clear();
@@ -662,10 +655,7 @@ impl<F: SignatureFactory> Replica<F> {
         self.metrics.signature_txs.inc();
         self.last_sig_emit = self.now;
         let txid = TxId::new(self.view, self.last_seqno() + 1);
-        let root = self.merkle.root();
-        let entry = self.sig_factory.make_signature(txid, root);
-        assert_eq!(entry.kind, EntryKind::Signature, "factory must build a signature entry");
-        assert_eq!(entry.txid, txid);
+        let entry = LedgerEntry::signature(txid, self.merkle.root(), &self.id, &self.key);
         // Piggyback the trace ids this signature covers (every traced
         // entry since the previous signature), so backups can close
         // their `sign` stages without an extra protocol round.
@@ -1163,16 +1153,7 @@ impl<F: SignatureFactory> Replica<F> {
     fn on_append_entries(&mut self, from: &NodeId, m: AppendEntries) {
         if m.view < self.view {
             // Stale primary: reply negatively with our view (§4.2).
-            self.outbox.push((
-                from.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: false,
-                    last_seqno: self.last_seqno(),
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(from, false, self.last_seqno());
             return;
         }
         if m.view > self.view || matches!(self.role, Role::Primary | Role::Candidate) {
@@ -1187,42 +1168,21 @@ impl<F: SignatureFactory> Replica<F> {
         self.reset_election_timer();
 
         // Consistency check on the previous transaction ID (§4.1).
-        let prev_ok = if m.prev.seqno < self.base_seqno {
+        if m.prev.seqno < self.base_seqno {
             // The primary is sending from before our snapshot base; ask it
             // to fast-forward to our base.
-            self.outbox.push((
-                from.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: false,
-                    last_seqno: self.base_seqno,
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(from, false, self.base_seqno);
             return;
-        } else {
-            self.txid_at(m.prev.seqno) == Some(m.prev)
-        };
-        if !prev_ok {
+        }
+        if self.txid_at(m.prev.seqno) != Some(m.prev) {
             // Mismatch: report our best guess at the latest common point.
             let hint = self.last_seqno().min(m.prev.seqno.saturating_sub(1));
-            self.outbox.push((
-                from.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: false,
-                    last_seqno: hint,
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(from, false, hint);
             return;
         }
 
         // Append, resolving conflicts in the primary's favour (§4.2).
         let batch_end = m.prev.seqno + m.entries.len() as u64;
-        let mut appended_traces: Vec<TraceId> = Vec::new();
         for re in m.entries {
             let s = re.entry.txid.seqno;
             if s <= self.base_seqno {
@@ -1240,16 +1200,7 @@ impl<F: SignatureFactory> Replica<F> {
                     // truncate_to would also refuse, but rejecting here
                     // records the violation before touching any state.
                     self.reject(Some(from), s);
-                    self.outbox.push((
-                        from.clone(),
-                        Message::AppendEntriesResponse(AppendEntriesResponse {
-                            view: self.view,
-                            from: self.id.clone(),
-                            success: false,
-                            last_seqno: self.commit_seqno,
-                            traces: Vec::new(),
-                        }),
-                    ));
+                    self.ack(from, false, self.commit_seqno);
                     return;
                 }
                 Some(_) => {
@@ -1257,19 +1208,9 @@ impl<F: SignatureFactory> Replica<F> {
                     // append. truncate_to refuses (returning false) if it
                     // would cross the commit point.
                     if !self.truncate_to(s - 1) {
-                        self.outbox.push((
-                            from.clone(),
-                            Message::AppendEntriesResponse(AppendEntriesResponse {
-                                view: self.view,
-                                from: self.id.clone(),
-                                success: false,
-                                last_seqno: self.commit_seqno,
-                                traces: Vec::new(),
-                            }),
-                        ));
+                        self.ack(from, false, self.commit_seqno);
                         return;
                     }
-                    appended_traces.extend_from_slice(&re.traces);
                     self.append_local(re);
                 }
                 None => {
@@ -1280,19 +1221,9 @@ impl<F: SignatureFactory> Replica<F> {
                         // appended entries with holes below them; instead
                         // reply failure with our last seqno as the
                         // retransmission hint.
-                        self.outbox.push((
-                            from.clone(),
-                            Message::AppendEntriesResponse(AppendEntriesResponse {
-                                view: self.view,
-                                from: self.id.clone(),
-                                success: false,
-                                last_seqno: self.last_seqno(),
-                                traces: Vec::new(),
-                            }),
-                        ));
+                        self.ack(from, false, self.last_seqno());
                         return;
                     }
-                    appended_traces.extend_from_slice(&re.traces);
                     self.append_local(re);
                 }
             }
@@ -1318,16 +1249,14 @@ impl<F: SignatureFactory> Replica<F> {
         } else {
             batch_end
         };
-        self.outbox.push((
-            from.clone(),
-            Message::AppendEntriesResponse(AppendEntriesResponse {
-                view: self.view,
-                from: self.id.clone(),
-                success: true,
-                last_seqno: matched,
-                traces: appended_traces,
-            }),
-        ));
+        self.ack(from, true, matched);
+    }
+
+    /// Queues an [`AppendEntriesResponse`] to `to` in the current view.
+    fn ack(&mut self, to: &NodeId, success: bool, last_seqno: Seqno) {
+        let resp =
+            AppendEntriesResponse { view: self.view, from: self.id.clone(), success, last_seqno };
+        self.outbox.push((to.clone(), Message::AppendEntriesResponse(resp)));
     }
 
     fn on_append_entries_response(&mut self, m: AppendEntriesResponse) {
@@ -1415,16 +1344,7 @@ impl<F: SignatureFactory> Replica<F> {
         self.reset_election_timer();
         if m.snapshot.last_txid.seqno <= self.last_seqno() {
             // We already have everything the snapshot covers.
-            self.outbox.push((
-                m.leader.clone(),
-                Message::AppendEntriesResponse(AppendEntriesResponse {
-                    view: self.view,
-                    from: self.id.clone(),
-                    success: true,
-                    last_seqno: self.last_seqno(),
-                    traces: Vec::new(),
-                }),
-            ));
+            self.ack(&m.leader, true, self.last_seqno());
             return;
         }
         self.install_snapshot_internal(m.snapshot, false);
@@ -1433,16 +1353,7 @@ impl<F: SignatureFactory> Replica<F> {
             self.commit_seqno = commit;
             self.emit(Event::Committed { seqno: commit });
         }
-        self.outbox.push((
-            m.leader.clone(),
-            Message::AppendEntriesResponse(AppendEntriesResponse {
-                view: self.view,
-                from: self.id.clone(),
-                success: true,
-                last_seqno: self.last_seqno(),
-                traces: Vec::new(),
-            }),
-        ));
+        self.ack(&m.leader, true, self.last_seqno());
     }
 
     fn install_snapshot_internal(&mut self, snapshot: Snapshot, at_boot: bool) {

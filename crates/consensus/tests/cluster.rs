@@ -226,7 +226,7 @@ fn table2_election_vote_matrix() {
         for s in 1..=upto {
             if s % 2 == 0 {
                 // A signature entry (content irrelevant for voting rules —
-                // built via the factory in real runs; kind matters here).
+                // built by `LedgerEntry::signature` in real runs; kind matters here).
                 let mut e = user_entry(TxId::new(3, s), b"sig");
                 e.entry.kind = ccf_ledger::entry::EntryKind::Signature;
                 entries.push(Arc::new(e));

@@ -6,28 +6,28 @@
 //! `--release` and silently corrupted state). The last test guards the
 //! write path's sharing of entries between the log and its batches.
 
-use ccf_consensus::harness::{user_entry, KeyedSignatureFactory};
+use ccf_consensus::harness::user_entry;
 use ccf_consensus::invariants::InvariantChecker;
 use ccf_consensus::message::ReplicatedEntry;
-use ccf_consensus::replica::{Replica, ReplicaConfig, Role, SignatureFactory};
+use ccf_consensus::replica::{Replica, ReplicaConfig, Role};
 use ccf_consensus::{AppendEntries, AppendEntriesResponse, Config, Message, RequestVoteResponse};
 use ccf_crypto::SigningKey;
-use ccf_ledger::TxId;
+use ccf_ledger::{LedgerEntry, TxId};
 use ccf_obs::Registry;
 use std::sync::Arc;
 
-fn factory(id: &str) -> KeyedSignatureFactory {
+fn key(id: &str) -> SigningKey {
     let mut seed = [7u8; 32];
     seed[..id.len().min(32)].copy_from_slice(&id.as_bytes()[..id.len().min(32)]);
-    KeyedSignatureFactory::new(id, SigningKey::from_seed(seed))
+    SigningKey::from_seed(seed)
 }
 
-fn replica_on(reg: &Registry, id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+fn replica_on(reg: &Registry, id: &str, config: &[&str]) -> Replica {
     let config: Config = config.iter().map(|s| s.to_string()).collect();
-    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id), reg)
+    Replica::new(id, config, ReplicaConfig::default(), 1, key(id), reg)
 }
 
-fn replica(id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+fn replica(id: &str, config: &[&str]) -> Replica {
     replica_on(&Registry::new(), id, config)
 }
 
@@ -37,7 +37,7 @@ fn rejections(reg: &Registry) -> u64 {
 
 fn sig_entry(author: &str, txid: TxId) -> Arc<ReplicatedEntry> {
     Arc::new(ReplicatedEntry {
-        entry: factory(author).make_signature(txid, [0u8; 32]),
+        entry: LedgerEntry::signature(txid, [0u8; 32], author, &key(author)),
         config: None,
         traces: Vec::new(),
     })
@@ -46,7 +46,7 @@ fn sig_entry(author: &str, txid: TxId) -> Arc<ReplicatedEntry> {
 /// Sends `m` as an AppendEntries from `from` and returns the responses
 /// produced (ignoring any other outbound traffic).
 fn deliver(
-    r: &mut Replica<KeyedSignatureFactory>,
+    r: &mut Replica,
     from: &str,
     m: AppendEntries,
 ) -> Vec<AppendEntriesResponse> {
@@ -62,7 +62,7 @@ fn deliver(
 
 /// Replicates a two-entry prefix (user tx then signature) from primary
 /// `p` and commits it, returning the backup, which reports into `reg`.
-fn backup_with_committed_prefix(reg: &Registry) -> Replica<KeyedSignatureFactory> {
+fn backup_with_committed_prefix(reg: &Registry) -> Replica {
     let mut b = replica_on(reg, "b", &["p", "b", "c"]);
     let resps = deliver(
         &mut b,
@@ -109,7 +109,7 @@ fn conflicting_entries_below_commit_are_refused() {
 }
 
 /// "q" claims a newer view and rewrites `b`'s history from seqno 1.
-fn rewrite_history(b: &mut Replica<KeyedSignatureFactory>) -> Vec<AppendEntriesResponse> {
+fn rewrite_history(b: &mut Replica) -> Vec<AppendEntriesResponse> {
     deliver(
         b,
         "q",
@@ -262,7 +262,7 @@ fn ack_from_stale_tip_claims_only_the_batch() {
 /// Drives `p` to primary of a {p, b} configuration by feeding it the
 /// peer's vote. Returns the replica with its view-opening signature
 /// still in the outbox.
-fn elected_primary() -> Replica<KeyedSignatureFactory> {
+fn elected_primary() -> Replica {
     let mut p = replica("p", &["p", "b"]);
     p.tick(10_000); // well past any election timeout draw
     assert_eq!(p.role(), Role::Candidate);
@@ -277,7 +277,7 @@ fn elected_primary() -> Replica<KeyedSignatureFactory> {
 
 /// [`elected_primary`] with a log of `n` user entries plus a closing
 /// signature, and its outbox drained.
-fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
+fn primary_with_log(n: u64) -> Replica {
     let mut p = elected_primary();
     for i in 0..n {
         p.propose(|txid| user_entry(txid, format!("entry-{i}").as_bytes())).unwrap();
@@ -292,7 +292,7 @@ fn primary_with_log(n: u64) -> Replica<KeyedSignatureFactory> {
 /// `prev.seqno` values of the AppendEntries it sends back — one element
 /// per round trip simulated, stopping when the probe reaches `hint` or
 /// after `cap` trips.
-fn probe_seqnos(p: &mut Replica<KeyedSignatureFactory>, hint: u64, cap: usize) -> Vec<u64> {
+fn probe_seqnos(p: &mut Replica, hint: u64, cap: usize) -> Vec<u64> {
     let mut probes = Vec::new();
     for _ in 0..cap {
         let view = p.view();
@@ -303,7 +303,6 @@ fn probe_seqnos(p: &mut Replica<KeyedSignatureFactory>, hint: u64, cap: usize) -
                 from: "b".to_string(),
                 success: false,
                 last_seqno: hint,
-                traces: Vec::new(),
             }),
         );
         let probe = p
@@ -352,7 +351,6 @@ fn negative_ack_backoff_reaches_hint_in_one_round_trip() {
             from: "b".to_string(),
             success: true,
             last_seqno: last,
-            traces: Vec::new(),
         }),
     );
     p.drain_outbox();

@@ -3,12 +3,12 @@
 //! byte-identical trace JSON, and the crash-forensics bundle carries the
 //! flight-recorder tail plus critical paths of in-flight traces.
 
-use ccf_consensus::harness::{traced_user_entry, user_entry, Cluster, KeyedSignatureFactory};
+use ccf_consensus::harness::{traced_user_entry, user_entry, Cluster};
 use ccf_consensus::invariants::forensics;
-use ccf_consensus::replica::{Replica, ReplicaConfig, SignatureFactory};
+use ccf_consensus::replica::{Replica, ReplicaConfig};
 use ccf_consensus::{AppendEntries, Config, Message};
 use ccf_crypto::SigningKey;
-use ccf_ledger::TxId;
+use ccf_ledger::{LedgerEntry, TxId};
 use ccf_obs::TraceId;
 use ccf_sim::NetConfig;
 use std::collections::BTreeSet;
@@ -52,7 +52,7 @@ fn trace_survives_leader_change() {
         entries: vec![
             traced_user_entry(TxId::new(1, 1), b"traced-write", trace).into(),
             ccf_consensus::message::ReplicatedEntry {
-                entry: factory("p").make_signature(TxId::new(1, 2), [0u8; 32]),
+                entry: LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "p", &key("p")),
                 config: None,
                 traces: vec![trace],
             }
@@ -99,7 +99,6 @@ fn trace_survives_leader_change() {
             from: "c".to_string(),
             success: true,
             last_seqno: 3,
-            traces: vec![trace],
         }),
     );
     assert!(b.commit_seqno() >= 2, "new view must commit the inherited entries");
@@ -149,15 +148,15 @@ fn same_seed_runs_emit_byte_identical_trace_json() {
     assert_eq!(a.to_json(), b.to_json());
 }
 
-fn factory(id: &str) -> KeyedSignatureFactory {
+fn key(id: &str) -> SigningKey {
     let mut seed = [7u8; 32];
     seed[..id.len().min(32)].copy_from_slice(&id.as_bytes()[..id.len().min(32)]);
-    KeyedSignatureFactory::new(id, SigningKey::from_seed(seed))
+    SigningKey::from_seed(seed)
 }
 
-fn replica(reg: &ccf_obs::Registry, id: &str, config: &[&str]) -> Replica<KeyedSignatureFactory> {
+fn replica(reg: &ccf_obs::Registry, id: &str, config: &[&str]) -> Replica {
     let config: Config = config.iter().map(|s| s.to_string()).collect();
-    Replica::new(id, config, ReplicaConfig::default(), 1, factory(id), reg)
+    Replica::new(id, config, ReplicaConfig::default(), 1, key(id), reg)
 }
 
 /// When an invariant trips, [`forensics`] bundles the flight-recorder
@@ -172,7 +171,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
 
     // Committed prefix: a traced user entry plus the signature covering it.
     let sig = ccf_consensus::message::ReplicatedEntry {
-        entry: factory("p").make_signature(TxId::new(1, 2), [0u8; 32]),
+        entry: LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "p", &key("p")),
         config: None,
         traces: vec![committed],
     };

@@ -3,23 +3,14 @@
 //! Historical range queries would otherwise fetch and decrypt many ledger
 //! entries; CCF lets applications register an *indexing strategy* that
 //! pre-processes each committed transaction in order and keeps derived
-//! state for fast lookup. Index state is in-memory but can be offloaded
+//! state for fast lookup. This reproduction ships the paper's one example
+//! strategy, [`KeyToTxIds`]. Index state is in-memory but can be offloaded
 //! to (untrusted) persistent storage, encrypted with the ledger secret.
 
 use ccf_kv::{MapName, WriteSet};
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::TxId;
 use std::collections::BTreeMap;
-
-/// An indexing strategy: invoked once, in order, for every committed
-/// transaction with its (decrypted) write set. Readers get the concrete
-/// strategy back by upcasting to [`std::any::Any`] and downcasting.
-pub trait IndexingStrategy: Send + std::any::Any {
-    /// Processes one committed transaction.
-    fn handle_committed(&mut self, txid: TxId, writes: &WriteSet);
-    /// The strategy's name (diagnostics).
-    fn name(&self) -> &str;
-}
 
 /// The built-in strategy from the paper's example: for each key of a
 /// watched map, every transaction ID that wrote it — enough to implement
@@ -34,6 +25,15 @@ impl KeyToTxIds {
     /// Indexes writes to `map`.
     pub fn new(map: impl Into<MapName>) -> KeyToTxIds {
         KeyToTxIds { map: map.into(), index: BTreeMap::new() }
+    }
+
+    /// Processes one committed transaction with its (decrypted) write set.
+    pub fn handle_committed(&mut self, txid: TxId, writes: &WriteSet) {
+        if let Some(map_writes) = writes.maps.get(&self.map) {
+            for key in map_writes.keys() {
+                self.index.entry(key.clone()).or_default().push(txid);
+            }
+        }
     }
 
     /// All transactions that wrote `key`, oldest first.
@@ -95,25 +95,11 @@ impl KeyToTxIds {
     }
 }
 
-impl IndexingStrategy for KeyToTxIds {
-    fn handle_committed(&mut self, txid: TxId, writes: &WriteSet) {
-        if let Some(map_writes) = writes.maps.get(&self.map) {
-            for key in map_writes.keys() {
-                self.index.entry(key.clone()).or_default().push(txid);
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.map.0
-    }
-}
-
 /// The indexer: drives registered strategies over committed transactions,
 /// strictly in order, tracking the high-water mark.
 #[derive(Default)]
 pub struct Indexer {
-    strategies: Vec<Box<dyn IndexingStrategy>>,
+    strategies: Vec<KeyToTxIds>,
     processed_upto: u64,
 }
 
@@ -126,7 +112,7 @@ impl Indexer {
     /// Registers a strategy. Strategies added after transactions have
     /// been processed only see subsequent ones (callers wanting full
     /// history re-feed from the ledger — the "lazy" option in §3.4).
-    pub fn register(&mut self, strategy: Box<dyn IndexingStrategy>) {
+    pub fn register(&mut self, strategy: KeyToTxIds) {
         self.strategies.push(strategy);
     }
 
@@ -154,8 +140,8 @@ impl Indexer {
     }
 
     /// Access a registered strategy by index, in registration order.
-    pub fn strategy(&self, i: usize) -> Option<&dyn IndexingStrategy> {
-        self.strategies.get(i).map(|b| b.as_ref())
+    pub fn strategy(&self, i: usize) -> Option<&KeyToTxIds> {
+        self.strategies.get(i)
     }
 }
 
@@ -186,7 +172,7 @@ mod tests {
     #[test]
     fn indexer_enforces_order() {
         let mut indexer = Indexer::new();
-        indexer.register(Box::new(KeyToTxIds::new("m")));
+        indexer.register(KeyToTxIds::new("m"));
         indexer.feed(TxId::new(1, 1), &ws("m", &["a"]));
         indexer.feed(TxId::new(1, 2), &ws("m", &["b"]));
         assert_eq!(indexer.processed_upto(), 2);

@@ -12,7 +12,7 @@
 //! | transactional kv store (CHAMP, OCC) | `ccf-kv` |
 //! | Merkle ledger, receipts, ledger secrets | `ccf-ledger` |
 //! | consensus (CCF's Raft variant) | `ccf-consensus` |
-//! | TEE simulation (attestation, ringbuffers, platforms) | `ccf-tee` |
+//! | TEE simulation (attestation, node channels, platforms) | `ccf-tee` |
 //! | governance (constitution, proposals, recovery shares) | `ccf-governance` |
 //! | script runtime (QuickJS stand-in) | `ccf-script` |
 //! | deterministic network simulation | `ccf-sim` |

@@ -18,7 +18,6 @@ use crate::app::{
     ScriptApp,
 };
 use crate::indexer::{Indexer, KeyToTxIds};
-use ccf_consensus::harness::KeyedSignatureFactory;
 use ccf_consensus::message::{Message, ReplicatedEntry};
 use ccf_consensus::replica::{Event, ProposeError, Replica, ReplicaConfig, Role};
 use ccf_consensus::{NodeId, Seqno, Snapshot, TxStatus};
@@ -39,7 +38,7 @@ use ccf_ledger::entry::EntryKind;
 use ccf_ledger::files::closed_chunks;
 use ccf_ledger::receipt::endorsement_bytes;
 use ccf_ledger::secrets::LedgerSecrets;
-use ccf_ledger::{LedgerEntry, Receipt, SignaturePayload, TxId};
+use ccf_ledger::{LedgerEntry, Receipt, TxId};
 use ccf_tee::attestation::{AttestationReport, CodeId};
 use ccf_tee::TeePlatform;
 use parking_lot::Mutex;
@@ -176,7 +175,7 @@ impl JoinRequest {
 }
 
 struct NodeInner {
-    replica: Replica<KeyedSignatureFactory>,
+    replica: Replica,
     secrets: Option<LedgerSecrets>,
     service_identity: Option<VerifyingKey>,
     service_key: Option<SigningKey>,
@@ -188,9 +187,6 @@ struct NodeInner {
     own_proposal: Option<(TxId, WriteSet)>,
     gov: GovernanceEngine,
     rng: ChaChaRng,
-    script_app: Option<Arc<ScriptApp>>,
-    script_app_version: u64,
-    last_applied: TxId,
     commits_since_snapshot: u64,
     retired: bool,
     handled_rekey: Option<Vec<u8>>,
@@ -249,9 +245,9 @@ pub struct CcfNode {
 impl CcfNode {
     /// Creates a node that is the first node of a brand-new service.
     pub fn new_start_node(opts: NodeOpts, app: Arc<Application>) -> Arc<CcfNode> {
-        Self::assemble(opts, app, |o, factory| {
+        Self::assemble(opts, app, |o, key| {
             let config = [o.id.clone()].into_iter().collect();
-            Replica::new(o.id.clone(), config, o.consensus.clone(), o.seed, factory, &o.obs)
+            Replica::new(o.id.clone(), config, o.consensus.clone(), o.seed, key, &o.obs)
         })
     }
 
@@ -262,8 +258,8 @@ impl CcfNode {
         app: Arc<Application>,
         snapshot: Option<Snapshot>,
     ) -> Arc<CcfNode> {
-        let node = Self::assemble(opts, app, |o, factory| {
-            Replica::join(o.id.clone(), o.consensus.clone(), o.seed, factory, snapshot, &o.obs)
+        let node = Self::assemble(opts, app, |o, key| {
+            Replica::join(o.id.clone(), o.consensus.clone(), o.seed, key, snapshot, &o.obs)
         });
         // Process the boot snapshot events (install kv state).
         node.handle_events(&mut node.inner.lock());
@@ -271,18 +267,17 @@ impl CcfNode {
     }
 
     /// Derives the node's keys from its seed and wraps the replica that
-    /// `make_replica` builds around the node's signature factory.
+    /// `make_replica` builds around the node's identity key.
     fn assemble(
         opts: NodeOpts,
         app: Arc<Application>,
-        make_replica: impl FnOnce(&NodeOpts, KeyedSignatureFactory) -> Replica<KeyedSignatureFactory>,
+        make_replica: impl FnOnce(&NodeOpts, SigningKey) -> Replica,
     ) -> Arc<CcfNode> {
         let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
         let node_key = SigningKey::generate(&mut rng);
         let dh_key = DhKeyPair::generate(&mut rng);
         let code_id = CodeId::measure(app.code_version.as_bytes());
-        let factory = KeyedSignatureFactory::new(opts.id.clone(), node_key.clone());
-        let replica = make_replica(&opts, factory);
+        let replica = make_replica(&opts, node_key.clone());
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
         Arc::new(CcfNode {
             id: opts.id.clone(),
@@ -298,9 +293,6 @@ impl CcfNode {
                 own_proposal: None,
                 gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
                 rng,
-                script_app: None,
-                script_app_version: 0,
-                last_applied: TxId::ZERO,
                 commits_since_snapshot: 0,
                 retired: false,
                 handled_rekey: None,
@@ -494,7 +486,7 @@ impl CcfNode {
         let (public_ws, private_ws) = ws.split_visibility();
         // Reconfiguration detection: a transaction that changes the set of
         // trusted nodes is a reconfiguration transaction (§4.4).
-        let new_config = self.config_change(inner, &ws);
+        let new_config = self.config_change(&ws);
         let secrets = inner.secrets.clone();
         let claims_digest = claims.map(|c| sha256(&c)).unwrap_or([0u8; 32]);
         let kind = if new_config.is_some() {
@@ -541,11 +533,7 @@ impl CcfNode {
 
     /// If `ws` changes `nodes.info` statuses, returns the resulting
     /// trusted-node set (the new consensus configuration).
-    fn config_change(
-        &self,
-        _inner: &mut NodeInner,
-        ws: &WriteSet,
-    ) -> Option<std::collections::BTreeSet<NodeId>> {
+    fn config_change(&self, ws: &WriteSet) -> Option<std::collections::BTreeSet<NodeId>> {
         let touches_nodes = ws.maps.get(&map(builtin::NODES_INFO)).is_some_and(|w| !w.is_empty());
         if !touches_nodes {
             return None;
@@ -607,7 +595,6 @@ impl CcfNode {
                 Event::SnapshotInstalled { snapshot } => {
                     let state = StoreState::deserialize(&snapshot.kv_state)
                         .expect("snapshot kv state must deserialize");
-                    inner.last_applied = snapshot.last_txid;
                     self.publish_last_applied(snapshot.last_txid);
                     self.store.install(state);
                     inner.recent_states.clear();
@@ -644,7 +631,6 @@ impl CcfNode {
             },
         };
         self.store.apply_at(&ws, txid.seqno);
-        inner.last_applied = txid;
         self.publish_last_applied(txid);
         // React to writes addressed to this node (ledger rekey dist).
         self.check_rekey_distribution(inner, &ws, txid);
@@ -878,8 +864,7 @@ impl CcfNode {
             });
         self.store.install((*state).clone());
         inner.recent_states.retain(|s, _| *s <= seqno);
-        inner.last_applied = inner.replica.last_txid();
-        self.publish_last_applied(inner.last_applied);
+        self.publish_last_applied(inner.replica.last_txid());
         self.reload_dynamic_state(inner);
     }
 
@@ -889,13 +874,9 @@ impl CcfNode {
         let mut tx = self.store.begin();
         if let Some(src) = tx.get(&map(builtin::MODULES), b"app") {
             if let Ok(app) = ScriptApp::compile(&String::from_utf8_lossy(&src)) {
-                let app = Arc::new(app);
-                inner.script_app = Some(app.clone());
-                inner.script_app_version += 1;
-                *self.script_app_cache.write() = Some(app);
+                *self.script_app_cache.write() = Some(Arc::new(app));
             }
         } else {
-            inner.script_app = None;
             *self.script_app_cache.write() = None;
         }
         if let Some(src) = tx.get(&map(builtin::CONSTITUTION), b"constitution") {
@@ -1389,25 +1370,14 @@ impl CcfNode {
         }
         let entry = inner.replica.entry_at(txid.seqno)?.entry.clone();
         // Find the first signature transaction after txid (its root covers
-        // entries [1, sig.seqno - 1] ⊇ txid).
-        let mut sig: Option<(TxId, SignaturePayload)> = None;
-        let mut s = txid.seqno + 1;
-        while s <= inner.replica.commit_seqno() {
-            if let Some(e) = inner.replica.entry_at(s) {
-                if e.entry.kind == EntryKind::Signature {
-                    let ws = WriteSet::decode(&e.entry.public_ws).ok()?;
-                    let payload = ws
-                        .maps
-                        .get(&map(builtin::SIGNATURES))?
-                        .get(&b"latest".to_vec())?
-                        .as_ref()?;
-                    sig = Some((e.entry.txid, SignaturePayload::decode(payload).ok()?));
-                    break;
-                }
-            }
-            s += 1;
-        }
-        let (sig_txid, payload) = sig?;
+        // entries [1, sig.seqno - 1] ⊇ txid); issue nothing over a
+        // signature that does not verify.
+        let sig = (txid.seqno + 1..=inner.replica.commit_seqno())
+            .filter_map(|s| inner.replica.entry_at(s))
+            .find(|e| e.entry.is_signature())?;
+        let sig_txid = sig.entry.txid;
+        let payload = sig.entry.signature_payload().ok()?;
+        payload.verify(sig_txid).ok()?;
         let proof = inner.replica.merkle_proof_at(txid.seqno, sig_txid.seqno - 1)?;
         let service_key = inner.service_key.as_ref()?;
         let endorsement =
@@ -1470,10 +1440,7 @@ impl CcfNode {
 
     /// Registers the built-in key→txids index over `map_name`.
     pub fn register_key_index(&self, map_name: &str) {
-        self.inner
-            .lock()
-            .indexer
-            .register(Box::new(KeyToTxIds::new(map_name)));
+        self.inner.lock().indexer.register(KeyToTxIds::new(map_name));
     }
 
     /// Direct store access for operators/tests (reads only by convention).
@@ -1505,28 +1472,19 @@ impl CcfNode {
             .unwrap_or(ccf_obs::TraceId::NONE)
     }
 
-    /// Handles a *signed* user request (§6.4: "optional support for user
-    /// request signing, via the same mechanism that consortium members
-    /// sign governance operations"). The envelope's purpose must be
-    /// `user/<METHOD> <path>`; the signer's key must match a registered
+    /// Handles a batch of *signed* user requests (§6.4: "optional support
+    /// for user request signing, via the same mechanism that consortium
+    /// members sign governance operations"). Each envelope's purpose must
+    /// be `user/<METHOD> <path>`; the signer's key must match a registered
     /// user cert (stored as the hex public key). Authentication is
     /// cryptographic — no transport identity needed — and the envelope is
-    /// replay-bound to the method+path.
-    pub fn handle_signed_user_request(&self, envelope: &SignedRequest) -> Response {
-        self.metrics.single_verifies.inc();
-        if envelope.verify().is_err() {
-            return Response::error(401, "invalid request signature");
-        }
-        self.dispatch_signed_user_request(envelope)
-    }
-
-    /// Handles a batch of signed user requests in one call. All envelope
-    /// signatures are checked with a single batched verification
+    /// replay-bound to the method+path. All envelope signatures are
+    /// checked with a single batched verification
     /// ([`ccf_crypto::verify_batch`] — one shared doubling chain for the
     /// whole round); if the batch rejects, each envelope is re-verified
     /// individually so only the offending requests get a 401 and the rest
     /// proceed normally.
-    pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
+    fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
         let messages: Vec<Vec<u8>> = envelopes.iter().map(|e| e.signed_bytes()).collect();
         let triples: Vec<(&[u8], &ccf_crypto::Signature, &VerifyingKey)> = envelopes
             .iter()
@@ -1554,9 +1512,8 @@ impl CcfNode {
 
     /// Queues a signed user request for the next consensus tick. All
     /// requests queued within one round are signature-checked together
-    /// through [`CcfNode::handle_signed_user_requests`]. Returns a ticket
-    /// to redeem with [`CcfNode::take_signed_response`] once a tick has
-    /// drained the queue.
+    /// as one batch. Returns a ticket to redeem with
+    /// [`CcfNode::take_signed_response`] once a tick has drained the queue.
     pub fn enqueue_signed_user_request(&self, envelope: SignedRequest) -> u64 {
         let mut inner = self.inner.lock();
         let ticket = inner.next_signed_ticket;

@@ -30,10 +30,9 @@ use ccf_governance::actions::NodeInfo;
 use ccf_governance::recovery::ShareCollector;
 use ccf_governance::{MemberId, NodeStatus};
 use ccf_kv::{builtin, MapName, Store, WriteSet};
-use ccf_ledger::entry::EntryKind;
 use ccf_ledger::files::read_chunks;
 use ccf_ledger::secrets::LedgerSecrets;
-use ccf_ledger::{LedgerEntry, MerkleTree, SignaturePayload, TxId};
+use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
 
 fn map(name: &str) -> MapName {
     MapName::new(name)
@@ -103,27 +102,12 @@ impl RecoveryCoordinator {
             // equal the recomputed root over the preceding prefix, and the
             // signature must verify under the embedded node key, which in
             // turn must match a trusted node in the replayed `nodes.info`.
-            if entry.kind == EntryKind::Signature {
-                let Ok(ws) = WriteSet::decode(&entry.public_ws) else { break };
-                let Some(Some(payload_bytes)) = ws
-                    .maps
-                    .get(&map(builtin::SIGNATURES))
-                    .and_then(|m| m.get(&b"latest".to_vec()))
-                else {
-                    break;
-                };
-                let Ok(payload) = SignaturePayload::decode(payload_bytes) else { break };
+            if entry.is_signature() {
+                let Ok(payload) = entry.signature_payload() else { break };
                 if payload.root != merkle.root() {
                     break; // host tampered with the prefix
                 }
-                if payload
-                    .node_public
-                    .verify(
-                        &SignaturePayload::signing_bytes(&payload.root, entry.txid),
-                        &payload.signature,
-                    )
-                    .is_err()
-                {
+                if payload.verify(entry.txid).is_err() {
                     break;
                 }
                 // The signer must be a registered node with this cert.
@@ -154,7 +138,7 @@ impl RecoveryCoordinator {
             if view_history.last().is_none_or(|&(v, _)| v < entry.txid.view) {
                 view_history.push((entry.txid.view, entry.txid.seqno));
             }
-            if entry.kind == EntryKind::Signature {
+            if entry.is_signature() {
                 last_verified = i + 1;
                 verified_state = Some(store.snapshot());
             }

@@ -1,9 +1,19 @@
 //! Ledger entry encoding: transaction IDs, write sets split by visibility,
-//! signature payloads (paper §3.1–§3.3).
+//! signature transactions (paper §3.1–§3.3).
+//!
+//! This module is the one home of the signature-transaction format: the
+//! primary builds it with [`LedgerEntry::signature`], and receipts,
+//! recovery and offline auditors read it back with
+//! [`LedgerEntry::signature_payload`] and [`SignaturePayload::verify`].
 
 use ccf_crypto::sha2::{sha256, Sha256};
-use ccf_crypto::{Digest32, Signature, VerifyingKey};
+use ccf_crypto::{CryptoError, Digest32, Signature, SigningKey, VerifyingKey};
 use ccf_kv::codec::{CodecError, Reader, Writer};
+use ccf_kv::{builtin, MapName, WriteSet};
+
+/// The key a signature transaction writes its payload under, in the
+/// `public:ccf.internal.signatures` map.
+const SIGNATURE_KEY: &[u8] = b"latest";
 
 /// A transaction ID: the ordered pair (view, sequence number) — unique per
 /// transaction across the whole service lifetime (§3.1).
@@ -61,8 +71,8 @@ impl EntryKind {
     }
 }
 
-/// The payload of a signature transaction, stored in the
-/// `public:ccf.internal.signatures` map and on the ledger.
+/// The payload of a signature transaction, stored under key `"latest"` in
+/// the `public:ccf.internal.signatures` map and on the ledger.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SignaturePayload {
     /// The signing (primary) node.
@@ -86,6 +96,14 @@ impl SignaturePayload {
         w.u64(txid.seqno);
         w.raw(root);
         w.finish()
+    }
+
+    /// Checks the Ed25519 signature over `signing_bytes(root, txid)`
+    /// under the embedded node key. Whether the signed root matches the
+    /// ledger, and whether the key belongs to a trusted node, is the
+    /// caller's to check.
+    pub fn verify(&self, txid: TxId) -> Result<(), CryptoError> {
+        self.node_public.verify(&Self::signing_bytes(&self.root, txid), &self.signature)
     }
 
     /// Serializes the payload.
@@ -209,12 +227,48 @@ impl LedgerEntry {
     pub fn is_signature(&self) -> bool {
         self.kind == EntryKind::Signature
     }
+
+    /// Builds the signature transaction at `txid`: `node_id`'s signature
+    /// with `key` over Merkle root `root`, written in its public write set.
+    pub fn signature(txid: TxId, root: Digest32, node_id: &str, key: &SigningKey) -> LedgerEntry {
+        let payload = SignaturePayload {
+            node_id: node_id.to_string(),
+            root,
+            signature: key.sign(&SignaturePayload::signing_bytes(&root, txid)),
+            node_public: key.verifying_key(),
+        };
+        let mut ws = WriteSet::new();
+        ws.write(MapName::new(builtin::SIGNATURES), SIGNATURE_KEY.to_vec(), payload.encode());
+        LedgerEntry {
+            txid,
+            kind: EntryKind::Signature,
+            public_ws: ws.encode(),
+            private_ws_enc: Vec::new(),
+            claims_digest: [0u8; 32],
+        }
+    }
+
+    /// Reads back the payload of a signature transaction built by
+    /// [`LedgerEntry::signature`]. Fails for any other kind of entry, a
+    /// write set without the payload, or payload bytes that do not decode.
+    pub fn signature_payload(&self) -> Result<SignaturePayload, CodecError> {
+        if !self.is_signature() {
+            return Err(CodecError::BadValue { context: "signature entry kind" });
+        }
+        let ws = WriteSet::decode(&self.public_ws)?;
+        let payload = ws
+            .maps
+            .get(&MapName::new(builtin::SIGNATURES))
+            .and_then(|writes| writes.get(SIGNATURE_KEY))
+            .and_then(|value| value.as_deref())
+            .ok_or(CodecError::BadValue { context: "signature payload missing" })?;
+        SignaturePayload::decode(payload)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccf_kv::{MapName, WriteSet};
 
     fn sample_entry() -> LedgerEntry {
         let mut ws = WriteSet::new();
@@ -294,6 +348,70 @@ mod tests {
             .node_public
             .verify(&SignaturePayload::signing_bytes(&root, txid), &decoded.signature)
             .unwrap();
+    }
+
+    fn key(seed: u8) -> SigningKey {
+        SigningKey::from_seed([seed; 32])
+    }
+
+    #[test]
+    fn signature_entry_roundtrips_and_verifies() {
+        let txid = TxId::new(3, 42);
+        let root = [9u8; 32];
+        let entry = LedgerEntry::signature(txid, root, "n0", &key(1));
+        assert!(entry.is_signature());
+        assert!(entry.private_ws_enc.is_empty());
+        let payload = entry.signature_payload().unwrap();
+        assert_eq!(payload.node_id, "n0");
+        assert_eq!(payload.root, root);
+        assert_eq!(payload.node_public, key(1).verifying_key());
+        payload.verify(txid).unwrap();
+        // Survives the ledger's own encoding, as an auditor reads it.
+        let decoded = LedgerEntry::decode(&entry.encode()).unwrap();
+        assert_eq!(decoded.signature_payload().unwrap(), payload);
+    }
+
+    #[test]
+    fn signature_payload_rejects_other_entries() {
+        // A user entry, even one carrying a well-formed payload.
+        let mut user = LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "n0", &key(1));
+        user.kind = EntryKind::User;
+        assert!(user.signature_payload().is_err());
+        assert!(sample_entry().signature_payload().is_err());
+
+        // A signature entry whose write set lacks the "latest" key.
+        let mut ws = WriteSet::new();
+        ws.write(MapName::new(builtin::SIGNATURES), b"other".to_vec(), vec![1, 2, 3]);
+        let mut missing = LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "n0", &key(1));
+        missing.public_ws = ws.encode();
+        assert!(missing.signature_payload().is_err());
+
+        // A signature entry whose payload is cut short.
+        let good = LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "n0", &key(1));
+        let bytes = good.signature_payload().unwrap().encode();
+        let cut = bytes[..bytes.len() - 1].to_vec();
+        let mut ws = WriteSet::new();
+        ws.write(MapName::new(builtin::SIGNATURES), b"latest".to_vec(), cut);
+        let mut truncated = good;
+        truncated.public_ws = ws.encode();
+        assert!(truncated.signature_payload().is_err());
+    }
+
+    #[test]
+    fn signature_verify_binds_txid_root_and_key() {
+        let txid = TxId::new(3, 42);
+        let payload = LedgerEntry::signature(txid, [9u8; 32], "n0", &key(1))
+            .signature_payload()
+            .unwrap();
+        payload.verify(txid).unwrap();
+        assert!(payload.verify(TxId::new(3, 43)).is_err());
+        assert!(payload.verify(TxId::new(4, 42)).is_err());
+        let mut other_root = payload.clone();
+        other_root.root = [8u8; 32];
+        assert!(other_root.verify(txid).is_err());
+        let mut other_key = payload.clone();
+        other_key.node_public = key(2).verifying_key();
+        assert!(other_key.verify(txid).is_err());
     }
 
     #[test]

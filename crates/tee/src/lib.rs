@@ -9,10 +9,6 @@
 //!   binding a measurement and report data under a simulated hardware
 //!   root of trust, and verification. This is what CCF's join protocol
 //!   checks against `nodes.code_ids` before sharing service secrets.
-//! * [`ringbuffer`] — the host↔enclave boundary: a pair of SPSC
-//!   ringbuffers carrying serialized messages, mirroring CCF's design of
-//!   minimizing expensive TEE transitions by batching through shared
-//!   memory rings.
 //! * [`platform`] — the platform cost model: `Virtual` (no overhead, the
 //!   paper's virtual mode) vs `SgxSim` (an injected cost proportional to
 //!   each request's execution time, calibrated to the paper's observed
@@ -20,6 +16,10 @@
 //! * [`channel`] — authenticated encrypted node-to-node channels
 //!   (X25519 + HKDF + AES-256-GCM), standing in for the paper's
 //!   Diffie-Hellman node-to-node encryption (§7).
+//!
+//! CCF's host↔enclave ringbuffer pair (§7) is not modelled: nodes are
+//! in-process, and the untrusted host's view is the ledger chunks and
+//! consensus messages the node hands out (DESIGN.md §3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +27,6 @@
 pub mod attestation;
 pub mod channel;
 pub mod platform;
-pub mod ringbuffer;
 
 pub use attestation::{AttestationReport, CodeId, HardwareRoot};
 pub use platform::TeePlatform;
-pub use ringbuffer::{RingBuffer, RingPair};

@@ -14,7 +14,7 @@ use ccf_core::service::{ServiceCluster, ServiceOpts};
 use ccf_kv::{builtin, WriteSet};
 use ccf_ledger::entry::EntryKind;
 use ccf_ledger::files::read_chunks;
-use ccf_ledger::{MerkleTree, SignaturePayload};
+use ccf_ledger::MerkleTree;
 use std::sync::Arc;
 
 fn app() -> Application {
@@ -58,20 +58,10 @@ fn main() {
     let mut private_bytes = 0usize;
     for entry in &entries {
         // 1. Verify each signature transaction against the recomputed root.
-        if entry.kind == EntryKind::Signature {
-            let ws = WriteSet::decode(&entry.public_ws).expect("public ws decodes");
-            let payload_bytes = ws.maps[&MapName::new(builtin::SIGNATURES)][&b"latest".to_vec()]
-                .as_ref()
-                .unwrap();
-            let payload = SignaturePayload::decode(payload_bytes).unwrap();
+        if entry.is_signature() {
+            let payload = entry.signature_payload().expect("signature payload decodes");
             assert_eq!(payload.root, merkle.root(), "signed root must match recomputation");
-            payload
-                .node_public
-                .verify(
-                    &SignaturePayload::signing_bytes(&payload.root, entry.txid),
-                    &payload.signature,
-                )
-                .expect("node signature verifies");
+            payload.verify(entry.txid).expect("node signature verifies");
             signatures += 1;
         }
         if entry.kind == EntryKind::Reconfiguration {
@@ -116,27 +106,9 @@ fn audit_verifies(blobs: &[Vec<u8>]) -> bool {
     let Ok(entries) = read_chunks(blobs) else { return false };
     let mut merkle = MerkleTree::new();
     for entry in &entries {
-        if entry.kind == EntryKind::Signature {
-            let Ok(ws) = WriteSet::decode(&entry.public_ws) else { return false };
-            let Some(Some(payload_bytes)) = ws
-                .maps
-                .get(&MapName::new(builtin::SIGNATURES))
-                .and_then(|m| m.get(&b"latest".to_vec()))
-            else {
-                return false;
-            };
-            let Ok(payload) = SignaturePayload::decode(payload_bytes) else { return false };
-            if payload.root != merkle.root() {
-                return false;
-            }
-            if payload
-                .node_public
-                .verify(
-                    &SignaturePayload::signing_bytes(&payload.root, entry.txid),
-                    &payload.signature,
-                )
-                .is_err()
-            {
+        if entry.is_signature() {
+            let Ok(payload) = entry.signature_payload() else { return false };
+            if payload.root != merkle.root() || payload.verify(entry.txid).is_err() {
                 return false;
             }
         }

@@ -22,6 +22,14 @@ echo "== tier1: replica hardening regressions (release)"
 # --release; the regression tests must exercise the release path.
 cargo test -q --release -p ccf-consensus --test replica_hardening
 
+echo "== tier1: examples (release)"
+# Each example asserts what it demonstrates; logging_audit is the only
+# end-to-end check of the offline auditor (the signature chain verifies,
+# a one-byte tamper is detected).
+for example in quickstart banking logging_audit governance_tour disaster_recovery; do
+    cargo run -q --release -p ccf-core --example "$example" > /dev/null
+done
+
 echo "== tier1: bounded chaos sweep (release, fixed seeds)"
 chaos_out=$(cargo run -q --release -p ccf-bench --bin chaos -- --seeds 25)
 echo "$chaos_out"

@@ -2,7 +2,7 @@
 //! secrets transfer over attested channels (§7), step-down under partial
 //! partitions (§4.2), and confidentiality of the host-visible surface.
 
-use ccf_core::app::{AppResult, Application, EndpointDef};
+use ccf_core::app::{AppResult, Application, EndpointDef, Response};
 use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
 use ccf_crypto::chacha::ChaChaRng;
@@ -26,6 +26,12 @@ fn app() -> Application {
         }))
 }
 
+/// Sends one signed request through the queued, batch-verified path the
+/// service drains at each tick.
+fn signed(service: &mut ServiceCluster, env: SignedRequest) -> Response {
+    service.signed_user_requests(0, vec![env]).remove(0)
+}
+
 #[test]
 fn signed_user_requests_authenticate_cryptographically() {
     let mut service = ServiceCluster::start(
@@ -46,27 +52,26 @@ fn signed_user_requests_authenticate_cryptographically() {
     assert_eq!(state, ProposalState::Accepted);
     service.run_for(200);
 
-    let node = service.nodes.values().next().unwrap().clone();
     // A correctly signed request executes as that user.
     let env = SignedRequest::sign(&user_key, "user/POST /put", b"k1=signed write", 1);
-    let resp = node.handle_signed_user_request(&env);
+    let resp = signed(&mut service, env.clone());
     assert_eq!(resp.status, 200, "{}", resp.text());
     // The purpose binds method+path: replaying the same envelope against
     // a different endpoint is impossible without re-signing.
     let mut retarget = env.clone();
     retarget.purpose = "user/POST /other".to_string();
-    assert_eq!(node.handle_signed_user_request(&retarget).status, 401);
+    assert_eq!(signed(&mut service, retarget).status, 401);
     // A signature from an unregistered key is rejected.
     let mallory = ccf_crypto::SigningKey::from_seed([0x22; 32]);
     let env = SignedRequest::sign(&mallory, "user/POST /put", b"k2=forged", 1);
-    assert_eq!(node.handle_signed_user_request(&env).status, 403);
+    assert_eq!(signed(&mut service, env).status, 403);
     // Tampered payload is rejected.
     let mut env = SignedRequest::sign(&user_key, "user/POST /put", b"k3=x", 2);
     env.payload = b"k3=y".to_vec();
-    assert_eq!(node.handle_signed_user_request(&env).status, 401);
+    assert_eq!(signed(&mut service, env).status, 401);
     // The signed write really landed.
     let read = SignedRequest::sign(&user_key, "user/GET /get?k=k1", b"", 3);
-    let resp = node.handle_signed_user_request(&read);
+    let resp = signed(&mut service, read);
     assert_eq!(resp.status, 200);
     assert_eq!(resp.text(), "signed write");
 }

@@ -4,7 +4,6 @@
 
 use ccf_consensus::invariants::InvariantChecker;
 use ccf_core::app::{AppResult, Application, EndpointDef};
-use ccf_core::indexer::KeyToTxIds;
 use ccf_core::node::CcfNode;
 use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
@@ -403,8 +402,7 @@ fn entries_are_decrypted_once_per_backup_and_applied_identically() {
         node.with_indexer(|idx| {
             (0..2)
                 .map(|i| {
-                    let strategy: &dyn std::any::Any = idx.strategy(i).unwrap();
-                    let keys = strategy.downcast_ref::<KeyToTxIds>().unwrap();
+                    let keys = idx.strategy(i).unwrap();
                     (0..5)
                         .map(|k| keys.txids_for(format!("k{k}").as_bytes()).to_vec())
                         .collect()
