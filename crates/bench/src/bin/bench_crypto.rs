@@ -1,6 +1,8 @@
-//! Fast-path cryptography numbers for EXPERIMENTS.md: the seed
-//! double-and-add verify vs the windowed Strauss–Shamir verify, batched
-//! verification at consensus-round sizes, and Merkle append + root.
+//! Fast-path cryptography numbers for EXPERIMENTS.md: signing and its
+//! fixed-base multiplication (radix-256 table vs the seed doubling table),
+//! the seed double-and-add verify vs the windowed Strauss–Shamir verify,
+//! batched verification at consensus-round sizes, and Merkle append, root
+//! and inclusion proof.
 //!
 //! Run with: `cargo run --release -p ccf-bench --bin bench_crypto`
 //!
@@ -8,6 +10,8 @@
 //! in the current directory. `CCF_BENCH_SAMPLES` overrides the per-metric
 //! sample count (default 30).
 
+use ccf_crypto::bignum::Scalar;
+use ccf_crypto::ed25519::{reference, Point};
 use ccf_crypto::{Signature, SigningKey, VerifyingKey};
 use ccf_ledger::MerkleTree;
 use std::time::Instant;
@@ -48,10 +52,27 @@ fn main() {
         .unwrap_or(30);
     let mut fields: Vec<(String, f64)> = Vec::new();
 
-    // Single verify: frozen seed pipeline vs the windowed fast path.
+    // Signing: two SHA-512 passes, one fixed-base multiplication and one
+    // inversion (compress). The multiplication alone, radix-256 table vs
+    // the frozen seed doubling table, on the nonce scalar of this message.
     let key = SigningKey::from_seed([7u8; 32]);
     let vk = key.verifying_key();
     let msg = b"merkle root placeholder: 32 bytes of data....";
+    let sig_ns = median_ns_per_call(samples, 200, || {
+        std::hint::black_box(key.sign(msg));
+    });
+    let nonce = Scalar::from_bytes_wide(&ccf_crypto::sha512(msg));
+    let mul_base_ns = median_ns_per_call(samples, 200, || {
+        std::hint::black_box(Point::mul_base(&nonce));
+    });
+    let mul_base_seed_ns = median_ns_per_call(samples, 50, || {
+        std::hint::black_box(reference::mul_base_seed(&nonce));
+    });
+    fields.push(("ed25519_sign_ns".into(), sig_ns));
+    fields.push(("ed25519_mul_base_ns".into(), mul_base_ns));
+    fields.push(("ed25519_mul_base_seed_ns".into(), mul_base_seed_ns));
+
+    // Single verify: frozen seed pipeline vs the windowed fast path.
     let sig = key.sign(msg);
     let seed_ns = median_ns_per_call(samples, 50, || {
         ccf_crypto::ed25519::reference::verify(&vk, msg, &sig).unwrap();
@@ -96,11 +117,20 @@ fn main() {
     });
     fields.push(("merkle_append_100_then_root_ns".into(), append_ns));
 
-    // Root read on an idle tree: a fold over the peak stack.
+    // Root read on an idle tree: a fold over its peaks.
     let root_ns = median_ns_per_call(samples, 10_000, || {
         std::hint::black_box(base.root());
     });
     fields.push(("merkle_root_ns".into(), root_ns));
+
+    // One inclusion proof (a receipt's Merkle path) on the 10k-leaf tree,
+    // cycling through leaf indices.
+    let mut index = 0u64;
+    let prove_ns = median_ns_per_call(samples, 1_000, || {
+        index = (index + 7_919) % base.len();
+        std::hint::black_box(base.prove(index));
+    });
+    fields.push(("merkle_prove_10k_ns".into(), prove_ns));
 
     let json = format!(
         "{{{}}}",

@@ -107,6 +107,9 @@ struct NodeMetrics {
     batch_verifies: ccf_obs::Counter,
     batch_verify_sigs: ccf_obs::Counter,
     single_verifies: ccf_obs::Counter,
+    /// Primary post-commit duty scans (`complete_retirements` +
+    /// `process_rekey_request`); zero while nothing arms them.
+    duty_scans: ccf_obs::Counter,
     /// Request entry → global commit, per traced user request
     /// (DESIGN.md §12; the node-level counterpart of
     /// `consensus.commit_latency_ms`).
@@ -133,6 +136,7 @@ impl NodeMetrics {
             batch_verifies: reg.counter("crypto.ed25519_batch_verifies"),
             batch_verify_sigs: reg.counter("crypto.ed25519_batch_sigs"),
             single_verifies: reg.counter("crypto.ed25519_single_verifies"),
+            duty_scans: reg.counter("node.duty_scans"),
             commit_latency: reg.histogram("node.commit_latency_ms", LATENCY_BUCKETS),
             queue_latency: reg.histogram("node.queue_latency_ms", LATENCY_BUCKETS),
         }
@@ -190,6 +194,11 @@ struct NodeInner {
     commits_since_snapshot: u64,
     retired: bool,
     handled_rekey: Option<Vec<u8>>,
+    /// Whether the primary's post-commit duties may have work: set when an
+    /// appended entry writes `nodes.info` or the ledger-secret map, and on
+    /// rollback, snapshot install and role change; cleared only by a scan
+    /// that finds no `Retiring` node and no unhandled rekey marker.
+    duties_armed: bool,
     /// Monotonic count of primary changes (terminates forwarded sessions).
     view_epoch: u64,
     /// Signed user requests queued for the next tick; drained as one
@@ -296,6 +305,7 @@ impl CcfNode {
                 commits_since_snapshot: 0,
                 retired: false,
                 handled_rekey: None,
+                duties_armed: true,
                 view_epoch: 0,
                 signed_request_queue: Vec::new(),
                 signed_request_responses: BTreeMap::new(),
@@ -601,9 +611,11 @@ impl CcfNode {
                     self.keep_applied(inner, snapshot.last_txid, WriteSet::new());
                     inner.indexer.reset_to(snapshot.last_txid.seqno);
                     self.reload_dynamic_state(inner);
+                    inner.duties_armed = true;
                 }
                 Event::BecamePrimary { .. } | Event::BecameBackup { .. } => {
                     inner.view_epoch += 1;
+                    inner.duties_armed = true;
                 }
                 Event::RetirementCommitted => {
                     inner.retired = true;
@@ -634,6 +646,11 @@ impl CcfNode {
         self.publish_last_applied(txid);
         // React to writes addressed to this node (ledger rekey dist).
         self.check_rekey_distribution(inner, &ws, txid);
+        if ws.maps.contains_key(&map(builtin::NODES_INFO))
+            || ws.maps.contains_key(&map(builtin::LEDGER_SECRET))
+        {
+            inner.duties_armed = true;
+        }
         // Live app / constitution updates take effect on append (they are
         // rolled back with the entry if it never commits, restoring the
         // previous app on the state rollback path).
@@ -716,16 +733,23 @@ impl CcfNode {
                 }
             }
         }
-        // Primary post-commit duties.
-        if inner.replica.is_primary() {
-            self.complete_retirements(inner);
-            self.process_rekey_request(inner);
+        // Primary post-commit duties, only while armed. They read the
+        // uncommitted store, so the arming follows appends, not commits;
+        // an entry they propose re-arms them through its own append.
+        if inner.replica.is_primary() && inner.duties_armed {
+            self.metrics.duty_scans.inc();
+            inner.duties_armed = false;
+            let retiring = self.complete_retirements(inner);
+            let rekey = self.process_rekey_request(inner);
+            inner.duties_armed |= retiring || rekey;
         }
     }
 
     /// §4.5 step two: once a retirement (Retiring, out of committed
-    /// config) commits, the primary records RETIRED.
-    fn complete_retirements(&self, inner: &mut NodeInner) {
+    /// config) commits, the primary records RETIRED. Returns whether it
+    /// found a `Retiring` node: one still in the committed config is
+    /// retired by a later scan, once the config without it commits.
+    fn complete_retirements(&self, inner: &mut NodeInner) -> bool {
         let current_config: std::collections::BTreeSet<NodeId> = inner
             .replica
             .active_configs()
@@ -733,18 +757,22 @@ impl CcfNode {
             .map(|c| c.nodes.iter().cloned().collect())
             .unwrap_or_default();
         let tx = self.store.begin();
+        let mut retiring = false;
         let mut to_retire = Vec::new();
         tx.for_each(&map(builtin::NODES_INFO), |k, v| {
             if let (Ok(id), Ok(text)) = (std::str::from_utf8(k), std::str::from_utf8(v)) {
                 if let Some(info) = NodeInfo::from_json(text) {
-                    if info.status == NodeStatus::Retiring && !current_config.contains(id) {
-                        to_retire.push((id.to_string(), info));
+                    if info.status == NodeStatus::Retiring {
+                        retiring = true;
+                        if !current_config.contains(id) {
+                            to_retire.push((id.to_string(), info));
+                        }
                     }
                 }
             }
         });
         if to_retire.is_empty() {
-            return;
+            return retiring;
         }
         let mut tx = self.store.begin();
         for (id, mut info) in to_retire {
@@ -753,17 +781,19 @@ impl CcfNode {
         }
         let ws = tx.write_set().clone();
         let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
+        retiring
     }
 
     /// Ledger rekey (§5.2 note on rekeying): generates a fresh secret,
     /// seals it to every trusted node, refreshes recovery shares, and
-    /// clears the request marker — all in one transaction.
-    fn process_rekey_request(&self, inner: &mut NodeInner) {
+    /// clears the request marker — all in one transaction. Returns whether
+    /// it found an unhandled marker (and so handled it).
+    fn process_rekey_request(&self, inner: &mut NodeInner) -> bool {
         let mut tx = self.store.begin();
         let marker = tx.get(&map(builtin::LEDGER_SECRET), b"rekey_requested");
-        let Some(marker) = marker else { return };
+        let Some(marker) = marker else { return false };
         if inner.handled_rekey.as_deref() == Some(&marker) {
-            return;
+            return false;
         }
         inner.handled_rekey = Some(marker.clone());
         let new_key = inner.rng.gen_seed();
@@ -823,6 +853,7 @@ impl CcfNode {
         );
         let ws = tx.write_set().clone();
         let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
+        true
     }
 
     /// Applies a sealed rekey distribution addressed to this node.
@@ -866,6 +897,7 @@ impl CcfNode {
         inner.recent_states.retain(|s, _| *s <= seqno);
         self.publish_last_applied(inner.replica.last_txid());
         self.reload_dynamic_state(inner);
+        inner.duties_armed = true;
     }
 
     /// Re-derives app/constitution caches from the (possibly reverted)

@@ -5,6 +5,12 @@
 //! comes from [`crate::field25519`]. Self-consistency tests then verify the
 //! derivations (point on curve, L·B = identity, sign/verify roundtrips).
 //!
+//! Signing costs two SHA-512 hashes, one fixed-base multiplication
+//! ([`Point::mul_base`]: at most 32 affine additions on a radix-256 table
+//! of 4096 precomputed multiples of B) and one field inversion (in
+//! [`Point::compress`]). Verification uses a width-8 wNAF base table and
+//! one shared doubling chain.
+//!
 //! Used throughout the reproduction for: node identities, the service
 //! identity, signature transactions over Merkle roots, receipts, member
 //! request signing (COSE-Sign1-analog envelopes), and certificates.
@@ -147,29 +153,31 @@ fn base_wnaf_table() -> &'static Vec<AffineNiels> {
     })
 }
 
-/// Radix-16 fixed-window table for the base point:
-/// `table[i][j] = (j+1)·16^i·B` for i < 64, j < 8. With signed digits in
-/// [-8, 8] this turns `mul_base` into at most 64 table additions and zero
-/// doublings (the doublings are baked into the 16^i rows).
-fn base_radix16_table() -> &'static Vec<[AffineNiels; 8]> {
-    static T: OnceLock<Vec<[AffineNiels; 8]>> = OnceLock::new();
+/// Radix-256 fixed-window table for the base point:
+/// `table[i][j] = (j+1)·256^i·B` for i < 32, j < 128. With signed digits
+/// in [-128, 128] this turns `mul_base` into at most 32 table additions
+/// and zero doublings (the doublings are baked into the 256^i rows).
+/// 4096 affine points, about 393 KB, built once per process with a single
+/// batched inversion.
+fn base_radix256_table() -> &'static Vec<[AffineNiels; 128]> {
+    static T: OnceLock<Vec<[AffineNiels; 128]>> = OnceLock::new();
     T.get_or_init(|| {
-        let mut pts = Vec::with_capacity(64 * 8);
+        let mut pts = Vec::with_capacity(32 * 128);
         let mut row_base = *base_point();
-        for _ in 0..64 {
+        for _ in 0..32 {
             let step = Cached::from_point(&row_base);
             let mut cur = row_base;
-            for j in 0..8 {
+            for j in 0..128 {
                 pts.push(cur);
-                if j < 7 {
+                if j < 127 {
                     cur = cur.add_cached(&step);
                 }
             }
-            // cur is now 8·16^i·B, so the next row base is its double.
+            // cur is now 128·256^i·B, so the next row base is its double.
             row_base = cur.double();
         }
         let affine = batch_to_affine(&pts);
-        affine.chunks_exact(8).map(|c| <[AffineNiels; 8]>::try_from(c).unwrap()).collect()
+        affine.chunks_exact(128).map(|c| <[AffineNiels; 128]>::try_from(c).unwrap()).collect()
     })
 }
 
@@ -271,28 +279,23 @@ impl Point {
         acc
     }
 
-    /// Fast base-point multiplication: signed radix-16 digits against the
-    /// precomputed `(j+1)·16^i·B` table — at most 64 affine additions and
-    /// no doublings (versus ~127 additions for the former bit-per-entry
-    /// doubling table).
+    /// Fast base-point multiplication: signed radix-256 digits against the
+    /// precomputed `(j+1)·256^i·B` table — at most 32 affine additions and
+    /// no doublings. `s` must be reduced (< L), as every `Scalar`
+    /// constructor except the raw limb tuple guarantees.
     pub fn mul_base(s: &Scalar) -> Point {
-        let bytes = s.to_bytes();
-        // Split into 64 nibbles, then carry-adjust to signed digits in
-        // [-8, 8]. Scalars are < L < 2^253, so the top digit absorbs the
-        // final carry without overflow.
-        let mut e = [0i8; 64];
-        for (i, b) in bytes.iter().enumerate() {
-            e[2 * i] = (b & 15) as i8;
-            e[2 * i + 1] = (b >> 4) as i8;
-        }
-        let mut carry = 0i8;
-        for digit in e.iter_mut().take(63) {
+        // One digit per scalar byte, carry-adjusted to signed digits in
+        // [-128, 127]. Scalars are < L < 2^253, so the top digit absorbs
+        // the final carry without overflow.
+        let mut e = s.to_bytes().map(i16::from);
+        let mut carry = 0i16;
+        for digit in e.iter_mut().take(31) {
             *digit += carry;
-            carry = (*digit + 8) >> 4;
-            *digit -= carry << 4;
+            carry = (*digit + 128) >> 8;
+            *digit -= carry << 8;
         }
-        e[63] += carry;
-        let table = base_radix16_table();
+        e[31] += carry;
+        let table = base_radix256_table();
         let mut acc = Point::identity();
         for (row, &digit) in table.iter().zip(e.iter()) {
             if digit != 0 {
@@ -520,9 +523,10 @@ impl VerifyingKey {
     ///
     /// This path is variable-time in the scalars, which is fine here: S, R
     /// and k are all public values of a (purported) signature, so timing
-    /// reveals nothing secret. Signing, which handles the private scalar,
-    /// does not use wNAF lookups keyed on secret data beyond what the seed
-    /// implementation already did (see the crate security disclaimer).
+    /// reveals nothing secret. Signing, which handles the secret nonce,
+    /// indexes the radix-256 base table by its digits and skips zero
+    /// digits, so it is not constant time either (see the crate security
+    /// disclaimer).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
         let (s, r, a, k) = self.parse_for_verify(msg, sig)?;
         if ms_mul(Some(&s), &[(k, a.neg())]).equals(&r) {
@@ -763,19 +767,82 @@ mod tests {
     }
 
     #[test]
-    fn radix16_mul_base_matches_seed_paths() {
+    fn radix256_mul_base_matches_seed_paths() {
+        let check = |s: &Scalar| {
+            let fast = Point::mul_base(s);
+            assert!(fast.equals(&reference::mul_base_seed(s)), "scalar {:?}", s.0);
+        };
+        // Edge scalars: 0, 1, L−1 and 2^252.
+        assert!(Point::mul_base(&Scalar::ZERO).is_identity());
+        assert!(Point::mul_base(&Scalar::ONE).equals(base_point()));
+        let mut lm1 = L;
+        lm1[0] -= 1;
+        check(&Scalar(lm1));
+        check(&Scalar([0, 0, 0, 1 << 60]));
+        // Bytes at the ±128 carry boundary: runs of 0x7f, 0x80 and 0xff
+        // (a top byte of 0x0f keeps each scalar below 2^252 < L).
+        for fill in [0x7fu8, 0x80, 0xff] {
+            for run in [1usize, 2, 8, 31] {
+                for start in [0, 5, 31 - run].into_iter().filter(|s| s + run <= 31) {
+                    let mut bytes = [0x11u8; 32];
+                    bytes[start..start + run].fill(fill);
+                    bytes[31] = 0x0f;
+                    check(&Scalar::from_canonical_bytes(&bytes).unwrap());
+                }
+            }
+        }
+        // 1000 seeded random scalars; a few also against the generic ladder.
         let mut rng = ChaChaRng::seed_from_u64(1234);
-        for _ in 0..20 {
+        for i in 0..1000 {
             let mut wide = [0u8; 64];
             rng.fill_bytes(&mut wide);
             let s = Scalar::from_bytes_wide(&wide);
-            let fast = Point::mul_base(&s);
-            assert!(fast.equals(&reference::mul_base_seed(&s)));
-            assert!(fast.equals(&reference::mul_seed(base_point(), &s)));
+            check(&s);
+            if i < 20 {
+                assert!(Point::mul_base(&s).equals(&reference::mul_seed(base_point(), &s)));
+            }
         }
-        // Edge scalars.
-        assert!(Point::mul_base(&Scalar::ZERO).is_identity());
-        assert!(Point::mul_base(&Scalar::ONE).equals(base_point()));
+    }
+
+    /// RFC 8032 §7.1 test vectors: key derivation and signatures byte for
+    /// byte, and each signature verifies.
+    #[test]
+    fn rfc8032_known_answers() {
+        use crate::hex::{from_hex, from_hex_array, to_hex};
+        let vectors = [
+            (
+                "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+                "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+                "",
+                "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
+            ),
+            (
+                "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+                "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+                "72",
+                "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
+            ),
+            (
+                "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+                "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+                "af82",
+                "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a",
+            ),
+            (
+                "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
+                "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf",
+                "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f",
+                "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b58909351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704",
+            ),
+        ];
+        for (seed, public, msg, sig) in vectors {
+            let key = SigningKey::from_seed(from_hex_array(seed).unwrap());
+            assert_eq!(to_hex(&key.verifying_key().0), public);
+            let msg = from_hex(msg).unwrap();
+            let signature = key.sign(&msg);
+            assert_eq!(to_hex(&signature.0), sig);
+            key.verifying_key().verify(&msg, &signature).unwrap();
+        }
     }
 
     #[test]

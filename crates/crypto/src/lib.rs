@@ -28,6 +28,9 @@
 //!   generator ([`chacha::ChaChaRng`]).
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032) over a from-scratch
 //!   Curve25519 field ([`field25519`]) and a bignum scalar ring ([`bignum`]).
+//!   Signing multiplies the base point with signed radix-256 digits against
+//!   a once-built table (at most 32 additions, no doublings); the seed
+//!   double-and-add paths are frozen as [`ed25519::reference`].
 //! * [`x25519`] — X25519 Diffie-Hellman (RFC 7748) and an ECIES-style
 //!   sealed box used for governance recovery shares.
 //! * [`shamir`] — Shamir k-of-n secret sharing over GF(2^8) (per byte).

@@ -20,8 +20,15 @@
 
 use std::sync::OnceLock;
 
-/// Computes the SHA-256 digest of `data` in one shot.
+/// Computes the SHA-256 digest of `data` in one shot. The empty input's
+/// digest is computed once and cached: every ledger entry hashes an empty
+/// write-set half (the public half of a private write, the private half of
+/// a public or signature entry).
 pub fn sha256(data: &[u8]) -> [u8; 32] {
+    if data.is_empty() {
+        static EMPTY: OnceLock<[u8; 32]> = OnceLock::new();
+        return *EMPTY.get_or_init(|| Sha256::new().finalize());
+    }
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()

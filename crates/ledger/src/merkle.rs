@@ -6,11 +6,14 @@
 //! domain-separated from interior nodes (0x00 / 0x01 prefixes) so a leaf
 //! can never be confused with a node.
 //!
-//! The root is maintained incrementally via a stack of perfect-subtree
-//! "peaks", so appends are O(1) amortized and the root — needed every
-//! signature interval — is O(log n). Inclusion proofs are generated from
-//! the retained leaf digests. Consensus can roll back uncommitted suffixes
-//! after a view change, so the tree supports truncation.
+//! The tree keeps, per level, the digest of every complete (perfect,
+//! aligned) subtree built so far: level 0 holds the leaves, level h the
+//! roots of leaves `[i·2^h, (i+1)·2^h)`. Appends are O(1) amortized, and
+//! the root at any size — needed every signature interval — folds the at
+//! most log n "peaks" of that size, so it is O(log n). Inclusion proofs
+//! read their siblings from the same levels in O(log n). Consensus can
+//! roll back uncommitted suffixes after a view change, so the tree
+//! supports truncation, which cuts each level in O(log n).
 
 use ccf_crypto::sha2::{sha256_fixed65, Sha256};
 use ccf_crypto::Digest32;
@@ -115,14 +118,6 @@ impl MerkleProof {
     }
 }
 
-/// A perfect subtree maintained in the peak stack.
-#[derive(Clone, Debug)]
-struct Peak {
-    /// log2 of the subtree's leaf count.
-    height: u32,
-    root: Digest32,
-}
-
 /// Cached observability handles (`ledger.merkle_*`). Clones share the
 /// underlying counters, so a cloned tree (snapshots, rollback probes)
 /// keeps reporting into the same registry.
@@ -144,8 +139,10 @@ impl MerkleMetrics {
 /// The incremental Merkle tree.
 #[derive(Clone, Debug, Default)]
 pub struct MerkleTree {
-    leaves: Vec<Digest32>,
-    peaks: Vec<Peak>,
+    /// `levels[h][i]` is the root of the complete subtree over leaves
+    /// `[i·2^h, (i+1)·2^h)`; `levels[0]` holds the leaf digests. Level h
+    /// holds exactly `len() >> h` digests.
+    levels: Vec<Vec<Digest32>>,
     metrics: Option<MerkleMetrics>,
 }
 
@@ -163,12 +160,12 @@ impl MerkleTree {
 
     /// Number of leaves.
     pub fn len(&self) -> u64 {
-        self.leaves.len() as u64
+        self.levels.first().map_or(0, |l| l.len() as u64)
     }
 
     /// True iff there are no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.len() == 0
     }
 
     /// Appends a leaf (raw bytes; hashed with the leaf prefix).
@@ -181,44 +178,35 @@ impl MerkleTree {
         if let Some(m) = &self.metrics {
             m.appends.inc();
         }
-        self.leaves.push(digest);
         self.merge_peak(digest);
     }
 
-    /// Pushes a height-0 peak and merges equal-height neighbours, keeping
-    /// the stack strictly decreasing in height (amortized O(1) per leaf).
+    /// Pushes a leaf and every complete subtree it completes: while a level
+    /// holds an even count, its last two digests form the next level's
+    /// newest entry (amortized O(1) per leaf).
     fn merge_peak(&mut self, digest: Digest32) {
-        let mut peak = Peak { height: 0, root: digest };
-        while let Some(top) = self.peaks.last() {
-            if top.height == peak.height {
-                let left = self.peaks.pop().unwrap();
-                peak = Peak { height: peak.height + 1, root: node_hash(&left.root, &peak.root) };
-            } else {
+        let mut node = digest;
+        for h in 0.. {
+            if self.levels.len() == h {
+                self.levels.push(Vec::new());
+            }
+            let level = &mut self.levels[h];
+            level.push(node);
+            if level.len() % 2 == 1 {
                 break;
             }
+            node = node_hash(&level[level.len() - 2], &node);
         }
-        self.peaks.push(peak);
     }
 
     /// The leaf digest at `index`.
     pub fn leaf(&self, index: u64) -> Option<&Digest32> {
-        self.leaves.get(index as usize)
+        self.levels.first()?.get(index as usize)
     }
 
-    /// The current root. Peaks are folded right-to-left, which reproduces
-    /// the RFC 6962 root for any tree size in O(log n) hashes.
+    /// The current root.
     pub fn root(&self) -> Digest32 {
-        match self.peaks.len() {
-            0 => empty_root(),
-            _ => {
-                let mut iter = self.peaks.iter().rev();
-                let mut acc = iter.next().unwrap().root;
-                for peak in iter {
-                    acc = node_hash(&peak.root, &acc);
-                }
-                acc
-            }
-        }
+        self.range_root(0, self.len())
     }
 
     /// Removes all leaves at index >= `new_len` (consensus rollback).
@@ -227,19 +215,13 @@ impl MerkleTree {
         if let Some(m) = &self.metrics {
             m.truncations.inc();
         }
-        self.leaves.truncate(new_len as usize);
-        // Rebuild the peak stack from the retained leaves. Rollbacks are
-        // rare (view changes), so O(n) is acceptable.
-        self.peaks.clear();
-        let leaves = std::mem::take(&mut self.leaves);
-        for digest in &leaves {
-            self.merge_peak(*digest);
+        for (h, level) in self.levels.iter_mut().enumerate() {
+            level.truncate((new_len >> h) as usize);
         }
-        self.leaves = leaves;
     }
 
     /// Generates an inclusion proof for `leaf_index` against the current
-    /// tree. O(n) time, O(log n) proof size.
+    /// tree. O(log n) time and proof size.
     pub fn prove(&self, leaf_index: u64) -> Option<MerkleProof> {
         self.prove_at_size(leaf_index, self.len())
     }
@@ -251,44 +233,53 @@ impl MerkleTree {
         if leaf_index >= size || size > self.len() {
             return None;
         }
+        // Walk the RFC 6962 split top-down, collecting siblings; the path
+        // is bottom-up, so reverse at the end.
         let mut path = Vec::new();
-        Self::prove_range(&self.leaves[..size as usize], leaf_index as usize, &mut path);
+        let (mut start, mut end) = (0, size);
+        while end - start > 1 {
+            let split = start + largest_power_of_two_below((end - start) as usize) as u64;
+            let step = if leaf_index < split {
+                let sibling = self.range_root(split, end);
+                end = split;
+                ProofStep { sibling_on_left: false, sibling }
+            } else {
+                let sibling = self.range_root(start, split);
+                start = split;
+                ProofStep { sibling_on_left: true, sibling }
+            };
+            path.push(step);
+        }
+        path.reverse();
         Some(MerkleProof { leaf_index, tree_size: size, path })
     }
 
     /// The root of the prefix of the first `size` leaves (the root a
     /// signature transaction at seqno `size + 1` signed).
     pub fn root_at_size(&self, size: u64) -> Option<Digest32> {
-        if size > self.len() {
-            return None;
-        }
-        Some(Self::subtree_root(&self.leaves[..size as usize]))
+        (size <= self.len()).then(|| self.range_root(0, size))
     }
 
-    /// RFC 6962 recursive proof: subtree over `leaves`, target at `index`
-    /// within it. Appends the path bottom-up.
-    fn prove_range(leaves: &[Digest32], index: usize, path: &mut Vec<ProofStep>) {
-        if leaves.len() <= 1 {
-            return;
+    /// RFC 6962 root of leaves `[start, end)`, for ranges the split
+    /// recursion produces: `start` is a multiple of the largest power of
+    /// two not above `end - start`. Such a range is a run of complete
+    /// subtrees of decreasing height (one per set bit of its length), each
+    /// aligned, so each is one stored digest; they fold right to left, from
+    /// the lowest peak up.
+    fn range_root(&self, start: u64, end: u64) -> Digest32 {
+        let len = end - start;
+        let mut acc: Option<Digest32> = None;
+        for h in 0..u64::BITS - len.leading_zeros() {
+            if len >> h & 1 == 1 {
+                let offset = start + (len >> (h + 1) << (h + 1));
+                let peak = &self.levels[h as usize][(offset >> h) as usize];
+                acc = Some(match acc {
+                    None => *peak,
+                    Some(right) => node_hash(peak, &right),
+                });
+            }
         }
-        let split = if leaves.len().is_power_of_two() {
-            leaves.len() / 2
-        } else {
-            largest_power_of_two_below(leaves.len())
-        };
-        if index < split {
-            Self::prove_range(&leaves[..split], index, path);
-            path.push(ProofStep {
-                sibling_on_left: false,
-                sibling: Self::subtree_root(&leaves[split..]),
-            });
-        } else {
-            Self::prove_range(&leaves[split..], index - split, path);
-            path.push(ProofStep {
-                sibling_on_left: true,
-                sibling: Self::subtree_root(&leaves[..split]),
-            });
-        }
+        acc.unwrap_or_else(empty_root)
     }
 
     /// Root of an arbitrary leaf range (RFC 6962 recursion).
@@ -297,11 +288,7 @@ impl MerkleTree {
             0 => empty_root(),
             1 => leaves[0],
             n => {
-                let split = if n.is_power_of_two() {
-                    n / 2
-                } else {
-                    largest_power_of_two_below(n)
-                };
+                let split = largest_power_of_two_below(n);
                 node_hash(
                     &Self::subtree_root(&leaves[..split]),
                     &Self::subtree_root(&leaves[split..]),
@@ -310,10 +297,10 @@ impl MerkleTree {
         }
     }
 
-    /// Recomputes the root the slow recursive way (test oracle for the
-    /// incremental peak computation).
+    /// Recomputes the root the slow recursive way from the leaves (test
+    /// oracle for the level-based computation).
     pub fn root_recursive(&self) -> Digest32 {
-        Self::subtree_root(&self.leaves)
+        Self::subtree_root(self.levels.first().map_or(&[], |l| l.as_slice()))
     }
 
     /// Hashes a raw leaf the way [`MerkleTree::append`] does, for callers
@@ -349,6 +336,55 @@ mod tests {
             tree.append(leaf);
             assert_eq!(tree.root(), tree.root_recursive(), "size {}", i + 1);
         }
+    }
+
+    /// The RFC 6962 recursive proof over a leaf slice (the oracle the
+    /// level-based proofs must match).
+    fn prove_recursive(leaves: &[Digest32], index: usize, path: &mut Vec<ProofStep>) {
+        if leaves.len() <= 1 {
+            return;
+        }
+        let split = largest_power_of_two_below(leaves.len());
+        let (sibling_on_left, sibling) = if index < split {
+            prove_recursive(&leaves[..split], index, path);
+            (false, MerkleTree::subtree_root(&leaves[split..]))
+        } else {
+            prove_recursive(&leaves[split..], index - split, path);
+            (true, MerkleTree::subtree_root(&leaves[..split]))
+        };
+        path.push(ProofStep { sibling_on_left, sibling });
+    }
+
+    fn assert_matches_oracle(tree: &MerkleTree) {
+        let all: Vec<Digest32> = (0..tree.len()).map(|i| *tree.leaf(i).unwrap()).collect();
+        for size in 0..=tree.len() {
+            let prefix = &all[..size as usize];
+            assert_eq!(tree.root_at_size(size), Some(MerkleTree::subtree_root(prefix)));
+            for index in 0..size {
+                let mut path = Vec::new();
+                prove_recursive(prefix, index as usize, &mut path);
+                let expected = MerkleProof { leaf_index: index, tree_size: size, path };
+                assert_eq!(tree.prove_at_size(index, size), Some(expected), "({index}, {size})");
+            }
+        }
+    }
+
+    #[test]
+    fn proofs_match_recursive_oracle_before_and_after_truncation() {
+        let mut tree = MerkleTree::new();
+        for leaf in leaves(130) {
+            tree.append(&leaf);
+        }
+        assert_matches_oracle(&tree);
+        // Cut to a size with several peaks, then regrow with a divergent
+        // suffix: the cut levels must rebuild exactly.
+        tree.truncate(77);
+        assert_matches_oracle(&tree);
+        for i in 77..130 {
+            tree.append(format!("other-{i}").as_bytes());
+        }
+        assert_matches_oracle(&tree);
+        assert_eq!(tree.root(), tree.root_recursive());
     }
 
     #[test]

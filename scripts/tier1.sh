@@ -42,6 +42,18 @@ for pin in '^\[consensus\] .* 1099 protocol records checked$' \
     grep -qE "$pin" <<<"$chaos_out" || { echo "chaos sweep moved: no line matches /$pin/"; exit 1; }
 done
 
+echo "== tier1: wide chaos sweep (release, 300 fixed seeds, ~13 s)"
+# The service harness retires nodes and rekeys the ledger under faults;
+# twelve times the seeds cover many more of those interleavings, so these
+# counts guard the primary's post-commit duty gate as well as the schedule.
+chaos_out=$(cargo run -q --release -p ccf-bench --bin chaos -- --seeds 300)
+echo "$chaos_out"
+for pin in '^\[consensus\] .* 12171 protocol records checked$' \
+           '^\[service\] .* 3094 protocol records checked$' \
+           ': 12014 commits, 10800 faults, 0 failures$'; do
+    grep -qE "$pin" <<<"$chaos_out" || { echo "wide chaos sweep moved: no line matches /$pin/"; exit 1; }
+done
+
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke
 

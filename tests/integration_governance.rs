@@ -5,7 +5,9 @@
 use ccf_core::app::{AppResult, Application, EndpointDef};
 use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
+use ccf_governance::actions::NodeInfo;
 use ccf_governance::proposal::ActionInvocation;
+use ccf_governance::NodeStatus;
 use ccf_governance::ScriptConstitution;
 use std::sync::Arc;
 
@@ -262,4 +264,80 @@ fn ledger_rekey_via_governance() {
     let node = service.nodes.values().next().unwrap();
     let all = node.historical_writes(1, node.commit_seqno()).unwrap();
     assert!(all.len() as u64 == node.commit_seqno());
+}
+
+/// The first committed seqno on `node` whose writes to `map_name` contain
+/// an entry satisfying `pred`.
+fn first_write(
+    node: &ccf_core::CcfNode,
+    map_name: &str,
+    pred: impl Fn(&[u8], Option<&[u8]>) -> bool,
+) -> Option<Seqno> {
+    let writes = node.historical_writes(1, node.commit_seqno()).unwrap();
+    writes.into_iter().find_map(|(txid, ws)| {
+        let hit = ws
+            .maps
+            .get(&MapName::new(map_name))
+            .is_some_and(|w| w.iter().any(|(k, v)| pred(k, v.as_deref())));
+        hit.then_some(txid.seqno)
+    })
+}
+
+#[test]
+fn retirement_and_rekey_land_at_pinned_seqnos() {
+    // The primary's post-commit duties write `Retired` once a retirement
+    // leaves the committed configuration, and rekey once governance asks.
+    // Running them only when armed must not move either write.
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 4, members: 1, seed: 66, ..ServiceOpts::default() },
+        Arc::new(app()),
+    );
+    service.open_service();
+    let primary = service.primary().unwrap();
+    let victim = service.nodes.keys().find(|id| **id != primary).unwrap().clone();
+    let state = service.propose_and_accept(Proposal::single(
+        "remove_node",
+        Value::obj([("node_id".to_string(), Value::str(victim.clone()))]),
+    ));
+    assert_eq!(state, ProposalState::Accepted);
+    service.run_for(1000);
+    let state =
+        service.propose_and_accept(Proposal::single("trigger_ledger_rekey", Value::Null));
+    assert_eq!(state, ProposalState::Accepted);
+    service.run_for(1000);
+
+    let node = &service.nodes[&service.primary().unwrap()];
+    let retired = first_write(node, ccf_kv::builtin::NODES_INFO, |k, v| {
+        let info = v.and_then(|v| NodeInfo::from_json(std::str::from_utf8(v).ok()?));
+        k == victim.as_bytes() && info.is_some_and(|i| i.status == NodeStatus::Retired)
+    });
+    let rekeyed = first_write(node, ccf_kv::builtin::LEDGER_SECRET, |k, v| {
+        k == b"rekey_requested" && v.is_none()
+    });
+    assert_eq!((retired, rekeyed), (Some(22), Some(28)));
+}
+
+#[test]
+fn steady_state_writes_run_no_duty_scans() {
+    // After the last governance write commits, nothing arms the primary's
+    // post-commit duties, so plain writes never scan `nodes.info`, even
+    // with a signature (and so a commit) per write.
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 3, members: 1, seed: 67, ..ServiceOpts::default() },
+        Arc::new(app()),
+    );
+    service.open_service();
+    for node in service.nodes.values() {
+        node.set_signature_policy(1, 10);
+    }
+    service.run_for(500);
+    let scans = |s: &ServiceCluster| s.obs().snapshot().counters["node.duty_scans"];
+    let before = scans(&service);
+    assert!(before > 0, "governance writes arm the duties");
+    for i in 0..500 {
+        let r = service.user_request(0, "POST", "/put", format!("k{i}=v{i}").as_bytes());
+        assert_eq!(r.status, 200, "{}", r.text());
+        service.run_until_committed(r.txid.unwrap());
+    }
+    assert_eq!(scans(&service), before, "steady-state writes ran duty scans");
 }
