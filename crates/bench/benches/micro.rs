@@ -97,20 +97,41 @@ fn bench_merkle(c: &mut Criterion) {
 
 /// DESIGN.md ablation 2: CHAMP snapshots are O(1); cloning a std BTreeMap
 /// (the naive alternative) is O(n). The gap is why speculative execution
-/// and rollback are cheap.
+/// and rollback are cheap. A held snapshot is not free, though: the next
+/// update copies the path it shares, and the old path is freed only when
+/// the snapshot goes, while an update to an unshared map changes it in
+/// place.
 fn bench_kv_snapshots(c: &mut Criterion) {
     let mut g = c.benchmark_group("kv_snapshot_ablation");
     const N: u64 = 10_000;
     let mut champ: ChampMap<u64, Vec<u8>> = ChampMap::new();
     let mut btree: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for i in 0..N {
-        champ = champ.insert(i, vec![0u8; 20]);
+        champ.insert(i, vec![0u8; 20]);
         btree.insert(i, vec![0u8; 20]);
     }
     g.bench_function("champ_snapshot_10k", |b| b.iter(|| black_box(champ.clone())));
     g.bench_function("btreemap_clone_10k", |b| b.iter(|| black_box(btree.clone())));
-    g.bench_function("champ_insert_10k_map", |b| {
-        b.iter(|| black_box(champ.insert(99999, vec![1u8; 20])))
+    g.bench_function("champ_insert_after_snapshot_10k", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let mut next = champ.clone();
+            next.insert(i % N, vec![1u8; 20]);
+            black_box(next)
+        })
+    });
+    // Built separately, so it shares no node with `champ`.
+    let mut unshared: ChampMap<u64, Vec<u8>> = ChampMap::new();
+    for i in 0..N {
+        unshared.insert(i, vec![0u8; 20]);
+    }
+    g.bench_function("champ_insert_in_place_10k", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            unshared.insert(i % N, vec![1u8; 20]);
+        })
     });
     g.finish();
 }

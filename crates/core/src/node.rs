@@ -10,8 +10,13 @@
 //! They differ only in where an entry's write set comes from: a backup
 //! decrypts and decodes each entry once, on append; the primary applies
 //! the write set it validated and sealed, and never opens its own
-//! ciphertext. Either way the applied writes are kept with the rollback
-//! state until commit, when they feed the indexer.
+//! ciphertext. Either way the applied writes are kept until commit, when
+//! they feed the indexer.
+//!
+//! The store is updated in place. A store state is kept only at signature
+//! transactions (the only commit points) and at a snapshot-install base;
+//! rollback installs the newest kept state at or below its target and
+//! re-applies the kept write sets above it.
 
 use crate::app::{
     split_query, AppError, Application, AuthPolicy, Caller, EndpointContext, Request, Response,
@@ -183,7 +188,8 @@ struct NodeInner {
     secrets: Option<LedgerSecrets>,
     service_identity: Option<VerifyingKey>,
     service_key: Option<SigningKey>,
-    /// Entries that may still roll back, plus the commit point.
+    /// Entries that may still roll back, plus the commit point (which
+    /// always keeps its state).
     recent_states: BTreeMap<Seqno, Applied>,
     indexer: Indexer,
     /// The write set just proposed here as primary, applied by its
@@ -220,10 +226,13 @@ struct NodeInner {
     signed_enqueue_times: BTreeMap<u64, u64>,
 }
 
-/// An applied entry, kept until commit: the store state after it (the
-/// rollback target) and the writes it applied (for the indexer).
+/// An applied entry, kept until commit: the writes it applied (for the
+/// indexer and rollback replay) and, at a signature transaction or a
+/// snapshot-install base, the store state after it (a rollback base and
+/// the source of snapshots). Keeping a state makes the next update copy
+/// the store paths it shares, so other entries keep none.
 struct Applied {
-    state: Arc<StoreState>,
+    state: Option<Arc<StoreState>>,
     txid: TxId,
     writes: WriteSet,
 }
@@ -479,7 +488,7 @@ impl CcfNode {
         self.store
             .validate(&tx)
             .map_err(|_| ProposeError::NotPrimary(None))?;
-        self.propose_write_set(inner, tx.write_set().clone(), None, ccf_obs::TraceId::NONE)
+        self.propose_write_set(inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
     }
 
     /// Proposes a prepared write set with optional claims. A non-NONE
@@ -544,7 +553,7 @@ impl CcfNode {
     /// If `ws` changes `nodes.info` statuses, returns the resulting
     /// trusted-node set (the new consensus configuration).
     fn config_change(&self, ws: &WriteSet) -> Option<std::collections::BTreeSet<NodeId>> {
-        let touches_nodes = ws.maps.get(&map(builtin::NODES_INFO)).is_some_and(|w| !w.is_empty());
+        let touches_nodes = ws.maps.get(builtin::NODES_INFO).is_some_and(|w| !w.is_empty());
         if !touches_nodes {
             return None;
         }
@@ -573,8 +582,8 @@ impl CcfNode {
     pub fn propose_internal(&self, tx: Transaction) -> Result<TxId, String> {
         let mut inner = self.inner.lock();
         self.store.validate(&tx).map_err(|e| e.to_string())?;
-        let ws = tx.write_set().clone();
-        self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE).map_err(|e| e.to_string())
+        self.propose_write_set(&mut inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
+            .map_err(|e| e.to_string())
     }
 
     fn publish_last_applied(&self, txid: TxId) {
@@ -608,7 +617,7 @@ impl CcfNode {
                     self.publish_last_applied(snapshot.last_txid);
                     self.store.install(state);
                     inner.recent_states.clear();
-                    self.keep_applied(inner, snapshot.last_txid, WriteSet::new());
+                    self.keep_applied(inner, snapshot.last_txid, WriteSet::new(), true);
                     inner.indexer.reset_to(snapshot.last_txid.seqno);
                     self.reload_dynamic_state(inner);
                     inner.duties_armed = true;
@@ -633,10 +642,14 @@ impl CcfNode {
             // Duplicate delivery (can happen after snapshot install).
             return;
         }
-        let ws = match own {
-            Some((_, ws)) => ws,
+        // Only the replica builds signature transactions, so an own
+        // proposal never is one.
+        let (ws, signature) = match own {
+            Some((_, ws)) => (ws, false),
             None => match inner.replica.entry_at(txid.seqno) {
-                Some(e) if e.entry.txid == txid => self.decode_entry_writes(inner, &e.entry),
+                Some(e) if e.entry.txid == txid => {
+                    (self.decode_entry_writes(inner, &e.entry), e.entry.is_signature())
+                }
                 // Truncated later in this drain: the `RolledBack` event
                 // that follows restores the state before it.
                 _ => return,
@@ -646,32 +659,23 @@ impl CcfNode {
         self.publish_last_applied(txid);
         // React to writes addressed to this node (ledger rekey dist).
         self.check_rekey_distribution(inner, &ws, txid);
-        if ws.maps.contains_key(&map(builtin::NODES_INFO))
-            || ws.maps.contains_key(&map(builtin::LEDGER_SECRET))
-        {
+        if ws.maps.contains_key(builtin::NODES_INFO) || ws.maps.contains_key(builtin::LEDGER_SECRET) {
             inner.duties_armed = true;
         }
         // Live app / constitution updates take effect on append (they are
         // rolled back with the entry if it never commits, restoring the
         // previous app on the state rollback path).
-        if ws.maps.contains_key(&map(builtin::MODULES))
-            || ws.maps.contains_key(&map(builtin::CONSTITUTION))
-        {
+        if ws.maps.contains_key(builtin::MODULES) || ws.maps.contains_key(builtin::CONSTITUTION) {
             self.reload_dynamic_state(inner);
         }
-        self.keep_applied(inner, txid, ws);
+        self.keep_applied(inner, txid, ws, signature);
     }
 
-    fn keep_applied(&self, inner: &mut NodeInner, txid: TxId, writes: WriteSet) {
-        let state = self.store.snapshot();
-        inner.recent_states.insert(
-            txid.seqno,
-            Applied {
-                state,
-                txid,
-                writes,
-            },
-        );
+    /// Records an applied entry; `keep_state` also keeps the store state
+    /// after it.
+    fn keep_applied(&self, inner: &mut NodeInner, txid: TxId, writes: WriteSet, keep_state: bool) {
+        let state = keep_state.then(|| self.store.snapshot());
+        inner.recent_states.insert(txid.seqno, Applied { state, txid, writes });
     }
 
     /// Decodes an entry into its full (public + decrypted private) writes.
@@ -726,9 +730,8 @@ impl CcfNode {
             && inner.commits_since_snapshot >= self.opts.snapshot_interval
         {
             inner.commits_since_snapshot = 0;
-            if let Some(applied) = inner.recent_states.get(&seqno) {
-                if let Some(snapshot) = inner.replica.snapshot_descriptor(applied.state.serialize())
-                {
+            if let Some(state) = Self::committed_state(inner) {
+                if let Some(snapshot) = inner.replica.snapshot_descriptor(state.serialize()) {
                     inner.replica.set_latest_snapshot(snapshot);
                 }
             }
@@ -779,7 +782,7 @@ impl CcfNode {
             info.status = NodeStatus::Retired;
             put_node_info(&mut tx, &id, &info);
         }
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
         retiring
     }
@@ -851,14 +854,14 @@ impl CcfNode {
             threshold.min(members.len().max(1)),
             &mut inner.rng,
         );
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         let _ = self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE);
         true
     }
 
     /// Applies a sealed rekey distribution addressed to this node.
     fn check_rekey_distribution(&self, inner: &mut NodeInner, ws: &WriteSet, txid: TxId) {
-        let Some(writes) = ws.maps.get(&map(builtin::LEDGER_SECRET)) else { return };
+        let Some(writes) = ws.maps.get(builtin::LEDGER_SECRET) else { return };
         let key = format!("dist/{}", self.id).into_bytes();
         if let Some(Some(sealed)) = writes.get(&key) {
             if let Ok(new_key) =
@@ -879,22 +882,24 @@ impl CcfNode {
         // whichever primary re-proposes them (or never).
         inner.inflight_traces.split_off(&(seqno + 1));
         inner.trace_by_seqno.split_off(&(seqno + 1));
-        let state = inner
-            .recent_states
-            .get(&seqno)
-            .map(|applied| applied.state.clone())
-            .unwrap_or_else(|| {
-                // Rolling back to the commit point with no retained
-                // snapshot should be impossible; fall back to replay-free
-                // assertion for diagnosability.
-                panic!(
-                    "{}: no state snapshot for rollback to {seqno} (have {:?})",
-                    self.id,
-                    inner.recent_states.keys().collect::<Vec<_>>()
-                )
-            });
+        // The target entry is kept (every entry from the commit point up
+        // is), and so is a state at or below it (the commit point's).
+        let kept = &inner.recent_states;
+        let base = kept.range(..=seqno).rev().find_map(|(s, a)| Some((*s, a.state.clone()?)));
+        let Some((base, state)) = base.filter(|_| kept.contains_key(&seqno)) else {
+            panic!(
+                "{}: no kept entry for rollback to {seqno} (have {:?})",
+                self.id,
+                kept.keys().collect::<Vec<_>>()
+            )
+        };
         self.store.install((*state).clone());
-        inner.recent_states.retain(|s, _| *s <= seqno);
+        // Re-apply the kept write sets above the base: `skip(1)`, since
+        // `range(base + 1..=seqno)` panics when the target is the base.
+        for (_, applied) in kept.range(base..=seqno).skip(1) {
+            self.store.apply_at(&applied.writes, applied.txid.seqno);
+        }
+        inner.recent_states.split_off(&(seqno + 1));
         self.publish_last_applied(inner.replica.last_txid());
         self.reload_dynamic_state(inner);
         inner.duties_armed = true;
@@ -990,9 +995,16 @@ impl CcfNode {
     /// always computed on demand from the committed prefix).
     pub fn latest_snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.lock();
+        let state = Self::committed_state(&inner)?;
+        inner.replica.snapshot_descriptor(state.serialize())
+    }
+
+    /// The store state at the commit point, which is always kept (a
+    /// signature transaction or a snapshot-install base). None before the
+    /// first commit.
+    fn committed_state(inner: &NodeInner) -> Option<&Arc<StoreState>> {
         let commit = inner.replica.commit_seqno();
-        let applied = inner.recent_states.get(&commit)?;
-        inner.replica.snapshot_descriptor(applied.state.serialize())
+        inner.recent_states.get(&commit)?.state.as_ref()
     }
 
     /// Persisted ledger chunk blobs (what the host's disk holds — the
@@ -1076,7 +1088,7 @@ impl CcfNode {
                 enc_key: ccf_crypto::hex::to_hex(&req.enc_public),
             },
         );
-        let ws = tx.write_set().clone();
+        let ws = tx.into_write_set();
         self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
             .map_err(|e| format!("join propose: {e}"))?;
         // 5. Share the service secrets with the verified enclave.
@@ -1223,7 +1235,7 @@ impl CcfNode {
                         }
                         return Response::error(409, "transaction conflict");
                     }
-                    let ws = tx.write_set().clone();
+                    let ws = tx.into_write_set();
                     // Trace ids are minted only once the request reaches
                     // its primary with a validated write set, so ids stay
                     // dense and deterministic across forwarding. The root
@@ -1380,7 +1392,7 @@ impl CcfNode {
                 if self.store.validate(&tx).is_err() {
                     return Response::error(409, "governance transaction conflict");
                 }
-                let ws = tx.write_set().clone();
+                let ws = tx.into_write_set();
                 match self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE) {
                     Ok(txid) => Response { status: 200, body: body.into_bytes(), txid: Some(txid) },
                     Err(e) => Response::error(503, &format!("propose failed: {e}")),

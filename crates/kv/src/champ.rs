@@ -5,7 +5,9 @@
 //! every transaction reads from a frozen root pointer while the committer
 //! installs new roots, and rolled-back speculative state is dropped by
 //! forgetting a pointer. Structural sharing makes snapshot = one `Arc`
-//! clone and update = O(log32 n) path copy.
+//! clone, and an update walks an O(log32 n) path, changing it in place and
+//! copying only the nodes on it that a snapshot still shares. Entries are
+//! shared too, so a copied node copies pointers, not keys or values.
 //!
 //! Layout follows the CHAMP paper: each internal node keeps two bitmaps —
 //! `data_map` for inline key-value entries and `node_map` for sub-nodes —
@@ -13,6 +15,8 @@
 //! compact vector pair. Hash collisions beyond the 60-bit hash path fall
 //! back to a small collision node.
 
+use std::borrow::Borrow;
+use std::hash::Hash;
 use std::sync::Arc;
 
 const BITS: u32 = 5;
@@ -21,13 +25,14 @@ const MAX_DEPTH: u32 = 64 / BITS + 1; // hash exhausted below this
 
 /// Key bound: hashable, comparable, cheap to clone (keys are `Vec<u8>` or
 /// small strings throughout the workspace).
-pub trait Key: Eq + std::hash::Hash + Clone {}
-impl<T: Eq + std::hash::Hash + Clone> Key for T {}
+pub trait Key: Eq + Hash + Clone {}
+impl<T: Eq + Hash + Clone> Key for T {}
 
-fn hash_of<K: std::hash::Hash>(key: &K) -> u64 {
+fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
     // FNV-1a over the key's Hash stream: deterministic across processes
     // (unlike `RandomState`), which matters because map iteration feeds
-    // deterministic serialization.
+    // deterministic serialization. A borrowed form (`[u8]` for `Vec<u8>`)
+    // feeds the same stream, so lookups by it find the owned key.
     struct Fnv(u64);
     impl std::hash::Hasher for Fnv {
         fn finish(&self) -> u64 {
@@ -41,9 +46,13 @@ fn hash_of<K: std::hash::Hash>(key: &K) -> u64 {
         }
     }
     let mut h = Fnv(0xcbf29ce484222325);
-    std::hash::Hash::hash(key, &mut h);
+    key.hash(&mut h);
     std::hash::Hasher::finish(&h)
 }
+
+/// One key-value pair, shared by every map version that holds it: copying
+/// a node copies pointers, never keys or values.
+type Entry<K, V> = Arc<(K, V)>;
 
 #[derive(Clone)]
 enum Node<K, V> {
@@ -55,17 +64,17 @@ enum Node<K, V> {
 struct BitmapNode<K, V> {
     data_map: u32,
     node_map: u32,
-    entries: Vec<(K, V)>,
+    entries: Vec<Entry<K, V>>,
     children: Vec<Arc<Node<K, V>>>,
 }
 
+/// Keys whose whole 64-bit hash is equal, below `MAX_DEPTH`.
 #[derive(Clone)]
 struct CollisionNode<K, V> {
-    hash: u64,
-    entries: Vec<(K, V)>,
+    entries: Vec<Entry<K, V>>,
 }
 
-impl<K: Key, V: Clone> BitmapNode<K, V> {
+impl<K, V> BitmapNode<K, V> {
     fn empty() -> Self {
         BitmapNode { data_map: 0, node_map: 0, entries: Vec::new(), children: Vec::new() }
     }
@@ -83,26 +92,21 @@ fn frag(hash: u64, depth: u32) -> u32 {
     1u32 << ((hash >> (depth * BITS)) & (FANOUT as u64 - 1)) as u32
 }
 
-enum InsertResult {
-    Added,
-    Replaced,
-}
-
 impl<K: Key, V: Clone> Node<K, V> {
-    fn get<'a>(&'a self, key: &K, hash: u64, depth: u32) -> Option<&'a V> {
+    fn get<Q>(&self, key: &Q, hash: u64, depth: u32) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
         match self {
             Node::Collision(c) => {
-                c.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+                c.entries.iter().find(|e| e.0.borrow() == key).map(|e| &e.1)
             }
             Node::Bitmap(b) => {
                 let bit = frag(hash, depth);
                 if b.data_map & bit != 0 {
-                    let (k, v) = &b.entries[b.data_index(bit)];
-                    if k == key {
-                        Some(v)
-                    } else {
-                        None
-                    }
+                    let e = &b.entries[b.data_index(bit)];
+                    (e.0.borrow() == key).then_some(&e.1)
                 } else if b.node_map & bit != 0 {
                     b.children[b.node_index(bit)].get(key, hash, depth + 1)
                 } else {
@@ -112,74 +116,63 @@ impl<K: Key, V: Clone> Node<K, V> {
         }
     }
 
-    /// Returns the new node and whether an entry was added or replaced.
-    fn insert(&self, key: K, value: V, hash: u64, depth: u32) -> (Node<K, V>, InsertResult) {
+    /// Binds `key` to `value` in place, copying on the way down only the
+    /// sub-nodes another map version still shares. Returns true if the key
+    /// was added (false: its value was replaced).
+    fn insert(&mut self, key: K, value: V, hash: u64, depth: u32) -> bool {
         match self {
             Node::Collision(c) => {
-                debug_assert_eq!(c.hash, hash);
-                let mut entries = c.entries.clone();
-                if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
-                    slot.1 = value;
-                    (Node::Collision(CollisionNode { hash, entries }), InsertResult::Replaced)
+                if let Some(slot) = c.entries.iter_mut().find(|e| e.0 == key) {
+                    *slot = Arc::new((key, value));
+                    false
                 } else {
-                    entries.push((key, value));
-                    (Node::Collision(CollisionNode { hash, entries }), InsertResult::Added)
+                    c.entries.push(Arc::new((key, value)));
+                    true
                 }
             }
             Node::Bitmap(b) => {
                 let bit = frag(hash, depth);
                 if b.data_map & bit != 0 {
                     let idx = b.data_index(bit);
-                    let (existing_key, existing_value) = &b.entries[idx];
-                    if *existing_key == key {
-                        let mut nb = b.clone();
-                        nb.entries[idx].1 = value;
-                        (Node::Bitmap(nb), InsertResult::Replaced)
-                    } else {
-                        // Push the existing entry down one level and insert
-                        // both into a fresh sub-node.
-                        let sub = Node::merge_two(
-                            existing_key.clone(),
-                            existing_value.clone(),
-                            hash_of(existing_key),
-                            key,
-                            value,
-                            hash,
-                            depth + 1,
-                        );
-                        let mut nb = b.clone();
-                        nb.entries.remove(idx);
-                        nb.data_map &= !bit;
-                        let nidx = nb.node_index(bit);
-                        nb.children.insert(nidx, Arc::new(sub));
-                        nb.node_map |= bit;
-                        (Node::Bitmap(nb), InsertResult::Added)
+                    if b.entries[idx].0 == key {
+                        b.entries[idx] = Arc::new((key, value));
+                        return false;
                     }
+                    // Push the existing entry down one level and insert
+                    // both into a fresh sub-node.
+                    let existing = b.entries.remove(idx);
+                    b.data_map &= !bit;
+                    let existing_hash = hash_of(&existing.0);
+                    let sub = Node::merge_two(
+                        existing,
+                        existing_hash,
+                        Arc::new((key, value)),
+                        hash,
+                        depth + 1,
+                    );
+                    b.children.insert(b.node_index(bit), Arc::new(sub));
+                    b.node_map |= bit;
+                    true
                 } else if b.node_map & bit != 0 {
                     let idx = b.node_index(bit);
-                    let (child, res) = b.children[idx].insert(key, value, hash, depth + 1);
-                    let mut nb = b.clone();
-                    nb.children[idx] = Arc::new(child);
-                    (Node::Bitmap(nb), res)
+                    Arc::make_mut(&mut b.children[idx]).insert(key, value, hash, depth + 1)
                 } else {
-                    let mut nb = b.clone();
-                    let idx = nb.data_index(bit);
-                    nb.entries.insert(idx, (key, value));
-                    nb.data_map |= bit;
-                    (Node::Bitmap(nb), InsertResult::Added)
+                    b.entries.insert(b.data_index(bit), Arc::new((key, value)));
+                    b.data_map |= bit;
+                    true
                 }
             }
         }
     }
 
-    fn merge_two(k1: K, v1: V, h1: u64, k2: K, v2: V, h2: u64, depth: u32) -> Node<K, V> {
+    fn merge_two(e1: Entry<K, V>, h1: u64, e2: Entry<K, V>, h2: u64, depth: u32) -> Node<K, V> {
         if depth >= MAX_DEPTH {
-            return Node::Collision(CollisionNode { hash: h1, entries: vec![(k1, v1), (k2, v2)] });
+            return Node::Collision(CollisionNode { entries: vec![e1, e2] });
         }
         let b1 = frag(h1, depth);
         let b2 = frag(h2, depth);
         if b1 == b2 {
-            let sub = Node::merge_two(k1, v1, h1, k2, v2, h2, depth + 1);
+            let sub = Node::merge_two(e1, h1, e2, h2, depth + 1);
             return Node::Bitmap(BitmapNode {
                 data_map: 0,
                 node_map: b1,
@@ -188,107 +181,63 @@ impl<K: Key, V: Clone> Node<K, V> {
             });
         }
         // Order entries by bit position to keep the compact layout sorted.
-        let entries = if b1 < b2 { vec![(k1, v1), (k2, v2)] } else { vec![(k2, v2), (k1, v1)] };
-        Node::Bitmap(BitmapNode {
-            data_map: b1 | b2,
-            node_map: 0,
-            entries,
-            children: Vec::new(),
-        })
+        let entries = if b1 < b2 { vec![e1, e2] } else { vec![e2, e1] };
+        Node::Bitmap(BitmapNode { data_map: b1 | b2, node_map: 0, entries, children: Vec::new() })
     }
 
-    /// Removes `key`, returning the new node (None = became empty) and
-    /// whether a removal happened. Maintains the CHAMP canonical form by
-    /// collapsing single-entry sub-nodes back inline.
-    fn remove(&self, key: &K, hash: u64, depth: u32) -> (Option<Node<K, V>>, bool) {
+    /// Removes `key`, which must be present, in place (copying shared
+    /// sub-nodes as [`Node::insert`] does). Maintains the CHAMP canonical
+    /// form: a sub-node left holding one entry and no sub-nodes is pulled
+    /// up inline into this node.
+    fn remove<Q>(&mut self, key: &Q, hash: u64, depth: u32)
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
         match self {
-            Node::Collision(c) => {
-                let Some(pos) = c.entries.iter().position(|(k, _)| k == key) else {
-                    return (Some(self.clone()), false);
-                };
-                let mut entries = c.entries.clone();
-                entries.remove(pos);
-                match entries.len() {
-                    0 => (None, true),
-                    _ => (Some(Node::Collision(CollisionNode { hash: c.hash, entries })), true),
-                }
-            }
+            Node::Collision(c) => c.entries.retain(|e| e.0.borrow() != key),
             Node::Bitmap(b) => {
                 let bit = frag(hash, depth);
                 if b.data_map & bit != 0 {
-                    let idx = b.data_index(bit);
-                    if b.entries[idx].0 != *key {
-                        return (Some(self.clone()), false);
-                    }
-                    let mut nb = b.clone();
-                    nb.entries.remove(idx);
-                    nb.data_map &= !bit;
-                    if nb.entries.is_empty() && nb.children.is_empty() {
-                        (None, true)
-                    } else {
-                        (Some(Node::Bitmap(nb)), true)
-                    }
-                } else if b.node_map & bit != 0 {
-                    let idx = b.node_index(bit);
-                    let (child, removed) = b.children[idx].remove(key, hash, depth + 1);
-                    if !removed {
-                        return (Some(self.clone()), false);
-                    }
-                    let mut nb = b.clone();
-                    match child {
-                        None => {
-                            nb.children.remove(idx);
-                            nb.node_map &= !bit;
-                            if nb.entries.is_empty() && nb.children.is_empty() {
-                                return (None, true);
-                            }
-                        }
-                        Some(child) => {
-                            // Canonical form: a sub-node holding exactly one
-                            // inline entry and no children is pulled up.
-                            if let Node::Bitmap(cb) = &child {
-                                if cb.children.is_empty() && cb.entries.len() == 1 {
-                                    let (k, v) = cb.entries[0].clone();
-                                    nb.children.remove(idx);
-                                    nb.node_map &= !bit;
-                                    let didx = nb.data_index(bit);
-                                    nb.entries.insert(didx, (k, v));
-                                    nb.data_map |= bit;
-                                    return (Some(Node::Bitmap(nb)), true);
-                                }
-                            }
-                            if let Node::Collision(cc) = &child {
-                                if cc.entries.len() == 1 {
-                                    let (k, v) = cc.entries[0].clone();
-                                    nb.children.remove(idx);
-                                    nb.node_map &= !bit;
-                                    let didx = nb.data_index(bit);
-                                    nb.entries.insert(didx, (k, v));
-                                    nb.data_map |= bit;
-                                    return (Some(Node::Bitmap(nb)), true);
-                                }
-                            }
-                            nb.children[idx] = Arc::new(child);
-                        }
-                    }
-                    (Some(Node::Bitmap(nb)), true)
-                } else {
-                    (Some(self.clone()), false)
+                    b.entries.remove(b.data_index(bit));
+                    b.data_map &= !bit;
+                    return;
+                }
+                debug_assert!(b.node_map & bit != 0, "removed key must be present");
+                let idx = b.node_index(bit);
+                let child = Arc::make_mut(&mut b.children[idx]);
+                child.remove(key, hash, depth + 1);
+                if let Some(lone) = child.lone_entry() {
+                    b.children.remove(idx);
+                    b.node_map &= !bit;
+                    b.entries.insert(b.data_index(bit), lone);
+                    b.data_map |= bit;
                 }
             }
         }
     }
 
+    /// The entry of a node holding exactly one entry and no sub-nodes,
+    /// which canonical form keeps inline in the parent instead.
+    fn lone_entry(&self) -> Option<Entry<K, V>> {
+        let entries = match self {
+            Node::Bitmap(b) if b.children.is_empty() => &b.entries,
+            Node::Collision(c) => &c.entries,
+            Node::Bitmap(_) => return None,
+        };
+        (entries.len() == 1).then(|| entries[0].clone())
+    }
+
     fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a K, &'a V)) {
         match self {
             Node::Collision(c) => {
-                for (k, v) in &c.entries {
-                    f(k, v);
+                for e in &c.entries {
+                    f(&e.0, &e.1);
                 }
             }
             Node::Bitmap(b) => {
-                for (k, v) in &b.entries {
-                    f(k, v);
+                for e in &b.entries {
+                    f(&e.0, &e.1);
                 }
                 for child in &b.children {
                     child.for_each(f);
@@ -298,8 +247,12 @@ impl<K: Key, V: Clone> Node<K, V> {
     }
 }
 
-/// A persistent hash map with O(1) snapshots (clone) and O(log32 n)
-/// updates via structural sharing.
+/// A hash map with O(1) snapshots (clone) and O(log32 n) in-place updates.
+///
+/// Versions share structure: `clone` copies one pointer, and an update
+/// copies only the nodes on its path that another version still holds.
+/// An unshared map therefore updates without copying anything, and a
+/// caller that wants to keep the old version clones before updating.
 pub struct ChampMap<K, V> {
     root: Option<Arc<Node<K, V>>>,
     len: usize,
@@ -333,45 +286,50 @@ impl<K: Key, V: Clone> ChampMap<K, V> {
         self.len == 0
     }
 
-    /// Looks up a key.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let root = self.root.as_ref()?;
-        root.get(key, hash_of(key), 0)
+    /// Looks up a key by any borrowed form of it (`&[u8]` for `Vec<u8>`).
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.root.as_ref()?.get(key, hash_of(key), 0)
     }
 
     /// True iff `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.get(key).is_some()
     }
 
-    /// Returns a new map with `key` bound to `value` (persistent insert).
-    pub fn insert(&self, key: K, value: V) -> ChampMap<K, V> {
+    /// Binds `key` to `value`, replacing any previous value.
+    pub fn insert(&mut self, key: K, value: V) {
         let hash = hash_of(&key);
-        match &self.root {
-            None => {
-                let (node, _) =
-                    Node::Bitmap(BitmapNode::empty()).insert(key, value, hash, 0);
-                ChampMap { root: Some(Arc::new(node)), len: 1 }
-            }
-            Some(root) => {
-                let (node, res) = root.insert(key, value, hash, 0);
-                let len = match res {
-                    InsertResult::Added => self.len + 1,
-                    InsertResult::Replaced => self.len,
-                };
-                ChampMap { root: Some(Arc::new(node)), len }
-            }
+        let root = self.root.get_or_insert_with(|| Arc::new(Node::Bitmap(BitmapNode::empty())));
+        if Arc::make_mut(root).insert(key, value, hash, 0) {
+            self.len += 1;
         }
     }
 
-    /// Returns a new map without `key` (persistent remove).
-    pub fn remove(&self, key: &K) -> ChampMap<K, V> {
-        let Some(root) = &self.root else { return self.clone() };
-        let (node, removed) = root.remove(key, hash_of(key), 0);
-        if !removed {
-            return self.clone();
+    /// Removes `key`; returns whether it was present. Removing an absent
+    /// key copies nothing.
+    pub fn remove<Q>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let hash = hash_of(key);
+        let Some(root) = self.root.as_mut().filter(|r| r.get(key, hash, 0).is_some()) else {
+            return false;
+        };
+        Arc::make_mut(root).remove(key, hash, 0);
+        self.len -= 1;
+        if self.len == 0 {
+            self.root = None;
         }
-        ChampMap { root: node.map(Arc::new), len: self.len - 1 }
+        true
     }
 
     /// Visits every entry (order is deterministic but unspecified).
@@ -406,32 +364,57 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let m = ChampMap::new();
-        let m = m.insert("a".to_string(), 1);
-        let m = m.insert("b".to_string(), 2);
-        assert_eq!(m.get(&"a".to_string()), Some(&1));
-        assert_eq!(m.get(&"b".to_string()), Some(&2));
-        assert_eq!(m.get(&"c".to_string()), None);
+        let mut m = ChampMap::new();
+        m.insert("a".to_string(), 1);
+        m.insert("b".to_string(), 2);
+        assert_eq!(m.get("a"), Some(&1));
+        assert_eq!(m.get("b"), Some(&2));
+        assert_eq!(m.get("c"), None);
         assert_eq!(m.len(), 2);
-        let m2 = m.remove(&"a".to_string());
-        assert_eq!(m2.get(&"a".to_string()), None);
+        let mut m2 = m.clone();
+        assert!(m2.remove("a"));
+        assert_eq!(m2.get("a"), None);
         assert_eq!(m2.len(), 1);
-        // Persistence: the original is untouched.
-        assert_eq!(m.get(&"a".to_string()), Some(&1));
+        // Persistence: the clone taken before the update is untouched.
+        assert_eq!(m.get("a"), Some(&1));
     }
 
     #[test]
     fn replace_keeps_len() {
-        let m = ChampMap::new().insert(1u64, "x").insert(1u64, "y");
+        let mut m = ChampMap::new();
+        m.insert(1u64, "x");
+        m.insert(1u64, "y");
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(&1), Some(&"y"));
     }
 
     #[test]
     fn remove_missing_is_noop() {
-        let m = ChampMap::new().insert(1u64, 1);
-        let m2 = m.remove(&2);
-        assert_eq!(m2.len(), 1);
+        let mut m = ChampMap::new();
+        m.insert(1u64, 1);
+        let root = m.root.clone();
+        assert!(!m.remove(&2));
+        assert_eq!(m.len(), 1);
+        // Nothing was copied: the shared root is still the same node.
+        assert!(Arc::ptr_eq(m.root.as_ref().unwrap(), root.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn unshared_updates_do_not_copy_nodes() {
+        let mut m = ChampMap::new();
+        for i in 0..1000u64 {
+            m.insert(i, i);
+        }
+        let root = Arc::as_ptr(m.root.as_ref().unwrap());
+        m.insert(5, 50);
+        m.remove(&6);
+        assert_eq!(Arc::as_ptr(m.root.as_ref().unwrap()), root);
+        // A held snapshot forces exactly one copy of the root.
+        let snap = m.clone();
+        m.insert(7, 70);
+        assert_ne!(Arc::as_ptr(m.root.as_ref().unwrap()), root);
+        assert_eq!(snap.get(&7), Some(&7));
+        assert_eq!(m.get(&7), Some(&70));
     }
 
     #[test]
@@ -445,11 +428,10 @@ mod tests {
                 0 | 1 => {
                     let val = rng.next_u64();
                     reference.insert(key, val);
-                    champ = champ.insert(key, val);
+                    champ.insert(key, val);
                 }
                 _ => {
-                    reference.remove(&key);
-                    champ = champ.remove(&key);
+                    assert_eq!(champ.remove(&key), reference.remove(&key).is_some());
                 }
             }
             assert_eq!(champ.len(), reference.len());
@@ -470,7 +452,7 @@ mod tests {
         let mut m = ChampMap::new();
         let mut snapshots = Vec::new();
         for i in 0..100u64 {
-            m = m.insert(i, i * 10);
+            m.insert(i, i * 10);
             snapshots.push(m.clone());
         }
         for (i, snap) in snapshots.iter().enumerate() {
@@ -484,14 +466,14 @@ mod tests {
     fn many_keys_deep_trie() {
         let mut m = ChampMap::new();
         for i in 0..10_000u64 {
-            m = m.insert(i, i);
+            m.insert(i, i);
         }
         assert_eq!(m.len(), 10_000);
         for i in (0..10_000u64).step_by(97) {
             assert_eq!(m.get(&i), Some(&i));
         }
         for i in 0..5_000u64 {
-            m = m.remove(&i);
+            m.remove(&i);
         }
         assert_eq!(m.len(), 5_000);
         assert_eq!(m.get(&100), None);
@@ -502,8 +484,9 @@ mod tests {
     fn byte_keys() {
         let mut m: ChampMap<Vec<u8>, Vec<u8>> = ChampMap::new();
         for i in 0..100u32 {
-            m = m.insert(i.to_le_bytes().to_vec(), vec![i as u8; 20]);
+            m.insert(i.to_le_bytes().to_vec(), vec![i as u8; 20]);
         }
-        assert_eq!(m.get(&5u32.to_le_bytes().to_vec()), Some(&vec![5u8; 20]));
+        // Looked up by the borrowed slice, without building a `Vec`.
+        assert_eq!(m.get(&5u32.to_le_bytes()[..]), Some(&vec![5u8; 20]));
     }
 }

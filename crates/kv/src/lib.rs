@@ -65,6 +65,15 @@ impl std::fmt::Display for MapName {
     }
 }
 
+/// Lets maps keyed by `MapName` be searched with a `&str`, such as a
+/// [`builtin`] constant, without allocating a `MapName` (the derived
+/// `Eq`, `Ord` and `Hash` agree with `str`'s).
+impl std::borrow::Borrow<str> for MapName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for MapName {
     fn from(s: &str) -> MapName {
         MapName::new(s)

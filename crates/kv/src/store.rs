@@ -38,7 +38,7 @@ pub struct StoreState {
 impl StoreState {
     /// Reads a value (with its version) from the snapshot.
     pub fn get(&self, map: &MapName, key: &[u8]) -> Option<&Versioned> {
-        self.maps.get(map)?.get(&key.to_vec())
+        self.maps.get(map)?.get(key)
     }
 
     /// Iterates over all entries of a map.
@@ -73,17 +73,14 @@ impl StoreState {
         w.u32(names.len() as u32);
         for name in names {
             w.str(&name.0);
-            let entries = {
-                let mut es: Vec<(Vec<u8>, Versioned)> = Vec::new();
-                if let Some(m) = self.maps.get(&name) {
-                    m.for_each(|k, v| es.push((k.clone(), v.clone())));
-                }
-                es.sort_by(|a, b| a.0.cmp(&b.0));
-                es
-            };
+            let mut entries = Vec::new();
+            if let Some(m) = self.maps.get(&name) {
+                m.for_each(|k, v| entries.push((k, v)));
+            }
+            entries.sort_unstable_by_key(|(k, _)| *k);
             w.u32(entries.len() as u32);
             for (k, v) in entries {
-                w.bytes(&k);
+                w.bytes(k);
                 w.u64(v.version);
                 w.bytes(&v.data);
             }
@@ -105,7 +102,7 @@ impl StoreState {
                 let k = r.bytes("snapshot key")?.to_vec();
                 let ver = r.u64("snapshot value version")?;
                 let data = r.bytes("snapshot value")?.to_vec();
-                m = m.insert(k, Versioned { version: ver, data });
+                m.insert(k, Versioned { version: ver, data });
             }
             maps.insert(name, m);
         }
@@ -115,22 +112,27 @@ impl StoreState {
         Ok(StoreState { version, maps })
     }
 
-    fn apply_write_set(&self, ws: &WriteSet, new_version: u64) -> StoreState {
-        let mut maps = self.maps.clone(); // Arc-rooted maps: cheap clone
+    /// Applies `ws` in place as version `new_version`. Only the CHAMP
+    /// nodes another state still shares are copied.
+    fn apply_write_set(&mut self, ws: &WriteSet, new_version: u64) {
         for (name, writes) in &ws.maps {
-            let mut m = maps.get(name).cloned().unwrap_or_default();
+            if !self.maps.contains_key(name) {
+                self.maps.insert(name.clone(), Map::new());
+            }
+            let m = self.maps.get_mut(name).expect("inserted above");
             for (key, value) in writes {
-                m = match value {
+                match value {
                     Some(data) => m.insert(
                         key.clone(),
                         Versioned { version: new_version, data: data.clone() },
                     ),
-                    None => m.remove(key),
-                };
+                    None => {
+                        m.remove(key.as_slice());
+                    }
+                }
             }
-            maps.insert(name.clone(), m);
         }
-        StoreState { version: new_version, maps }
+        self.version = new_version;
     }
 }
 
@@ -163,12 +165,14 @@ impl std::fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
-/// The mutable store: an atomically swapped immutable state plus a commit
-/// lock that serializes validation + apply (writers), while readers take
-/// snapshots without any lock.
+/// The mutable store: the current state behind a commit lock that
+/// serializes validation + apply (writers), while readers take snapshots
+/// by cloning one `Arc`. A writer updates the state in place when no
+/// snapshot holds it, and copies only what a held snapshot shares.
 pub struct Store {
     // `Mutex<Arc<...>>` (not RwLock) because readers only need to clone the
-    // Arc — a short critical section — while commit swaps it.
+    // Arc — a short critical section — while commit updates it through
+    // `Arc::make_mut`.
     current: Mutex<Arc<StoreState>>,
 }
 
@@ -230,23 +234,26 @@ impl Store {
         tx: Transaction,
         allow_reserved: bool,
     ) -> Result<(u64, WriteSet), CommitError> {
+        let Transaction { snapshot, reads, writes } = tx;
+        // Validation reads the current state, not the snapshot; releasing
+        // it first lets the apply below update in place.
+        drop(snapshot);
         if !allow_reserved {
-            if let Some(name) = tx.writes.maps.keys().find(|n| n.is_reserved()) {
+            if let Some(name) = writes.maps.keys().find(|n| n.is_reserved()) {
                 return Err(CommitError::ReservedMap(name.clone()));
             }
         }
         let mut current = self.current.lock();
         // OCC validation: every read must still observe the same version.
-        for ((map, key), observed) in &tx.reads {
+        for ((map, key), observed) in &reads {
             let now = current.get(map, key).map(|v| v.version);
             if now != *observed {
                 return Err(CommitError::Conflict { map: map.clone(), key: key.clone() });
             }
         }
         let new_version = current.version + 1;
-        let next = current.apply_write_set(&tx.writes, new_version);
-        *current = Arc::new(next);
-        Ok((new_version, tx.writes))
+        Arc::make_mut(&mut *current).apply_write_set(&writes, new_version);
+        Ok((new_version, writes))
     }
 
     /// Applies a write set directly at `version` (replication/replay path:
@@ -259,8 +266,7 @@ impl Store {
             current.version + 1,
             "write sets must be applied in sequence order"
         );
-        let next = current.apply_write_set(ws, version);
-        *current = Arc::new(next);
+        Arc::make_mut(&mut *current).apply_write_set(ws, version);
     }
 
     /// Replaces the whole state (rollback after view change, snapshot
@@ -363,6 +369,13 @@ impl Transaction {
     /// The buffered write set (e.g. for inspection in tests).
     pub fn write_set(&self) -> &WriteSet {
         &self.writes
+    }
+
+    /// Ends the transaction, keeping only its write set. Proposers use
+    /// this so no snapshot outlives validation: the apply that follows
+    /// then updates the store in place.
+    pub fn into_write_set(self) -> WriteSet {
+        self.writes
     }
 }
 
@@ -520,6 +533,26 @@ mod tests {
         // A fresh transaction reads the new one.
         let mut tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"k"), Some(b"new".to_vec()));
+    }
+
+    #[test]
+    fn unshared_state_is_updated_in_place() {
+        let store = Store::new();
+        let mut tx = store.begin();
+        tx.put(&map("m"), b"k", b"v");
+        store.commit(tx, false).unwrap();
+        let state = Arc::as_ptr(&store.snapshot());
+        // The transaction's own snapshot is released before the apply.
+        let mut tx = store.begin();
+        tx.put(&map("m"), b"k", b"w");
+        store.commit(tx, false).unwrap();
+        store.apply_at(&WriteSet::new(), 3);
+        assert_eq!(Arc::as_ptr(&store.snapshot()), state);
+        // A held snapshot is copied on the next apply, and keeps its value.
+        let held = store.snapshot();
+        store.apply_at(&WriteSet::new(), 4);
+        assert_ne!(Arc::as_ptr(&store.snapshot()), state);
+        assert_eq!(held.get(&map("m"), b"k").unwrap().data, b"w");
     }
 
     #[test]

@@ -20,8 +20,94 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An in-place update of the live map, or `Retain`: keep a clone of the
+/// live map as it is now.
+#[derive(Debug, Clone)]
+enum VersionOp {
+    Update(Op),
+    Retain,
+}
+
+fn version_op_strategy() -> impl Strategy<Value = VersionOp> {
+    prop_oneof![
+        op_strategy().prop_map(VersionOp::Update),
+        op_strategy().prop_map(VersionOp::Update),
+        op_strategy().prop_map(VersionOp::Update),
+        Just(VersionOp::Retain),
+    ]
+}
+
+fn contents(map: &ChampMap<u16, u32>) -> HashMap<u16, u32> {
+    let mut out = HashMap::new();
+    map.for_each(|k, v| {
+        out.insert(*k, *v);
+    });
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// In-place updates copy whatever a retained clone shares, so every
+    /// clone keeps the contents (and length) it had when it was taken.
+    #[test]
+    fn champ_in_place_updates_leave_retained_clones_intact(
+        ops in proptest::collection::vec(version_op_strategy(), 0..400),
+    ) {
+        let mut champ: ChampMap<u16, u32> = ChampMap::new();
+        let mut model: HashMap<u16, u32> = HashMap::new();
+        let mut retained = Vec::new();
+        for op in &ops {
+            match op {
+                VersionOp::Retain => retained.push((champ.clone(), model.clone())),
+                VersionOp::Update(Op::Insert(k, v)) => {
+                    champ.insert(*k, *v);
+                    model.insert(*k, *v);
+                }
+                VersionOp::Update(Op::Remove(k)) => {
+                    prop_assert_eq!(champ.remove(k), model.remove(k).is_some());
+                }
+            }
+            prop_assert_eq!(champ.len(), model.len());
+        }
+        retained.push((champ, model));
+        for (version, snapshot) in &retained {
+            prop_assert_eq!(version.len(), snapshot.len());
+            prop_assert_eq!(&contents(version), snapshot);
+        }
+    }
+
+    /// CHAMP's canonical form: the trie's shape, and so its iteration
+    /// order, depends only on the keys present. A map reached by inserts
+    /// and then in-place removes (which pull lone entries back up)
+    /// iterates exactly like one built fresh from the surviving keys.
+    #[test]
+    fn champ_canonical_form_after_in_place_removes(
+        inserts in proptest::collection::vec((any::<u16>(), any::<u32>()), 1..300),
+        removes in proptest::collection::vec(any::<u16>(), 0..300),
+        retain_every in 1usize..16,
+    ) {
+        let mut champ: ChampMap<u16, u32> = ChampMap::new();
+        for (k, v) in &inserts {
+            champ.insert(*k, *v);
+        }
+        // Retained clones make some removes copy shared paths instead
+        // of updating in place; both must collapse the same way.
+        let mut retained = Vec::new();
+        for (i, r) in removes.iter().enumerate() {
+            if i % retain_every == 0 {
+                retained.push(champ.clone());
+            }
+            champ.remove(&inserts[*r as usize % inserts.len()].0);
+        }
+        let mut survivors: Vec<(u16, u32)> = contents(&champ).into_iter().collect();
+        survivors.sort_unstable();
+        let mut fresh: ChampMap<u16, u32> = ChampMap::new();
+        for (k, v) in &survivors {
+            fresh.insert(*k, *v);
+        }
+        prop_assert_eq!(champ.entries(), fresh.entries());
+    }
 
     #[test]
     fn champ_matches_hashmap(ops in proptest::collection::vec(op_strategy(), 0..400)) {
@@ -30,12 +116,11 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Insert(k, v) => {
-                    champ = champ.insert(*k, *v);
+                    champ.insert(*k, *v);
                     reference.insert(*k, *v);
                 }
                 Op::Remove(k) => {
-                    champ = champ.remove(k);
-                    reference.remove(k);
+                    prop_assert_eq!(champ.remove(k), reference.remove(k).is_some());
                 }
             }
             prop_assert_eq!(champ.len(), reference.len());
@@ -68,8 +153,10 @@ proptest! {
                 snapshot_contents = Some(contents);
             }
             match op {
-                Op::Insert(k, v) => champ = champ.insert(*k, *v),
-                Op::Remove(k) => champ = champ.remove(k),
+                Op::Insert(k, v) => champ.insert(*k, *v),
+                Op::Remove(k) => {
+                    champ.remove(k);
+                }
             }
         }
         if let (Some(snap), Some(expected)) = (snapshot, snapshot_contents) {

@@ -3,12 +3,16 @@
 //! live code updates, failure handling.
 
 use ccf_consensus::invariants::InvariantChecker;
+use ccf_consensus::message::{AppendEntries, Message, ReplicatedEntry};
 use ccf_core::app::{AppResult, Application, EndpointDef};
 use ccf_core::node::CcfNode;
 use ccf_core::prelude::*;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
+use ccf_ledger::entry::EntryKind;
 use ccf_ledger::files::LedgerChunk;
+use ccf_ledger::LedgerEntry;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 fn logging_app() -> Application {
@@ -496,4 +500,124 @@ fn partitioned_primary_rolls_back_into_a_closed_chunk() {
     }
     let commit = node.commit_seqno();
     assert_eq!(node.historical_writes(1, commit).unwrap().len() as u64, commit);
+}
+
+/// A 3-node service whose primary signs after every third entry and never
+/// on a timer, settled so that its log ends in a committed signature.
+/// Returns the service and the ids of (primary, a backup, the other
+/// backup).
+fn start_signing_every_third(seed: u64) -> (ServiceCluster, NodeId, NodeId, NodeId) {
+    let mut service = start_open(seed, 3);
+    service.run_for(100);
+    let primary = service.primary().unwrap();
+    let node = &service.nodes[&primary];
+    assert_eq!(node.commit_seqno(), node.last_applied().seqno, "log did not settle");
+    for node in service.nodes.values() {
+        node.set_signature_policy(3, 0);
+    }
+    let mut backups = service.nodes.keys().filter(|id| **id != primary).cloned();
+    let (backup, other) = (backups.next().unwrap(), backups.next().unwrap());
+    (service, primary, backup, other)
+}
+
+/// Writes private, public and mixed messages `ids` through `node`, two
+/// keys overwritten in turn; returns their txids.
+fn write_messages(service: &mut ServiceCluster, node: &str, ids: Range<usize>) -> Vec<TxId> {
+    let idx = service.nodes.keys().position(|k| k == node).unwrap();
+    ids.map(|i| {
+        let path = ["/log", "/log_public", "/log_both"][i % 3];
+        let r = service.user_request(idx, "POST", path, format!("k{}=v{i}", i % 2).as_bytes());
+        assert_eq!(r.status, 200, "{}", r.text());
+        r.txid.unwrap()
+    })
+    .collect()
+}
+
+/// Hands `node` an AppendEntries from `leader` as primary of the next
+/// view, carrying one empty entry after `prev`: a node holding another
+/// entry after `prev` rolls back to `prev.seqno` before appending it.
+fn append_next_view_entry(node: &CcfNode, leader: &NodeId, prev: TxId) {
+    let txid = TxId::new(prev.view + 1, prev.seqno + 1);
+    let entry = LedgerEntry {
+        txid,
+        kind: EntryKind::User,
+        public_ws: Vec::new(),
+        private_ws_enc: Vec::new(),
+        claims_digest: [0; 32],
+    };
+    let entries = vec![Arc::new(ReplicatedEntry { entry, config: None, traces: Vec::new() })];
+    let commit_seqno = node.commit_seqno();
+    let ae = AppendEntries { view: txid.view, leader: leader.clone(), prev, entries, commit_seqno };
+    node.receive(leader, Message::AppendEntries(ae));
+}
+
+/// A partitioned primary that appended entries past a signature rolls
+/// back to an unsigned entry between two signatures. The node keeps a
+/// store state only at signatures, so it rebuilds the target state from
+/// the signature's state plus the kept write set above it, and ends
+/// byte-identical to a backup that never held the lost entries.
+#[test]
+fn rollback_between_signatures_replays_kept_writes() {
+    let (mut service, primary, backup, other) = start_signing_every_third(27);
+    // Three writes, the signature they trigger, and one unsigned write,
+    // replicated everywhere.
+    let kept = write_messages(&mut service, &primary, 0..4);
+    let signed = TxId::new(kept[2].view, kept[2].seqno + 1);
+    assert_eq!(kept[3].seqno, signed.seqno + 1);
+    service.run_for(50);
+    assert_eq!(service.nodes[&primary].tx_status(signed), TxStatus::Committed);
+    assert_eq!(service.nodes[&backup].store().version(), kept[3].seqno);
+
+    // Cut off, the primary appends two more writes and signs them.
+    service.net.partition(vec![[primary.clone()].into(), [backup.clone(), other.clone()].into()]);
+    let lost = write_messages(&mut service, &primary, 4..6);
+    service.run_for(20);
+    let old = service.nodes[&primary].clone();
+    assert_eq!(old.store().version(), lost[1].seqno + 1, "the lost writes were not signed");
+
+    // The next view's log continues after the unsigned write.
+    let rollbacks = service.obs().counter("consensus.rollbacks");
+    let before = rollbacks.get();
+    for id in [&primary, &backup] {
+        append_next_view_entry(&service.nodes[id], &other, kept[3]);
+    }
+    assert_eq!(rollbacks.get(), before + 1, "only the old primary rolls back");
+    assert_eq!(old.tx_status(lost[0]), TxStatus::Invalid);
+    assert_eq!(old.store().version(), kept[3].seqno + 1);
+    assert!(
+        old.store().snapshot().serialize() == service.nodes[&backup].store().snapshot().serialize(),
+        "the rolled-back state differs from the backup's"
+    );
+}
+
+/// A rollback exactly to a signature installs the state kept there and
+/// re-applies nothing.
+#[test]
+fn rollback_to_a_signature_reapplies_nothing() {
+    let (mut service, primary, backup, other) = start_signing_every_third(28);
+    let kept = write_messages(&mut service, &primary, 0..3);
+    let signed = TxId::new(kept[2].view, kept[2].seqno + 1);
+    service.run_for(50);
+    assert_eq!(service.nodes[&primary].tx_status(signed), TxStatus::Committed);
+    assert_eq!(service.nodes[&backup].store().version(), signed.seqno);
+
+    // Cut off, the primary appends two writes it never signs.
+    service.net.partition(vec![[primary.clone()].into(), [backup.clone(), other.clone()].into()]);
+    let lost = write_messages(&mut service, &primary, 3..5);
+    service.run_for(20);
+    let old = service.nodes[&primary].clone();
+    assert_eq!(old.store().version(), lost[1].seqno);
+
+    let rollbacks = service.obs().counter("consensus.rollbacks");
+    let before = rollbacks.get();
+    for id in [&primary, &backup] {
+        append_next_view_entry(&service.nodes[id], &other, signed);
+    }
+    assert_eq!(rollbacks.get(), before + 1, "only the old primary rolls back");
+    assert_eq!(old.tx_status(lost[0]), TxStatus::Invalid);
+    assert_eq!(old.store().version(), signed.seqno + 1);
+    assert!(
+        old.store().snapshot().serialize() == service.nodes[&backup].store().snapshot().serialize(),
+        "the rolled-back state differs from the backup's"
+    );
 }
