@@ -12,7 +12,7 @@ use ccf_consensus::message::{AppendEntries, Message, RequestVote};
 use ccf_consensus::quorum;
 use ccf_consensus::replica::ReplicaConfig;
 use ccf_ledger::TxId;
-use ccf_sim::NetConfig;
+use ccf_sim::{Input, NetConfig};
 use std::sync::Arc;
 
 fn cfg() -> ReplicaConfig {
@@ -51,17 +51,16 @@ fn main() {
         let mut cluster = Cluster::new(5, cfg(), NetConfig::default(), 777);
         for (id, len) in lengths {
             let r = cluster.replicas.get_mut(*id).unwrap();
-            r.receive(
-                &"n2".to_string(),
-                Message::AppendEntries(AppendEntries {
+            r.step(Input::Receive {
+                from: "n2".to_string(),
+                msg: Message::AppendEntries(AppendEntries {
                     view: 3,
                     leader: "n2".into(),
                     prev: TxId::ZERO,
                     entries: mk_entries(*len),
                     commit_seqno: 0,
                 }),
-            );
-            r.drain_outbox();
+            });
         }
         let mut votes = 0usize;
         let mut row = Vec::new();
@@ -72,16 +71,16 @@ fn main() {
                 continue;
             }
             let v = cluster.replicas.get_mut(*voter).unwrap();
-            v.receive(
-                &candidate.to_string(),
-                Message::RequestVote(RequestVote {
-                    view: 4,
-                    candidate: candidate.to_string(),
-                    last_signature: last_sig(*cand_len),
-                }),
-            );
             let granted = v
-                .drain_outbox()
+                .step(Input::Receive {
+                    from: candidate.to_string(),
+                    msg: Message::RequestVote(RequestVote {
+                        view: 4,
+                        candidate: candidate.to_string(),
+                        last_signature: last_sig(*cand_len),
+                    }),
+                })
+                .messages
                 .iter()
                 .any(|(_, m)| matches!(m, Message::RequestVoteResponse(r) if r.granted));
             if granted {

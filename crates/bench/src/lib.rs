@@ -12,7 +12,6 @@ use ccf_core::app::{AppResult, Application, Caller, EndpointDef, Request, Respon
 use ccf_core::node::CcfNode;
 use ccf_core::service::{ServiceCluster, ServiceOpts};
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_sim::Input;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,10 +100,7 @@ impl TimedService {
         svc.net.step(&mut svc.nodes, |id, node, input| {
             let idx = ids.iter().position(|i| i == id).expect("known node");
             let t0 = Instant::now();
-            let out = match input {
-                Input::Receive { from, msg } => node.receive(&from, msg),
-                Input::Tick(now) => node.tick(now),
-            };
+            let out = node.step(input);
             busy_ns[idx] += t0.elapsed().as_nanos() as u64;
             out
         });

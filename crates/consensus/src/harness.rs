@@ -68,6 +68,9 @@ pub struct Cluster {
     pub replicas: BTreeMap<NodeId, Replica>,
     /// The simulated network (and the run's clock and registry).
     pub net: SimNet<Message>,
+    /// Messages each replica produced since its last tick, sent with the
+    /// tick's own output.
+    unsent: BTreeMap<NodeId, Vec<(NodeId, Message)>>,
     seed: u64,
     next_node_seed: u64,
 }
@@ -90,7 +93,7 @@ impl Cluster {
             replicas.insert(id.clone(), replica);
         }
         let net = SimNet::new(net_cfg, seed, &obs, Message::kind);
-        Cluster { replicas, net, seed, next_node_seed: n as u64 }
+        Cluster { replicas, net, unsent: BTreeMap::new(), seed, next_node_seed: n as u64 }
     }
 
     /// Current virtual time (ms).
@@ -117,7 +120,7 @@ impl Cluster {
             format!("node-key-{}-{}", self.seed, self.next_node_seed).as_bytes(),
         ));
         self.next_node_seed += 1;
-        let mut replica = Replica::join(
+        let (mut replica, _) = Replica::join(
             id.clone(),
             cfg,
             self.seed * 1000 + self.next_node_seed,
@@ -125,28 +128,31 @@ impl Cluster {
             snapshot,
             self.net.registry(),
         );
-        replica.tick(self.now());
+        let messages = replica.step(Input::Tick(self.now())).messages;
+        self.send_at_tick(&id, messages);
         self.replicas.insert(id.clone(), replica);
         id
     }
 
     /// Advances the simulation by one millisecond ([`SimNet::step`]). A
-    /// replica's outbox is flushed only at its tick, never right after a
+    /// replica's messages go out only at its tick, never right after a
     /// receive, which is the schedule every pinned seed replays.
-    /// Node-layer events are dropped: there is no node layer here, and
+    /// Node-layer commands are dropped: there is no node layer here, and
     /// every transition is already in the registry's flight recorder.
     pub fn step(&mut self) {
-        self.net.step(&mut self.replicas, |_, replica, input| match input {
-            Input::Receive { from, msg } => {
-                replica.receive(&from, msg);
-                Vec::new()
-            }
-            Input::Tick(now) => {
-                replica.tick(now);
-                replica.drain_events();
-                replica.drain_outbox()
-            }
+        let unsent = &mut self.unsent;
+        self.net.step(&mut self.replicas, |id, replica, input| {
+            let tick = matches!(input, Input::Tick(_));
+            let queued = unsent.entry(id.clone()).or_default();
+            queued.extend(replica.step(input).messages);
+            if tick { std::mem::take(queued) } else { Vec::new() }
         });
+    }
+
+    /// Holds messages that replica `from` produced outside a tick (say, by
+    /// a proposal made directly on it) until its next tick.
+    pub fn send_at_tick(&mut self, from: &str, messages: Vec<(NodeId, Message)>) {
+        self.unsent.entry(from.to_string()).or_default().extend(messages);
     }
 
     /// Runs until `pred` holds or `deadline_ms` of virtual time passes.
@@ -194,20 +200,25 @@ impl Cluster {
             .ok_or(ProposeError::NotPrimary(None))?;
         let trace = self.obs().mint_trace();
         let replica = self.replicas.get_mut(&primary).unwrap();
-        replica.propose(|txid| traced_user_entry(txid, payload, trace))
+        let (txid, actions) = replica.propose(|txid| traced_user_entry(txid, payload, trace))?;
+        self.send_at_tick(&primary, actions.messages);
+        Ok(txid)
     }
 
     /// Proposes a reconfiguration on the current primary.
     pub fn propose_reconfig(&mut self, config: &Config) -> Result<TxId, ProposeError> {
         let primary = self.primary().ok_or(ProposeError::NotPrimary(None))?;
         let replica = self.replicas.get_mut(&primary).unwrap();
-        replica.propose(|txid| reconfig_entry(txid, config))
+        let (txid, actions) = replica.propose(|txid| reconfig_entry(txid, config))?;
+        self.send_at_tick(&primary, actions.messages);
+        Ok(txid)
     }
 
     /// Forces a signature transaction on the primary.
     pub fn emit_signature(&mut self) {
         if let Some(primary) = self.primary() {
-            self.replicas.get_mut(&primary).unwrap().emit_signature();
+            let messages = self.replicas.get_mut(&primary).unwrap().emit_signature().messages;
+            self.send_at_tick(&primary, messages);
         }
     }
 

@@ -23,11 +23,12 @@
 //!   rejoins through reconfiguration with a fresh identity, which is how
 //!   CCF avoids dedicated rollback-protection hardware (§6.2).
 //!
-//! The state machine in [`replica`] is *deterministic and I/O-free*:
-//! messages go out through an outbox, time comes in through `tick`, and
-//! randomness is injected as a seed — which is what lets the test-suite
-//! model-check scenarios like Figure 5/Table 2 exactly, and lets `ccf-sim`
-//! run thousands of seeded fault schedules.
+//! The state machine in [`replica`] is *deterministic and I/O-free*: each
+//! call returns the messages it sends and the commands it gives the node
+//! layer, time comes in as a tick, and randomness is injected as a seed —
+//! which is what lets the test-suite model-check scenarios like Figure
+//! 5/Table 2 exactly, and lets `ccf-sim` run thousands of seeded fault
+//! schedules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub mod message;
 pub mod replica;
 
 pub use message::{AppendEntries, AppendEntriesResponse, Message, RequestVote, RequestVoteResponse};
-pub use replica::{Event, Replica, ReplicaConfig, Role};
+pub use replica::{Actions, Command, Replica, ReplicaConfig, Role};
 
 use ccf_ledger::TxId;
 use std::collections::BTreeSet;

@@ -1,11 +1,13 @@
 //! The consensus replica state machine (paper §4).
 //!
-//! A [`Replica`] is deterministic and I/O-free: inputs are `tick(now)`,
-//! `receive(from, msg)` and `propose(...)`; outputs are drained from an
-//! outbox (messages to send) and an event queue (state-machine commands for
-//! the node layer: apply, roll back, commit, install snapshot). All
-//! randomness (election jitter) comes from a seeded generator, so whole
-//! cluster executions replay exactly from a seed.
+//! A [`Replica`] is deterministic and I/O-free: every call that changes
+//! it — [`Replica::step`] (a tick or a received message),
+//! [`Replica::propose`], [`Replica::emit_signature`], a snapshot-booted
+//! [`Replica::join`] — returns what it did as [`Actions`]: the messages to
+//! send and the commands for the node layer (apply, roll back, commit,
+//! install snapshot), in order. Between calls it holds no pending output.
+//! All randomness (election jitter) comes from a seeded generator, so
+//! whole cluster executions replay exactly from a seed.
 
 use crate::message::{
     AppendEntries, AppendEntriesResponse, InstallSnapshot, Message, ReplicatedEntry, RequestVote,
@@ -16,6 +18,7 @@ use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::SigningKey;
 use ccf_ledger::entry::EntryKind;
 use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
+use ccf_sim::Input;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -73,22 +76,17 @@ pub enum Role {
     Primary,
     /// A primary excluded by a committed reconfiguration (§4.5).
     Retiring,
-    /// Shut down; ignores everything.
-    Retired,
 }
 
-/// Commands for the node layer, emitted in order. Every command but
-/// [`Event::Appended`] is also written once to the run's flight recorder,
-/// which the chaos invariant checker reads.
+/// Commands for the node layer, returned in the order they must be
+/// applied. Every command but [`Command::Appended`] is also written once to
+/// the run's flight recorder, which the chaos invariant checker reads.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Event {
-    /// An entry was appended (speculatively — may still roll back).
-    /// The node layer applies its write set to the kv store, reading
-    /// the entry from [`Replica::entry_at`].
-    Appended {
-        /// The appended entry's id.
-        txid: TxId,
-    },
+pub enum Command {
+    /// An entry was appended (speculatively — may still roll back). The
+    /// node layer applies its write set to the kv store; the entry is the
+    /// one the log holds, shared.
+    Appended(Arc<ReplicatedEntry>),
     /// Everything up to `seqno` is durable: will never roll back.
     Committed {
         /// The new commit seqno.
@@ -120,13 +118,23 @@ pub enum Event {
     RetirementCommitted,
 }
 
+/// What one replica call did, in order: the messages to send and the
+/// commands for the node layer.
+#[derive(Debug, Default)]
+pub struct Actions {
+    /// Messages to send, as `(destination, message)`.
+    pub messages: Vec<(NodeId, Message)>,
+    /// Commands for the node layer.
+    pub commands: Vec<Command>,
+}
+
 /// Flight-recorder `(kind, tag)` of each replica transition record. `a`
 /// is the replica's view and `b` the seqno the transition concerns,
 /// except for [`REJECTED`](record::REJECTED).
 pub(crate) mod record {
-    /// The commit point advanced to `b` ([`Event::Committed`](super::Event::Committed)).
+    /// The commit point advanced to `b` ([`Command::Committed`](super::Command::Committed)).
     pub const COMMIT: (&str, &str) = ("commit", "advance");
-    /// Entries after `b` were discarded ([`Event::RolledBack`](super::Event::RolledBack)).
+    /// Entries after `b` were discarded ([`Command::RolledBack`](super::Command::RolledBack)).
     pub const ROLLBACK: (&str, &str) = ("rollback", "truncate");
     /// Became primary for view `a`, log ending at `b`.
     pub const PRIMARY: (&str, &str) = ("election", "won");
@@ -282,9 +290,6 @@ pub struct Replica {
     next_heartbeat: Time,
     last_sig_emit: Time,
 
-    outbox: Vec<(NodeId, Message)>,
-    events: Vec<Event>,
-
     metrics: ReplicaMetrics,
     /// Traced entries appended but not yet committed, by seqno. Pruned
     /// on commit (closing their stage spans) and on rollback (dropping
@@ -339,8 +344,6 @@ impl Replica {
             election_deadline: 0,
             next_heartbeat: 0,
             last_sig_emit: 0,
-            outbox: Vec::new(),
-            events: Vec::new(),
             metrics,
             inflight_traces: std::collections::BTreeMap::new(),
         };
@@ -350,7 +353,7 @@ impl Replica {
 
     /// Creates a joining replica (status PENDING until a reconfiguration
     /// adds it, §4.4), optionally bootstrapped from a snapshot, whose
-    /// install and commit are recorded like any other.
+    /// install and commit are recorded and returned like any other.
     pub fn join(
         id: impl Into<NodeId>,
         cfg: ReplicaConfig,
@@ -358,15 +361,16 @@ impl Replica {
         key: SigningKey,
         snapshot: Option<Snapshot>,
         reg: &ccf_obs::Registry,
-    ) -> Self {
+    ) -> (Self, Actions) {
         let mut r = Self::new(id, Config::new(), cfg, seed, key, reg);
         r.role = Role::Pending;
         r.participating = false;
         r.active_configs.clear();
+        let mut out = Actions::default();
         if let Some(snap) = snapshot {
-            r.install_snapshot_internal(snap, true);
+            r.install_snapshot_internal(snap, true, &mut out);
         }
-        r
+        (r, out)
     }
 
     // ------------------------------------------------------------------
@@ -521,26 +525,10 @@ impl Replica {
         TxStatus::Unknown
     }
 
-    /// Drains queued outbound messages.
-    pub fn drain_outbox(&mut self) -> Vec<(NodeId, Message)> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Drains queued events for the node layer.
-    pub fn drain_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Supplies the most recent snapshot produced by the node layer, to be
     /// offered to peers that have fallen behind the retained ledger.
     pub fn set_latest_snapshot(&mut self, snapshot: Snapshot) {
         self.latest_snapshot = Some(snapshot);
-    }
-
-    /// Permanently stops the replica (node retirement complete, §4.5).
-    pub fn shutdown(&mut self) {
-        self.role = Role::Retired;
-        self.outbox.clear();
     }
 
     // ------------------------------------------------------------------
@@ -552,19 +540,35 @@ impl Replica {
         self.election_deadline = self.now + self.rng.gen_range_in(lo, hi.max(lo + 1));
     }
 
-    /// Advances time and fires any due timers.
-    pub fn tick(&mut self, now: Time) {
+    /// Handles one input — a tick (advance time, fire due timers) or a
+    /// received consensus message — and returns what it did.
+    pub fn step(&mut self, input: Input<Message>) -> Actions {
+        let mut out = Actions::default();
+        match input {
+            Input::Tick(now) => self.tick(now, &mut out),
+            Input::Receive { from, msg } => match msg {
+                Message::AppendEntries(m) => self.on_append_entries(&from, m, &mut out),
+                Message::AppendEntriesResponse(m) => self.on_append_entries_response(m, &mut out),
+                Message::RequestVote(m) => self.on_request_vote(m, &mut out),
+                Message::RequestVoteResponse(m) => self.on_request_vote_response(m, &mut out),
+                Message::InstallSnapshot(m) => self.on_install_snapshot(m, &mut out),
+            },
+        }
+        out
+    }
+
+    fn tick(&mut self, now: Time, out: &mut Actions) {
         self.now = self.now.max(now);
         match self.role {
-            Role::Retired | Role::Pending => {}
+            Role::Pending => {}
             Role::Backup | Role::Candidate => {
                 if self.participating && self.now >= self.election_deadline {
-                    self.start_election();
+                    self.start_election(out);
                 }
             }
             Role::Primary => {
                 if self.now >= self.next_heartbeat {
-                    self.broadcast_entries();
+                    self.broadcast_entries(out);
                     self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
                 }
                 // Time-based signing: bound commit latency even at low
@@ -574,23 +578,23 @@ impl Replica {
                     && self.unsigned_since_sig > 0
                     && self.now >= self.last_sig_emit + self.cfg.signature_interval_ms
                 {
-                    self.emit_signature();
+                    self.sign(out);
                 }
-                self.check_leadership_acks();
+                self.check_leadership_acks(out);
             }
             Role::Retiring => {
                 // No heartbeats: let a successor election happen (§4.5).
                 // Still replicate pending entries once per interval so the
                 // successor can catch up.
                 if self.now >= self.next_heartbeat {
-                    self.broadcast_entries_to_stale_only();
+                    self.broadcast_entries_to_stale_only(out);
                     self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
                 }
             }
         }
     }
 
-    fn check_leadership_acks(&mut self) {
+    fn check_leadership_acks(&mut self, out: &mut Actions) {
         // Count members (excluding self) heard from within the window, per
         // active config; step down when any config lacks a quorum (§4.2).
         let window_start = self.now.saturating_sub(self.cfg.leadership_ack_window);
@@ -611,7 +615,7 @@ impl Replica {
             if heard < quorum(config.nodes.len()) && !config.nodes.is_empty() {
                 // Lost contact with a quorum.
                 let view = self.view;
-                self.become_backup(view);
+                self.become_backup(view, out);
                 return;
             }
         }
@@ -623,11 +627,12 @@ impl Replica {
 
     /// Proposes a new entry. The builder receives the assigned transaction
     /// ID (it is needed for private-payload encryption nonces). Returns
-    /// the assigned TxId.
+    /// the assigned TxId and what the proposal did, the new entry's
+    /// [`Command::Appended`] first.
     pub fn propose(
         &mut self,
         build: impl FnOnce(TxId) -> ReplicatedEntry,
-    ) -> Result<TxId, ProposeError> {
+    ) -> Result<(TxId, Actions), ProposeError> {
         match self.role {
             Role::Primary => {}
             Role::Retiring => return Err(ProposeError::Retiring),
@@ -636,16 +641,23 @@ impl Replica {
         let txid = TxId::new(self.view, self.last_seqno() + 1);
         let entry = build(txid);
         assert_eq!(entry.entry.txid, txid, "builder must use the assigned TxId");
-        self.append_local(Arc::new(entry));
+        let mut out = Actions::default();
+        self.append_local(Arc::new(entry), &mut out);
         if self.unsigned_since_sig >= self.cfg.signature_interval {
-            self.emit_signature();
+            self.sign(&mut out);
         }
-        Ok(txid)
+        Ok((txid, out))
     }
 
-    /// Appends a signature transaction now (primaries call this on a timer
-    /// or via the automatic count-based policy).
-    pub fn emit_signature(&mut self) {
+    /// Appends a signature transaction now (primaries also sign on a timer
+    /// and via the automatic count-based policy).
+    pub fn emit_signature(&mut self) -> Actions {
+        let mut out = Actions::default();
+        self.sign(&mut out);
+        out
+    }
+
+    fn sign(&mut self, out: &mut Actions) {
         if !matches!(self.role, Role::Primary | Role::Retiring) {
             return;
         }
@@ -665,10 +677,10 @@ impl Replica {
             .filter(|t| t.signed_at.is_none())
             .map(|t| t.trace)
             .collect();
-        self.append_local(Arc::new(ReplicatedEntry { entry, config: None, traces: covered }));
+        self.append_local(Arc::new(ReplicatedEntry { entry, config: None, traces: covered }), out);
         // Replicate eagerly: commit latency is dominated by signature
         // round-trips (Figure 8).
-        self.broadcast_entries();
+        self.broadcast_entries(out);
     }
 
     /// Changes the signature policy at runtime (benchmarks sweep this;
@@ -678,7 +690,7 @@ impl Replica {
         self.cfg.signature_interval_ms = interval_ms;
     }
 
-    fn append_local(&mut self, entry: Arc<ReplicatedEntry>) {
+    fn append_local(&mut self, entry: Arc<ReplicatedEntry>, out: &mut Actions) {
         debug_assert_eq!(entry.entry.txid.seqno, self.last_seqno() + 1);
         self.merkle.append(&entry.entry.leaf_bytes());
         if entry.entry.kind == EntryKind::Signature {
@@ -708,11 +720,11 @@ impl Replica {
             self.view_history.push((view, entry.entry.txid.seqno));
         }
         self.note_append_traces(&entry);
-        self.emit(Event::Appended { txid: entry.entry.txid });
+        self.emit(Command::Appended(entry.clone()), out);
         self.ledger.push(entry);
         // A single-node configuration commits its own signatures instantly.
         if self.is_primary() {
-            self.try_advance_commit();
+            self.try_advance_commit(out);
         }
     }
 
@@ -807,24 +819,24 @@ impl Replica {
         self.config_union().into_iter().filter(|n| n != &self.id).collect()
     }
 
-    fn broadcast_entries(&mut self) {
+    fn broadcast_entries(&mut self, out: &mut Actions) {
         for peer in self.peers() {
-            self.send_entries_to(&peer);
+            self.send_entries_to(&peer, out);
         }
     }
 
     /// Used by retiring primaries: replicate to peers that are behind but
     /// send no pure heartbeats (which would suppress elections).
-    fn broadcast_entries_to_stale_only(&mut self) {
+    fn broadcast_entries_to_stale_only(&mut self, out: &mut Actions) {
         for peer in self.peers() {
             let next = self.next_seqno.get(&peer).copied().unwrap_or(self.last_seqno() + 1);
             if next <= self.last_seqno() {
-                self.send_entries_to(&peer);
+                self.send_entries_to(&peer, out);
             }
         }
     }
 
-    fn send_entries_to(&mut self, peer: &NodeId) {
+    fn send_entries_to(&mut self, peer: &NodeId, out: &mut Actions) {
         let next = self.next_seqno.get(peer).copied().unwrap_or(self.last_seqno() + 1);
         if next <= self.base_seqno {
             // The peer needs entries we no longer retain: offer a snapshot.
@@ -834,7 +846,7 @@ impl Replica {
                 let to = m.reg.node_ref(peer);
                 let seqno = snapshot.last_txid.seqno;
                 m.reg.flight(m.node, "snapshot", "sent", Some(to), self.view, seqno);
-                self.outbox.push((
+                out.messages.push((
                     peer.clone(),
                     Message::InstallSnapshot(InstallSnapshot {
                         view: self.view,
@@ -857,7 +869,7 @@ impl Replica {
         let entries = self.ledger[from_idx..to_idx].to_vec();
         self.metrics.append_batches.inc();
         self.metrics.append_batch_entries.observe(entries.len() as u64);
-        self.outbox.push((
+        out.messages.push((
             peer.clone(),
             Message::AppendEntries(AppendEntries {
                 view: self.view,
@@ -869,7 +881,7 @@ impl Replica {
         ));
     }
 
-    fn try_advance_commit(&mut self) {
+    fn try_advance_commit(&mut self, out: &mut Actions) {
         if !matches!(self.role, Role::Primary | Role::Retiring) {
             return;
         }
@@ -897,10 +909,10 @@ impl Replica {
             }
         }
         if let Some(seqno) = candidate {
-            self.advance_commit(seqno);
+            self.advance_commit(seqno, out);
             // Let backups learn promptly (commit piggybacks on the next
             // append_entries; send one now).
-            self.broadcast_entries();
+            self.broadcast_entries(out);
         }
     }
 
@@ -927,39 +939,39 @@ impl Replica {
         true
     }
 
-    /// Queues `event` for the node layer and, for every command but
-    /// [`Event::Appended`] (which fires per entry; the log itself records
+    /// Adds `command` to the call's output and, for every command but
+    /// [`Command::Appended`] (which fires per entry; the log itself records
     /// it), writes its flight record: the one place a transition is
     /// recorded. Commits, won elections and snapshot installs are also
     /// counted here.
-    fn emit(&mut self, event: Event) {
+    fn emit(&self, command: Command, out: &mut Actions) {
         let m = &self.metrics;
-        let ((kind, tag), seqno) = match &event {
-            Event::Appended { .. } => {
-                self.events.push(event);
+        let ((kind, tag), seqno) = match &command {
+            Command::Appended(_) => {
+                out.commands.push(command);
                 return;
             }
-            Event::Committed { seqno } => {
+            Command::Committed { seqno } => {
                 // The gauge is shared by every replica on the registry,
                 // so it tracks the cluster-wide maximum.
                 m.commits.inc();
                 m.commit_seqno.fetch_max(*seqno);
                 (record::COMMIT, *seqno)
             }
-            Event::RolledBack { seqno } => (record::ROLLBACK, *seqno),
-            Event::BecamePrimary { .. } => {
+            Command::RolledBack { seqno } => (record::ROLLBACK, *seqno),
+            Command::BecamePrimary { .. } => {
                 m.elections_won.inc();
                 (record::PRIMARY, self.last_seqno())
             }
-            Event::BecameBackup { .. } => (record::BACKUP, self.last_seqno()),
-            Event::SnapshotInstalled { snapshot } => {
+            Command::BecameBackup { .. } => (record::BACKUP, self.last_seqno()),
+            Command::SnapshotInstalled { snapshot } => {
                 m.snapshots_installed.inc();
                 (record::SNAPSHOT, snapshot.last_txid.seqno)
             }
-            Event::RetirementCommitted => (record::RETIREMENT, self.commit_seqno),
+            Command::RetirementCommitted => (record::RETIREMENT, self.commit_seqno),
         };
         m.reg.flight(m.node, kind, tag, None, self.view, seqno);
-        self.events.push(event);
+        out.commands.push(command);
     }
 
     /// Counts and records a refusal by a safety guard (see
@@ -974,12 +986,12 @@ impl Replica {
 
     /// Moves the commit point to `seqno`: found by the primary's quorum
     /// search, or taken from the primary's AppendEntries on a backup.
-    fn advance_commit(&mut self, seqno: Seqno) {
+    fn advance_commit(&mut self, seqno: Seqno, out: &mut Actions) {
         debug_assert!(seqno > self.commit_seqno);
         debug_assert!(seqno <= self.last_seqno());
         self.commit_seqno = seqno;
         self.close_committed_traces(seqno);
-        self.emit(Event::Committed { seqno });
+        self.emit(Command::Committed { seqno }, out);
         // §4.5: retirement commits when the node was in the current
         // configuration and a newly committed reconfiguration excludes it.
         let was_in_current = self
@@ -1005,7 +1017,7 @@ impl Replica {
             && !in_current
             && self.active_configs.first().is_some_and(|c| c.seqno <= seqno)
         {
-            self.emit(Event::RetirementCommitted);
+            self.emit(Command::RetirementCommitted, out);
             if self.role == Role::Primary {
                 self.role = Role::Retiring;
             }
@@ -1016,7 +1028,7 @@ impl Replica {
     // Elections
     // ------------------------------------------------------------------
 
-    fn start_election(&mut self) {
+    fn start_election(&mut self, out: &mut Actions) {
         let m = &self.metrics;
         m.elections_started.inc();
         m.reg.flight(m.node, "election", "start", None, self.view + 1, self.last_sig.seqno);
@@ -1032,12 +1044,12 @@ impl Replica {
             last_signature: self.last_sig,
         };
         for peer in self.peers() {
-            self.outbox.push((peer, Message::RequestVote(req.clone())));
+            out.messages.push((peer, Message::RequestVote(req.clone())));
         }
-        self.check_election_won();
+        self.check_election_won(out);
     }
 
-    fn check_election_won(&mut self) {
+    fn check_election_won(&mut self, out: &mut Actions) {
         if self.role != Role::Candidate {
             return;
         }
@@ -1050,15 +1062,15 @@ impl Replica {
                 return;
             }
         }
-        self.become_primary();
+        self.become_primary(out);
     }
 
-    fn become_primary(&mut self) {
+    fn become_primary(&mut self, out: &mut Actions) {
         // Discard everything after the last signature transaction (§4.2).
-        self.truncate_to(self.last_sig.seqno.max(self.commit_seqno));
+        self.truncate_to(self.last_sig.seqno.max(self.commit_seqno), out);
         self.role = Role::Primary;
         self.leader_hint = Some(self.id.clone());
-        self.emit(Event::BecamePrimary { view: self.view });
+        self.emit(Command::BecamePrimary { view: self.view }, out);
         let last = self.last_seqno();
         self.next_seqno.clear();
         self.match_seqno.clear();
@@ -1071,21 +1083,21 @@ impl Replica {
         // The new view begins with a signature transaction (§4.2), which
         // becomes committable as soon as a quorum replicates it.
         self.unsigned_since_sig = 1; // force emission even right after a sig
-        self.emit_signature();
+        self.sign(out);
         self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
     }
 
-    fn become_backup(&mut self, view: View) {
+    fn become_backup(&mut self, view: View, out: &mut Actions) {
         let was_leaderish = matches!(self.role, Role::Primary | Role::Candidate | Role::Retiring);
         if view > self.view {
             self.view = view;
             self.voted_for = None;
         }
-        if self.role != Role::Retired && self.role != Role::Pending {
+        if self.role != Role::Pending {
             self.role = Role::Backup;
         }
         if was_leaderish {
-            self.emit(Event::BecameBackup { view: self.view });
+            self.emit(Command::BecameBackup { view: self.view }, out);
         }
         self.votes.clear();
         self.reset_election_timer();
@@ -1095,7 +1107,7 @@ impl Replica {
     /// leaves the log untouched — if that would roll back committed
     /// entries: commit is a durability promise (§4.1), so the guard must
     /// hold in release builds, not only under `debug_assert!`.
-    fn truncate_to(&mut self, seqno: Seqno) -> bool {
+    fn truncate_to(&mut self, seqno: Seqno, out: &mut Actions) -> bool {
         if seqno < self.commit_seqno {
             self.reject(None, seqno);
             return false;
@@ -1128,7 +1140,7 @@ impl Replica {
             .rev()
             .take_while(|e| e.entry.kind != EntryKind::Signature)
             .count() as u64;
-        self.emit(Event::RolledBack { seqno });
+        self.emit(Command::RolledBack { seqno }, out);
         true
     }
 
@@ -1136,28 +1148,14 @@ impl Replica {
     // Message handling
     // ------------------------------------------------------------------
 
-    /// Processes an incoming consensus message.
-    pub fn receive(&mut self, from: &NodeId, msg: Message) {
-        if self.role == Role::Retired {
-            return;
-        }
-        match msg {
-            Message::AppendEntries(m) => self.on_append_entries(from, m),
-            Message::AppendEntriesResponse(m) => self.on_append_entries_response(m),
-            Message::RequestVote(m) => self.on_request_vote(m),
-            Message::RequestVoteResponse(m) => self.on_request_vote_response(m),
-            Message::InstallSnapshot(m) => self.on_install_snapshot(m),
-        }
-    }
-
-    fn on_append_entries(&mut self, from: &NodeId, m: AppendEntries) {
+    fn on_append_entries(&mut self, from: &NodeId, m: AppendEntries, out: &mut Actions) {
         if m.view < self.view {
             // Stale primary: reply negatively with our view (§4.2).
-            self.ack(from, false, self.last_seqno());
+            self.ack(from, false, self.last_seqno(), out);
             return;
         }
         if m.view > self.view || matches!(self.role, Role::Primary | Role::Candidate) {
-            self.become_backup(m.view);
+            self.become_backup(m.view, out);
         }
         if self.role == Role::Pending {
             // First contact from the service: we are now receiving the
@@ -1171,13 +1169,13 @@ impl Replica {
         if m.prev.seqno < self.base_seqno {
             // The primary is sending from before our snapshot base; ask it
             // to fast-forward to our base.
-            self.ack(from, false, self.base_seqno);
+            self.ack(from, false, self.base_seqno, out);
             return;
         }
         if self.txid_at(m.prev.seqno) != Some(m.prev) {
             // Mismatch: report our best guess at the latest common point.
             let hint = self.last_seqno().min(m.prev.seqno.saturating_sub(1));
-            self.ack(from, false, hint);
+            self.ack(from, false, hint, out);
             return;
         }
 
@@ -1200,18 +1198,18 @@ impl Replica {
                     // truncate_to would also refuse, but rejecting here
                     // records the violation before touching any state.
                     self.reject(Some(from), s);
-                    self.ack(from, false, self.commit_seqno);
+                    self.ack(from, false, self.commit_seqno, out);
                     return;
                 }
                 Some(_) => {
                     // Conflicting uncommitted suffix: delete ours, then
                     // append. truncate_to refuses (returning false) if it
                     // would cross the commit point.
-                    if !self.truncate_to(s - 1) {
-                        self.ack(from, false, self.commit_seqno);
+                    if !self.truncate_to(s - 1, out) {
+                        self.ack(from, false, self.commit_seqno, out);
                         return;
                     }
-                    self.append_local(re);
+                    self.append_local(re, out);
                 }
                 None => {
                     if s != self.last_seqno() + 1 {
@@ -1221,10 +1219,10 @@ impl Replica {
                         // appended entries with holes below them; instead
                         // reply failure with our last seqno as the
                         // retransmission hint.
-                        self.ack(from, false, self.last_seqno());
+                        self.ack(from, false, self.last_seqno(), out);
                         return;
                     }
-                    self.append_local(re);
+                    self.append_local(re, out);
                 }
             }
         }
@@ -1236,7 +1234,7 @@ impl Replica {
         // `min(last_seqno)` could land mid-unsigned-block.
         let new_commit = m.commit_seqno.min(self.last_sig.seqno.max(self.base_seqno));
         if new_commit > self.commit_seqno {
-            self.advance_commit(new_commit);
+            self.advance_commit(new_commit, out);
         }
 
         // Claim only what this message proved. A tip from the current view
@@ -1249,19 +1247,19 @@ impl Replica {
         } else {
             batch_end
         };
-        self.ack(from, true, matched);
+        self.ack(from, true, matched, out);
     }
 
-    /// Queues an [`AppendEntriesResponse`] to `to` in the current view.
-    fn ack(&mut self, to: &NodeId, success: bool, last_seqno: Seqno) {
+    /// Sends an [`AppendEntriesResponse`] to `to` in the current view.
+    fn ack(&self, to: &NodeId, success: bool, last_seqno: Seqno, out: &mut Actions) {
         let resp =
             AppendEntriesResponse { view: self.view, from: self.id.clone(), success, last_seqno };
-        self.outbox.push((to.clone(), Message::AppendEntriesResponse(resp)));
+        out.messages.push((to.clone(), Message::AppendEntriesResponse(resp)));
     }
 
-    fn on_append_entries_response(&mut self, m: AppendEntriesResponse) {
+    fn on_append_entries_response(&mut self, m: AppendEntriesResponse, out: &mut Actions) {
         if m.view > self.view {
-            self.become_backup(m.view);
+            self.become_backup(m.view, out);
             return;
         }
         if !matches!(self.role, Role::Primary | Role::Retiring) || m.view < self.view {
@@ -1272,10 +1270,10 @@ impl Replica {
             let matched = self.match_seqno.entry(m.from.clone()).or_insert(0);
             *matched = (*matched).max(m.last_seqno);
             self.next_seqno.insert(m.from.clone(), m.last_seqno + 1);
-            self.try_advance_commit();
+            self.try_advance_commit(out);
             // Stream further entries if the peer is still behind.
             if m.last_seqno < self.last_seqno() {
-                self.send_entries_to(&m.from.clone());
+                self.send_entries_to(&m.from, out);
             }
         } else {
             self.metrics.negative_acks.inc();
@@ -1290,13 +1288,13 @@ impl Replica {
             // catch-up (O(log length) round trips instead of O(1)).
             let next = (m.last_seqno + 1).min(self.last_seqno() + 1).max(1);
             self.next_seqno.insert(m.from.clone(), next);
-            self.send_entries_to(&m.from.clone());
+            self.send_entries_to(&m.from, out);
         }
     }
 
-    fn on_request_vote(&mut self, m: RequestVote) {
+    fn on_request_vote(&mut self, m: RequestVote, out: &mut Actions) {
         if m.view > self.view {
-            self.become_backup(m.view);
+            self.become_backup(m.view, out);
         }
         let up_to_date = m.last_signature.view > self.last_sig.view
             || (m.last_signature.view == self.last_sig.view
@@ -1308,7 +1306,7 @@ impl Replica {
             self.voted_for = Some(m.candidate.clone());
             self.reset_election_timer();
         }
-        self.outbox.push((
+        out.messages.push((
             m.candidate.clone(),
             Message::RequestVoteResponse(RequestVoteResponse {
                 view: self.view,
@@ -1318,24 +1316,24 @@ impl Replica {
         ));
     }
 
-    fn on_request_vote_response(&mut self, m: RequestVoteResponse) {
+    fn on_request_vote_response(&mut self, m: RequestVoteResponse, out: &mut Actions) {
         if m.view > self.view {
-            self.become_backup(m.view);
+            self.become_backup(m.view, out);
             return;
         }
         if self.role != Role::Candidate || m.view < self.view || !m.granted {
             return;
         }
         self.votes.insert(m.from);
-        self.check_election_won();
+        self.check_election_won(out);
     }
 
-    fn on_install_snapshot(&mut self, m: InstallSnapshot) {
+    fn on_install_snapshot(&mut self, m: InstallSnapshot, out: &mut Actions) {
         if m.view < self.view {
             return;
         }
         if m.view > self.view || matches!(self.role, Role::Primary | Role::Candidate) {
-            self.become_backup(m.view);
+            self.become_backup(m.view, out);
         }
         if self.role == Role::Pending {
             self.role = Role::Backup;
@@ -1344,19 +1342,19 @@ impl Replica {
         self.reset_election_timer();
         if m.snapshot.last_txid.seqno <= self.last_seqno() {
             // We already have everything the snapshot covers.
-            self.ack(&m.leader, true, self.last_seqno());
+            self.ack(&m.leader, true, self.last_seqno(), out);
             return;
         }
-        self.install_snapshot_internal(m.snapshot, false);
+        self.install_snapshot_internal(m.snapshot, false, out);
         let commit = m.commit_seqno.min(self.last_seqno());
         if commit > self.commit_seqno {
             self.commit_seqno = commit;
-            self.emit(Event::Committed { seqno: commit });
+            self.emit(Command::Committed { seqno: commit }, out);
         }
-        self.ack(&m.leader, true, self.last_seqno());
+        self.ack(&m.leader, true, self.last_seqno(), out);
     }
 
-    fn install_snapshot_internal(&mut self, snapshot: Snapshot, at_boot: bool) {
+    fn install_snapshot_internal(&mut self, snapshot: Snapshot, at_boot: bool, out: &mut Actions) {
         self.ledger.clear();
         // Traced entries the snapshot replaces were committed elsewhere;
         // this node's view of them ends here (tokens die unexited).
@@ -1389,9 +1387,9 @@ impl Replica {
             self.role = Role::Backup;
             self.reset_election_timer();
         }
-        self.emit(Event::SnapshotInstalled { snapshot });
+        self.emit(Command::SnapshotInstalled { snapshot }, out);
         if at_boot && self.commit_seqno > 0 {
-            self.emit(Event::Committed { seqno: self.commit_seqno });
+            self.emit(Command::Committed { seqno: self.commit_seqno }, out);
         }
     }
 

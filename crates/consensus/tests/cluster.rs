@@ -8,7 +8,7 @@ use ccf_consensus::message::{AppendEntries, Message, RequestVote};
 use ccf_consensus::replica::{ReplicaConfig, Role};
 use ccf_consensus::{Config, NodeId, TxStatus};
 use ccf_ledger::TxId;
-use ccf_sim::NetConfig;
+use ccf_sim::{Input, NetConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -139,7 +139,9 @@ fn minority_cannot_commit() {
     let commit_before = cluster.replicas[&primary].commit_seqno();
     // Propose on the (stale) primary while partitioned.
     let stale_primary = cluster.replicas.get_mut(&primary).unwrap();
-    let _ = stale_primary.propose(|txid| user_entry(txid, b"doomed"));
+    if let Ok((_, actions)) = stale_primary.propose(|txid| user_entry(txid, b"doomed")) {
+        cluster.send_at_tick(&primary, actions.messages);
+    }
     cluster.run_for(3000);
     // Nothing on the minority side may commit beyond the pre-partition point
     // plus what was already replicated majority-wide.
@@ -174,14 +176,16 @@ fn divergent_suffix_rolled_back_after_heal() {
 
     // Stale primary appends a suffix that can never commit.
     let mut stale = Vec::new();
-    {
+    for i in 0..5 {
         let r = cluster.replicas.get_mut(&old_primary).unwrap();
-        for i in 0..5 {
-            let txid = r.propose(|txid| user_entry(txid, format!("stale{i}").as_bytes()));
-            stale.push(txid.expect("still primary right after the partition"));
-        }
-        r.emit_signature();
+        let (txid, actions) = r
+            .propose(|txid| user_entry(txid, format!("stale{i}").as_bytes()))
+            .expect("still primary right after the partition");
+        cluster.send_at_tick(&old_primary, actions.messages);
+        stale.push(txid);
     }
+    let signed = cluster.replicas.get_mut(&old_primary).unwrap().emit_signature();
+    cluster.send_at_tick(&old_primary, signed.messages);
     cluster.run_for(2000);
     // Majority commits its own entries under a new primary.
     let new_primary = cluster
@@ -191,13 +195,15 @@ fn divergent_suffix_rolled_back_after_heal() {
         .find(|(_, r)| r.is_primary())
         .map(|(id, _)| id.clone())
         .expect("majority elected");
-    {
+    for i in 0..3 {
         let r = cluster.replicas.get_mut(&new_primary).unwrap();
-        for i in 0..3 {
-            let _ = r.propose(|txid| user_entry(txid, format!("good{i}").as_bytes()));
+        let proposed = r.propose(|txid| user_entry(txid, format!("good{i}").as_bytes()));
+        if let Ok((_, actions)) = proposed {
+            cluster.send_at_tick(&new_primary, actions.messages);
         }
-        r.emit_signature();
     }
+    let signed = cluster.replicas.get_mut(&new_primary).unwrap().emit_signature();
+    cluster.send_at_tick(&new_primary, signed.messages);
     cluster.run_for(2000);
     let rollbacks = cluster.obs().counter("consensus.rollbacks");
     let rollbacks_before = rollbacks.get();
@@ -248,17 +254,16 @@ fn table2_election_vote_matrix() {
         // Install the ledgers via append_entries from the view-3 primary.
         for (id, len) in lengths {
             let r = cluster.replicas.get_mut(*id).unwrap();
-            r.receive(
-                &"n2".to_string(),
-                Message::AppendEntries(AppendEntries {
+            r.step(Input::Receive {
+                from: "n2".to_string(),
+                msg: Message::AppendEntries(AppendEntries {
                     view: 3,
                     leader: "n2".into(),
                     prev: TxId::ZERO,
                     entries: mk_entries(*len),
                     commit_seqno: 0,
                 }),
-            );
-            r.drain_outbox();
+            });
             assert_eq!(r.last_signature(), last_sig(*len), "{id}");
         }
         let mut votes = 1; // candidate votes for itself
@@ -269,16 +274,15 @@ fn table2_election_vote_matrix() {
                 continue;
             }
             let v = cluster.replicas.get_mut(*voter).unwrap();
-            v.receive(
-                &candidate.to_string(),
-                Message::RequestVote(RequestVote {
+            let sent = v.step(Input::Receive {
+                from: candidate.to_string(),
+                msg: Message::RequestVote(RequestVote {
                     view: 4,
                     candidate: candidate.to_string(),
                     last_signature: last_sig(*cand_len),
                 }),
-            );
-            let outbox = v.drain_outbox();
-            let granted = outbox.iter().any(|(_, m)| {
+            });
+            let granted = sent.messages.iter().any(|(_, m)| {
                 matches!(m, Message::RequestVoteResponse(r) if r.granted)
             });
             if granted {
@@ -566,8 +570,11 @@ fn reconfig_rolls_back_with_its_suffix() {
     {
         let r = cluster.replicas.get_mut(&old_primary).unwrap();
         let cfg: Config = ["n0", "n1"].iter().map(|s| s.to_string()).collect();
-        let _ = r.propose(|txid| reconfig_entry(txid, &cfg));
+        let proposed = r.propose(|txid| reconfig_entry(txid, &cfg));
         assert!(r.active_configs().len() >= 2, "reconfig should be active immediately");
+        if let Ok((_, actions)) = proposed {
+            cluster.send_at_tick(&old_primary, actions.messages);
+        }
     }
     cluster.run_for(2500);
     cluster.net.heal();

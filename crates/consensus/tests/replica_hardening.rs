@@ -3,17 +3,20 @@
 //! hand-crafted messages — no network, no timing — so the exact buggy
 //! branch is hit deterministically, in release builds as well as debug
 //! (two of the original bugs were `debug_assert!`s that vanished under
-//! `--release` and silently corrupted state). The last test guards the
-//! write path's sharing of entries between the log and its batches.
+//! `--release` and silently corrupted state). The last tests guard the
+//! write path's sharing of entries between the log and its batches, and
+//! the order of the commands a call returns, which the node layer applies
+//! as given.
 
 use ccf_consensus::harness::user_entry;
 use ccf_consensus::invariants::InvariantChecker;
 use ccf_consensus::message::ReplicatedEntry;
-use ccf_consensus::replica::{Replica, ReplicaConfig, Role};
+use ccf_consensus::replica::{Actions, Command, Replica, ReplicaConfig, Role};
 use ccf_consensus::{AppendEntries, AppendEntriesResponse, Config, Message, RequestVoteResponse};
 use ccf_crypto::SigningKey;
 use ccf_ledger::{LedgerEntry, TxId};
 use ccf_obs::Registry;
+use ccf_sim::Input;
 use std::sync::Arc;
 
 fn key(id: &str) -> SigningKey {
@@ -43,6 +46,10 @@ fn sig_entry(author: &str, txid: TxId) -> Arc<ReplicatedEntry> {
     })
 }
 
+fn receive(r: &mut Replica, from: &str, msg: Message) -> Actions {
+    r.step(Input::Receive { from: from.to_string(), msg })
+}
+
 /// Sends `m` as an AppendEntries from `from` and returns the responses
 /// produced (ignoring any other outbound traffic).
 fn deliver(
@@ -50,8 +57,8 @@ fn deliver(
     from: &str,
     m: AppendEntries,
 ) -> Vec<AppendEntriesResponse> {
-    r.receive(&from.to_string(), Message::AppendEntries(m));
-    r.drain_outbox()
+    receive(r, from, Message::AppendEntries(m))
+        .messages
         .into_iter()
         .filter_map(|(_, msg)| match msg {
             Message::AppendEntriesResponse(resp) => Some(resp),
@@ -80,7 +87,6 @@ fn backup_with_committed_prefix(reg: &Registry) -> Replica {
     );
     assert!(resps.last().is_some_and(|r| r.success));
     assert_eq!(b.commit_seqno(), 2);
-    b.drain_events();
     b
 }
 
@@ -167,7 +173,6 @@ fn truncate_never_crosses_commit_point() {
         },
     );
     assert!(resps.last().is_some_and(|r| r.success));
-    b.drain_events();
 
     // A new honest primary in view 2 replaces the uncommitted suffix.
     let resps = deliver(
@@ -259,32 +264,33 @@ fn ack_from_stale_tip_claims_only_the_batch() {
     assert_eq!(b.last_seqno(), 3, "a matching batch truncates nothing");
 }
 
-/// Drives `p` to primary of a {p, b} configuration by feeding it the
-/// peer's vote. Returns the replica with its view-opening signature
-/// still in the outbox.
-fn elected_primary() -> Replica {
-    let mut p = replica("p", &["p", "b"]);
-    p.tick(10_000); // well past any election timeout draw
+/// Times `p` out and feeds it `b`'s vote: what winning returns.
+fn win_election(p: &mut Replica) -> Actions {
+    p.step(Input::Tick(10_000)); // well past any election timeout draw
     assert_eq!(p.role(), Role::Candidate);
     let view = p.view();
-    p.receive(
-        &"b".to_string(),
-        Message::RequestVoteResponse(RequestVoteResponse { view, from: "b".to_string(), granted: true }),
-    );
+    let vote = RequestVoteResponse { view, from: "b".to_string(), granted: true };
+    let won = receive(p, "b", Message::RequestVoteResponse(vote));
     assert_eq!(p.role(), Role::Primary);
+    won
+}
+
+/// Drives `p` to primary of a {p, b} configuration, dropping what the
+/// election sent.
+fn elected_primary() -> Replica {
+    let mut p = replica("p", &["p", "b"]);
+    win_election(&mut p);
     p
 }
 
 /// [`elected_primary`] with a log of `n` user entries plus a closing
-/// signature, and its outbox drained.
+/// signature, sent nowhere.
 fn primary_with_log(n: u64) -> Replica {
     let mut p = elected_primary();
     for i in 0..n {
         p.propose(|txid| user_entry(txid, format!("entry-{i}").as_bytes())).unwrap();
     }
     p.emit_signature();
-    p.drain_outbox();
-    p.drain_events();
     p
 }
 
@@ -296,17 +302,10 @@ fn probe_seqnos(p: &mut Replica, hint: u64, cap: usize) -> Vec<u64> {
     let mut probes = Vec::new();
     for _ in 0..cap {
         let view = p.view();
-        p.receive(
-            &"b".to_string(),
-            Message::AppendEntriesResponse(AppendEntriesResponse {
-                view,
-                from: "b".to_string(),
-                success: false,
-                last_seqno: hint,
-            }),
-        );
-        let probe = p
-            .drain_outbox()
+        let nack =
+            AppendEntriesResponse { view, from: "b".to_string(), success: false, last_seqno: hint };
+        let probe = receive(p, "b", Message::AppendEntriesResponse(nack))
+            .messages
             .into_iter()
             .rev()
             .find_map(|(to, msg)| match msg {
@@ -344,16 +343,9 @@ fn negative_ack_backoff_reaches_hint_in_one_round_trip() {
     // reject with a low hint (conflicting-suffix truncation). Again one
     // round trip, not O(divergence).
     let view = p.view();
-    p.receive(
-        &"b".to_string(),
-        Message::AppendEntriesResponse(AppendEntriesResponse {
-            view,
-            from: "b".to_string(),
-            success: true,
-            last_seqno: last,
-        }),
-    );
-    p.drain_outbox();
+    let ack =
+        AppendEntriesResponse { view, from: "b".to_string(), success: true, last_seqno: last };
+    receive(&mut p, "b", Message::AppendEntriesResponse(ack));
     let backward = probe_seqnos(&mut p, 5, 50);
     assert_eq!(backward, vec![5], "expected one round trip, got probes {backward:?}");
 }
@@ -365,13 +357,12 @@ fn negative_ack_backoff_reaches_hint_in_one_round_trip() {
 #[test]
 fn batches_share_the_log_entries() {
     let mut p = elected_primary();
-    p.drain_outbox();
     for i in 0..4 {
         p.propose(|txid| user_entry(txid, format!("entry-{i}").as_bytes())).unwrap();
     }
-    p.emit_signature();
     let ae = p
-        .drain_outbox()
+        .emit_signature()
+        .messages
         .into_iter()
         .find_map(|(to, msg)| match msg {
             Message::AppendEntries(ae) if to == "b" => Some(ae),
@@ -395,4 +386,92 @@ fn batches_share_the_log_entries() {
     for (sent, held) in sent.iter().zip(appended) {
         assert!(Arc::ptr_eq(sent, held), "backup entry {} is a copy", sent.entry.txid);
     }
+}
+
+/// The node layer applies commands in the order a call returns them. An
+/// AppendEntries that replaces an uncommitted suffix must return the
+/// rollback before the replacement entries' appends, and the commit they
+/// enable last; each `Appended` carries the entry the log now holds.
+#[test]
+fn suffix_replacement_rolls_back_then_appends_then_commits() {
+    let mut b = backup_with_committed_prefix(&Registry::new());
+    let resps = deliver(
+        &mut b,
+        "p",
+        AppendEntries {
+            view: 1,
+            leader: "p".to_string(),
+            prev: TxId::new(1, 2),
+            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted").into()],
+            commit_seqno: 2,
+        },
+    );
+    assert!(resps.last().is_some_and(|r| r.success));
+
+    let replacement =
+        vec![user_entry(TxId::new(2, 3), b"replacement").into(), sig_entry("c", TxId::new(2, 4))];
+    let actions = receive(
+        &mut b,
+        "c",
+        Message::AppendEntries(AppendEntries {
+            view: 2,
+            leader: "c".to_string(),
+            prev: TxId::new(1, 2),
+            entries: replacement.clone(),
+            commit_seqno: 4,
+        }),
+    );
+    let [
+        Command::RolledBack { seqno: 2 },
+        Command::Appended(user),
+        Command::Appended(sig),
+        Command::Committed { seqno: 4 },
+    ] = actions.commands.as_slice()
+    else {
+        panic!("unexpected command order: {:?}", actions.commands);
+    };
+    assert!(Arc::ptr_eq(user, &replacement[0]) && Arc::ptr_eq(sig, &replacement[1]));
+    assert!(Arc::ptr_eq(user, &b.entries_from(3)[0]), "the command shares the logged entry");
+}
+
+/// A won election returns `BecamePrimary`, after rolling back the unsigned
+/// suffix (§4.2), and then the `Appended` of the signature that opens the
+/// new view, which it also sends.
+#[test]
+fn won_election_becomes_primary_then_appends_its_view_signature() {
+    let mut p = replica("p", &["p", "b", "c"]);
+    let resps = deliver(
+        &mut p,
+        "c",
+        AppendEntries {
+            view: 1,
+            leader: "c".to_string(),
+            prev: TxId::ZERO,
+            entries: vec![
+                user_entry(TxId::new(1, 1), b"signed").into(),
+                sig_entry("c", TxId::new(1, 2)),
+                user_entry(TxId::new(1, 3), b"unsigned").into(),
+            ],
+            commit_seqno: 0,
+        },
+    );
+    assert!(resps.last().is_some_and(|r| r.success));
+
+    let won = win_election(&mut p);
+    let [
+        Command::RolledBack { seqno: 2 },
+        Command::BecamePrimary { view: 2 },
+        Command::Appended(sig),
+    ] = won.commands.as_slice()
+    else {
+        panic!("unexpected command order: {:?}", won.commands);
+    };
+    assert!(sig.entry.is_signature());
+    assert_eq!(sig.entry.txid, TxId::new(2, 3));
+    let carries_sig = |m: &Message| match m {
+        Message::AppendEntries(ae) => ae.entries.last().is_some_and(|e| Arc::ptr_eq(e, sig)),
+        _ => false,
+    };
+    let sent = won.messages.iter().filter(|(_, m)| carries_sig(m));
+    assert_eq!(sent.count(), 2, "the view signature goes to both peers");
 }

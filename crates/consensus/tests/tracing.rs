@@ -5,12 +5,12 @@
 
 use ccf_consensus::harness::{traced_user_entry, user_entry, Cluster};
 use ccf_consensus::invariants::forensics;
-use ccf_consensus::replica::{Replica, ReplicaConfig};
+use ccf_consensus::replica::{Actions, Replica, ReplicaConfig};
 use ccf_consensus::{AppendEntries, Config, Message};
 use ccf_crypto::SigningKey;
 use ccf_ledger::{LedgerEntry, TxId};
 use ccf_obs::TraceId;
-use ccf_sim::NetConfig;
+use ccf_sim::{Input, NetConfig};
 use std::collections::BTreeSet;
 
 fn fast_cfg() -> ReplicaConfig {
@@ -60,8 +60,8 @@ fn trace_survives_leader_change() {
         ],
         commit_seqno: 0,
     };
-    b.receive(&"p".to_string(), Message::AppendEntries(from_p.clone()));
-    c.receive(&"p".to_string(), Message::AppendEntries(from_p));
+    receive(&mut b, "p", Message::AppendEntries(from_p.clone()));
+    receive(&mut c, "p", Message::AppendEntries(from_p));
     assert_eq!(b.commit_seqno(), 0, "nothing committed before the crash");
 
     let snap = reg.snapshot();
@@ -78,10 +78,11 @@ fn trace_survives_leader_change() {
     );
 
     // Failover: "b" times out, wins "c"'s vote, and opens the new view.
-    b.tick(10_000);
+    b.step(Input::Tick(10_000));
     let view = b.view();
-    b.receive(
-        &"c".to_string(),
+    receive(
+        &mut b,
+        "c",
         Message::RequestVoteResponse(ccf_consensus::message::RequestVoteResponse {
             view,
             from: "c".to_string(),
@@ -92,10 +93,12 @@ fn trace_survives_leader_change() {
     assert_eq!(b.last_seqno(), 3, "signed suffix survives, new view adds its signature");
 
     // "c" acks the new view's opening signature: quorum of {b, c} -> commit.
-    b.receive(
-        &"c".to_string(),
+    let view = b.view();
+    receive(
+        &mut b,
+        "c",
         Message::AppendEntriesResponse(ccf_consensus::message::AppendEntriesResponse {
-            view: b.view(),
+            view,
             from: "c".to_string(),
             success: true,
             last_seqno: 3,
@@ -159,6 +162,10 @@ fn replica(reg: &ccf_obs::Registry, id: &str, config: &[&str]) -> Replica {
     Replica::new(id, config, ReplicaConfig::default(), 1, key(id), reg)
 }
 
+fn receive(r: &mut Replica, from: &str, msg: Message) -> Actions {
+    r.step(Input::Receive { from: from.to_string(), msg })
+}
+
 /// When an invariant trips, [`forensics`] bundles the flight-recorder
 /// tail (including the `invariant` event itself) with the critical paths
 /// of the traces caught mid-flight.
@@ -175,8 +182,9 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
         config: None,
         traces: vec![committed],
     };
-    b.receive(
-        &"p".to_string(),
+    receive(
+        &mut b,
+        "p",
         Message::AppendEntries(AppendEntries {
             view: 1,
             leader: "p".to_string(),
@@ -188,8 +196,9 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
     assert_eq!(b.commit_seqno(), 2);
 
     // A second traced entry above the commit point: still in flight.
-    b.receive(
-        &"p".to_string(),
+    receive(
+        &mut b,
+        "p",
         Message::AppendEntries(AppendEntries {
             view: 1,
             leader: "p".to_string(),
@@ -201,8 +210,9 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
 
     // A forged primary tries to rewrite the committed prefix: refused,
     // and the refusal lands in the flight recorder.
-    b.receive(
-        &"q".to_string(),
+    receive(
+        &mut b,
+        "q",
         Message::AppendEntries(AppendEntries {
             view: 2,
             leader: "q".to_string(),

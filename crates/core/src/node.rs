@@ -4,9 +4,10 @@
 //! The node is internally synchronized: request execution reads from
 //! lock-free store snapshots, while a single commit lock serializes
 //! OCC validation → consensus proposal → state application. All state
-//! mutation flows through consensus [`Event`]s on the primary and on
-//! backups alike, which is what makes rollback after view changes (and
-//! snapshot install) a matter of restoring an earlier CHAMP snapshot.
+//! mutation flows through the consensus [`Command`]s each replica call
+//! returns, on the primary and on backups alike, which is what makes
+//! rollback after view changes (and snapshot install) a matter of
+//! restoring an earlier CHAMP snapshot.
 //! They differ only in where an entry's write set comes from: a backup
 //! decrypts and decodes each entry once, on append; the primary applies
 //! the write set it validated and sealed, and never opens its own
@@ -24,7 +25,7 @@ use crate::app::{
 };
 use crate::indexer::{Indexer, KeyToTxIds};
 use ccf_consensus::message::{Message, ReplicatedEntry};
-use ccf_consensus::replica::{Event, ProposeError, Replica, ReplicaConfig, Role};
+use ccf_consensus::replica::{Actions, Command, ProposeError, Replica, ReplicaConfig, Role};
 use ccf_consensus::{NodeId, Seqno, Snapshot, TxStatus};
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::sha2::sha256;
@@ -44,6 +45,7 @@ use ccf_ledger::files::closed_chunks;
 use ccf_ledger::receipt::endorsement_bytes;
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{LedgerEntry, Receipt, TxId};
+use ccf_sim::Input;
 use ccf_tee::attestation::{AttestationReport, CodeId};
 use ccf_tee::TeePlatform;
 use parking_lot::Mutex;
@@ -192,9 +194,10 @@ struct NodeInner {
     /// always keeps its state).
     recent_states: BTreeMap<Seqno, Applied>,
     indexer: Indexer,
-    /// The write set just proposed here as primary, applied by its
-    /// `Appended` event instead of a decrypt of the sealed entry.
-    own_proposal: Option<(TxId, WriteSet)>,
+    /// Messages sent by replica calls since the last `step` returned (the
+    /// proposals of requests, joins, governance); the next step sends them
+    /// ahead of its own.
+    unsent: Vec<(NodeId, Message)>,
     gov: GovernanceEngine,
     rng: ChaChaRng,
     commits_since_snapshot: u64,
@@ -264,8 +267,9 @@ impl CcfNode {
     /// Creates a node that is the first node of a brand-new service.
     pub fn new_start_node(opts: NodeOpts, app: Arc<Application>) -> Arc<CcfNode> {
         Self::assemble(opts, app, |o, key| {
-            let config = [o.id.clone()].into_iter().collect();
-            Replica::new(o.id.clone(), config, o.consensus.clone(), o.seed, key, &o.obs)
+            let (id, cfg) = (o.id.clone(), o.consensus.clone());
+            let replica = Replica::new(id.clone(), [id].into(), cfg, o.seed, key, &o.obs);
+            (replica, Actions::default())
         })
     }
 
@@ -276,28 +280,26 @@ impl CcfNode {
         app: Arc<Application>,
         snapshot: Option<Snapshot>,
     ) -> Arc<CcfNode> {
-        let node = Self::assemble(opts, app, |o, key| {
+        Self::assemble(opts, app, |o, key| {
             Replica::join(o.id.clone(), o.consensus.clone(), o.seed, key, snapshot, &o.obs)
-        });
-        // Process the boot snapshot events (install kv state).
-        node.handle_events(&mut node.inner.lock());
-        node
+        })
     }
 
-    /// Derives the node's keys from its seed and wraps the replica that
-    /// `make_replica` builds around the node's identity key.
+    /// Derives the node's keys from its seed, wraps the replica that
+    /// `make_replica` builds around the node's identity key, and applies
+    /// what building it did (a boot snapshot's install).
     fn assemble(
         opts: NodeOpts,
         app: Arc<Application>,
-        make_replica: impl FnOnce(&NodeOpts, SigningKey) -> Replica,
+        make_replica: impl FnOnce(&NodeOpts, SigningKey) -> (Replica, Actions),
     ) -> Arc<CcfNode> {
         let mut rng = ChaChaRng::seed_from_u64(opts.seed ^ 0xCCF);
         let node_key = SigningKey::generate(&mut rng);
         let dh_key = DhKeyPair::generate(&mut rng);
         let code_id = CodeId::measure(app.code_version.as_bytes());
-        let replica = make_replica(&opts, node_key.clone());
+        let (replica, boot) = make_replica(&opts, node_key.clone());
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
-        Arc::new(CcfNode {
+        let node = Arc::new(CcfNode {
             id: opts.id.clone(),
             app,
             store: Store::new(),
@@ -308,7 +310,7 @@ impl CcfNode {
                 service_key: None,
                 recent_states: BTreeMap::new(),
                 indexer: Indexer::new(),
-                own_proposal: None,
+                unsent: Vec::new(),
                 gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
                 rng,
                 commits_since_snapshot: 0,
@@ -331,7 +333,9 @@ impl CcfNode {
             code_id,
             metrics,
             opts,
-        })
+        });
+        node.apply(&mut node.inner.lock(), boot);
+        node
     }
 
     // ------------------------------------------------------------------
@@ -481,7 +485,7 @@ impl CcfNode {
     // ------------------------------------------------------------------
 
     /// Validates `tx` and proposes its write set as a ledger entry; the
-    /// state application happens via the `Appended` event. Caller holds
+    /// state application happens via its `Appended` command. Caller holds
     /// the inner lock.
     fn propose_tx(&self, inner: &mut NodeInner, tx: Transaction) -> Result<TxId, ProposeError> {
         // Surface conflicts as a retryable error at the caller.
@@ -514,7 +518,7 @@ impl CcfNode {
             EntryKind::User
         };
         let encrypted_bytes = self.metrics.encrypted_bytes.clone();
-        let txid = inner.replica.propose(|txid| {
+        let (txid, mut actions) = inner.replica.propose(|txid| {
             let public_bytes = if public_ws.is_empty() { Vec::new() } else { public_ws.encode() };
             let private_bytes = if private_ws.is_empty() {
                 Vec::new()
@@ -545,8 +549,13 @@ impl CcfNode {
                 inner.trace_by_seqno.pop_first();
             }
         }
-        inner.own_proposal = Some((txid, ws));
-        self.handle_events(inner);
+        // The proposal's own `Appended` comes first: it applies the write
+        // set validated here, never a decrypt of the entry just sealed.
+        let Command::Appended(entry) = actions.commands.remove(0) else {
+            unreachable!("propose returns the new entry's Appended first")
+        };
+        self.on_appended(inner, &entry.entry, Some(ws));
+        self.apply(inner, actions);
         Ok(txid)
     }
 
@@ -601,17 +610,16 @@ impl CcfNode {
         )
     }
 
-    /// Handles all queued consensus events. Caller holds the inner lock.
-    fn handle_events(&self, inner: &mut NodeInner) {
-        for event in inner.replica.drain_events() {
-            match event {
-                Event::Appended { txid } => {
-                    self.metrics.entries_applied.inc();
-                    self.on_appended(inner, txid)
-                }
-                Event::Committed { seqno } => self.on_committed(inner, seqno),
-                Event::RolledBack { seqno } => self.on_rolled_back(inner, seqno),
-                Event::SnapshotInstalled { snapshot } => {
+    /// Queues what a replica call sent for the next step's output and
+    /// applies its commands in order. Caller holds the inner lock.
+    fn apply(&self, inner: &mut NodeInner, actions: Actions) {
+        inner.unsent.extend(actions.messages);
+        for command in actions.commands {
+            match command {
+                Command::Appended(entry) => self.on_appended(inner, &entry.entry, None),
+                Command::Committed { seqno } => self.on_committed(inner, seqno),
+                Command::RolledBack { seqno } => self.on_rolled_back(inner, seqno),
+                Command::SnapshotInstalled { snapshot } => {
                     let state = StoreState::deserialize(&snapshot.kv_state)
                         .expect("snapshot kv state must deserialize");
                     self.publish_last_applied(snapshot.last_txid);
@@ -622,39 +630,26 @@ impl CcfNode {
                     self.reload_dynamic_state(inner);
                     inner.duties_armed = true;
                 }
-                Event::BecamePrimary { .. } | Event::BecameBackup { .. } => {
+                Command::BecamePrimary { .. } | Command::BecameBackup { .. } => {
                     inner.view_epoch += 1;
                     inner.duties_armed = true;
                 }
-                Event::RetirementCommitted => {
-                    inner.retired = true;
-                }
+                Command::RetirementCommitted => inner.retired = true,
             }
         }
     }
 
-    fn on_appended(&self, inner: &mut NodeInner, txid: TxId) {
-        // Entries this node did not propose (a backup's, or a signature
-        // the replica built) are decoded here, once, from the replica's
-        // log.
-        let own = inner.own_proposal.take().filter(|(t, _)| *t == txid);
+    /// Applies appended entry `e`: `own` is the write set of this node's
+    /// own proposal; any other entry (a backup's, or a signature the
+    /// replica built) is decoded here, once.
+    fn on_appended(&self, inner: &mut NodeInner, e: &LedgerEntry, own: Option<WriteSet>) {
+        self.metrics.entries_applied.inc();
+        let txid = e.txid;
         if txid.seqno <= self.store.version() {
             // Duplicate delivery (can happen after snapshot install).
             return;
         }
-        // Only the replica builds signature transactions, so an own
-        // proposal never is one.
-        let (ws, signature) = match own {
-            Some((_, ws)) => (ws, false),
-            None => match inner.replica.entry_at(txid.seqno) {
-                Some(e) if e.entry.txid == txid => {
-                    (self.decode_entry_writes(inner, &e.entry), e.entry.is_signature())
-                }
-                // Truncated later in this drain: the `RolledBack` event
-                // that follows restores the state before it.
-                _ => return,
-            },
-        };
+        let ws = own.unwrap_or_else(|| self.decode_entry_writes(inner, e));
         self.store.apply_at(&ws, txid.seqno);
         self.publish_last_applied(txid);
         // React to writes addressed to this node (ledger rekey dist).
@@ -668,7 +663,7 @@ impl CcfNode {
         if ws.maps.contains_key(builtin::MODULES) || ws.maps.contains_key(builtin::CONSTITUTION) {
             self.reload_dynamic_state(inner);
         }
-        self.keep_applied(inner, txid, ws, signature);
+        self.keep_applied(inner, txid, ws, e.is_signature());
     }
 
     /// Records an applied entry; `keep_state` also keeps the store state
@@ -927,43 +922,40 @@ impl CcfNode {
     // Time & network plumbing (driven by the harness / node thread)
     // ------------------------------------------------------------------
 
-    /// Advances consensus time; returns outbound messages. Signed user
-    /// requests queued since the last tick are drained first, as one
-    /// batch-verified round.
-    pub fn tick(&self, now_ms: u64) -> Vec<(NodeId, Message)> {
-        use std::sync::atomic::Ordering;
-        self.metrics.reg.set_now(now_ms);
-        self.metrics.ticks.inc();
-        let prev = self.metrics.last_tick_ms.swap(now_ms, Ordering::Relaxed);
-        if prev > 0 && now_ms > prev {
-            self.metrics.tick_gap_ms.observe(now_ms - prev);
+    /// Drives the node with one input and returns the messages to send:
+    /// those of proposals made since the last step, then the input's own.
+    /// A tick first drains the signed user requests queued since the last
+    /// tick, as one batch-verified round.
+    pub fn step(&self, input: Input<Message>) -> Vec<(NodeId, Message)> {
+        if let Input::Tick(now_ms) = input {
+            use std::sync::atomic::Ordering;
+            self.metrics.reg.set_now(now_ms);
+            self.metrics.ticks.inc();
+            let prev = self.metrics.last_tick_ms.swap(now_ms, Ordering::Relaxed);
+            if prev > 0 && now_ms > prev {
+                self.metrics.tick_gap_ms.observe(now_ms - prev);
+            }
+            self.drain_signed_requests();
         }
-        self.drain_signed_requests();
         let mut inner = self.inner.lock();
-        inner.replica.tick(now_ms);
-        self.handle_events(&mut inner);
-        inner.replica.drain_outbox()
+        let actions = inner.replica.step(input);
+        self.apply(&mut inner, actions);
+        std::mem::take(&mut inner.unsent)
     }
 
-    /// Delivers a consensus message; returns outbound messages.
+    /// Advances consensus time ([`CcfNode::step`]).
+    pub fn tick(&self, now_ms: u64) -> Vec<(NodeId, Message)> {
+        self.step(Input::Tick(now_ms))
+    }
+
+    /// Delivers a consensus message ([`CcfNode::step`]).
     pub fn receive(&self, from: &NodeId, msg: Message) -> Vec<(NodeId, Message)> {
-        let mut inner = self.inner.lock();
-        inner.replica.receive(from, msg);
-        self.handle_events(&mut inner);
-        inner.replica.drain_outbox()
+        self.step(Input::Receive { from: from.clone(), msg })
     }
 
     /// Changes the signature policy (benchmark parameter sweeps).
     pub fn set_signature_policy(&self, interval: u64, interval_ms: u64) {
         self.inner.lock().replica.set_signature_policy(interval, interval_ms);
-    }
-
-    /// Forces a signature transaction (time-based signing policy).
-    pub fn emit_signature(&self) -> Vec<(NodeId, Message)> {
-        let mut inner = self.inner.lock();
-        inner.replica.emit_signature();
-        self.handle_events(&mut inner);
-        inner.replica.drain_outbox()
     }
 
     /// Current consensus role.
@@ -1013,11 +1005,6 @@ impl CcfNode {
     pub fn persisted_ledger(&self) -> Vec<Vec<u8>> {
         let inner = self.inner.lock();
         closed_chunks(inner.replica.entries_from(0).iter().map(|e| &e.entry))
-    }
-
-    /// Permanently stops the node (operator shutdown after retirement).
-    pub fn shutdown(&self) {
-        self.inner.lock().replica.shutdown();
     }
 
     /// True once this node's own retirement has committed.

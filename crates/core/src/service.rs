@@ -18,7 +18,7 @@ use ccf_crypto::{SigningKey, VerifyingKey};
 use ccf_governance::{member_id, Ballot, Proposal, ProposalState};
 use ccf_ledger::{Receipt, TxId};
 use ccf_script::Value;
-use ccf_sim::{Input, NetConfig, SimNet};
+use ccf_sim::{NetConfig, SimNet};
 use ccf_tee::TeePlatform;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -301,10 +301,7 @@ impl ServiceCluster {
 
     /// One millisecond of virtual time ([`SimNet::step`]).
     pub fn step(&mut self) {
-        self.net.step(&mut self.nodes, |_, node, input| match input {
-            Input::Receive { from, msg } => node.receive(&from, msg),
-            Input::Tick(now) => node.tick(now),
-        });
+        self.net.step(&mut self.nodes, |_, node, input| node.step(input));
     }
 
     /// Runs for `ms` of virtual time.

@@ -53,6 +53,9 @@ for pin in '^\[consensus\] .* 12171 protocol records checked$' \
            ': 12014 commits, 10800 faults, 0 failures$'; do
     grep -qE "$pin" <<<"$chaos_out" || { echo "wide chaos sweep moved: no line matches /$pin/"; exit 1; }
 done
+# The sweep's metrics snapshot is committed as well: every registry series
+# of all 300 seeds must reproduce byte for byte.
+git diff --exit-code -- OBS_chaos.json
 
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke

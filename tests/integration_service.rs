@@ -352,10 +352,17 @@ fn historical_queries_and_index() {
     assert!(node.historical_writes(1, 99999).is_err());
 }
 
+/// Each private write is opened once per backup and never by the primary
+/// that sealed it: a lone primary opens nothing.
 #[test]
 fn entries_are_decrypted_once_per_backup_and_applied_identically() {
-    const N: u64 = 3;
-    let mut service = start_open(24, N as usize);
+    for nodes in [1, 3] {
+        decrypted_once_per_backup_and_applied_identically(nodes);
+    }
+}
+
+fn decrypted_once_per_backup_and_applied_identically(nodes: u64) {
+    let mut service = start_open(24, nodes as usize);
     for node in service.nodes.values() {
         node.register_key_index("msgs");
         node.register_key_index("public:msgs");
@@ -381,13 +388,10 @@ fn entries_are_decrypted_once_per_backup_and_applied_identically() {
 
     // Backups open each private write once; the primary never opens the
     // entries it sealed, and the indexer reuses the writes applied at
-    // append.
+    // append. No historical query runs in this window.
     let (sealed, opened) = (sealed.get() - sealed_before, opened.get() - opened_before);
     assert!(sealed > 0);
-    assert!(
-        opened <= (N - 1) * sealed,
-        "opened {opened} bytes for {sealed} sealed"
-    );
+    assert_eq!(opened, (nodes - 1) * sealed, "{nodes} nodes opened {opened} B, sealed {sealed} B");
 
     // The primary's validated write set and the backups' decoded ones
     // leave byte-identical state at the common commit seqno.
