@@ -1,17 +1,22 @@
 //! Fast-path cryptography numbers for EXPERIMENTS.md: signing and its
-//! fixed-base multiplication (radix-256 table vs the seed doubling table),
-//! the seed double-and-add verify vs the windowed Strauss–Shamir verify,
-//! batched verification at consensus-round sizes, and Merkle append, root
-//! and inclusion proof.
+//! parts (fixed-base multiplication, radix-256 table vs the seed doubling
+//! table; the safegcd field inversion; point compression), the seed
+//! double-and-add verify vs the windowed Strauss–Shamir verify, batched
+//! verification at consensus-round sizes, and Merkle append, root and
+//! inclusion proof.
 //!
 //! Run with: `cargo run --release -p ccf-bench --bin bench_crypto`
 //!
 //! Emits a single-line JSON object to stdout and to `BENCH_crypto.json`
 //! in the current directory. `CCF_BENCH_SAMPLES` overrides the per-metric
-//! sample count (default 30).
+//! sample count (default 30). With `--smoke` the run first asserts the
+//! fast paths against their oracles on seeded inputs, then times with
+//! few samples and prints the JSON without writing any file.
 
 use ccf_crypto::bignum::Scalar;
+use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::ed25519::{reference, Point};
+use ccf_crypto::field25519::{Fe, P};
 use ccf_crypto::{Signature, SigningKey, VerifyingKey};
 use ccf_ledger::MerkleTree;
 use std::time::Instant;
@@ -45,11 +50,39 @@ fn signed_triples(n: usize) -> (Vec<Vec<u8>>, Vec<Signature>, Vec<VerifyingKey>)
     (msgs, sigs, vks)
 }
 
+/// Field elements from raw seeded limbs (non-canonical ones included).
+fn seeded_fes(rng: &mut ChaChaRng, n: usize) -> Vec<Fe> {
+    (0..n).map(|_| Fe([rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()])).collect()
+}
+
+/// `--smoke` gate: the safegcd inversion must equal the Fermat inverse
+/// x^(p−2), and the radix-256 `mul_base` the frozen seed multiplication,
+/// on seeded inputs before any number is reported.
+fn smoke_check() {
+    let mut rng = ChaChaRng::from_seed(*b"bench-crypto-smoke-seed-00000019");
+    let mut p_minus_2 = P;
+    p_minus_2[0] -= 2;
+    for x in seeded_fes(&mut rng, 1000) {
+        assert_eq!(x.invert(), x.pow(&p_minus_2), "invert mismatch at {:x?}", x.0);
+    }
+    for _ in 0..64 {
+        let mut wide = [0u8; 64];
+        rng.fill_bytes(&mut wide);
+        let s = Scalar::from_bytes_wide(&wide);
+        assert!(Point::mul_base(&s).equals(&reference::mul_base_seed(&s)), "mul_base mismatch");
+    }
+    eprintln!("smoke: invert == pow(p - 2), mul_base == mul_base_seed on seeded inputs");
+}
+
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    if smoke {
+        smoke_check();
+    }
     let samples: usize = std::env::var("CCF_BENCH_SAMPLES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
+        .unwrap_or(if smoke { 5 } else { 30 });
     let mut fields: Vec<(String, f64)> = Vec::new();
 
     // Signing: two SHA-512 passes, one fixed-base multiplication and one
@@ -68,9 +101,23 @@ fn main() {
     let mul_base_seed_ns = median_ns_per_call(samples, 50, || {
         std::hint::black_box(reference::mul_base_seed(&nonce));
     });
+    // The inversion on its own, cycling through seeded elements (its time
+    // depends on the value), and the compression that calls it.
+    let inputs = seeded_fes(&mut ChaChaRng::seed_from_u64(19), 64);
+    let mut next = 0;
+    let invert_ns = median_ns_per_call(samples, 1_000, || {
+        next = (next + 1) % inputs.len();
+        std::hint::black_box(inputs[next].invert());
+    });
+    let point = Point::mul_base(&nonce);
+    let compress_ns = median_ns_per_call(samples, 1_000, || {
+        std::hint::black_box(std::hint::black_box(&point).compress());
+    });
     fields.push(("ed25519_sign_ns".into(), sig_ns));
     fields.push(("ed25519_mul_base_ns".into(), mul_base_ns));
     fields.push(("ed25519_mul_base_seed_ns".into(), mul_base_seed_ns));
+    fields.push(("fe_invert_ns".into(), invert_ns));
+    fields.push(("ed25519_compress_ns".into(), compress_ns));
 
     // Single verify: frozen seed pipeline vs the windowed fast path.
     let sig = key.sign(msg);
@@ -141,6 +188,8 @@ fn main() {
             .join(",")
     );
     println!("{json}");
-    std::fs::write("BENCH_crypto.json", format!("{json}\n")).expect("write BENCH_crypto.json");
-    eprintln!("wrote BENCH_crypto.json");
+    if !smoke {
+        std::fs::write("BENCH_crypto.json", format!("{json}\n")).expect("write BENCH_crypto.json");
+        eprintln!("wrote BENCH_crypto.json");
+    }
 }

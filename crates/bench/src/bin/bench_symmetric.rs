@@ -9,7 +9,7 @@
 //! in the current directory. `CCF_BENCH_SAMPLES` overrides the per-metric
 //! sample count (default 30). With `--smoke` the run first asserts
 //! fast == reference on a fixed seed, then uses a reduced sample count so
-//! CI can afford it; the JSON is still emitted.
+//! CI can afford it; the JSON is printed but no file is written.
 
 use ccf_bench::{bench_opts, logging_app, MESSAGE};
 use ccf_core::service::ServiceCluster;
@@ -168,8 +168,10 @@ fn main() {
             .join(",")
     );
     println!("{json}");
-    std::fs::write("BENCH_symmetric.json", format!("{json}\n")).expect("write BENCH_symmetric.json");
-    eprintln!("wrote BENCH_symmetric.json");
+    if !smoke {
+        std::fs::write("BENCH_symmetric.json", format!("{json}\n")).expect("write BENCH_symmetric.json");
+        eprintln!("wrote BENCH_symmetric.json");
+    }
 
     let speedup = fields
         .iter()

@@ -8,8 +8,9 @@
 //! Signing costs two SHA-512 hashes, one fixed-base multiplication
 //! ([`Point::mul_base`]: at most 32 affine additions on a radix-256 table
 //! of 4096 precomputed multiples of B) and one field inversion (in
-//! [`Point::compress`]). Verification uses a width-8 wNAF base table and
-//! one shared doubling chain.
+//! [`Point::compress`]; a variable-time safegcd, [`Fe::invert`], whose
+//! input Z derives from the secret nonce). Verification uses a width-8
+//! wNAF base table and one shared doubling chain.
 //!
 //! Used throughout the reproduction for: node identities, the service
 //! identity, signature transactions over Merkle roots, receipts, member

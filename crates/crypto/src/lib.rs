@@ -40,6 +40,10 @@
 //! This code exists to reproduce a research paper. It is **not** audited,
 //! not constant-time in several places, and must not be used to protect
 //! real data. The *protocols built on top of it* are the object of study.
+//! Among the variable-time paths: signing's fixed-base multiplication
+//! (table lookups indexed by secret nonce digits) and the safegcd field
+//! inversion ([`field25519::Fe::invert`]), which `compress` runs on a Z
+//! derived from that nonce and X25519 on its ladder output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -139,6 +139,26 @@ proptest! {
         }
     }
 
+    #[test]
+    fn invert_matches_fermat_on_raw_limbs(
+        l0 in any::<u64>(),
+        l1 in any::<u64>(),
+        l2 in any::<u64>(),
+        l3 in any::<u64>(),
+    ) {
+        // Arbitrary limbs, not from_bytes (which masks bit 255), so values
+        // in [p, 2^256) reach the safegcd inversion too.
+        use ccf_crypto::field25519::{Fe, P};
+        let a = Fe([l0, l1, l2, l3]);
+        let mut p_minus_2 = P;
+        p_minus_2[0] -= 2;
+        let inv = a.invert();
+        prop_assert_eq!(inv, a.pow(&p_minus_2));
+        if !a.is_zero() {
+            prop_assert_eq!(a.mul(inv), Fe::ONE);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Fast-path verification equivalence: the windowed Strauss–Shamir
     // verify and the batch verify must accept *exactly* the same

@@ -174,7 +174,8 @@ impl<M: Eq + Clone> SimNet<M> {
     /// Whether a message from `a` can currently reach `b` (directional:
     /// one-way blocks apply to the `(a, b)` direction only).
     fn can_communicate(&self, a: &NodeId, b: &NodeId) -> bool {
-        if self.blocked_links.contains(&(a.clone(), b.clone())) {
+        // The lookup key owns two ids; build it only while a link is blocked.
+        if !self.blocked_links.is_empty() && self.blocked_links.contains(&(a.clone(), b.clone())) {
             return false;
         }
         if self.partition_groups.is_empty() {

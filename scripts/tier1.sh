@@ -60,6 +60,12 @@ git diff --exit-code -- OBS_chaos.json
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke
 
+echo "== tier1: Ed25519 fast-path smoke (invert == pow(p - 2), mul_base == seed)"
+cargo run -q --release -p ccf-bench --bin bench_crypto -- --smoke
+# Smoke runs time with a handful of samples and must not rewrite the
+# committed full-run numbers.
+git diff --exit-code -- BENCH_symmetric.json BENCH_crypto.json
+
 echo "== tier1: paper figure shapes (Fig. 7, Fig. 8, Table 5 on the sim service)"
 cargo run -q --release -p ccf-bench --bin bench_figures -- --smoke
 
