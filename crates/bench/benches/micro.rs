@@ -27,10 +27,10 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| public.verify(black_box(msg), black_box(&sig)).unwrap())
     });
     // The seed's double-and-add verification pipeline, kept as a frozen
-    // baseline (and equivalence oracle) in `ed25519::reference`.
+    // baseline (and equivalence oracle) in `ccf_crypto_ref::ed25519`.
     g.bench_function("ed25519_verify_seed_baseline", |b| {
         b.iter(|| {
-            ccf_crypto::ed25519::reference::verify(black_box(&public), black_box(msg), black_box(&sig))
+            ccf_crypto_ref::ed25519::verify(black_box(&public), black_box(msg), black_box(&sig))
                 .unwrap()
         })
     });

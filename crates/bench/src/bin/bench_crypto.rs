@@ -15,7 +15,8 @@
 
 use ccf_crypto::bignum::Scalar;
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_crypto::ed25519::{reference, Point};
+use ccf_crypto::ed25519::Point;
+use ccf_crypto_ref::ed25519 as reference;
 use ccf_crypto::field25519::{Fe, P};
 use ccf_crypto::{Signature, SigningKey, VerifyingKey};
 use ccf_ledger::MerkleTree;
@@ -69,7 +70,11 @@ fn smoke_check() {
         let mut wide = [0u8; 64];
         rng.fill_bytes(&mut wide);
         let s = Scalar::from_bytes_wide(&wide);
-        assert!(Point::mul_base(&s).equals(&reference::mul_base_seed(&s)), "mul_base mismatch");
+        assert_eq!(
+            Point::mul_base(&s).compress(),
+            reference::mul_base_seed(&s).compress(),
+            "mul_base mismatch"
+        );
     }
     eprintln!("smoke: invert == pow(p - 2), mul_base == mul_base_seed on seeded inputs");
 }
@@ -122,7 +127,7 @@ fn main() {
     // Single verify: frozen seed pipeline vs the windowed fast path.
     let sig = key.sign(msg);
     let seed_ns = median_ns_per_call(samples, 50, || {
-        ccf_crypto::ed25519::reference::verify(&vk, msg, &sig).unwrap();
+        reference::verify(&vk, msg, &sig).unwrap();
     });
     let fast_ns = median_ns_per_call(samples, 50, || {
         vk.verify(msg, &sig).unwrap();

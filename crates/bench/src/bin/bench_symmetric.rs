@@ -14,8 +14,9 @@
 use ccf_bench::{bench_opts, logging_app, MESSAGE};
 use ccf_core::service::ServiceCluster;
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_crypto::gcm::{self, AesGcm256};
-use ccf_crypto::sha2::{self, sha256, sha256_fixed64, sha256_fixed65};
+use ccf_crypto::gcm::AesGcm256;
+use ccf_crypto::sha2::{sha256, sha256_fixed64, sha256_fixed65};
+use ccf_crypto_ref::{gcm, sha2};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,7 +47,7 @@ fn smoke_check() {
     let mut key = [0u8; 32];
     rng.fill_bytes(&mut key);
     let fast = AesGcm256::new(&key);
-    let slow = gcm::reference::AesGcm256::new(&key);
+    let slow = gcm::AesGcm256::new(&key);
     for len in [0usize, 1, 16, 64, 1024, 4097] {
         let mut nonce = [0u8; 12];
         rng.fill_bytes(&mut nonce);
@@ -55,11 +56,11 @@ fn smoke_check() {
         let sealed = fast.seal(&nonce, b"smoke", &pt);
         assert_eq!(sealed, slow.seal(&nonce, b"smoke", &pt), "gcm mismatch at {len}");
         assert_eq!(slow.open(&nonce, b"smoke", &sealed).unwrap(), pt);
-        assert_eq!(sha256(&pt), sha2::reference::sha256(&pt), "sha mismatch at {len}");
+        assert_eq!(sha256(&pt), sha2::sha256(&pt), "sha mismatch at {len}");
     }
     let mut node = [0u8; 65];
     rng.fill_bytes(&mut node);
-    assert_eq!(sha256_fixed65(&node), sha2::reference::sha256(&node));
+    assert_eq!(sha256_fixed65(&node), sha2::sha256(&node));
     eprintln!("smoke: fast == reference on fixed seed");
 }
 
@@ -78,7 +79,7 @@ fn main() {
     // frozen byte-wise/bit-by-bit reference, at ledger-relevant sizes.
     let key = [7u8; 32];
     let fast = AesGcm256::new(&key);
-    let slow = gcm::reference::AesGcm256::new(&key);
+    let slow = gcm::AesGcm256::new(&key);
     let nonce = [3u8; 12];
     let aad = b"txid+public-digest aad bytes....................";
     for (label, len, iters) in [("64B", 64usize, 2000u64), ("1KiB", 1024, 400), ("64KiB", 65536, 8)] {
@@ -114,7 +115,7 @@ fn main() {
         black_box(sha256(&kib));
     });
     let sha_ref = median_ns_per_call(samples, 1000, || {
-        black_box(sha2::reference::sha256(&kib));
+        black_box(sha2::sha256(&kib));
     });
     fields.push(("sha256_1KiB_fast_ns".into(), sha_fast));
     fields.push(("sha256_1KiB_reference_ns".into(), sha_ref));
@@ -138,7 +139,7 @@ fn main() {
         black_box(sha256_fixed65(&node));
     });
     let node_ref = median_ns_per_call(samples, 4000, || {
-        black_box(sha2::reference::sha256(&node));
+        black_box(sha2::sha256(&node));
     });
     fields.push(("merkle_node_digest_fast_ns".into(), node_fast));
     fields.push(("merkle_node_digest_reference_ns".into(), node_ref));

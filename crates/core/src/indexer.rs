@@ -4,11 +4,10 @@
 //! entries; CCF lets applications register an *indexing strategy* that
 //! pre-processes each committed transaction in order and keeps derived
 //! state for fast lookup. This reproduction ships the paper's one example
-//! strategy, [`KeyToTxIds`]. Index state is in-memory but can be offloaded
-//! to (untrusted) persistent storage, encrypted with the ledger secret.
+//! strategy, [`KeyToTxIds`]. Index state lives in memory only; the paper's
+//! offload of index state to host storage is not modelled.
 
 use ccf_kv::{MapName, WriteSet};
-use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::TxId;
 use std::collections::BTreeMap;
 
@@ -44,54 +43,6 @@ impl KeyToTxIds {
     /// Number of indexed keys.
     pub fn key_count(&self) -> usize {
         self.index.len()
-    }
-
-    /// Serializes and encrypts the index for offload to host storage
-    /// (§3.4: "can be offloaded to persistent storage if needed",
-    /// encrypted with AES-GCM per §7).
-    pub fn offload(&self, secrets: &LedgerSecrets, at: TxId) -> Vec<u8> {
-        let mut w = ccf_kv::codec::Writer::new();
-        w.u32(self.index.len() as u32);
-        for (key, txids) in &self.index {
-            w.bytes(key);
-            w.u32(txids.len() as u32);
-            for t in txids {
-                w.u64(t.view);
-                w.u64(t.seqno);
-            }
-        }
-        // Bind to the strategy + position so blobs cannot be swapped.
-        let digest = ccf_crypto::sha2::sha256(self.map.0.as_bytes());
-        secrets.encrypt(at, &digest, &w.finish())
-    }
-
-    /// Restores an offloaded index blob.
-    pub fn restore(
-        map: impl Into<MapName>,
-        secrets: &LedgerSecrets,
-        at: TxId,
-        blob: &[u8],
-    ) -> Result<KeyToTxIds, String> {
-        let map = map.into();
-        let digest = ccf_crypto::sha2::sha256(map.0.as_bytes());
-        let plain = secrets
-            .decrypt(at, &digest, blob)
-            .map_err(|e| format!("index decrypt: {e}"))?;
-        let mut r = ccf_kv::codec::Reader::new(&plain);
-        let n = r.u32("index size").map_err(|e| e.to_string())?;
-        let mut index = BTreeMap::new();
-        for _ in 0..n {
-            let key = r.bytes("index key").map_err(|e| e.to_string())?.to_vec();
-            let count = r.u32("txid count").map_err(|e| e.to_string())?;
-            let mut txids = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let view = r.u64("view").map_err(|e| e.to_string())?;
-                let seqno = r.u64("seqno").map_err(|e| e.to_string())?;
-                txids.push(TxId::new(view, seqno));
-            }
-            index.insert(key, txids);
-        }
-        Ok(KeyToTxIds { map, index })
     }
 }
 
@@ -183,25 +134,5 @@ mod tests {
     fn indexer_rejects_gaps() {
         let mut indexer = Indexer::new();
         indexer.feed(TxId::new(1, 5), &WriteSet::new());
-    }
-
-    #[test]
-    fn offload_and_restore_encrypted() {
-        let secrets = LedgerSecrets::new([9u8; 32]);
-        let mut idx = KeyToTxIds::new("accounts");
-        idx.handle_committed(TxId::new(1, 1), &ws("accounts", &["alice", "bob"]));
-        idx.handle_committed(TxId::new(2, 5), &ws("accounts", &["alice"]));
-        let at = TxId::new(2, 5);
-        let blob = idx.offload(&secrets, at);
-        // Blob is ciphertext: must not contain key material in the clear.
-        assert!(!blob.windows(5).any(|w| w == b"alice"));
-        let restored = KeyToTxIds::restore("accounts", &secrets, at, &blob).unwrap();
-        assert_eq!(restored.txids_for(b"alice"), idx.txids_for(b"alice"));
-        // Wrong map binding fails.
-        assert!(KeyToTxIds::restore("other", &secrets, at, &blob).is_err());
-        // Tampered blob fails.
-        let mut bad = blob.clone();
-        bad[0] ^= 1;
-        assert!(KeyToTxIds::restore("accounts", &secrets, at, &bad).is_err());
     }
 }

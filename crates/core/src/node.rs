@@ -56,6 +56,9 @@ fn map(name: &str) -> MapName {
     MapName::new(name)
 }
 
+/// OCC retries (§6.4) before a conflicted request gets a 409.
+const MAX_OCC_RETRIES: u32 = 8;
+
 /// Node construction options.
 #[derive(Clone)]
 pub struct NodeOpts {
@@ -69,8 +72,6 @@ pub struct NodeOpts {
     pub seed: u64,
     /// Produce a snapshot every this many committed entries (0 = never).
     pub snapshot_interval: u64,
-    /// Max OCC retries before giving up on a conflicted request.
-    pub max_occ_retries: u32,
     /// Observability registry the node reports into. Nodes of one
     /// service share a registry (cluster-wide counters); the default is
     /// a fresh private one.
@@ -85,7 +86,6 @@ impl Default for NodeOpts {
             platform: TeePlatform::Virtual,
             seed: 0,
             snapshot_interval: 0,
-            max_occ_retries: 8,
             obs: ccf_obs::Registry::new(),
         }
     }
@@ -1214,10 +1214,9 @@ impl CcfNode {
                         );
                     }
                     let mut inner = self.inner.lock();
-                    if let Err(e) = self.store.validate(&tx) {
+                    if self.store.validate(&tx).is_err() {
                         drop(inner);
-                        let _ = e;
-                        if attempts <= self.opts.max_occ_retries {
+                        if attempts <= MAX_OCC_RETRIES {
                             continue; // §6.4: re-executed, applied once
                         }
                         return Response::error(409, "transaction conflict");

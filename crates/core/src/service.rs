@@ -139,7 +139,6 @@ impl ServiceCluster {
                 platform: opts.platform,
                 seed: opts.seed * 100,
                 snapshot_interval: opts.snapshot_interval,
-                max_occ_retries: 8,
                 obs: obs.clone(),
             },
             app.clone(),
@@ -254,7 +253,6 @@ impl ServiceCluster {
                 platform: self.platform,
                 seed: self.next_seed * 7919,
                 snapshot_interval: self.snapshot_interval,
-                max_occ_retries: 8,
                 obs: self.obs().clone(),
             },
             self.app.clone(),

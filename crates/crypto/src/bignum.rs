@@ -3,10 +3,9 @@
 //!
 //! Only the handful of operations the signature scheme needs are
 //! implemented: addition, subtraction, comparison, schoolbook
-//! multiplication, and modular reduction. Generic reduction uses binary
-//! long division ([`mod_limbs`]) — simple, with no special cases to get
-//! wrong; the verification hot path reduces mod L with quotient estimation
-//! ([`reduce_wide_mod_l`]) and is cross-checked against the long division.
+//! multiplication, and modular reduction. Reduction mod L uses quotient
+//! estimation ([`reduce_wide_mod_l`]); the tests cross-check it against
+//! binary long division.
 
 // `Scalar::add`/`Scalar::mul` are deliberately inherent methods with value
 // semantics, not `std::ops` impls: modular arithmetic behind operators
@@ -160,33 +159,9 @@ fn square4(a: &[u64; 4], out: &mut [u64; 8]) {
     debug_assert_eq!(t >> 64, 0, "a^2 fits in 8 limbs");
 }
 
-/// Reduces an arbitrary little-endian limb value modulo `m` (non-zero) by
-/// binary long division. `m.len()` limbs are returned.
-pub fn mod_limbs(x: &[u64], m: &[u64]) -> Vec<u64> {
-    let n = m.len();
-    let mut r = vec![0u64; n + 1]; // one spare limb for the shifted value
-    let mut m_ext = m.to_vec();
-    m_ext.push(0);
-    let bits = x.len() * 64;
-    for i in (0..bits).rev() {
-        // r = (r << 1) | bit_i(x)
-        let mut carry = (x[i / 64] >> (i % 64)) & 1;
-        for limb in r.iter_mut() {
-            let new_carry = *limb >> 63;
-            *limb = (*limb << 1) | carry;
-            carry = new_carry;
-        }
-        if cmp_limbs(&r, &m_ext) != std::cmp::Ordering::Less {
-            sub_assign(&mut r, &m_ext);
-        }
-    }
-    r.truncate(n);
-    r
-}
-
 /// Reduces a 512-bit little-endian value modulo [`L`] by quotient
 /// estimation against L's 2^252 leading term — a handful of single-limb
-/// multiplies instead of [`mod_limbs`]'s bit-by-bit long division. This
+/// multiplies instead of a bit-by-bit long division. This
 /// sits under every scalar multiplication and every SHA-512 → scalar
 /// folding on the signature paths, where the generic division was costing
 /// microseconds per call.
@@ -222,26 +197,6 @@ pub fn reduce_wide_mod_l(wide: &[u64; 8]) -> [u64; 4] {
         sub_assign(&mut r, &L);
     }
     r
-}
-
-/// Parses a decimal string into little-endian limbs (for tests and for
-/// deriving constants from their published decimal forms).
-pub fn from_decimal(s: &str) -> Vec<u64> {
-    let mut limbs = vec![0u64];
-    for ch in s.chars() {
-        let d = ch.to_digit(10).expect("decimal digit") as u64;
-        // limbs = limbs * 10 + d
-        let mut carry: u128 = d as u128;
-        for limb in limbs.iter_mut() {
-            let cur = *limb as u128 * 10 + carry;
-            *limb = cur as u64;
-            carry = cur >> 64;
-        }
-        if carry != 0 {
-            limbs.push(carry as u64);
-        }
-    }
-    limbs
 }
 
 /// The Ed25519 group order
@@ -384,6 +339,50 @@ impl Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reduces an arbitrary little-endian limb value modulo `m` (non-zero) by
+    /// binary long division. `m.len()` limbs are returned.
+    fn mod_limbs(x: &[u64], m: &[u64]) -> Vec<u64> {
+        let n = m.len();
+        let mut r = vec![0u64; n + 1]; // one spare limb for the shifted value
+        let mut m_ext = m.to_vec();
+        m_ext.push(0);
+        let bits = x.len() * 64;
+        for i in (0..bits).rev() {
+            // r = (r << 1) | bit_i(x)
+            let mut carry = (x[i / 64] >> (i % 64)) & 1;
+            for limb in r.iter_mut() {
+                let new_carry = *limb >> 63;
+                *limb = (*limb << 1) | carry;
+                carry = new_carry;
+            }
+            if cmp_limbs(&r, &m_ext) != std::cmp::Ordering::Less {
+                sub_assign(&mut r, &m_ext);
+            }
+        }
+        r.truncate(n);
+        r
+    }
+
+    /// Parses a decimal string into little-endian limbs, to check constants
+    /// against their published decimal forms.
+    fn from_decimal(s: &str) -> Vec<u64> {
+        let mut limbs = vec![0u64];
+        for ch in s.chars() {
+            let d = ch.to_digit(10).expect("decimal digit") as u64;
+            // limbs = limbs * 10 + d
+            let mut carry: u128 = d as u128;
+            for limb in limbs.iter_mut() {
+                let cur = *limb as u128 * 10 + carry;
+                *limb = cur as u64;
+                carry = cur >> 64;
+            }
+            if carry != 0 {
+                limbs.push(carry as u64);
+            }
+        }
+        limbs
+    }
 
     #[test]
     fn l_matches_decimal_definition() {

@@ -49,18 +49,6 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
-/// XORs the ChaCha20 keystream into `data` in place (encrypt == decrypt).
-pub fn chacha20_xor(key: &[u8; 32], nonce: &[u8; 12], initial_counter: u32, data: &mut [u8]) {
-    let mut counter = initial_counter;
-    for chunk in data.chunks_mut(64) {
-        let ks = chacha20_block(key, counter, nonce);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-        counter = counter.wrapping_add(1);
-    }
-}
-
 /// A deterministic random generator: the ChaCha20 keystream under a seed.
 ///
 /// Not `rand`-compatible by design — this crate has no dependencies — but
@@ -158,36 +146,38 @@ mod tests {
 
     #[test]
     fn block_function_consistent_with_stream() {
-        // XORing zeros must yield the raw keystream, block by block.
+        // The generator's stream is the keystream under its seed, nonce
+        // zero, block by block from counter 0.
         let key = [0x42u8; 32];
-        let nonce = [7u8; 12];
+        let nonce = [0u8; 12];
         let mut stream = vec![0u8; 130];
-        chacha20_xor(&key, &nonce, 5, &mut stream);
-        let b0 = chacha20_block(&key, 5, &nonce);
-        let b1 = chacha20_block(&key, 6, &nonce);
-        let b2 = chacha20_block(&key, 7, &nonce);
+        ChaChaRng::from_seed(key).fill_bytes(&mut stream);
+        let b0 = chacha20_block(&key, 0, &nonce);
+        let b1 = chacha20_block(&key, 1, &nonce);
+        let b2 = chacha20_block(&key, 2, &nonce);
         assert_eq!(&stream[..64], &b0[..]);
         assert_eq!(&stream[64..128], &b1[..]);
         assert_eq!(&stream[128..], &b2[..2]);
         // Distinct counters and nonces give distinct blocks.
         assert_ne!(b0, b1);
-        assert_ne!(chacha20_block(&key, 5, &[8u8; 12])[..], b0[..]);
+        assert_ne!(chacha20_block(&key, 0, &[8u8; 12])[..], b0[..]);
     }
 
     #[test]
     fn rfc8439_encryption_test_vector() {
-        // RFC 8439 section 2.4.2.
+        // RFC 8439 section 2.4.2: the first ciphertext block is the
+        // plaintext XOR the keystream block at counter 1.
         let mut key = [0u8; 32];
         for (i, b) in key.iter_mut().enumerate() {
             *b = i as u8;
         }
         let nonce = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
-        let mut data = b"Ladies and Gentlemen of the class of '99: If I could offer you \
-only one tip for the future, sunscreen would be it."
-            .to_vec();
-        chacha20_xor(&key, &nonce, 1, &mut data);
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+        let keystream = chacha20_block(&key, 1, &nonce);
+        let ciphertext: Vec<u8> = plaintext.iter().zip(keystream).map(|(p, k)| p ^ k).collect();
         assert_eq!(
-            to_hex(&data[..32]),
+            to_hex(&ciphertext[..32]),
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
         );
     }

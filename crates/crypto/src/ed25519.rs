@@ -620,124 +620,6 @@ pub fn verify_batch(batch: &[(&[u8], &Signature, &VerifyingKey)]) -> Result<(), 
     }
 }
 
-/// The seed implementation of signature verification, frozen verbatim.
-///
-/// Kept for two jobs: the *baseline* in the micro-benchmarks (so speedups
-/// are measured against what the code actually did before the windowed
-/// kernel landed), and an *independent oracle* for the equivalence
-/// property tests — it shares no scalar-multiplication or decompression
-/// code with the fast path. Field squarings go through `mul`, exactly as
-/// the seed's `Fe::square` did.
-pub mod reference {
-    use super::*;
-
-    fn add_seed(p: &Point, q: &Point) -> Point {
-        let a = p.y.sub(p.x).mul(q.y.sub(q.x));
-        let b = p.y.add(p.x).mul(q.y.add(q.x));
-        let c = p.t.mul(d2()).mul(q.t);
-        let dd = p.z.mul(q.z).add(p.z.mul(q.z));
-        let e = b.sub(a);
-        let f = dd.sub(c);
-        let g = dd.add(c);
-        let h = b.add(a);
-        Point { x: e.mul(f), y: g.mul(h), z: f.mul(g), t: e.mul(h) }
-    }
-
-    fn double_seed(p: &Point) -> Point {
-        let a = p.x.mul(p.x);
-        let b = p.y.mul(p.y);
-        let c = p.z.mul(p.z).add(p.z.mul(p.z));
-        let h = a.add(b);
-        let xy = p.x.add(p.y);
-        let e = h.sub(xy.mul(xy));
-        let g = a.sub(b);
-        let f = c.add(g);
-        Point { x: e.mul(f), y: g.mul(h), z: f.mul(g), t: e.mul(h) }
-    }
-
-    /// Generic double-and-add scalar multiplication (the seed `Point::mul`).
-    pub fn mul_seed(p: &Point, s: &Scalar) -> Point {
-        let mut acc = Point::identity();
-        for i in (0..256).rev() {
-            acc = double_seed(&acc);
-            if s.bit(i) == 1 {
-                acc = add_seed(&acc, p);
-            }
-        }
-        acc
-    }
-
-    /// The seed base-point table: B, 2B, 4B, …, 2^255·B.
-    fn base_doubles_table() -> &'static Vec<Point> {
-        static T: OnceLock<Vec<Point>> = OnceLock::new();
-        T.get_or_init(|| {
-            let mut v = Vec::with_capacity(256);
-            let mut p = *base_point();
-            for _ in 0..256 {
-                v.push(p);
-                p = double_seed(&p);
-            }
-            v
-        })
-    }
-
-    /// The seed `Point::mul_base`: one table addition per set scalar bit.
-    pub fn mul_base_seed(s: &Scalar) -> Point {
-        let mut acc = Point::identity();
-        for (i, p) in base_doubles_table().iter().enumerate() {
-            if s.bit(i) == 1 {
-                acc = add_seed(&acc, p);
-            }
-        }
-        acc
-    }
-
-    /// The seed decompression: invert-then-sqrt (two exponentiations).
-    fn decompress_seed(bytes: &[u8; 32]) -> Result<Point, CryptoError> {
-        let x_odd = bytes[31] & 0x80 != 0;
-        let y = Fe::from_bytes(bytes);
-        let mut canonical = *bytes;
-        canonical[31] &= 0x7f;
-        if y.to_bytes() != canonical {
-            return Err(CryptoError::InvalidPoint);
-        }
-        let yy = y.mul(y);
-        let u = yy.sub(Fe::ONE);
-        let v = d().mul(yy).add(Fe::ONE);
-        let xx = u.mul(v.invert());
-        let mut x = xx.sqrt().ok_or(CryptoError::InvalidPoint)?;
-        if x.is_odd() != x_odd {
-            x = x.neg();
-        }
-        if x.is_zero() && x_odd {
-            return Err(CryptoError::InvalidPoint);
-        }
-        Ok(Point { x, y, z: Fe::ONE, t: x.mul(y) })
-    }
-
-    /// The seed `VerifyingKey::verify`: S·B == R + k·A with independent
-    /// scalar multiplications and the doubling-table base-point path.
-    pub fn verify(key: &VerifyingKey, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
-        let r_bytes: [u8; 32] = sig.0[..32].try_into().unwrap();
-        let s_bytes: [u8; 32] = sig.0[32..].try_into().unwrap();
-        let s = Scalar::from_canonical_bytes(&s_bytes).ok_or(CryptoError::BadSignature)?;
-        let r = decompress_seed(&r_bytes).map_err(|_| CryptoError::BadSignature)?;
-        let a = decompress_seed(&key.0).map_err(|_| CryptoError::BadSignature)?;
-        let mut h = Sha512::new();
-        h.update(&r_bytes);
-        h.update(&key.0);
-        h.update(msg);
-        let k = Scalar::from_bytes_wide(&h.finalize());
-        let lhs = mul_base_seed(&s);
-        let rhs = add_seed(&r, &mul_seed(&a, &k));
-        if lhs.equals(&rhs) {
-            Ok(())
-        } else {
-            Err(CryptoError::BadSignature)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,11 +649,14 @@ mod tests {
         assert!(Point::mul_base(&s).equals(&base_point().mul(&s)));
     }
 
+    /// The radix-256 table path against the generic double-and-add
+    /// [`Point::mul`]; `ccf-crypto-ref` also checks it against the frozen
+    /// seed `mul_base_seed` on compressed points.
     #[test]
     fn radix256_mul_base_matches_seed_paths() {
         let check = |s: &Scalar| {
             let fast = Point::mul_base(s);
-            assert!(fast.equals(&reference::mul_base_seed(s)), "scalar {:?}", s.0);
+            assert!(fast.equals(&base_point().mul(s)), "scalar {:?}", s.0);
         };
         // Edge scalars: 0, 1, L−1 and 2^252.
         assert!(Point::mul_base(&Scalar::ZERO).is_identity());
@@ -792,16 +677,12 @@ mod tests {
                 }
             }
         }
-        // 1000 seeded random scalars; a few also against the generic ladder.
+        // 1000 seeded random scalars.
         let mut rng = ChaChaRng::seed_from_u64(1234);
-        for i in 0..1000 {
+        for _ in 0..1000 {
             let mut wide = [0u8; 64];
             rng.fill_bytes(&mut wide);
-            let s = Scalar::from_bytes_wide(&wide);
-            check(&s);
-            if i < 20 {
-                assert!(Point::mul_base(&s).equals(&reference::mul_seed(base_point(), &s)));
-            }
+            check(&Scalar::from_bytes_wide(&wide));
         }
     }
 
@@ -854,13 +735,13 @@ mod tests {
             rng.fill_bytes(&mut wide);
             let base_s = Scalar::from_bytes_wide(&wide);
             let mut pairs = Vec::new();
-            let mut expected = reference::mul_base_seed(&base_s);
+            let mut expected = base_point().mul(&base_s);
             for _ in 0..n_pairs {
                 rng.fill_bytes(&mut wide);
                 let s = Scalar::from_bytes_wide(&wide);
                 rng.fill_bytes(&mut wide);
                 let p = Point::mul_base(&Scalar::from_bytes_wide(&wide));
-                expected = expected.add(&reference::mul_seed(&p, &s));
+                expected = expected.add(&p.mul(&s));
                 pairs.push((s, p));
             }
             assert!(ms_mul(Some(&base_s), &pairs).equals(&expected), "n_pairs={n_pairs}");
@@ -868,25 +749,6 @@ mod tests {
         // All-zero scalars hit the empty-NAF early return.
         assert!(ms_mul(Some(&Scalar::ZERO), &[(Scalar::ZERO, *base_point())]).is_identity());
         assert!(ms_mul(None, &[]).is_identity());
-    }
-
-    #[test]
-    fn fast_verify_matches_reference_verify() {
-        let mut rng = ChaChaRng::seed_from_u64(2024);
-        let key = SigningKey::generate(&mut rng);
-        let pk = key.verifying_key();
-        let msg = b"equivalence of fast and seed verification";
-        let sig = key.sign(msg);
-        assert!(pk.verify(msg, &sig).is_ok());
-        assert!(reference::verify(&pk, msg, &sig).is_ok());
-        // Tampering rejected identically by both paths.
-        for i in [0usize, 17, 32, 63] {
-            let mut bad = sig.0;
-            bad[i] ^= 0x40;
-            let bad = Signature(bad);
-            assert_eq!(pk.verify(msg, &bad).is_err(), reference::verify(&pk, msg, &bad).is_err());
-            assert!(pk.verify(msg, &bad).is_err(), "byte {i}");
-        }
     }
 
     #[test]

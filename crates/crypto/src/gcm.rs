@@ -5,143 +5,44 @@
 //! that primitive. Nonces are 96-bit; callers derive them deterministically
 //! from transaction IDs so a (key, nonce) pair is never reused.
 //!
-//! Two pipelines, one contract:
-//!
-//! * The **fast path** ([`AesGcm256`]) runs CTR keystream generation on the
-//!   T-table AES ([`crate::aes::Aes`]), four counter blocks per loop
-//!   iteration, and GHASH via Shoup-style 4-bit multiplication tables: a
-//!   16-entry table of nibble·H products (built once per key in
-//!   [`AesGcm256::new`] *from the reference bit-by-bit multiply*, so the
-//!   table cannot drift from the oracle) plus a key-independent 16-entry
-//!   reduction table, turning the 128-iteration per-block loop into 32
-//!   shift/lookup/xor steps.
-//! * The **reference oracle** ([`reference::AesGcm256`]) keeps the frozen
-//!   seed pipeline: byte-wise AES and the bit-by-bit GF(2^128) multiply.
-//!   Equivalence property tests assert seal/open are byte-identical across
-//!   the two at every chunk-boundary length; the SP 800-38D known-answer
-//!   vectors pin both.
+//! [`AesGcm256`] runs CTR keystream generation on the T-table AES
+//! ([`crate::aes::Aes`]), four counter blocks per loop iteration, and
+//! GHASH via per-byte-position Shoup tables: sixteen 256-entry tables of
+//! byte·H products, built once per key in [`AesGcm256::new`] from the
+//! bit-by-bit GF(2^128) multiply, turning the 128-iteration per-block loop
+//! into 16 independent lookups. The frozen seed pipeline (byte-wise AES,
+//! bit-by-bit GHASH) lives in the dev-only `ccf-crypto-ref` crate, whose
+//! tests assert seal/open are byte-identical across the two at every
+//! chunk-boundary length; the SP 800-38D known-answer vectors pin both.
 
 use crate::aes::Aes;
 use crate::ct::ct_eq;
 use crate::CryptoError;
 use std::sync::OnceLock;
 
-/// The frozen seed GCM pipeline: bit-by-bit GF(2^128) multiplication over
-/// the byte-wise AES. Kept as the equivalence oracle for the table-driven
-/// fast path (the same pattern as [`crate::ed25519::reference`]).
-pub mod reference {
-    use super::{ct_eq, CryptoError, NONCE_LEN, TAG_LEN};
-    use crate::aes::reference::Aes;
-
-    /// Multiplication in GF(2^128) with the GCM bit convention
-    /// (leftmost bit of the block is the coefficient of x^0).
-    pub fn ghash_mul(x: u128, y: u128) -> u128 {
-        const R: u128 = 0xe1 << 120;
-        let mut z: u128 = 0;
-        let mut v = y;
-        for i in 0..128 {
-            if (x >> (127 - i)) & 1 == 1 {
-                z ^= v;
-            }
-            let lsb = v & 1;
-            v >>= 1;
-            if lsb == 1 {
-                v ^= R;
-            }
+/// Multiplication in GF(2^128) with the GCM bit convention (leftmost bit
+/// of the block is the coefficient of x^0), one bit per step. Only
+/// [`AesGcm256::new`] calls it, to seed the per-key tables.
+fn ghash_mul(x: u128, y: u128) -> u128 {
+    const R: u128 = 0xe1 << 120;
+    let mut z: u128 = 0;
+    let mut v = y;
+    for i in 0..128 {
+        if (x >> (127 - i)) & 1 == 1 {
+            z ^= v;
         }
-        z
-    }
-
-    /// GHASH over `aad` then `ct`, with the standard length block.
-    pub fn ghash(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
-        let mut y: u128 = 0;
-        let mut absorb = |data: &[u8]| {
-            for chunk in data.chunks(16) {
-                let mut block = [0u8; 16];
-                block[..chunk.len()].copy_from_slice(chunk);
-                y = ghash_mul(y ^ u128::from_be_bytes(block), h);
-            }
-        };
-        absorb(aad);
-        absorb(ct);
-        let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-        ghash_mul(y ^ lens, h)
-    }
-
-    /// An AES-256-GCM key on the frozen byte-wise pipeline.
-    pub struct AesGcm256 {
-        aes: Aes,
-        h: u128,
-    }
-
-    impl AesGcm256 {
-        /// Prepares a reference GCM context from a 256-bit key.
-        pub fn new(key: &[u8; 32]) -> Self {
-            let aes = Aes::new_256(key);
-            let mut zero = [0u8; 16];
-            aes.encrypt_block(&mut zero);
-            AesGcm256 { aes, h: u128::from_be_bytes(zero) }
-        }
-
-        fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-            // J0 = nonce || 0x00000001; encryption starts at counter 2.
-            let mut counter_block = [0u8; 16];
-            counter_block[..12].copy_from_slice(nonce);
-            let mut counter: u32 = 2;
-            for chunk in data.chunks_mut(16) {
-                counter_block[12..].copy_from_slice(&counter.to_be_bytes());
-                let mut ks = counter_block;
-                self.aes.encrypt_block(&mut ks);
-                for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                    *b ^= k;
-                }
-                counter = counter.wrapping_add(1);
-            }
-        }
-
-        fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
-            let s = ghash(self.h, aad, ct);
-            let mut j0 = [0u8; 16];
-            j0[..12].copy_from_slice(nonce);
-            j0[15] = 1;
-            self.aes.encrypt_block(&mut j0);
-            (s ^ u128::from_be_bytes(j0)).to_be_bytes()
-        }
-
-        /// Encrypts `plaintext`, authenticating `aad`, returning ct || tag.
-        pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-            let mut out = plaintext.to_vec();
-            self.ctr_xor(nonce, &mut out);
-            let tag = self.tag(nonce, aad, &out);
-            out.extend_from_slice(&tag);
-            out
-        }
-
-        /// Decrypts `sealed` (ct || tag), verifying `aad`.
-        pub fn open(
-            &self,
-            nonce: &[u8; NONCE_LEN],
-            aad: &[u8],
-            sealed: &[u8],
-        ) -> Result<Vec<u8>, CryptoError> {
-            if sealed.len() < TAG_LEN {
-                return Err(CryptoError::InvalidLength { expected: TAG_LEN, got: sealed.len() });
-            }
-            let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-            let expect = self.tag(nonce, aad, ct);
-            if !ct_eq(&expect, tag) {
-                return Err(CryptoError::TagMismatch);
-            }
-            let mut out = ct.to_vec();
-            self.ctr_xor(nonce, &mut out);
-            Ok(out)
+        let lsb = v & 1;
+        v >>= 1;
+        if lsb == 1 {
+            v ^= R;
         }
     }
+    z
 }
 
 /// The key-independent reduction table for multiplying by x^8 in the GCM
 /// field: `rtab[n]` is the reduction contribution of the low byte `n` that
-/// an 8-bit right shift pushes out. Derived from the reference single-bit
+/// an 8-bit right shift pushes out. Derived from the single-bit
 /// step (shift right + conditional xor of 0xe1·x^120), which is
 /// GF(2)-linear, so eight applications to the isolated byte give exactly
 /// the correction term.
@@ -165,7 +66,7 @@ fn rtab() -> &'static [u128; 256] {
     })
 }
 
-/// An AES-256-GCM key (fast path).
+/// An AES-256-GCM key.
 pub struct AesGcm256 {
     aes: Aes,
     /// Per-byte-position Shoup tables: `m[p][b]` is the GHASH product of H
@@ -184,8 +85,7 @@ pub const NONCE_LEN: usize = 12;
 impl AesGcm256 {
     /// Prepares a GCM context from a 256-bit key: the AES key schedule plus
     /// the per-position byte·H tables. The top-position table is seeded
-    /// with the frozen reference multiply (so the fast path cannot drift
-    /// from the oracle) via GF(2)-linearity — a byte is its high nibble at
+    /// with the bit-by-bit multiply via GF(2)-linearity — a byte is its high nibble at
     /// the same position plus its low nibble shifted down by x^4 — and each
     /// lower position is the one above multiplied by x^8, one reduction
     /// lookup per entry.
@@ -196,7 +96,7 @@ impl AesGcm256 {
         let h = u128::from_be_bytes(zero);
         let mut nib = [0u128; 16];
         for (n, slot) in nib.iter_mut().enumerate() {
-            *slot = reference::ghash_mul((n as u128) << 124, h);
+            *slot = ghash_mul((n as u128) << 124, h);
         }
         // One single-bit reduction step applied four times = multiply by
         // x^4, moving a nibble product one nibble position down.
@@ -341,7 +241,7 @@ impl AesGcm256 {
 pub fn derive_nonce(label: u8, a: u64, b: u64) -> [u8; NONCE_LEN] {
     let mut n = [0u8; NONCE_LEN];
     n[0] = label;
-    // 40 bits of a, 56 bits of b: plenty for views and sequence numbers.
+    // 40 bits of a, 48 bits of b: plenty for views and sequence numbers.
     n[1..6].copy_from_slice(&a.to_be_bytes()[3..]);
     n[6..12].copy_from_slice(&b.to_be_bytes()[2..]);
     n
@@ -358,22 +258,22 @@ mod tests {
         // reflected convention).
         let one: u128 = 1 << 127;
         let a: u128 = 0x0123456789abcdef_fedcba9876543210;
-        assert_eq!(reference::ghash_mul(a, one), a);
-        assert_eq!(reference::ghash_mul(one, a), a);
+        assert_eq!(ghash_mul(a, one), a);
+        assert_eq!(ghash_mul(one, a), a);
         let b: u128 = 0xdeadbeefdeadbeef_0123456789abcdef;
-        assert_eq!(reference::ghash_mul(a, b), reference::ghash_mul(b, a));
+        assert_eq!(ghash_mul(a, b), ghash_mul(b, a));
         // Distributivity over XOR (field law).
         let c: u128 = 0x1111222233334444_5555666677778888;
         assert_eq!(
-            reference::ghash_mul(a ^ b, c),
-            reference::ghash_mul(a, c) ^ reference::ghash_mul(b, c)
+            ghash_mul(a ^ b, c),
+            ghash_mul(a, c) ^ ghash_mul(b, c)
         );
     }
 
     #[test]
     fn table_mul_matches_bitwise_mul() {
-        // The 4-bit-table multiply must agree with the frozen bit-by-bit
-        // oracle for arbitrary operands (H exercised via a real context).
+        // The table multiply must agree with the bit-by-bit multiply that
+        // seeds it, for arbitrary operands (H exercised via a real context).
         let gcm = AesGcm256::new(&[0x42u8; 32]);
         let h = {
             let mut zero = [0u8; 16];
@@ -385,11 +285,11 @@ mod tests {
             let mut x = [0u8; 16];
             rng.fill_bytes(&mut x);
             let x = u128::from_be_bytes(x);
-            assert_eq!(gcm.mul_h(x), reference::ghash_mul(x, h));
+            assert_eq!(gcm.mul_h(x), ghash_mul(x, h));
         }
         // Edge operands.
         for x in [0u128, 1, 1 << 127, u128::MAX] {
-            assert_eq!(gcm.mul_h(x), reference::ghash_mul(x, h));
+            assert_eq!(gcm.mul_h(x), ghash_mul(x, h));
         }
     }
 
@@ -455,8 +355,9 @@ mod tests {
 
     // ------------------------------------------------------------------
     // NIST SP 800-38D known-answer tests (the AES-256 test cases of the
-    // GCM submission's appendix B, plus a CAVP AAD-only vector). Each
-    // vector is checked against BOTH pipelines.
+    // GCM submission's appendix B, plus a CAVP AAD-only vector). The
+    // frozen reference pipeline in `ccf-crypto-ref` is pinned by the same
+    // vectors in its own tests.
     // ------------------------------------------------------------------
 
     fn check_kat(key_hex: &str, iv_hex: &str, aad_hex: &str, pt_hex: &str, ct_tag_hex: &str) {
@@ -465,12 +366,9 @@ mod tests {
         let aad = from_hex(aad_hex).unwrap();
         let pt = from_hex(pt_hex).unwrap();
         let fast = AesGcm256::new(&key);
-        let oracle = reference::AesGcm256::new(&key);
-        assert_eq!(to_hex(&fast.seal(&iv, &aad, &pt)), ct_tag_hex, "fast seal");
-        assert_eq!(to_hex(&oracle.seal(&iv, &aad, &pt)), ct_tag_hex, "reference seal");
+        assert_eq!(to_hex(&fast.seal(&iv, &aad, &pt)), ct_tag_hex, "seal");
         let sealed = from_hex(ct_tag_hex).unwrap();
-        assert_eq!(fast.open(&iv, &aad, &sealed).unwrap(), pt, "fast open");
-        assert_eq!(oracle.open(&iv, &aad, &sealed).unwrap(), pt, "reference open");
+        assert_eq!(fast.open(&iv, &aad, &sealed).unwrap(), pt, "open");
         // Tag truncation must be rejected, never silently accepted.
         if sealed.len() > TAG_LEN {
             assert!(fast.open(&iv, &aad, &sealed[..sealed.len() - 1]).is_err());
@@ -539,27 +437,6 @@ mod tests {
             "",
             "3e5d486aa2e30b22e040b85723a06e76",
         );
-    }
-
-    #[test]
-    fn fast_and_reference_agree_on_boundary_lengths() {
-        let mut rng = crate::chacha::ChaChaRng::seed_from_u64(2024);
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 255] {
-            let mut key = [0u8; 32];
-            rng.fill_bytes(&mut key);
-            let mut pt = vec![0u8; len];
-            rng.fill_bytes(&mut pt);
-            let mut aad = vec![0u8; len % 40];
-            rng.fill_bytes(&mut aad);
-            let nonce = derive_nonce(9, 1, len as u64);
-            let fast = AesGcm256::new(&key);
-            let oracle = reference::AesGcm256::new(&key);
-            let a = fast.seal(&nonce, &aad, &pt);
-            let b = oracle.seal(&nonce, &aad, &pt);
-            assert_eq!(a, b, "len={len}");
-            assert_eq!(oracle.open(&nonce, &aad, &a).unwrap(), pt);
-            assert_eq!(fast.open(&nonce, &aad, &b).unwrap(), pt);
-        }
     }
 
     #[test]

@@ -10,30 +10,35 @@
 //!   of the first primes, so the tables cannot be mis-transcribed. SHA-256
 //!   has a fully unrolled compression function plus fixed-input digests
 //!   ([`sha2::sha256_fixed64`] / [`sha2::sha256_fixed65`]) for the Merkle
-//!   hot path; the seed pipeline is frozen as [`sha2::reference`].
+//!   hot path.
 //! * [`hmac`] — HMAC (RFC 2104) and HKDF (RFC 5869) over either hash.
-//! * [`aes`] — AES-128/256 block cipher (FIPS 197); the S-box is derived
-//!   from the GF(2^8) inverse + affine map rather than hardcoded, and the
-//!   encrypt direction runs on 32-bit T-tables derived from that S-box.
-//!   The byte-wise seed cipher is frozen as [`aes::reference`].
-//! * [`gcm`] — AES-GCM authenticated encryption (NIST SP 800-38D) with
-//!   Shoup 4-bit-table GHASH and multi-block CTR keystream generation; the
-//!   bit-by-bit seed pipeline is frozen as [`gcm::reference`].
-//!
-//! The fast/reference split follows the pattern set by [`ed25519`] in PR 1:
-//! every optimised path keeps its original implementation as a frozen
-//! oracle, and equivalence is enforced by property tests plus official
-//! known-answer vectors.
+//! * [`aes`] — the AES-256 block cipher (FIPS 197), encryption only; the
+//!   S-box is derived from the GF(2^8) inverse + affine map rather than
+//!   hardcoded, and rounds run on 32-bit T-tables derived from that S-box.
+//! * [`gcm`] — AES-256-GCM authenticated encryption (NIST SP 800-38D) with
+//!   per-byte-position Shoup-table GHASH and multi-block CTR keystream
+//!   generation.
 //! * [`chacha`] — ChaCha20 (RFC 8439) used as a deterministic random bit
 //!   generator ([`chacha::ChaChaRng`]).
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032) over a from-scratch
 //!   Curve25519 field ([`field25519`]) and a bignum scalar ring ([`bignum`]).
 //!   Signing multiplies the base point with signed radix-256 digits against
-//!   a once-built table (at most 32 additions, no doublings); the seed
-//!   double-and-add paths are frozen as [`ed25519::reference`].
+//!   a once-built table (at most 32 additions, no doublings).
 //! * [`x25519`] — X25519 Diffie-Hellman (RFC 7748) and an ECIES-style
 //!   sealed box used for governance recovery shares.
 //! * [`shamir`] — Shamir k-of-n secret sharing over GF(2^8) (per byte).
+//!
+//! The crate ships one implementation of each primitive: the one the
+//! service runs. The frozen seed implementations of AES, GCM, SHA-256 and
+//! Ed25519 verification and base-point multiplication, kept as oracles and
+//! benchmark baselines, live in the dev-only `ccf-crypto-ref` crate. From
+//! this crate they use only the public API — the field and scalar
+//! arithmetic ([`field25519`], [`bignum`]), SHA-512, [`ct::ct_eq`] and the
+//! key, signature and error types — so no oracle shares a table, key
+//! schedule or point routine with the path it checks. Its tests, this
+//! crate's integration tests and the `ccf-bench` smoke runs assert that
+//! both produce byte-identical outputs; official known-answer vectors pin
+//! both.
 //!
 //! # Security disclaimer
 //!
@@ -57,7 +62,6 @@ pub mod field25519;
 pub mod gcm;
 pub mod hex;
 pub mod hmac;
-pub mod pem;
 pub mod shamir;
 pub mod sha2;
 pub mod x25519;
@@ -88,7 +92,7 @@ pub enum CryptoError {
     /// Shamir reconstruction was given fewer shares than the threshold,
     /// duplicate x-coordinates, or inconsistent share lengths.
     BadShares(&'static str),
-    /// Hex / PEM decoding failed.
+    /// Hex or wrapped-secret decoding failed.
     Encoding(&'static str),
 }
 

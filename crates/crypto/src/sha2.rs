@@ -5,8 +5,9 @@
 //! derived from square roots of the first 8 primes. Rather than hardcode
 //! those tables (and risk a silent transcription error that known-answer
 //! tests might only partially catch), this module *computes* them once at
-//! first use with exact integer root extraction (the `consts` module). The `abc`
-//! and empty-string known-answer tests then pin the whole construction.
+//! first use with exact integer root extraction on [`crate::bignum`]'s
+//! limb arithmetic (the `consts` module). The `abc` and empty-string
+//! known-answer tests then pin the whole construction.
 //!
 //! SHA-256 has a fast path: the compression function unrolls all 64 rounds
 //! with rotating registers over a circular 16-word message schedule,
@@ -14,9 +15,9 @@
 //! version pushed padding one byte at a time through `update`), and
 //! [`sha256_fixed64`] / [`sha256_fixed65`] digest fixed-size inputs — the
 //! shapes Merkle interior nodes (1 + 32 + 32 bytes) and 64-byte leaves
-//! take — with the padding block precomputed. The frozen seed pipeline is
-//! kept as [`reference::sha256`], and equivalence tests assert the two are
-//! byte-identical at every buffer-boundary length.
+//! take — with the padding block precomputed. The frozen seed pipeline
+//! lives in the dev-only `ccf-crypto-ref` crate, whose tests assert the
+//! two are byte-identical at every buffer-boundary length.
 
 use std::sync::OnceLock;
 
@@ -43,71 +44,8 @@ pub fn sha512(data: &[u8]) -> [u8; 64] {
 
 /// Exact integer-root derivation of the FIPS 180-4 constants.
 mod consts {
-    /// Little helper: a 256-bit unsigned integer as four little-endian u64
-    /// limbs, with just enough arithmetic to compute x^2 and x^3 for
-    /// candidate roots up to ~2^70 and compare them against `p << shift`.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    pub struct U256(pub [u64; 4]);
-
-    impl Ord for U256 {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Numeric order: compare from the most significant limb down.
-            self.0.iter().rev().cmp(other.0.iter().rev())
-        }
-    }
-
-    impl PartialOrd for U256 {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl U256 {
-        pub fn from_u128(v: u128) -> U256 {
-            U256([v as u64, (v >> 64) as u64, 0, 0])
-        }
-
-        /// `v << s` for s < 256; panics on overflow (callers stay in range).
-        pub fn shl(self, s: u32) -> U256 {
-            let mut out = [0u64; 4];
-            let limb = (s / 64) as usize;
-            let bits = s % 64;
-            for i in 0..4 {
-                if i + limb < 4 {
-                    out[i + limb] |= self.0[i] << bits;
-                    if bits > 0 && i + limb + 1 < 4 {
-                        out[i + limb + 1] |= self.0[i] >> (64 - bits);
-                    }
-                }
-            }
-            U256(out)
-        }
-
-        /// Full 256-bit multiply, panicking on overflow (inputs are small
-        /// enough here that x^3 < 2^208).
-        pub fn mul(self, rhs: U256) -> U256 {
-            let mut acc = [0u128; 8];
-            for i in 0..4 {
-                for j in 0..4 {
-                    let p = self.0[i] as u128 * rhs.0[j] as u128;
-                    acc[i + j] += p & 0xffff_ffff_ffff_ffff;
-                    if i + j + 1 < 8 {
-                        acc[i + j + 1] += p >> 64;
-                    }
-                }
-            }
-            // Carry propagation.
-            let mut out = [0u64; 8];
-            let mut carry: u128 = 0;
-            for k in 0..8 {
-                let v = acc[k] + carry;
-                out[k] = v as u64;
-                carry = v >> 64;
-            }
-            assert!(carry == 0 && out[4..].iter().all(|&w| w == 0), "U256 overflow");
-            U256([out[0], out[1], out[2], out[3]])
-        }
-    }
+    use crate::bignum::{cmp_limbs, mul_limbs};
+    use std::cmp::Ordering;
 
     /// First `n` primes by trial division.
     pub fn primes(n: usize) -> Vec<u64> {
@@ -122,23 +60,39 @@ mod consts {
         out
     }
 
-    /// floor(root_k(p * 2^shift)) via binary search with exact arithmetic.
-    /// The scaled root can exceed 64 bits (e.g. floor(cbrt(p)·2^64) for the
-    /// SHA-512 constants is up to ~7·2^64), hence u128.
+    /// `x^k` for k = 2 or 3 as six little-endian limbs: wide enough for
+    /// any u128 cubed.
+    fn pow_limbs(x: u128, k: u32) -> [u64; 6] {
+        let x = [x as u64, (x >> 64) as u64];
+        let mut out = [0u64; 6];
+        let mut square = [0u64; 4];
+        mul_limbs(&x, &x, &mut square);
+        if k == 2 {
+            out[..4].copy_from_slice(&square);
+        } else {
+            mul_limbs(&square, &x, &mut out);
+        }
+        out
+    }
+
+    /// floor(root_k(p * 2^shift)) for k = 2 or 3 via binary search with
+    /// exact arithmetic. The scaled root can exceed 64 bits (e.g.
+    /// floor(cbrt(p)·2^64) for the SHA-512 constants is up to ~7·2^64),
+    /// hence u128.
     fn int_root(p: u64, shift: u32, k: u32) -> u128 {
-        let target = U256::from_u128(p as u128).shl(shift);
+        // p · 2^shift as six limbs (shift ≤ 192 here).
+        let mut target = [0u64; 6];
+        let scaled = (p as u128) << (shift % 64);
+        let limb = (shift / 64) as usize;
+        target[limb] = scaled as u64;
+        target[limb + 1] = (scaled >> 64) as u64;
         // root < 2^(ceil((log2(p) + shift) / k) + 1)
         let bits = 64 - p.leading_zeros() + shift;
         let mut hi: u128 = 1u128 << (bits / k + 1).min(127);
         let mut lo: u128 = 0;
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
-            let m = U256::from_u128(mid);
-            let mut pow = m;
-            for _ in 1..k {
-                pow = pow.mul(m);
-            }
-            if pow <= target {
+            if cmp_limbs(&pow_limbs(mid, k), &target) != Ordering::Greater {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -393,85 +347,6 @@ pub fn sha256_fixed65(data: &[u8; 65]) -> [u8; 32] {
     digest_from_state256(&state)
 }
 
-/// The frozen seed SHA-256 pipeline — sequential rounds, a 64-word
-/// materialized message schedule, and byte-at-a-time padding — kept as the
-/// equivalence oracle for the unrolled fast path (the same pattern as
-/// [`crate::ed25519::reference`]).
-pub mod reference {
-    use super::{h256, k256};
-
-    /// One-shot reference SHA-256 digest.
-    pub fn sha256(data: &[u8]) -> [u8; 32] {
-        let mut state = *h256();
-        let mut buf = [0u8; 64];
-        let mut buf_len = 0usize;
-        let absorb = |state: &mut [u32; 8], buf: &mut [u8; 64], buf_len: &mut usize, bytes: &[u8]| {
-            for &byte in bytes {
-                buf[*buf_len] = byte;
-                *buf_len += 1;
-                if *buf_len == 64 {
-                    compress_seed(state, buf);
-                    *buf_len = 0;
-                }
-            }
-        };
-        absorb(&mut state, &mut buf, &mut buf_len, data);
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        absorb(&mut state, &mut buf, &mut buf_len, &[0x80]);
-        while buf_len != 56 {
-            absorb(&mut state, &mut buf, &mut buf_len, &[0]);
-        }
-        absorb(&mut state, &mut buf, &mut buf_len, &bit_len.to_be_bytes());
-        let mut out = [0u8; 32];
-        for (i, w) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-
-    /// The seed compression function: materialized 64-word schedule,
-    /// sequential register shifts.
-    fn compress_seed(state: &mut [u32; 8], block: &[u8; 64]) {
-        let k = k256();
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(k[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
-    }
-}
-
 /// Incremental SHA-512 hasher.
 #[derive(Clone)]
 pub struct Sha512 {
@@ -670,14 +545,6 @@ mod tests {
         let mut node = [0u8; 65];
         node[0] = 0x01;
         assert_eq!(sha256_fixed65(&node), sha256(&node));
-    }
-
-    #[test]
-    fn fast_path_matches_reference_at_boundary_lengths() {
-        let data: Vec<u8> = (0..4200u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
-        for len in [0, 1, 55, 56, 57, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097] {
-            assert_eq!(sha256(&data[..len]), reference::sha256(&data[..len]), "len {len}");
-        }
     }
 
     #[test]

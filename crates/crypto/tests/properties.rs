@@ -4,7 +4,6 @@
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::gcm::AesGcm256;
 use ccf_crypto::hex::{from_hex, to_hex};
-use ccf_crypto::pem::{base64_decode, base64_encode, pem_decode, pem_encode};
 use ccf_crypto::sha2::{sha256, Sha256};
 use ccf_crypto::shamir;
 use ccf_crypto::SigningKey;
@@ -16,19 +15,6 @@ proptest! {
     #[test]
     fn hex_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         prop_assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn base64_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        prop_assert_eq!(base64_decode(&base64_encode(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn pem_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let pem = pem_encode("TEST BLOB", &data);
-        let (label, decoded) = pem_decode(&pem).unwrap();
-        prop_assert_eq!(label, "TEST BLOB");
-        prop_assert_eq!(decoded, data);
     }
 
     #[test]
@@ -163,7 +149,7 @@ proptest! {
     // Fast-path verification equivalence: the windowed Strauss–Shamir
     // verify and the batch verify must accept *exactly* the same
     // (message, signature, key) triples as the frozen seed double-and-add
-    // pipeline (`ed25519::reference`).
+    // pipeline (`ccf_crypto_ref::ed25519`).
     // ------------------------------------------------------------------
 
     #[test]
@@ -173,14 +159,14 @@ proptest! {
         tamper_at in 0usize..64,
         tamper_bit in 0u8..8,
     ) {
-        use ccf_crypto::ed25519::reference;
+        use ccf_crypto_ref::ed25519;
         use ccf_crypto::{Signature, SigningKey};
         let key = SigningKey::from_seed(seed);
         let vk = key.verifying_key();
         let sig = key.sign(&msg);
         // Valid triple: both paths accept.
         prop_assert!(vk.verify(&msg, &sig).is_ok());
-        prop_assert!(reference::verify(&vk, &msg, &sig).is_ok());
+        prop_assert!(ed25519::verify(&vk, &msg, &sig).is_ok());
         // Any single-bit corruption of the signature: the two paths must
         // still agree (almost always both reject; a flip in unused high
         // bits could be accepted by both — agreement is the property).
@@ -189,14 +175,14 @@ proptest! {
         let tampered = Signature(bad);
         prop_assert_eq!(
             vk.verify(&msg, &tampered).is_ok(),
-            reference::verify(&vk, &msg, &tampered).is_ok(),
+            ed25519::verify(&vk, &msg, &tampered).is_ok(),
         );
         // Corrupted message: agreement again.
         let mut wrong_msg = msg.clone();
         wrong_msg.push(0x5a);
         prop_assert_eq!(
             vk.verify(&wrong_msg, &sig).is_ok(),
-            reference::verify(&vk, &wrong_msg, &sig).is_ok(),
+            ed25519::verify(&vk, &wrong_msg, &sig).is_ok(),
         );
     }
 
@@ -205,7 +191,7 @@ proptest! {
         seed in any::<[u8; 32]>(),
         msg in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        use ccf_crypto::ed25519::reference;
+        use ccf_crypto_ref::ed25519;
         use ccf_crypto::{Signature, SigningKey};
         let key = SigningKey::from_seed(seed);
         let vk = key.verifying_key();
@@ -225,7 +211,7 @@ proptest! {
         prop_assert_eq!(carry, 0, "s + L must fit in 32 bytes");
         let malleated = Signature(bad);
         prop_assert!(vk.verify(&msg, &malleated).is_err());
-        prop_assert!(reference::verify(&vk, &msg, &malleated).is_err());
+        prop_assert!(ed25519::verify(&vk, &msg, &malleated).is_err());
         prop_assert!(ccf_crypto::verify_batch(&[(msg.as_slice(), &malleated, &vk)]).is_err());
     }
 
@@ -281,9 +267,8 @@ proptest! {
         aad in proptest::collection::vec(any::<u8>(), 0..48),
         plaintext in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
-        use ccf_crypto::gcm::reference;
         let fast = AesGcm256::new(&key);
-        let slow = reference::AesGcm256::new(&key);
+        let slow = ccf_crypto_ref::gcm::AesGcm256::new(&key);
         let sealed_fast = fast.seal(&nonce, &aad, &plaintext);
         let sealed_slow = slow.seal(&nonce, &aad, &plaintext);
         prop_assert_eq!(&sealed_fast, &sealed_slow);
@@ -303,6 +288,6 @@ proptest! {
     fn fast_sha256_equals_reference_oracle(
         data in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
-        prop_assert_eq!(sha256(&data), ccf_crypto::sha2::reference::sha256(&data));
+        prop_assert_eq!(sha256(&data), ccf_crypto_ref::sha2::sha256(&data));
     }
 }

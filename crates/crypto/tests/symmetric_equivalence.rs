@@ -1,5 +1,6 @@
 //! Seeded, deterministic equivalence tests between the fast symmetric
-//! pipelines and their frozen reference oracles, pinned at every
+//! pipelines and their frozen reference oracles (the dev-only
+//! `ccf-crypto-ref` crate), pinned at every
 //! chunk-boundary length the fast paths special-case:
 //!
 //! * GCM `ctr_xor` processes 64-byte super-blocks then 16-byte blocks then
@@ -12,10 +13,11 @@
 //! Complementary to `properties.rs`: proptest explores random lengths,
 //! this file guarantees the named boundaries are hit on every run.
 
-use ccf_crypto::aes::{self, Aes};
+use ccf_crypto::aes::Aes;
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_crypto::gcm::{self, AesGcm256};
-use ccf_crypto::sha2::{self, sha256, sha256_fixed64, sha256_fixed65};
+use ccf_crypto::gcm::AesGcm256;
+use ccf_crypto::sha2::{sha256, sha256_fixed64, sha256_fixed65};
+use ccf_crypto_ref::{aes, gcm, sha2};
 
 /// Chunk-boundary lengths from the issue spec, plus SHA-256 padding edges.
 const LENGTHS: &[usize] = &[0, 1, 15, 16, 17, 55, 56, 57, 63, 64, 65, 4095, 4096, 4097];
@@ -37,22 +39,15 @@ fn aes_fast_block_equals_reference_block() {
         let mut key = [0u8; 32];
         rng.fill_bytes(&mut key);
         let fast = Aes::new_256(&key);
-        let slow = aes::reference::Aes::new_256(&key);
+        let slow = aes::Aes::new_256(&key);
         for _ in 0..16 {
             let mut block = [0u8; 16];
             rng.fill_bytes(&mut block);
-            let pt = block;
             let mut fast_ct = block;
             fast.encrypt_block(&mut fast_ct);
             let mut slow_ct = block;
             slow.encrypt_block(&mut slow_ct);
             assert_eq!(fast_ct, slow_ct);
-            let mut back = fast_ct;
-            fast.decrypt_block(&mut back);
-            assert_eq!(back, pt);
-            let mut back = slow_ct;
-            slow.decrypt_block(&mut back);
-            assert_eq!(back, pt);
         }
     }
 }
@@ -63,7 +58,7 @@ fn gcm_fast_equals_reference_at_boundary_lengths() {
     let mut key = [0u8; 32];
     rng.fill_bytes(&mut key);
     let fast = AesGcm256::new(&key);
-    let slow = gcm::reference::AesGcm256::new(&key);
+    let slow = gcm::AesGcm256::new(&key);
     for &len in LENGTHS {
         for aad_len in [0usize, 1, 16, 17] {
             let mut nonce = [0u8; 12];
@@ -103,7 +98,7 @@ fn sha256_fast_equals_reference_at_boundary_lengths() {
     let mut rng = rng();
     for &len in LENGTHS {
         let data = fill(&mut rng, len);
-        assert_eq!(sha256(&data), sha2::reference::sha256(&data), "len={len}");
+        assert_eq!(sha256(&data), sha2::sha256(&data), "len={len}");
     }
 }
 
@@ -115,7 +110,7 @@ fn fixed_input_digests_equal_reference_on_random_inputs() {
         let mut b65 = [0u8; 65];
         rng.fill_bytes(&mut b64);
         rng.fill_bytes(&mut b65);
-        assert_eq!(sha256_fixed64(&b64), sha2::reference::sha256(&b64));
-        assert_eq!(sha256_fixed65(&b65), sha2::reference::sha256(&b65));
+        assert_eq!(sha256_fixed64(&b64), sha2::sha256(&b64));
+        assert_eq!(sha256_fixed65(&b65), sha2::sha256(&b65));
     }
 }

@@ -14,7 +14,7 @@ use ccf_crypto::shamir::{self, Share};
 use ccf_crypto::x25519::{open_box, seal_box, DhKeyPair};
 use ccf_crypto::CryptoError;
 use ccf_kv::{builtin, MapName, Transaction};
-use ccf_ledger::secrets::{LedgerSecrets, SecretWrapper};
+use ccf_ledger::secrets::{self, LedgerSecrets};
 use std::collections::BTreeMap;
 
 fn map(name: &str) -> MapName {
@@ -77,7 +77,7 @@ pub fn write_recovery_material(
     assert!(threshold >= 1 && threshold <= members.len().max(1), "bad threshold");
     // Fresh wrapping key on every refresh (old shares become useless).
     let wrapping_key = rng.gen_seed();
-    let wrapped = SecretWrapper::new(&wrapping_key).wrap(secrets);
+    let wrapped = secrets::wrap(&wrapping_key, secrets);
     tx.put(&map(builtin::LEDGER_SECRET), b"wrapped", &wrapped);
     tx.put(
         &map(builtin::RECOVERY_THRESHOLD),
@@ -169,9 +169,7 @@ impl ShareCollector {
         let key_bytes = shamir::combine(&shares).map_err(RecoveryError::Crypto)?;
         let key: [u8; 32] =
             key_bytes.try_into().map_err(|_| RecoveryError::UnwrapFailed)?;
-        SecretWrapper::new(&key)
-            .unwrap(&wrapped)
-            .map_err(|_| RecoveryError::UnwrapFailed)
+        secrets::unwrap_with(&key, &wrapped).map_err(|_| RecoveryError::UnwrapFailed)
     }
 }
 

@@ -249,47 +249,22 @@ impl LedgerSecrets {
     }
 }
 
-/// A prepared wrapping context for the *ledger secret wrapping key* — the
-/// key that is Shamir-shared to consortium members (§5.2). Callers that
-/// wrap and unwrap repeatedly (governance rekey proposals, recovery) hold
-/// one `SecretWrapper` and pay the key-schedule setup once.
-pub struct SecretWrapper {
-    gcm: AesGcm256,
-}
-
-impl SecretWrapper {
-    /// Prepares a wrapping context from the raw wrapping key.
-    pub fn new(wrapping_key: &[u8; 32]) -> SecretWrapper {
-        SecretWrapper { gcm: AesGcm256::new(wrapping_key) }
-    }
-
-    /// Wraps serialized ledger secrets. The wrapped blob is what
-    /// `public:ccf.internal.ledger_secret` stores.
-    pub fn wrap(&self, secrets: &LedgerSecrets) -> Vec<u8> {
-        let nonce = derive_nonce(0x02, 0, 0);
-        self.gcm.seal(&nonce, b"ccf-ledger-secret-wrap", &secrets.serialize())
-    }
-
-    /// Unwraps [`SecretWrapper::wrap`] output.
-    pub fn unwrap(&self, wrapped: &[u8]) -> Result<LedgerSecrets, CryptoError> {
-        let nonce = derive_nonce(0x02, 0, 0);
-        let plain = self.gcm.open(&nonce, b"ccf-ledger-secret-wrap", wrapped)?;
-        LedgerSecrets::deserialize(&plain)
-            .map_err(|_| CryptoError::Encoding("bad wrapped secrets"))
-    }
-}
-
-/// One-shot convenience over [`SecretWrapper::wrap`].
+/// Wraps serialized ledger secrets under the *ledger secret wrapping key*
+/// — the key that is Shamir-shared to consortium members (§5.2). The
+/// wrapped blob is what `public:ccf.internal.ledger_secret` stores.
 pub fn wrap(wrapping_key: &[u8; 32], secrets: &LedgerSecrets) -> Vec<u8> {
-    SecretWrapper::new(wrapping_key).wrap(secrets)
+    let nonce = derive_nonce(0x02, 0, 0);
+    AesGcm256::new(wrapping_key).seal(&nonce, b"ccf-ledger-secret-wrap", &secrets.serialize())
 }
 
-/// One-shot convenience over [`SecretWrapper::unwrap`].
+/// Unwraps [`wrap`] output.
 pub fn unwrap_with(
     wrapping_key: &[u8; 32],
     wrapped: &[u8],
 ) -> Result<LedgerSecrets, CryptoError> {
-    SecretWrapper::new(wrapping_key).unwrap(wrapped)
+    let nonce = derive_nonce(0x02, 0, 0);
+    let plain = AesGcm256::new(wrapping_key).open(&nonce, b"ccf-ledger-secret-wrap", wrapped)?;
+    LedgerSecrets::deserialize(&plain).map_err(|_| CryptoError::Encoding("bad wrapped secrets"))
 }
 
 #[cfg(test)]
@@ -356,11 +331,16 @@ mod tests {
 
     #[test]
     fn wrap_unwrap() {
-        let secrets = LedgerSecrets::new([7u8; 32]);
+        let mut secrets = LedgerSecrets::new([7u8; 32]);
+        secrets.rekey(10, [8u8; 32]);
         let wk = [9u8; 32];
         let wrapped = wrap(&wk, &secrets);
+        // Wrapping is deterministic in the key and the secrets.
+        assert_eq!(wrapped, wrap(&wk, &secrets));
         let restored = unwrap_with(&wk, &wrapped).unwrap();
+        assert_eq!(restored.version_count(), 2);
         assert_eq!(restored.key_for(1), Some(&[7u8; 32]));
+        assert_eq!(restored.key_for(15), Some(&[8u8; 32]));
         assert!(unwrap_with(&[8u8; 32], &wrapped).is_err());
         let mut tampered = wrapped.clone();
         tampered[0] ^= 1;
@@ -415,21 +395,6 @@ mod tests {
         assert_eq!(snap.counters.get("crypto.gcm_sealed_bytes"), Some(&70));
         let hist = snap.histograms.get("ledger.seal_writeset_bytes").unwrap();
         assert_eq!(hist.count, 10);
-    }
-
-    #[test]
-    fn secret_wrapper_matches_free_functions() {
-        let mut secrets = LedgerSecrets::new([7u8; 32]);
-        secrets.rekey(10, [8u8; 32]);
-        let wk = [9u8; 32];
-        let wrapper = SecretWrapper::new(&wk);
-        let wrapped = wrapper.wrap(&secrets);
-        // Wrapper output and free-function output interoperate.
-        assert_eq!(wrapped, wrap(&wk, &secrets));
-        let restored = wrapper.unwrap(&wrapped).unwrap();
-        assert_eq!(restored.version_count(), 2);
-        let restored2 = unwrap_with(&wk, &wrapped).unwrap();
-        assert_eq!(restored2.key_for(15), Some(&[8u8; 32]));
     }
 
     #[test]

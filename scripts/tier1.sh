@@ -8,6 +8,17 @@ cd "$(dirname "$0")/.."
 echo "== tier1: cargo build --release"
 cargo build --release
 
+echo "== tier1: frozen reference crypto is test and bench code, not shipped code"
+# The oracles live in the dev-only ccf-crypto-ref crate: no node may link
+# it, and ccf-crypto keeps no in-crate reference module.
+core_tree=$(cargo tree --offline --locked -e normal -p ccf-core)
+if grep -q ccf-crypto-ref <<<"$core_tree"; then
+    echo "ccf-core links ccf-crypto-ref"; exit 1
+fi
+if grep -rn "mod reference" crates/crypto/src; then
+    echo "ccf-crypto ships a reference module"; exit 1
+fi
+
 echo "== tier1: cargo test"
 cargo test -q
 
