@@ -138,7 +138,7 @@ fn bench_kv_snapshots(c: &mut Criterion) {
 
 fn bench_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("store");
-    let store = Store::new();
+    let mut store = Store::new();
     let map = MapName::new("msgs");
     for i in 0..1000u64 {
         let mut tx = store.begin();

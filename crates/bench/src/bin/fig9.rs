@@ -184,7 +184,7 @@ fn main() {
     // ---- Listing 2: the governance key updates from the ledger ----
     println!("\nListing 2 analog — key updates recorded in the public governance maps:");
     let live = service.live_nodes()[0].clone();
-    let mut tx = service.nodes[&live].store().begin();
+    let mut tx = service.nodes[&live].begin();
     for node in ["n0", "n3"] {
         if let Some(info) = ccf_governance::actions::get_node_info(&mut tx, node) {
             println!("  public:ccf.gov.nodes.info[{node}] = {{status: {:?}}}", info.status);

@@ -1,10 +1,12 @@
-//! A minimal HTTP/1.1 gateway over a CCF node (paper §3.1, §7).
+//! HTTP/1.1 as a byte codec over a CCF node (paper §3.1, §7).
 //!
 //! The production CCF exposes its endpoints as an HTTP REST API (1.1 and
 //! 2) over TLS terminating inside the enclave, with a custom response
-//! header carrying the transaction ID. This module reproduces that
-//! surface over plain TCP so the examples and tests can exercise the
-//! service with ordinary HTTP tooling:
+//! header carrying the transaction ID. The enclave parses HTTP itself:
+//! the untrusted host only moves bytes between client sockets and the
+//! node. This module is the enclave's half. [`serve`] takes the bytes a
+//! client sent and returns the bytes to send back; it owns no socket and
+//! no thread.
 //!
 //! * request line + headers + `Content-Length` body parsing (bounded,
 //!   bounds-checked — the bytes come from untrusted clients);
@@ -16,113 +18,56 @@
 
 use crate::app::{Caller, Request, Response};
 use crate::node::CcfNode;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 const MAX_HEADERS: usize = 64;
-const MAX_LINE: u64 = 8 * 1024;
+const MAX_LINE: usize = 8 * 1024;
 const MAX_BODY: usize = 1 << 20; // 1 MiB
 
-/// A running HTTP gateway bound to one node.
-pub struct HttpGateway {
-    /// The local address the gateway is listening on.
-    pub addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HttpGateway {
-    /// Starts serving `node` on `127.0.0.1:<port>` (port 0 = ephemeral).
-    pub fn serve(node: Arc<CcfNode>, port: u16) -> std::io::Result<HttpGateway> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let node = node.clone();
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(stream, &node);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+/// Answers every complete request in `input`, in order, as one keep-alive
+/// connection would: it stops after a 400 (the connection closes) or
+/// after a request with `connection: close`. An incomplete request at the
+/// end gets no response.
+pub fn serve(node: &CcfNode, input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut rest = input;
+    loop {
+        match parse_request(rest) {
+            Ok(Some((request, keep_alive, consumed))) => {
+                rest = &rest[consumed..];
+                out.extend(encode_response(&node.handle_request(&request), keep_alive));
+                if !keep_alive {
+                    return out;
                 }
             }
-        });
-        Ok(HttpGateway { addr, stop, handle: Some(handle) })
-    }
-
-    /// Stops accepting connections.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for HttpGateway {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Handles one keep-alive connection.
-fn handle_connection(stream: TcpStream, node: &CcfNode) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    loop {
-        let request = match parse_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()), // client closed
+            Ok(None) => return out,
             Err(msg) => {
-                write_response(
-                    &mut stream,
-                    &Response::error(400, &msg),
-                    false,
-                )?;
-                return Ok(());
+                out.extend(encode_response(&Response::error(400, &msg), false));
+                return out;
             }
-        };
-        let keep_alive = request.keep_alive;
-        let response = node.handle_request(&request.inner);
-        write_response(&mut stream, &response, keep_alive)?;
-        if !keep_alive {
-            return Ok(());
         }
     }
 }
 
-struct ParsedRequest {
-    inner: Request,
-    keep_alive: bool,
-}
-
-/// Reads one line of at most `MAX_LINE` bytes; `Ok(None)` if it runs
-/// past the cap (a client that never sends `\n` must not grow the buffer
-/// without bound).
-fn read_line_capped(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<String>> {
-    let mut line = String::new();
-    let n = reader.by_ref().take(MAX_LINE).read_line(&mut line)?;
-    Ok((n as u64 != MAX_LINE || line.ends_with('\n')).then_some(line))
-}
-
-/// Parses one HTTP/1.1 request; `Ok(None)` on clean EOF.
-fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Option<ParsedRequest>, String> {
-    let line = match read_line_capped(reader) {
-        Ok(Some(line)) if !line.is_empty() => line,
-        Ok(Some(_)) | Err(_) => return Ok(None),
-        Ok(None) => return Err("request line too long".to_string()),
+/// The line starting at `*pos`, without its `\n`; advances `*pos` past
+/// it. `Ok(None)` if its `\n` has not arrived yet. A line whose first
+/// `MAX_LINE` bytes hold no `\n` is an error: a client that never sends
+/// one must not grow the buffer without bound.
+fn next_line<'a>(input: &'a [u8], pos: &mut usize) -> Result<Option<&'a str>, String> {
+    let rest = &input[*pos..];
+    let Some(end) = rest.iter().take(MAX_LINE).position(|&b| b == b'\n') else {
+        return if rest.len() >= MAX_LINE { Err("line too long".to_string()) } else { Ok(None) };
     };
+    *pos += end + 1;
+    let line = std::str::from_utf8(&rest[..end]).map_err(|_| "line is not UTF-8".to_string())?;
+    Ok(Some(line))
+}
+
+/// Parses the HTTP/1.1 request at the start of `input`: the request,
+/// whether the connection stays open after it, and how many bytes it
+/// took. `Ok(None)` if `input` does not yet hold a complete request.
+pub fn parse_request(input: &[u8]) -> Result<Option<(Request, bool, usize)>, String> {
+    let mut pos = 0;
+    let Some(line) = next_line(input, &mut pos)? else { return Ok(None) };
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("malformed request line")?.to_string();
     let path = parts.next().ok_or("malformed request line")?.to_string();
@@ -135,9 +80,7 @@ fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Option<ParsedReque
     let mut keep_alive = true;
     let mut headers = 0;
     loop {
-        let header = read_line_capped(reader)
-            .map_err(|e| e.to_string())?
-            .ok_or("header line too long")?;
+        let Some(header) = next_line(input, &mut pos)? else { return Ok(None) };
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -166,21 +109,15 @@ fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Option<ParsedReque
             _ => {}
         }
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    }
-    Ok(Some(ParsedRequest {
-        inner: Request { method, path, caller, body },
-        keep_alive,
-    }))
+    let end = pos + content_length;
+    let Some(body) = input.get(pos..end) else { return Ok(None) };
+    let request = Request { method, path, caller, body: body.to_vec() };
+    Ok(Some((request, keep_alive, end)))
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
+/// Encodes `response`; without `keep_alive` it tells the client that the
+/// connection closes.
+pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let reason = match response.status {
         200 => "OK",
         307 => "Temporary Redirect",
@@ -211,60 +148,9 @@ fn write_response(
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
-}
-
-/// Status, headers, and body of a raw HTTP response.
-pub type RawHttpResponse = (u16, Vec<(String, String)>, Vec<u8>);
-
-/// A tiny HTTP client for tests and examples (method, path, headers,
-/// body) → (status, headers, body).
-pub fn http_request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<RawHttpResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    let mut req = format!("{method} {path} HTTP/1.1\r\nhost: ccf\r\ncontent-length: {}\r\nconnection: close\r\n", body.len());
-    for (k, v) in headers {
-        req.push_str(&format!("{k}: {v}\r\n"));
-    }
-    req.push_str("\r\n");
-    stream.write_all(req.as_bytes())?;
-    stream.write_all(body)?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut headers_out = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            let k = k.trim().to_ascii_lowercase();
-            let v = v.trim().to_string();
-            if k == "content-length" {
-                content_length = v.parse().unwrap_or(0);
-            }
-            headers_out.push((k, v));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((status, headers_out, body))
+    let mut out = head.into_bytes();
+    out.extend_from_slice(&response.body);
+    out
 }
 
 #[cfg(test)]
@@ -272,6 +158,8 @@ mod tests {
     use super::*;
     use crate::app::{AppResult, Application, EndpointDef};
     use crate::service::{ServiceCluster, ServiceOpts};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn app() -> Application {
         Application::new("http app v1")
@@ -289,29 +177,82 @@ mod tests {
             }))
     }
 
-    /// Serves the primary of an open one-node service. A one-node write
-    /// answers 200 without the cluster being stepped, so nothing steps it.
-    fn serve_single_node() -> HttpGateway {
+    /// The primary of an open one-node service. A one-node write answers
+    /// 200 without the cluster being stepped, so nothing steps it.
+    fn single_node() -> Arc<CcfNode> {
         let mut service = ServiceCluster::start(
             ServiceOpts { nodes: 1, members: 1, seed: 4242, ..ServiceOpts::default() },
-            std::sync::Arc::new(app()),
+            Arc::new(app()),
         );
         service.open_service();
         let primary = service.primary().unwrap();
-        HttpGateway::serve(service.nodes[&primary].clone(), 0).unwrap()
+        service.nodes[&primary].clone()
+    }
+
+    /// The bytes of one request; `close` adds `connection: close`.
+    fn request(
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+        close: bool,
+    ) -> Vec<u8> {
+        let mut req = format!("{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n", body.len());
+        if close {
+            req.push_str("connection: close\r\n");
+        }
+        for (k, v) in headers {
+            req.push_str(&format!("{k}: {v}\r\n"));
+        }
+        req.push_str("\r\n");
+        let mut out = req.into_bytes();
+        out.extend_from_slice(body);
+        out
+    }
+
+    type Parsed = (u16, Vec<(String, String)>, Vec<u8>);
+
+    /// Splits `serve`'s output into (status, lowercased headers, body).
+    fn responses(mut bytes: &[u8]) -> Vec<Parsed> {
+        let mut out = Vec::new();
+        while !bytes.is_empty() {
+            let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").expect("head ends");
+            let head = std::str::from_utf8(&bytes[..head_end]).unwrap();
+            let mut lines = head.split("\r\n");
+            let status = lines.next().unwrap().split_whitespace().nth(1).unwrap().parse().unwrap();
+            let headers: Vec<(String, String)> = lines
+                .map(|l| {
+                    let (k, v) = l.split_once(':').unwrap();
+                    (k.trim().to_ascii_lowercase(), v.trim().to_string())
+                })
+                .collect();
+            let len = headers.iter().find(|(k, _)| k == "content-length").unwrap();
+            let len: usize = len.1.parse().unwrap();
+            let body_start = head_end + 4;
+            out.push((status, headers, bytes[body_start..body_start + len].to_vec()));
+            bytes = &bytes[body_start + len..];
+        }
+        out
+    }
+
+    /// Serves one `connection: close` request and returns its response.
+    fn call(
+        node: &CcfNode,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+    ) -> Parsed {
+        let mut out = responses(&serve(node, &request(method, path, headers, body, true)));
+        assert_eq!(out.len(), 1);
+        out.remove(0)
     }
 
     #[test]
     fn http_write_read_roundtrip_with_txid_header() {
-        let gw = serve_single_node();
-        let (status, headers, body) = http_request(
-            gw.addr,
-            "POST",
-            "/log",
-            &[("x-ccf-user", "user0")],
-            b"42=over http",
-        )
-        .unwrap();
+        let node = single_node();
+        let (status, headers, body) =
+            call(&node, "POST", "/log", &[("x-ccf-user", "user0")], b"42=over http");
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
         assert_eq!(body, b"stored");
         // The paper's custom transaction-ID header.
@@ -322,70 +263,112 @@ mod tests {
             .expect("x-ccf-tx-id header");
         assert!(txid.contains('.'), "txid format view.seqno: {txid}");
 
-        let (status, _, body) =
-            http_request(gw.addr, "GET", "/log?id=42", &[("x-ccf-user", "user0")], b"").unwrap();
+        let (status, _, body) = call(&node, "GET", "/log?id=42", &[("x-ccf-user", "user0")], b"");
         assert_eq!(status, 200);
         assert_eq!(body, b"over http");
-        gw.stop();
     }
 
     #[test]
     fn http_auth_and_errors() {
-        let gw = serve_single_node();
+        let node = single_node();
         // No identity header → anonymous → 403 on a UserCert endpoint.
-        let (status, _, _) = http_request(gw.addr, "GET", "/log?id=1", &[], b"").unwrap();
+        let (status, _, _) = call(&node, "GET", "/log?id=1", &[], b"");
         assert_eq!(status, 403);
         // Unknown user.
-        let (status, _, _) =
-            http_request(gw.addr, "GET", "/log?id=1", &[("x-ccf-user", "mallory")], b"").unwrap();
+        let (status, _, _) = call(&node, "GET", "/log?id=1", &[("x-ccf-user", "mallory")], b"");
         assert_eq!(status, 403);
         // Unknown route.
-        let (status, _, _) =
-            http_request(gw.addr, "GET", "/nope", &[("x-ccf-user", "user0")], b"").unwrap();
+        let (status, _, _) = call(&node, "GET", "/nope", &[("x-ccf-user", "user0")], b"");
         assert_eq!(status, 404);
         // Built-in endpoint works over HTTP too.
         let (status, _, body) =
-            http_request(gw.addr, "GET", "/node/network", &[("x-ccf-user", "user0")], b"")
-                .unwrap();
+            call(&node, "GET", "/node/network", &[("x-ccf-user", "user0")], b"");
         assert_eq!(status, 200);
         assert!(String::from_utf8_lossy(&body).contains("commit"));
-        gw.stop();
     }
 
     #[test]
     fn http_rejects_malformed_requests() {
-        let gw = serve_single_node();
-        // Raw garbage gets a 400 (and the server must not crash).
-        let mut s = TcpStream::connect(gw.addr).unwrap();
-        s.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
-        let mut buf = String::new();
-        let _ = BufReader::new(s).read_line(&mut buf);
-        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        let node = single_node();
+        let answer = |input: &[u8]| String::from_utf8_lossy(&serve(&node, input)).into_owned();
+        // Raw garbage gets a 400 (and the node must not crash).
+        let out = answer(b"NOT-HTTP\r\n\r\n");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
         // Oversized content-length is refused.
-        let mut s = TcpStream::connect(gw.addr).unwrap();
-        s.write_all(b"POST /log HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n").unwrap();
-        let mut buf = String::new();
-        let _ = BufReader::new(s).read_line(&mut buf);
-        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        let out = answer(b"POST /log HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
         // A line that never ends is cut at the cap, not buffered forever.
-        let mut s = TcpStream::connect(gw.addr).unwrap();
-        s.write_all(&[b'a'; MAX_LINE as usize]).unwrap();
-        let mut buf = String::new();
-        let _ = BufReader::new(s).read_line(&mut buf);
-        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        let out = answer(&[b'a'; MAX_LINE]);
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
         // Past MAX_HEADERS the request is refused; the extra header must
         // not be parsed as a second request on the same connection.
-        let mut s = TcpStream::connect(gw.addr).unwrap();
         let mut req = b"GET /log?id=1 HTTP/1.1\r\n".to_vec();
         for _ in 0..=MAX_HEADERS {
             req.extend_from_slice(b"x-h: v\r\n");
         }
         req.extend_from_slice(b"\r\n");
-        s.write_all(&req).unwrap();
-        let mut all = String::new();
-        let _ = BufReader::new(s).read_to_string(&mut all);
-        assert!(all.starts_with("HTTP/1.1 400"), "{all}");
-        assert_eq!(all.matches("HTTP/1.1 ").count(), 1, "{all}");
-        gw.stop();
+        let out = answer(&req);
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert_eq!(out.matches("HTTP/1.1 ").count(), 1, "{out}");
+    }
+
+    #[test]
+    fn http_pipelined_keep_alive_requests_are_answered_in_order() {
+        let node = single_node();
+        let user = [("x-ccf-user", "user0")];
+        let mut input = request("POST", "/log", &user, b"7=pipelined", false);
+        input.extend(request("GET", "/log?id=7", &user, b"", false));
+        // A third request, cut short, waits for the rest of its bytes.
+        input.extend_from_slice(b"GET /log?id=7 HTTP/1.1\r\n");
+        let out = responses(&serve(&node, &input));
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[0].0, out[0].2.as_slice()), (200, &b"stored"[..]));
+        assert_eq!((out[1].0, out[1].2.as_slice()), (200, &b"pipelined"[..]));
+        assert!(out.iter().all(|(_, h, _)| !h.iter().any(|(k, _)| k == "connection")));
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_request_needs_more_bytes() {
+        let req = request("POST", "/log", &[("x-ccf-user", "user0")], b"42=over http", false);
+        for len in 0..req.len() {
+            assert!(matches!(parse_request(&req[..len]), Ok(None)), "prefix of {len} bytes");
+        }
+        let (parsed, keep_alive, consumed) = parse_request(&req).unwrap().unwrap();
+        assert_eq!((parsed.method.as_str(), parsed.path.as_str()), ("POST", "/log"));
+        assert_eq!(parsed.caller, Caller::User("user0".to_string()));
+        assert_eq!(parsed.body, b"42=over http");
+        assert!(keep_alive);
+        assert_eq!(consumed, req.len());
+    }
+
+    /// Pieces that make the arbitrary inputs below look like HTTP often
+    /// enough to reach every branch of the parser.
+    fn piece() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            Just(b"GET /log?id=1 HTTP/1.1\r\n".to_vec()),
+            Just(b"POST /log HTTP/1.0\n".to_vec()),
+            Just(b"content-length: 5\r\n".to_vec()),
+            Just(b"content-length: 99999999\r\n".to_vec()),
+            Just(b"connection: close\r\n".to_vec()),
+            Just(b"x-ccf-user: u\r\n".to_vec()),
+            Just(b"\r\n".to_vec()),
+            proptest::collection::vec(any::<u8>(), 0..24),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The parser sees untrusted bytes: it never panics, and a request
+        /// it returns never claims more bytes than it was given.
+        #[test]
+        fn parse_request_never_panics_or_overreads(
+            pieces in proptest::collection::vec(piece(), 0..12),
+        ) {
+            let input = pieces.concat();
+            if let Ok(Some((_, _, consumed))) = parse_request(&input) {
+                prop_assert!(consumed > 0 && consumed <= input.len());
+            }
+        }
     }
 }

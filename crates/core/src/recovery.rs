@@ -85,7 +85,7 @@ impl RecoveryCoordinator {
     pub fn from_ledger(blobs: &[Vec<u8>]) -> Result<RecoveryCoordinator, RecoveryFailure> {
         let mut entries =
             read_chunks(blobs).map_err(|e| RecoveryFailure::BadLedger(e.to_string()))?;
-        let store = Store::new();
+        let mut store = Store::new();
         let mut merkle = MerkleTree::new();
         let mut view_history: Vec<(u64, u64)> = Vec::new();
         let mut last_verified: usize = 0; // number of entries proven good
@@ -205,7 +205,7 @@ impl RecoveryCoordinator {
         drop(tx);
         // Decrypt and apply every private write set, rebuilding the store
         // with both halves.
-        let full = Store::new();
+        let mut full = Store::new();
         for entry in &self.entries {
             let mut ws = if entry.public_ws.is_empty() {
                 WriteSet::new()
@@ -296,7 +296,7 @@ pub fn restart_service(
     );
     // Recovery genesis: retire all old nodes, trust the recovery node,
     // install the new service identity, mark Recovering.
-    let mut tx = node.store().begin();
+    let mut tx = node.begin();
     let mut old_nodes: Vec<(String, NodeInfo)> = Vec::new();
     tx.for_each(&map(builtin::NODES_INFO), |k, v| {
         if let (Ok(id), Ok(text)) = (std::str::from_utf8(k), std::str::from_utf8(v)) {

@@ -344,7 +344,7 @@ mod tests {
     }
 
     fn setup(n_members: usize) -> Ctx {
-        let store = Store::new();
+        let mut store = Store::new();
         let engine = GovernanceEngine::new(Box::new(DefaultConstitution));
         let members: Vec<SigningKey> = (0..n_members)
             .map(|i| SigningKey::from_seed(sha256(format!("member{i}").as_bytes())))

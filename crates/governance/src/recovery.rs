@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn end_to_end_recovery() {
-        let store = Store::new();
+        let mut store = Store::new();
         let secrets = LedgerSecrets::new([0x11; 32]);
         let (pubs, keys) = members(5);
         let mut rng = ChaChaRng::seed_from_u64(1);

@@ -6,10 +6,10 @@
 //! internal and governance maps, enabling offline audit).
 //!
 //! Maps are backed by a persistent CHAMP trie ([`champ`]) — the same data
-//! structure the production CCF uses — giving O(1) snapshots, which the
-//! execution engine exploits for lock-free reads, speculative parallel
-//! execution with optimistic concurrency control, and cheap historical
-//! state reconstruction.
+//! structure the production CCF uses — giving O(1) snapshots: a
+//! transaction reads the snapshot it began on (one `Arc` clone) while the
+//! store moves on, which gives optimistic concurrency control and cheap
+//! historical state reconstruction.
 //!
 //! [`store::Store`] provides transactions ([`store::Transaction`]) that
 //! read from an immutable snapshot, buffer writes, and on commit validate

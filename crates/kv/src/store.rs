@@ -5,14 +5,13 @@
 //! record the version of each value they observed; on commit the read-set
 //! is validated against the current state and, if still fresh, the write
 //! buffer is applied atomically under a new monotonic version. A stale
-//! read-set yields [`CommitError::Conflict`] and the caller (the node's
-//! worker pool) re-executes — application logic therefore need not be
+//! read-set yields [`CommitError::Conflict`] and the caller (the node)
+//! re-executes — application logic therefore need not be
 //! deterministic, but its committed transaction is applied exactly once.
 
 use crate::champ::ChampMap;
 use crate::writeset::WriteSet;
 use crate::MapName;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -165,37 +164,28 @@ impl std::fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
-/// The mutable store: the current state behind a commit lock that
-/// serializes validation + apply (writers), while readers take snapshots
-/// by cloning one `Arc`. A writer updates the state in place when no
+/// The mutable store: the current state, which readers snapshot by
+/// cloning one `Arc`. A writer updates the state in place when no
 /// snapshot holds it, and copies only what a held snapshot shares.
+#[derive(Default)]
 pub struct Store {
-    // `Mutex<Arc<...>>` (not RwLock) because readers only need to clone the
-    // Arc — a short critical section — while commit updates it through
-    // `Arc::make_mut`.
-    current: Mutex<Arc<StoreState>>,
-}
-
-impl Default for Store {
-    fn default() -> Self {
-        Self::new()
-    }
+    current: Arc<StoreState>,
 }
 
 impl Store {
     /// An empty store at version 0.
     pub fn new() -> Store {
-        Store { current: Mutex::new(Arc::new(StoreState::default())) }
+        Store::default()
     }
 
     /// Takes an immutable snapshot of the latest state.
     pub fn snapshot(&self) -> Arc<StoreState> {
-        self.current.lock().clone()
+        self.current.clone()
     }
 
     /// The version of the latest committed transaction.
     pub fn version(&self) -> u64 {
-        self.current.lock().version
+        self.current.version
     }
 
     /// Begins a transaction against the latest state.
@@ -203,20 +193,14 @@ impl Store {
         Transaction::new(self.snapshot())
     }
 
-    /// Begins a transaction against a specific (e.g. historical) state.
-    pub fn begin_at(&self, state: Arc<StoreState>) -> Transaction {
-        Transaction::new(state)
-    }
-
     /// Validates a transaction's read-set against the current state
     /// WITHOUT applying it. The full node uses this: validation happens
-    /// under the node's commit lock, the write set becomes a ledger entry
-    /// via consensus, and application flows through the uniform
+    /// under the node's lock, the write set becomes a ledger entry via
+    /// consensus, and application flows through the uniform
     /// `Appended`-event path (`apply_at`) on primary and backups alike.
     pub fn validate(&self, tx: &Transaction) -> Result<(), CommitError> {
-        let current = self.current.lock();
         for ((map, key), observed) in &tx.reads {
-            let now = current.get(map, key).map(|v| v.version);
+            let now = self.current.get(map, key).map(|v| v.version);
             if now != *observed {
                 return Err(CommitError::Conflict { map: map.clone(), key: key.clone() });
             }
@@ -230,49 +214,41 @@ impl Store {
     /// `allow_reserved` is set only by CCF-internal writers (governance
     /// application, signature transactions, join processing).
     pub fn commit(
-        &self,
+        &mut self,
         tx: Transaction,
         allow_reserved: bool,
     ) -> Result<(u64, WriteSet), CommitError> {
-        let Transaction { snapshot, reads, writes } = tx;
-        // Validation reads the current state, not the snapshot; releasing
-        // it first lets the apply below update in place.
-        drop(snapshot);
         if !allow_reserved {
-            if let Some(name) = writes.maps.keys().find(|n| n.is_reserved()) {
+            if let Some(name) = tx.writes.maps.keys().find(|n| n.is_reserved()) {
                 return Err(CommitError::ReservedMap(name.clone()));
             }
         }
-        let mut current = self.current.lock();
         // OCC validation: every read must still observe the same version.
-        for ((map, key), observed) in &reads {
-            let now = current.get(map, key).map(|v| v.version);
-            if now != *observed {
-                return Err(CommitError::Conflict { map: map.clone(), key: key.clone() });
-            }
-        }
-        let new_version = current.version + 1;
-        Arc::make_mut(&mut *current).apply_write_set(&writes, new_version);
+        self.validate(&tx)?;
+        let new_version = self.current.version + 1;
+        // Releasing the transaction's snapshot first lets the apply below
+        // update in place.
+        let writes = tx.into_write_set();
+        Arc::make_mut(&mut self.current).apply_write_set(&writes, new_version);
         Ok((new_version, writes))
     }
 
     /// Applies a write set directly at `version` (replication/replay path:
     /// backups apply exactly what the primary committed, no validation).
     /// `version` must be `current version + 1`.
-    pub fn apply_at(&self, ws: &WriteSet, version: u64) {
-        let mut current = self.current.lock();
+    pub fn apply_at(&mut self, ws: &WriteSet, version: u64) {
         assert_eq!(
             version,
-            current.version + 1,
+            self.current.version + 1,
             "write sets must be applied in sequence order"
         );
-        Arc::make_mut(&mut *current).apply_write_set(ws, version);
+        Arc::make_mut(&mut self.current).apply_write_set(ws, version);
     }
 
     /// Replaces the whole state (rollback after view change, snapshot
     /// installation, disaster recovery).
-    pub fn install(&self, state: StoreState) {
-        *self.current.lock() = Arc::new(state);
+    pub fn install(&mut self, state: StoreState) {
+        self.current = Arc::new(state);
     }
 }
 
@@ -301,17 +277,6 @@ impl Transaction {
             .entry((map.clone(), key.to_vec()))
             .or_insert_with(|| found.map(|v| v.version));
         found.map(|v| v.data.clone())
-    }
-
-    /// Reads without recording a dependency (for reads whose staleness is
-    /// acceptable, e.g. metrics).
-    pub fn peek(&self, map: &MapName, key: &[u8]) -> Option<Vec<u8>> {
-        if let Some(writes) = self.writes.maps.get(map) {
-            if let Some(v) = writes.get(key) {
-                return v.clone();
-            }
-        }
-        self.snapshot.get(map, key).map(|v| v.data.clone())
     }
 
     /// Writes a key (buffered until commit).
@@ -389,7 +354,7 @@ mod tests {
 
     #[test]
     fn basic_commit_and_read() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"k"), None);
         tx.put(&map("m"), b"k", b"v");
@@ -404,7 +369,7 @@ mod tests {
 
     #[test]
     fn conflict_detection() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut seed = store.begin();
         seed.put(&map("m"), b"k", b"0");
         store.commit(seed, false).unwrap();
@@ -427,7 +392,7 @@ mod tests {
 
     #[test]
     fn no_conflict_on_disjoint_keys() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut t1 = store.begin();
         let mut t2 = store.begin();
         t1.put(&map("m"), b"a", b"1");
@@ -440,7 +405,7 @@ mod tests {
     #[test]
     fn blind_writes_do_not_conflict() {
         // Writes without reads carry no read-set, hence cannot conflict.
-        let store = Store::new();
+        let mut store = Store::new();
         let mut t1 = store.begin();
         let mut t2 = store.begin();
         t1.put(&map("m"), b"k", b"1");
@@ -453,7 +418,7 @@ mod tests {
 
     #[test]
     fn conflict_on_read_of_deleted_key() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut seed = store.begin();
         seed.put(&map("m"), b"k", b"0");
         store.commit(seed, false).unwrap();
@@ -472,7 +437,7 @@ mod tests {
 
     #[test]
     fn read_of_absent_key_conflicts_with_insert() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut t1 = store.begin();
         assert_eq!(t1.get(&map("m"), b"k"), None);
         t1.put(&map("m"), b"out", b"x");
@@ -484,7 +449,7 @@ mod tests {
 
     #[test]
     fn reserved_maps_guarded() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut tx = store.begin();
         tx.put(&map(crate::builtin::SIGNATURES), b"k", b"v");
         assert!(matches!(store.commit(tx, false), Err(CommitError::ReservedMap(_))));
@@ -495,7 +460,7 @@ mod tests {
 
     #[test]
     fn apply_at_replays_in_order() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut ws1 = WriteSet::new();
         ws1.write(map("m"), b"a".to_vec(), b"1".to_vec());
         let mut ws2 = WriteSet::new();
@@ -512,14 +477,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "sequence order")]
     fn apply_at_out_of_order_panics() {
-        let store = Store::new();
+        let mut store = Store::new();
         let ws = WriteSet::new();
         store.apply_at(&ws, 5);
     }
 
     #[test]
     fn snapshot_isolation() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut t0 = store.begin();
         t0.put(&map("m"), b"k", b"old");
         store.commit(t0, false).unwrap();
@@ -528,8 +493,7 @@ mod tests {
         t1.put(&map("m"), b"k", b"new");
         store.commit(t1, false).unwrap();
         // The old snapshot still reads the old value.
-        let mut tx = store.begin_at(snap);
-        assert_eq!(tx.get(&map("m"), b"k"), Some(b"old".to_vec()));
+        assert_eq!(snap.get(&map("m"), b"k").unwrap().data, b"old");
         // A fresh transaction reads the new one.
         let mut tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"k"), Some(b"new".to_vec()));
@@ -537,7 +501,7 @@ mod tests {
 
     #[test]
     fn unshared_state_is_updated_in_place() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut tx = store.begin();
         tx.put(&map("m"), b"k", b"v");
         store.commit(tx, false).unwrap();
@@ -557,7 +521,7 @@ mod tests {
 
     #[test]
     fn for_each_overlays_writes() {
-        let store = Store::new();
+        let mut store = Store::new();
         let mut t0 = store.begin();
         t0.put(&map("m"), b"a", b"1");
         t0.put(&map("m"), b"b", b"2");
@@ -575,7 +539,7 @@ mod tests {
 
     #[test]
     fn state_serialize_roundtrip() {
-        let store = Store::new();
+        let mut store = Store::new();
         for i in 0..10u8 {
             let mut tx = store.begin();
             tx.put(&map("m"), &[i], &[i * 2]);

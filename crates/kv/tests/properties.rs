@@ -220,7 +220,7 @@ proptest! {
             1..30,
         )
     ) {
-        let store = Store::new();
+        let mut store = Store::new();
         let map = MapName::new("m");
         for (k, v) in &writes {
             let mut tx = store.begin();
@@ -240,7 +240,7 @@ proptest! {
         // Apply `increments` read-modify-write transactions with random
         // interleavings of begin/commit; conflicts retry. The final value
         // must equal the number of successful commits.
-        let store = Store::new();
+        let mut store = Store::new();
         let map = MapName::new("m");
         let mut committed = 0u64;
         let mut pending = Vec::new();

@@ -14,16 +14,15 @@
 //! sealing a small write set. Each secret version therefore carries a
 //! lazily-built, `Arc`-shared context: the first seal/open under a version
 //! pays the setup once per process, and every clone of the `LedgerSecrets`
-//! (the node clones them into propose closures and the indexer) shares the
-//! same prepared context. [`LedgerSecrets::context_setups`] exposes the
-//! setup count so tests can pin "one key schedule per version, not per
-//! call"; `crypto.gcm_*` counters report cache behaviour to `ccf-obs`.
+//! (a rekey builds the next set from a clone) shares the same prepared
+//! context. The `crypto.gcm_*` counters report cache behaviour to
+//! `ccf-obs`; `crypto.gcm_ctx_cache_misses` counts the setups, which tests
+//! pin at "one key schedule per version, not per call".
 
 use crate::entry::TxId;
 use ccf_crypto::gcm::{derive_nonce, AesGcm256};
 use ccf_crypto::{CryptoError, Digest32};
 use ccf_kv::codec::{CodecError, Reader, Writer};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const NONCE_LABEL_LEDGER: u8 = 0x01;
@@ -71,9 +70,6 @@ pub struct LedgerSecrets {
     // Parallel to `versions`: the prepared GCM context for each secret,
     // built on first use and shared across clones via `Arc`.
     ctxs: Vec<Arc<OnceLock<AesGcm256>>>,
-    // Number of key-schedule setups performed by this instance and its
-    // clones — the regression hook for "one setup per version per process".
-    setups: Arc<AtomicU64>,
     metrics: Option<SecretsMetrics>,
 }
 
@@ -96,12 +92,7 @@ impl LedgerSecrets {
             "secret versions must be strictly ordered"
         );
         let ctxs = fresh_ctxs(versions.len());
-        LedgerSecrets {
-            versions,
-            ctxs,
-            setups: Arc::new(AtomicU64::new(0)),
-            metrics: None,
-        }
+        LedgerSecrets { versions, ctxs, metrics: None }
     }
 
     /// Attaches observability counters (`crypto.gcm_*`,
@@ -141,19 +132,11 @@ impl LedgerSecrets {
             return ctx;
         }
         cell.get_or_init(|| {
-            self.setups.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = &self.metrics {
                 m.ctx_cache_misses.inc();
             }
             AesGcm256::new(&self.versions[idx].key)
         })
-    }
-
-    /// How many AES-GCM key-schedule setups this instance (and its clones)
-    /// have performed. Stays at `version_count()` no matter how many
-    /// seal/open calls are made — the cache regression test pins this.
-    pub fn context_setups(&self) -> u64 {
-        self.setups.load(Ordering::Relaxed)
     }
 
     /// Number of secret versions (1 unless rekeyed).
@@ -347,37 +330,45 @@ mod tests {
         assert!(unwrap_with(&wk, &tampered).is_err());
     }
 
+    /// Key-schedule setups recorded in `reg` (one per cache miss).
+    fn setups(reg: &ccf_obs::Registry) -> u64 {
+        reg.counter("crypto.gcm_ctx_cache_misses").get()
+    }
+
     #[test]
     fn context_cache_one_setup_per_version() {
-        let secrets = LedgerSecrets::new([1u8; 32]);
-        assert_eq!(secrets.context_setups(), 0, "setup is lazy");
+        let reg = ccf_obs::Registry::new();
+        let mut secrets = LedgerSecrets::new([1u8; 32]);
+        secrets.set_registry(&reg);
+        assert_eq!(setups(&reg), 0, "setup is lazy");
         let pd = [0u8; 32];
         for seqno in 1..=100 {
             let txid = TxId::new(1, seqno);
             let ct = secrets.encrypt(txid, &pd, b"payload");
             secrets.decrypt(txid, &pd, &ct).unwrap();
         }
-        assert_eq!(secrets.context_setups(), 1, "one key schedule per version, not per call");
+        assert_eq!(setups(&reg), 1, "one key schedule per version, not per call");
     }
 
     #[test]
     fn context_cache_shared_across_clones_and_rekeys() {
+        let reg = ccf_obs::Registry::new();
         let mut secrets = LedgerSecrets::new([1u8; 32]);
+        secrets.set_registry(&reg);
         let pd = [0u8; 32];
         secrets.encrypt(TxId::new(1, 1), &pd, b"x");
         let clone = secrets.clone();
         // The clone reuses the already-built context rather than its own.
         clone.encrypt(TxId::new(1, 2), &pd, b"y");
-        assert_eq!(secrets.context_setups(), 1);
-        assert_eq!(clone.context_setups(), 1);
+        assert_eq!(setups(&reg), 1);
         // A rekey adds exactly one more setup, on first use of the new key.
         secrets.rekey(100, [2u8; 32]);
         secrets.encrypt(TxId::new(1, 100), &pd, b"z");
         secrets.encrypt(TxId::new(1, 101), &pd, b"w");
-        assert_eq!(secrets.context_setups(), 2);
+        assert_eq!(setups(&reg), 2);
         // Old-version traffic still hits the original cached context.
         secrets.encrypt(TxId::new(1, 50), &pd, b"old");
-        assert_eq!(secrets.context_setups(), 2);
+        assert_eq!(setups(&reg), 2);
     }
 
     #[test]

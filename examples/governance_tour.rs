@@ -63,7 +63,7 @@ fn main() {
     // ---- 2. Proposals are easy to inspect offline (§5.1) ----
     println!("\n2. the proposal as recorded on the ledger (succinct JSON):");
     let node = service.nodes.values().next().unwrap();
-    let mut tx = node.store().begin();
+    let mut tx = node.begin();
     let stored = tx.get(&MapName::new(ccf_kv::builtin::PROPOSALS), pid.as_bytes()).unwrap();
     println!("   {}", String::from_utf8_lossy(&stored));
 
@@ -105,7 +105,7 @@ fn main() {
     service.run_for(3000);
     // Listing 2's end state: n0 retiring/retired, n3 trusted.
     let live = service.live_nodes()[0].clone();
-    let mut tx = service.nodes[&live].store().begin();
+    let mut tx = service.nodes[&live].begin();
     for id in [&n0, &n3] {
         let info = ccf_governance::actions::get_node_info(&mut tx, id).unwrap();
         println!("   nodes.info[{id}] = {{status: {:?}}}", info.status);

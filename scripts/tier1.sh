@@ -8,6 +8,23 @@ cd "$(dirname "$0")/.."
 echo "== tier1: cargo build --release"
 cargo build --release
 
+echo "== tier1: one lock per node, no threads, no parking_lot"
+# A node keeps all of its state behind one std Mutex (perfbench shares
+# nodes as Arc<CcfNode>, so the node stays Send + Sync); the node, store
+# and ledger crates hold no other lock, no atomic and no thread.
+if grep -n parking_lot Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml perfbench/Cargo.toml; then
+    echo "a manifest names parking_lot"; exit 1
+fi
+if grep -rn "thread::spawn\|RwLock\|Atomic" crates/core/src crates/kv/src crates/ledger/src; then
+    echo "ccf-core, ccf-kv or ccf-ledger spawns a thread or holds an RwLock or atomic"; exit 1
+fi
+other_mutexes=$(grep -rn Mutex crates/core/src crates/kv/src crates/ledger/src \
+    | grep -v -e '^crates/core/src/node.rs:[0-9]*:    inner: std::sync::Mutex<NodeInner>,$' \
+              -e '^crates/core/src/node.rs:[0-9]*:            inner: std::sync::Mutex::new(NodeInner {$' || true)
+if [ -n "$other_mutexes" ]; then
+    echo "$other_mutexes"; echo "a Mutex besides the node's one lock"; exit 1
+fi
+
 echo "== tier1: frozen reference crypto is test and bench code, not shipped code"
 # The oracles live in the dev-only ccf-crypto-ref crate: no node may link
 # it, and ccf-crypto keeps no in-crate reference module.

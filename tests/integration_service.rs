@@ -570,14 +570,14 @@ fn rollback_between_signatures_replays_kept_writes() {
     assert_eq!(kept[3].seqno, signed.seqno + 1);
     service.run_for(50);
     assert_eq!(service.nodes[&primary].tx_status(signed), TxStatus::Committed);
-    assert_eq!(service.nodes[&backup].store().version(), kept[3].seqno);
+    assert_eq!(service.nodes[&backup].store_state().version, kept[3].seqno);
 
     // Cut off, the primary appends two more writes and signs them.
     service.net.partition(vec![[primary.clone()].into(), [backup.clone(), other.clone()].into()]);
     let lost = write_messages(&mut service, &primary, 4..6);
     service.run_for(20);
     let old = service.nodes[&primary].clone();
-    assert_eq!(old.store().version(), lost[1].seqno + 1, "the lost writes were not signed");
+    assert_eq!(old.store_state().version, lost[1].seqno + 1, "the lost writes were not signed");
 
     // The next view's log continues after the unsigned write.
     let rollbacks = service.obs().counter("consensus.rollbacks");
@@ -587,9 +587,9 @@ fn rollback_between_signatures_replays_kept_writes() {
     }
     assert_eq!(rollbacks.get(), before + 1, "only the old primary rolls back");
     assert_eq!(old.tx_status(lost[0]), TxStatus::Invalid);
-    assert_eq!(old.store().version(), kept[3].seqno + 1);
+    assert_eq!(old.store_state().version, kept[3].seqno + 1);
     assert!(
-        old.store().snapshot().serialize() == service.nodes[&backup].store().snapshot().serialize(),
+        old.store_state().serialize() == service.nodes[&backup].store_state().serialize(),
         "the rolled-back state differs from the backup's"
     );
 }
@@ -603,14 +603,14 @@ fn rollback_to_a_signature_reapplies_nothing() {
     let signed = TxId::new(kept[2].view, kept[2].seqno + 1);
     service.run_for(50);
     assert_eq!(service.nodes[&primary].tx_status(signed), TxStatus::Committed);
-    assert_eq!(service.nodes[&backup].store().version(), signed.seqno);
+    assert_eq!(service.nodes[&backup].store_state().version, signed.seqno);
 
     // Cut off, the primary appends two writes it never signs.
     service.net.partition(vec![[primary.clone()].into(), [backup.clone(), other.clone()].into()]);
     let lost = write_messages(&mut service, &primary, 3..5);
     service.run_for(20);
     let old = service.nodes[&primary].clone();
-    assert_eq!(old.store().version(), lost[1].seqno);
+    assert_eq!(old.store_state().version, lost[1].seqno);
 
     let rollbacks = service.obs().counter("consensus.rollbacks");
     let before = rollbacks.get();
@@ -619,9 +619,9 @@ fn rollback_to_a_signature_reapplies_nothing() {
     }
     assert_eq!(rollbacks.get(), before + 1, "only the old primary rolls back");
     assert_eq!(old.tx_status(lost[0]), TxStatus::Invalid);
-    assert_eq!(old.store().version(), signed.seqno + 1);
+    assert_eq!(old.store_state().version, signed.seqno + 1);
     assert!(
-        old.store().snapshot().serialize() == service.nodes[&backup].store().snapshot().serialize(),
+        old.store_state().serialize() == service.nodes[&backup].store_state().serialize(),
         "the rolled-back state differs from the backup's"
     );
 }
