@@ -36,7 +36,7 @@ use ccf_governance::actions::{put_node_info, trusted_nodes, NodeInfo};
 use ccf_governance::engine::requests;
 use ccf_governance::recovery::write_recovery_material;
 use ccf_governance::{
-    Ballot, DefaultConstitution, GovernanceEngine, NodeStatus, Proposal, ScriptConstitution,
+    Ballot, GovernanceEngine, NodeStatus, Proposal, ScriptConstitution,
     ServiceStatus, SignedRequest,
 };
 use ccf_kv::store::StoreState;
@@ -104,8 +104,6 @@ struct NodeMetrics {
     node: ccf_obs::NodeRef,
     ticks: ccf_obs::Counter,
     tick_gap_ms: ccf_obs::Histogram,
-    signed_batches: ccf_obs::Counter,
-    signed_queue_depth: ccf_obs::Gauge,
     batch_verify_size: ccf_obs::Histogram,
     leader_forwards: ccf_obs::Counter,
     entries_applied: ccf_obs::Counter,
@@ -120,8 +118,6 @@ struct NodeMetrics {
     /// (DESIGN.md §12; the node-level counterpart of
     /// `consensus.commit_latency_ms`).
     commit_latency: ccf_obs::Histogram,
-    /// Signed-request enqueue → batch drain.
-    queue_latency: ccf_obs::Histogram,
 }
 
 impl NodeMetrics {
@@ -132,8 +128,6 @@ impl NodeMetrics {
             node: reg.node_ref(id),
             ticks: reg.counter("node.ticks"),
             tick_gap_ms: reg.histogram("node.tick_gap_ms", TICK_GAP_BUCKETS),
-            signed_batches: reg.counter("node.signed_batches"),
-            signed_queue_depth: reg.gauge("node.signed_queue_depth"),
             batch_verify_size: reg.histogram("node.batch_verify_size", VERIFY_BATCH_BUCKETS),
             leader_forwards: reg.counter("node.leader_forwards"),
             entries_applied: reg.counter("node.entries_applied"),
@@ -143,7 +137,6 @@ impl NodeMetrics {
             single_verifies: reg.counter("crypto.ed25519_single_verifies"),
             duty_scans: reg.counter("node.duty_scans"),
             commit_latency: reg.histogram("node.commit_latency_ms", LATENCY_BUCKETS),
-            queue_latency: reg.histogram("node.queue_latency_ms", LATENCY_BUCKETS),
         }
     }
 }
@@ -215,23 +208,9 @@ struct NodeInner {
     duties_armed: bool,
     /// Monotonic count of primary changes (terminates forwarded sessions).
     view_epoch: u64,
-    /// Signed user requests queued for the next tick; drained as one
-    /// batch so their signatures verify together.
-    signed_request_queue: Vec<(u64, SignedRequest)>,
-    /// Responses for drained queued requests, by ticket.
-    signed_request_responses: BTreeMap<u64, Response>,
-    /// Next queued-request ticket.
-    next_signed_ticket: u64,
-    /// Causal-trace id per proposed seqno (DESIGN.md §12). Bounded:
-    /// pruned from the front past `TRACE_MAP_CAPACITY`; survives commit
-    /// so receipts and forwarders can look traces up after the fact.
-    trace_by_seqno: BTreeMap<Seqno, ccf_obs::TraceId>,
     /// Traced user requests proposed here and not yet globally
     /// committed: seqno → (trace, request entry time).
     inflight_traces: BTreeMap<Seqno, (ccf_obs::TraceId, u64)>,
-    /// Virtual enqueue time per signed-request ticket (queue-stage
-    /// accounting).
-    signed_enqueue_times: BTreeMap<u64, u64>,
 }
 
 /// An applied entry, kept until commit: the writes it applied (for the
@@ -244,10 +223,6 @@ struct Applied {
     txid: TxId,
     writes: WriteSet,
 }
-
-/// How many seqno → trace-id mappings a node retains (receipt markers
-/// and forward lookups only need recent history).
-const TRACE_MAP_CAPACITY: usize = 1024;
 
 /// A CCF node.
 pub struct CcfNode {
@@ -313,19 +288,14 @@ impl CcfNode {
                 recent_states: BTreeMap::new(),
                 indexer: Indexer::new(),
                 unsent: Vec::new(),
-                gov: GovernanceEngine::new(Box::new(DefaultConstitution)),
+                gov: GovernanceEngine::new(ScriptConstitution::default()),
                 rng,
                 commits_since_snapshot: 0,
                 retired: false,
                 handled_rekey: None,
                 duties_armed: true,
                 view_epoch: 0,
-                signed_request_queue: Vec::new(),
-                signed_request_responses: BTreeMap::new(),
-                next_signed_ticket: 0,
-                trace_by_seqno: BTreeMap::new(),
                 inflight_traces: BTreeMap::new(),
-                signed_enqueue_times: BTreeMap::new(),
             }),
             node_key,
             dh_key,
@@ -449,7 +419,7 @@ impl CcfNode {
             b"constitution",
             constitution_src.as_bytes(),
         );
-        inner.gov.set_constitution(Box::new(constitution));
+        inner.gov.set_constitution(constitution);
         // Allowed code + this node's info.
         tx.put(
             &map(builtin::NODES_CODE_IDS),
@@ -548,12 +518,6 @@ impl CcfNode {
                 traces: if trace.is_none() { Vec::new() } else { vec![trace] },
             }
         })?;
-        if trace.is_some() {
-            inner.trace_by_seqno.insert(txid.seqno, trace);
-            while inner.trace_by_seqno.len() > TRACE_MAP_CAPACITY {
-                inner.trace_by_seqno.pop_first();
-            }
-        }
         // The proposal's own `Appended` comes first: it applies the write
         // set validated here, never a decrypt of the entry just sealed.
         let Command::Appended(entry) = actions.commands.remove(0) else {
@@ -871,7 +835,6 @@ impl CcfNode {
         // Rolled-back proposals never commit here; their traces close on
         // whichever primary re-proposes them (or never).
         inner.inflight_traces.split_off(&(seqno + 1));
-        inner.trace_by_seqno.split_off(&(seqno + 1));
         // The target entry is kept (every entry from the commit point up
         // is), and so is a state at or below it (the commit point's).
         let kept = &inner.recent_states;
@@ -908,7 +871,7 @@ impl CcfNode {
         }
         if let Some(src) = tx.get(&map(builtin::CONSTITUTION), b"constitution") {
             if let Ok(c) = ScriptConstitution::new(&String::from_utf8_lossy(&src)) {
-                inner.gov.set_constitution(Box::new(c));
+                inner.gov.set_constitution(c);
             }
         }
     }
@@ -919,19 +882,16 @@ impl CcfNode {
 
     /// Drives the node with one input and returns the messages to send:
     /// those of proposals made since the last step, then the input's own.
-    /// A tick first drains the signed user requests queued since the last
-    /// tick, as one batch-verified round.
     pub fn step(&self, input: Input<Message>) -> Vec<(NodeId, Message)> {
+        let mut inner = self.lock();
         if let Input::Tick(now_ms) = input {
             self.metrics.reg.set_now(now_ms);
             self.metrics.ticks.inc();
-            let prev = std::mem::replace(&mut self.lock().last_tick_ms, now_ms);
+            let prev = std::mem::replace(&mut inner.last_tick_ms, now_ms);
             if prev > 0 && now_ms > prev {
                 self.metrics.tick_gap_ms.observe(now_ms - prev);
             }
-            self.drain_signed_requests();
         }
-        let mut inner = self.lock();
         let actions = inner.replica.step(input);
         self.apply(&mut inner, actions);
         std::mem::take(&mut inner.unsent)
@@ -1413,13 +1373,9 @@ impl CcfNode {
         let endorsement =
             service_key.sign(&endorsement_bytes(&payload.node_id, &payload.node_public));
         // Receipt issuance is the last stage of a traced request's life.
-        if let Some(trace) = inner.trace_by_seqno.get(&txid.seqno).copied() {
-            self.metrics.reg.trace_mark(
-                trace,
-                ccf_obs::SpanId::NONE,
-                "receipt",
-                self.metrics.node,
-            );
+        let trace = Self::logged_trace(&inner, txid.seqno);
+        if trace.is_some() {
+            self.metrics.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "receipt", self.metrics.node);
         }
         Some(Receipt {
             txid,
@@ -1496,15 +1452,22 @@ impl CcfNode {
         &self.metrics.reg
     }
 
-    /// The causal-trace id minted for `txid` on this node, if this node
-    /// proposed it recently ([`ccf_obs::TraceId::NONE`] otherwise).
+    /// The causal-trace id logged with the user entry at `txid`'s seqno,
+    /// if this node retains it ([`ccf_obs::TraceId::NONE`] otherwise).
     /// Forwarding layers use this to attach their own stages (e.g. the
     /// service harness's "forward" marker) to the request's trace.
     pub fn trace_of(&self, txid: TxId) -> ccf_obs::TraceId {
-        self.lock()
-            .trace_by_seqno
-            .get(&txid.seqno)
-            .copied()
+        Self::logged_trace(&self.lock(), txid.seqno)
+    }
+
+    /// The trace id a user entry carries in the log (DESIGN.md §12.2).
+    /// Signature entries carry the traces they cover, not their own.
+    fn logged_trace(inner: &NodeInner, seqno: Seqno) -> ccf_obs::TraceId {
+        inner
+            .replica
+            .entry_at(seqno)
+            .filter(|e| !e.entry.is_signature())
+            .and_then(|e| e.traces.first().copied())
             .unwrap_or(ccf_obs::TraceId::NONE)
     }
 
@@ -1517,10 +1480,14 @@ impl CcfNode {
     /// replay-bound to the method+path. All envelope signatures are
     /// checked with a single batched verification
     /// ([`ccf_crypto::verify_batch`] — one shared doubling chain for the
-    /// whole round); if the batch rejects, each envelope is re-verified
-    /// individually so only the offending requests get a 401 and the rest
-    /// proceed normally.
-    fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
+    /// whole batch) in this call; if the batch rejects, each envelope is
+    /// re-verified individually so only the offending requests get a 401
+    /// and the rest proceed normally. A backup answers 307 to each valid
+    /// request, as [`CcfNode::handle_request`] does.
+    pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
+        if envelopes.is_empty() {
+            return Vec::new();
+        }
         let messages: Vec<Vec<u8>> = envelopes.iter().map(|e| e.signed_bytes()).collect();
         let triples: Vec<(&[u8], &ccf_crypto::Signature, &VerifyingKey)> = envelopes
             .iter()
@@ -1530,6 +1497,7 @@ impl CcfNode {
         let all_valid = ccf_crypto::verify_batch(&triples).is_ok();
         self.metrics.batch_verifies.inc();
         self.metrics.batch_verify_sigs.add(envelopes.len() as u64);
+        self.metrics.batch_verify_size.observe(envelopes.len() as u64);
         envelopes
             .iter()
             .map(|envelope| {
@@ -1544,65 +1512,6 @@ impl CcfNode {
                 }
             })
             .collect()
-    }
-
-    /// Queues a signed user request for the next consensus tick. All
-    /// requests queued within one round are signature-checked together
-    /// as one batch. Returns a ticket to redeem with
-    /// [`CcfNode::take_signed_response`] once a tick has drained the queue.
-    pub fn enqueue_signed_user_request(&self, envelope: SignedRequest) -> u64 {
-        let mut inner = self.lock();
-        let ticket = inner.next_signed_ticket;
-        inner.next_signed_ticket += 1;
-        inner.signed_request_queue.push((ticket, envelope));
-        inner.signed_enqueue_times.insert(ticket, self.metrics.reg.now());
-        ticket
-    }
-
-    /// Takes the response for a queued envelope, if its round has run.
-    pub fn take_signed_response(&self, ticket: u64) -> Option<Response> {
-        self.lock().signed_request_responses.remove(&ticket)
-    }
-
-    /// Drains the queued signed requests as one batch-verified round.
-    /// The requests are moved out under the lock and handled with it
-    /// released (request dispatch takes it itself); the responses are
-    /// filed under the lock again.
-    fn drain_signed_requests(&self) {
-        let batch = {
-            let mut inner = self.lock();
-            self.metrics.signed_queue_depth.set(inner.signed_request_queue.len() as u64);
-            if inner.signed_request_queue.is_empty() {
-                return;
-            }
-            std::mem::take(&mut inner.signed_request_queue)
-        };
-        let (tickets, envelopes): (Vec<u64>, Vec<SignedRequest>) = batch.into_iter().unzip();
-        self.metrics.signed_batches.inc();
-        self.metrics.batch_verify_size.observe(envelopes.len() as u64);
-        let responses = self.handle_signed_user_requests(&envelopes);
-        let mut inner = self.lock();
-        let now = self.metrics.reg.now();
-        for (ticket, resp) in tickets.into_iter().zip(responses) {
-            // Queue-stage accounting: enqueue → this drain, attributed to
-            // the request's trace (backdated span; DESIGN.md §12).
-            if let Some(at) = inner.signed_enqueue_times.remove(&ticket) {
-                self.metrics.queue_latency.observe(now.saturating_sub(at));
-                let trace = resp
-                    .txid
-                    .and_then(|txid| inner.trace_by_seqno.get(&txid.seqno).copied())
-                    .unwrap_or(ccf_obs::TraceId::NONE);
-                let tok = self.metrics.reg.trace_enter_at(
-                    trace,
-                    ccf_obs::SpanId::NONE,
-                    "queue",
-                    self.metrics.node,
-                    at,
-                );
-                self.metrics.reg.trace_exit(tok);
-            }
-            inner.signed_request_responses.insert(ticket, resp);
-        }
     }
 
     /// Post-verification half of signed user request handling: resolve the

@@ -509,7 +509,7 @@ impl ServiceCluster {
         key
     }
 
-    /// Signs and submits one user request through the queued batch path
+    /// Signs and submits one user request as a batch of one
     /// (convenience wrapper over [`ServiceCluster::signed_user_requests`]).
     pub fn signed_user_request(
         &mut self,
@@ -525,76 +525,34 @@ impl ServiceCluster {
         self.signed_user_requests(node_idx, vec![envelope]).remove(0)
     }
 
-    /// Submits pre-signed envelopes to node `node_idx` through the queued
-    /// path: all are enqueued before any virtual time passes, so the next
-    /// tick verifies their signatures as a single batch. Drives the
-    /// cluster until every ticket resolves; follows 307 forwarding to the
-    /// primary (re-queued there, again as one batch).
+    /// Submits pre-signed envelopes to node `node_idx` as one batch: the
+    /// node verifies their signatures together and answers in the same
+    /// call, with no virtual time passing. Requests a backup answers with
+    /// 307 are sent once more, as one batch, to the primary it names.
     pub fn signed_user_requests(
         &mut self,
         node_idx: usize,
         envelopes: Vec<ccf_governance::SignedRequest>,
     ) -> Vec<Response> {
         let node_id = self.live_node(node_idx);
-        let mut responses = self.drive_signed_batch(&node_id, envelopes);
+        let mut responses = self.nodes[&node_id].handle_signed_user_requests(&envelopes);
         // Follow forwarding: a backup answers 307 with a leader hint.
         let primary = responses
             .iter()
-            .find(|(_, r, _)| r.status == 307)
-            .and_then(|(_, r, _)| self.forward_target(&r.body));
+            .find(|r| r.status == 307)
+            .and_then(|r| self.forward_target(&r.body));
         if let Some(primary) = primary {
-            let redo: Vec<ccf_governance::SignedRequest> = responses
-                .iter()
-                .filter(|(_, r, _)| r.status == 307)
-                .map(|(_, _, e)| e.clone())
-                .collect();
-            let redone = self.drive_signed_batch(&primary, redo);
-            let mut redone_iter = redone.into_iter();
-            for slot in responses.iter_mut() {
-                if slot.1.status == 307 {
-                    let (_, r, e) = redone_iter.next().expect("redone response");
-                    slot.1 = r;
-                    slot.2 = e;
-                }
+            let (redo, slots): (Vec<_>, Vec<_>) = envelopes
+                .into_iter()
+                .zip(responses.iter_mut())
+                .filter(|(_, r)| r.status == 307)
+                .unzip();
+            let redone = self.nodes[&primary].handle_signed_user_requests(&redo);
+            for (slot, r) in slots.into_iter().zip(redone) {
+                *slot = r;
             }
         }
-        responses.into_iter().map(|(_, r, _)| r).collect()
-    }
-
-    /// Enqueues `envelopes` at `node_id` and steps virtual time until all
-    /// tickets have responses. Returns (index, response, envelope) so the
-    /// caller can retry forwarded entries.
-    fn drive_signed_batch(
-        &mut self,
-        node_id: &NodeId,
-        envelopes: Vec<ccf_governance::SignedRequest>,
-    ) -> Vec<(usize, Response, ccf_governance::SignedRequest)> {
-        let node = self.nodes[node_id].clone();
-        let tickets: Vec<u64> = envelopes
-            .iter()
-            .map(|e| node.enqueue_signed_user_request(e.clone()))
-            .collect();
-        let mut out: Vec<Option<Response>> = vec![None; tickets.len()];
-        for _ in 0..10_000 {
-            if out.iter().all(Option::is_some) {
-                break;
-            }
-            for (slot, ticket) in out.iter_mut().zip(&tickets) {
-                if slot.is_none() {
-                    *slot = node.take_signed_response(*ticket);
-                }
-            }
-            if out.iter().all(Option::is_some) {
-                break;
-            }
-            self.step();
-        }
-        envelopes
-            .into_iter()
-            .enumerate()
-            .zip(out)
-            .map(|((i, e), r)| (i, r.expect("queued signed request never answered"), e))
-            .collect()
+        responses
     }
 
     // ------------------------------------------------------------------

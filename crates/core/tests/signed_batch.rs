@@ -1,7 +1,7 @@
-//! Integration tests for the batched signed-user-request path: envelopes
-//! queued within a consensus round are signature-checked through
-//! `ccf_crypto::verify_batch`, with a per-signature fallback when the
-//! batch rejects.
+//! Integration tests for the batched signed-user-request path: the
+//! envelopes of one `signed_user_requests` call are signature-checked
+//! together through `ccf_crypto::verify_batch`, and answered in that call,
+//! with a per-signature fallback when the batch rejects.
 
 use ccf_core::app::{AppResult, Application, EndpointDef};
 use ccf_core::service::{ServiceCluster, ServiceOpts};
@@ -115,4 +115,73 @@ fn purpose_binds_method_and_path() {
     envelope.purpose = "user/GET /log".to_string();
     let responses = service.signed_user_requests(0, vec![envelope]);
     assert_eq!(responses[0].status, 401);
+}
+
+fn envelopes(key: &ccf_crypto::SigningKey, n: u64) -> Vec<SignedRequest> {
+    (0..n)
+        .map(|i| SignedRequest::sign(key, "user/POST /log", format!("{i}=v{i}").as_bytes(), 40 + i))
+        .collect()
+}
+
+/// Index of the primary, and of a backup, in `service.nodes` order.
+fn primary_and_backup(service: &ServiceCluster) -> (usize, usize) {
+    let primary = service.primary().expect("primary");
+    let position = |backup: bool| service.nodes.keys().position(|id| (*id != primary) == backup);
+    (position(false).unwrap(), position(true).unwrap())
+}
+
+/// Sends `n` signed writes to node `idx` and returns how much the batch
+/// verify counters (verifies, signatures) rose.
+fn send_signed_writes(service: &mut ServiceCluster, idx: usize, n: u64) -> (u64, u64) {
+    let key = service.register_user_key("alice");
+    let verifies = service.obs().counter("crypto.ed25519_batch_verifies");
+    let sigs = service.obs().counter("crypto.ed25519_batch_sigs");
+    let (verifies0, sigs0, now) = (verifies.get(), sigs.get(), service.now());
+    let responses = service.signed_user_requests(idx, envelopes(&key, n));
+    assert_eq!(responses.len() as u64, n);
+    for (i, resp) in responses.iter().enumerate() {
+        assert_eq!(resp.status, 200, "request {i}: {}", resp.text());
+        assert!(resp.txid.is_some(), "request {i} has no txid");
+    }
+    // The batch is verified and answered in the call that brings it.
+    assert_eq!(service.now(), now, "virtual time passed while answering");
+    (verifies.get() - verifies0, sigs.get() - sigs0)
+}
+
+#[test]
+fn signed_batch_at_primary_is_answered_in_one_call() {
+    let mut service = start();
+    let (primary, _) = primary_and_backup(&service);
+    assert_eq!(send_signed_writes(&mut service, primary, 6), (1, 6));
+}
+
+#[test]
+fn signed_batch_at_backup_is_verified_there_and_at_the_primary() {
+    let mut service = start();
+    let (_, backup) = primary_and_backup(&service);
+    // The backup verifies the batch and answers 307; the primary it
+    // names verifies and runs it.
+    assert_eq!(send_signed_writes(&mut service, backup, 6), (2, 12));
+}
+
+#[test]
+fn receipt_from_a_backup_records_its_receipt_stage() {
+    let mut service = start();
+    let (primary, backup) = primary_and_backup(&service);
+    let resp = service.user_request(primary, "POST", "/log", b"5=traced");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let txid = resp.txid.expect("write txid");
+    let backup_id = service.nodes.keys().nth(backup).unwrap().clone();
+    let node = service.nodes[&backup_id].clone();
+    // A receipt needs a committed signature after the write on the backup.
+    assert!(service.run_until(5_000, |_| node.tx_status(txid) == ccf_consensus::TxStatus::Committed));
+    assert!(service.run_until(5_000, |_| node.receipt(txid).is_some()), "backup never issued a receipt");
+    let trace = node.trace_of(txid);
+    assert!(trace.is_some(), "the backup's logged entry carries no trace");
+    let spans = service.obs().snapshot().trace_spans;
+    assert!(
+        spans.iter().any(|s| s.trace == trace.0 && s.stage == "receipt" && s.node == backup_id),
+        "no receipt span on {backup_id} for trace {}",
+        trace.0
+    );
 }

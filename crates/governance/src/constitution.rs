@@ -1,90 +1,24 @@
 //! The constitution: the contract adjudicating governance (paper §5.1).
 //!
 //! The constitution defines `resolve` (when is a proposal accepted?) and
-//! `apply` (what do accepted actions do?). CCF ships a default
+//! `validate` (which proposals may open?). CCF ships a default
 //! constitution accepting on a strict majority; services can install
 //! custom ones — different voting power, veto members, per-action rules —
 //! and can change the constitution itself by proposal.
 //!
-//! Two implementations:
-//! * [`DefaultConstitution`] — native Rust, strict majority, actions from
-//!   [`crate::actions`]; the fast path most deployments use.
-//! * [`ScriptConstitution`] — the voting policy (`resolve`) is a CScript
-//!   program stored in `public:ccf.gov.constitution`, reproducing the
-//!   paper's programmable-governance model; action application remains
-//!   the audited native implementation.
+//! [`ScriptConstitution`] is the one implementation: the voting policy
+//! (`resolve`) is a CScript program stored in
+//! `public:ccf.gov.constitution`, reproducing the paper's
+//! programmable-governance model; action validation and application
+//! remain the audited native implementation in [`crate::actions`]. A node
+//! starts on [`ScriptConstitution::default_script`] until genesis installs
+//! the service's own.
 
 use crate::actions::{self, ActionError};
 use crate::proposal::{Proposal, ProposalState};
 use crate::MemberId;
-use ccf_kv::Transaction;
 use ccf_script::Value;
 use std::collections::BTreeMap;
-
-/// The constitution interface.
-pub trait Constitution: Send + Sync {
-    /// Validates a proposal's actions before it is opened.
-    fn validate(&self, proposal: &Proposal) -> Result<(), ActionError>;
-
-    /// Decides the proposal's state given the evaluated votes and the
-    /// number of active consortium members.
-    fn resolve(
-        &self,
-        proposal: &Proposal,
-        proposer: &MemberId,
-        votes: &BTreeMap<MemberId, bool>,
-        active_members: usize,
-    ) -> ProposalState;
-
-    /// Applies an accepted proposal's actions to the store.
-    fn apply(
-        &self,
-        proposal: &Proposal,
-        proposal_id: &str,
-        tx: &mut Transaction,
-    ) -> Result<(), ActionError> {
-        for action in &proposal.actions {
-            actions::apply(action, tx, proposal_id)?;
-        }
-        Ok(())
-    }
-}
-
-/// The default constitution: a proposal is accepted once a strict
-/// majority of active members vote for it, and rejected once a strict
-/// majority vote against.
-pub struct DefaultConstitution;
-
-impl Constitution for DefaultConstitution {
-    fn validate(&self, proposal: &Proposal) -> Result<(), ActionError> {
-        if proposal.actions.is_empty() {
-            return Err(ActionError::BadArgs("proposal has no actions".into()));
-        }
-        for action in &proposal.actions {
-            actions::validate(action)?;
-        }
-        Ok(())
-    }
-
-    fn resolve(
-        &self,
-        _proposal: &Proposal,
-        _proposer: &MemberId,
-        votes: &BTreeMap<MemberId, bool>,
-        active_members: usize,
-    ) -> ProposalState {
-        let yes = votes.values().filter(|v| **v).count();
-        let no = votes.values().filter(|v| !**v).count();
-        let majority = active_members / 2 + 1;
-        if yes >= majority {
-            ProposalState::Accepted
-        } else if no >= majority {
-            ProposalState::Rejected
-        } else {
-            ProposalState::Open
-        }
-    }
-}
 
 /// A constitution whose `resolve` (and optionally `validate`) comes from a
 /// CScript program.
@@ -118,8 +52,9 @@ impl ScriptConstitution {
         &self.source
     }
 
-    /// The default constitution, expressed as a script — behaviourally
-    /// identical to [`DefaultConstitution`] (tested as such).
+    /// The default constitution: a proposal is accepted once a strict
+    /// majority of active members vote for it, and rejected once a strict
+    /// majority vote against.
     pub fn default_script() -> &'static str {
         r#"
         function resolve(proposal, proposer_id, votes, member_count) {
@@ -167,13 +102,17 @@ impl ScriptConstitution {
         "#
         )
     }
-}
 
-impl Constitution for ScriptConstitution {
-    fn validate(&self, proposal: &Proposal) -> Result<(), ActionError> {
-        // Native argument validation always applies…
-        DefaultConstitution.validate(proposal)?;
-        // …plus the script's own validate, if defined.
+    /// Validates a proposal's actions before it is opened: native
+    /// argument validation always applies, plus the script's own
+    /// `validate`, if defined.
+    pub fn validate(&self, proposal: &Proposal) -> Result<(), ActionError> {
+        if proposal.actions.is_empty() {
+            return Err(ActionError::BadArgs("proposal has no actions".into()));
+        }
+        for action in &proposal.actions {
+            actions::validate(action)?;
+        }
         if self.program.function("validate").is_some() {
             let mut interp = ccf_script::Interpreter::new(&self.program, 1_000_000);
             let out = interp
@@ -186,7 +125,9 @@ impl Constitution for ScriptConstitution {
         Ok(())
     }
 
-    fn resolve(
+    /// Decides the proposal's state given the evaluated votes and the
+    /// number of active consortium members.
+    pub fn resolve(
         &self,
         proposal: &Proposal,
         proposer: &MemberId,
@@ -224,6 +165,14 @@ impl Constitution for ScriptConstitution {
     }
 }
 
+impl Default for ScriptConstitution {
+    /// The compiled [`ScriptConstitution::default_script`].
+    fn default() -> ScriptConstitution {
+        ScriptConstitution::new(ScriptConstitution::default_script())
+            .expect("the default constitution compiles")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +191,7 @@ mod tests {
 
     #[test]
     fn default_constitution_majority() {
-        let c = DefaultConstitution;
+        let c = ScriptConstitution::default();
         let p = sample();
         let m0 = "m0".to_string();
         assert_eq!(c.resolve(&p, &m0, &votes(&[]), 3), ProposalState::Open);
@@ -261,8 +210,19 @@ mod tests {
 
     #[test]
     fn script_constitution_matches_default() {
-        let script = ScriptConstitution::new(ScriptConstitution::default_script()).unwrap();
-        let native = DefaultConstitution;
+        // The strict-majority rule, written natively as the oracle.
+        fn majority(v: &BTreeMap<MemberId, bool>, n: usize) -> ProposalState {
+            let yes = v.values().filter(|v| **v).count();
+            let no = v.len() - yes;
+            if yes > n / 2 {
+                ProposalState::Accepted
+            } else if no > n / 2 {
+                ProposalState::Rejected
+            } else {
+                ProposalState::Open
+            }
+        }
+        let script = ScriptConstitution::default();
         let p = sample();
         let m0 = "m0".to_string();
         for n in 1..=5usize {
@@ -277,7 +237,7 @@ mod tests {
                     }
                     assert_eq!(
                         script.resolve(&p, &m0, &v, n),
-                        native.resolve(&p, &m0, &v, n),
+                        majority(&v, n),
                         "n={n} yes={yes} no={no}"
                     );
                 }
@@ -330,7 +290,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_empty_and_unknown() {
-        let c = DefaultConstitution;
+        let c = ScriptConstitution::default();
         assert!(c.validate(&Proposal::new(vec![])).is_err());
         assert!(c.validate(&Proposal::single("frobnicate", Value::Null)).is_err());
         assert!(c.validate(&sample()).is_ok());

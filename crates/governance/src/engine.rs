@@ -5,7 +5,8 @@
 //! on the ledger atomically, in public maps, signed by the requesting
 //! member (the envelope is preserved in `public:ccf.gov.history`).
 
-use crate::constitution::Constitution;
+use crate::actions;
+use crate::constitution::ScriptConstitution;
 use crate::envelope::SignedRequest;
 use crate::proposal::{
     proposal_id_of, Ballot, Proposal, ProposalId, ProposalInfo, ProposalState,
@@ -54,17 +55,17 @@ fn map(name: &str) -> MapName {
 
 /// The governance engine, parameterized by a constitution.
 pub struct GovernanceEngine {
-    constitution: Box<dyn Constitution>,
+    constitution: ScriptConstitution,
 }
 
 impl GovernanceEngine {
     /// Creates an engine with the given constitution.
-    pub fn new(constitution: Box<dyn Constitution>) -> GovernanceEngine {
+    pub fn new(constitution: ScriptConstitution) -> GovernanceEngine {
         GovernanceEngine { constitution }
     }
 
     /// Replaces the constitution (after a committed `set_constitution`).
-    pub fn set_constitution(&mut self, constitution: Box<dyn Constitution>) {
+    pub fn set_constitution(&mut self, constitution: ScriptConstitution) {
         self.constitution = constitution;
     }
 
@@ -266,17 +267,21 @@ impl GovernanceEngine {
                 // Apply atomically: roll the write buffer back if any
                 // action fails, leaving only the Failed marker.
                 let savepoint = tx.save_writes();
-                match self.constitution.apply(&proposal, proposal_id, tx) {
+                let applied = proposal
+                    .actions
+                    .iter()
+                    .try_for_each(|action| actions::apply(action, tx, proposal_id));
+                match applied {
                     Ok(()) => {
                         info.state = ProposalState::Accepted;
                         Self::store_info(tx, proposal_id, &info);
                         Ok(ProposalState::Accepted)
                     }
-                    Err(e) => {
+                    // The failure is recorded as the Failed state.
+                    Err(_) => {
                         tx.restore_writes(savepoint);
                         info.state = ProposalState::Failed;
                         Self::store_info(tx, proposal_id, &info);
-                        let _ = e; // recorded implicitly via state
                         Ok(ProposalState::Failed)
                     }
                 }
@@ -332,7 +337,6 @@ pub mod requests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constitution::DefaultConstitution;
     use ccf_crypto::sha2::sha256;
     use ccf_crypto::SigningKey;
     use ccf_kv::Store;
@@ -345,7 +349,7 @@ mod tests {
 
     fn setup(n_members: usize) -> Ctx {
         let mut store = Store::new();
-        let engine = GovernanceEngine::new(Box::new(DefaultConstitution));
+        let engine = GovernanceEngine::new(ScriptConstitution::default());
         let members: Vec<SigningKey> = (0..n_members)
             .map(|i| SigningKey::from_seed(sha256(format!("member{i}").as_bytes())))
             .collect();

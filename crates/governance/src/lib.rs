@@ -13,10 +13,9 @@
 //!   proposal lifecycle state.
 //! * [`actions`] — the built-in governance actions of Table 4
 //!   (`set_user`, `add_node_code`, `transition_node_to_trusted`, …).
-//! * [`constitution`] — the constitution interface with two
-//!   implementations: the native default constitution (strict majority,
-//!   mirroring [the default constitution](https://github.com/microsoft/CCF))
-//!   and a CScript-programmable constitution.
+//! * [`constitution`] — the CScript-programmable constitution; its
+//!   default script accepts on a strict majority, mirroring
+//!   [the default constitution](https://github.com/microsoft/CCF).
 //! * [`engine`] — the governance engine: validates envelopes, records
 //!   proposals/ballots in the governance maps, resolves and applies.
 //! * [`recovery`] — recovery shares: Shamir-splitting the ledger-secret
@@ -33,7 +32,7 @@ pub mod envelope;
 pub mod proposal;
 pub mod recovery;
 
-pub use constitution::{Constitution, DefaultConstitution, ScriptConstitution};
+pub use constitution::ScriptConstitution;
 pub use engine::GovernanceEngine;
 pub use envelope::SignedRequest;
 pub use proposal::{Ballot, Proposal, ProposalId, ProposalState};

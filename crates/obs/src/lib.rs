@@ -28,7 +28,7 @@
 //! * Traces — [`Registry::mint_trace`] issues a [`TraceId`] when a user
 //!   request enters the node; components along the write path record
 //!   stage spans against it with [`Registry::trace_enter`] /
-//!   [`Registry::trace_exit`] (stages: `queue`, `forward`, `request`,
+//!   [`Registry::trace_exit`] (stages: `forward`, `request`,
 //!   `append`, `sign`, `replicate`, `commit`, `receipt`) into a bounded
 //!   ring buffer (old spans are overwritten, a total count is kept).
 //!   Each span stamps the virtual time and a monotone sequence number;
@@ -287,7 +287,7 @@ pub struct TraceSpan {
     /// parent was evicted from the ring (an *orphan* — see
     /// [`trace::assemble`]).
     pub parent: u64,
-    /// Stage name: `queue`, `forward`, `request`, `append`, `sign`,
+    /// Stage name: `forward`, `request`, `append`, `sign`,
     /// `replicate`, `commit`, `receipt`.
     pub stage: String,
     /// The node the stage ran on (interned at record time).
@@ -491,8 +491,9 @@ impl Registry {
     }
 
     /// Like [`Registry::trace_enter`] but backdated to `start` — for
-    /// stages whose beginning is only known in hindsight (e.g. a queue
-    /// wait recorded at dequeue time). The sequence number is still
+    /// stages whose beginning is only known in hindsight (e.g. a request
+    /// span opened when its proposal is known to succeed, from the time
+    /// the request entered). The sequence number is still
     /// assigned now, so causal order reflects the record time.
     pub fn trace_enter_at(
         &self,

@@ -5,7 +5,7 @@
 //! leader forwarding and consensus (the id piggybacks on
 //! `append_entries` payloads, acks, and signature transactions), and
 //! closed at global commit / receipt issuance. Every component along
-//! the way records *stage spans* against the id — `queue`, `forward`,
+//! the way records *stage spans* against the id — `forward`,
 //! `request`, `append`, `sign`, `replicate`, `commit`, `receipt` —
 //! stamped in virtual time, so same-seed runs reconstruct byte-for-byte
 //! identical traces.
@@ -133,7 +133,7 @@ pub fn assemble(spans: &[TraceSpan]) -> Vec<TraceTree> {
 /// One stage's contribution to a trace's critical path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageCost {
-    /// Stage name (`queue`, `forward`, `append`, `replicate`, `sign`,
+    /// Stage name (`forward`, `request`, `append`, `replicate`, `sign`,
     /// `commit`, …).
     pub stage: String,
     /// The node the stage ran on.
@@ -168,7 +168,7 @@ pub struct CriticalPath {
 impl CriticalPath {
     /// One-line human rendering: total latency plus the stages that
     /// exclusively contributed to it, e.g.
-    /// `trace 3: 38 ms = queue 3ms@n0 -> sign 21ms@n0 -> commit 14ms@n1`.
+    /// `trace 3: 38 ms = request 3ms@n0 -> sign 21ms@n0 -> commit 14ms@n1`.
     pub fn render(&self) -> String {
         let mut parts: Vec<String> = self
             .stages

@@ -107,6 +107,12 @@ rm -f OBS_latency.first.json
 # moves the schedule must regenerate and commit it.
 git diff --exit-code -- OBS_latency.json
 
+echo "== tier1: per-stage latency reference (full bench_latency run, ~0.1 s)"
+# BENCH_latency.json is the deterministic virtual-time reference; the
+# full run rewrites it, and it must reproduce byte for byte.
+cargo run -q --release -p ccf-bench --bin bench_latency > /dev/null
+git diff --exit-code -- BENCH_latency.json
+
 echo "== tier1: clippy -D warnings (whole workspace: libs, tests, examples, benches)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 

@@ -26,8 +26,8 @@ fn app() -> Application {
         }))
 }
 
-/// Sends one signed request through the queued, batch-verified path the
-/// service drains at each tick.
+/// Sends one signed request as a batch of one, verified and answered in
+/// the same call.
 fn signed(service: &mut ServiceCluster, env: SignedRequest) -> Response {
     service.signed_user_requests(0, vec![env]).remove(0)
 }
