@@ -46,7 +46,7 @@ impl Timeline {
 fn main() {
     println!("=== Figure 9 (paper §7): availability through failure & replacement ===\n");
     let mut service = ServiceCluster::start(
-        ServiceOpts { nodes: 3, members: 3, seed: 909, snapshot_interval: 10, ..ServiceOpts::default() },
+        ServiceOpts { nodes: 3, members: 3, seed: 909, ..ServiceOpts::default() },
         Arc::new(logging_app()),
     );
     service.open_service();

@@ -220,7 +220,6 @@ pub fn bench_opts(nodes: usize, seed: u64) -> ServiceOpts {
         members: 1,
         users: 1,
         seed,
-        snapshot_interval: 0,
         ..ServiceOpts::default()
     }
 }

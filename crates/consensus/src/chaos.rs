@@ -259,13 +259,7 @@ impl ChaosHarness for Cluster {
         let joined = self.replicas.len() - CHAOS_NODES;
         let id = format!("c{joined}");
         let snapshot = if joined % 2 == 1 {
-            self.primary().and_then(|p| {
-                let snap = self.replicas[&p].snapshot_descriptor(Vec::new());
-                if let Some(s) = snap.clone() {
-                    self.replicas.get_mut(&p).unwrap().set_latest_snapshot(s);
-                }
-                snap
-            })
+            self.primary().and_then(|p| self.replicas[&p].snapshot_descriptor(Vec::new()))
         } else {
             None
         };

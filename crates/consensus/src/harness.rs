@@ -36,7 +36,7 @@ pub fn traced_user_entry(txid: TxId, payload: &[u8], trace: ccf_obs::TraceId) ->
             claims_digest: [0u8; 32],
         },
         config: None,
-        traces: if trace.is_none() { Vec::new() } else { vec![trace] },
+        trace,
     }
 }
 
@@ -58,7 +58,7 @@ pub fn reconfig_entry(txid: TxId, config: &Config) -> ReplicatedEntry {
             claims_digest: [0u8; 32],
         },
         config: Some(config.clone()),
-        traces: Vec::new(),
+        trace: ccf_obs::TraceId::NONE,
     }
 }
 

@@ -25,13 +25,12 @@ pub struct ReplicatedEntry {
     pub entry: LedgerEntry,
     /// For reconfiguration entries: the new node set.
     pub config: Option<crate::Config>,
-    /// Causal-trace piggyback (DESIGN.md §12): the trace ids this entry
-    /// *covers*. A traced user entry carries its own id (one element); a
-    /// signature transaction carries the ids of every unsigned traced
-    /// entry it signs over; untraced entries carry none. Backups use
-    /// this to record per-node `append`/`sign`/`commit` stage spans
-    /// without any extra protocol round.
-    pub traces: Vec<TraceId>,
+    /// Causal-trace piggyback (DESIGN.md §12): a traced user entry's own
+    /// id, [`TraceId::NONE`] on untraced and signature entries. A
+    /// signature closes the `sign` stage of every in-flight trace below
+    /// it, so backups record per-node `append`/`sign`/`commit` stage
+    /// spans without any extra protocol round.
+    pub trace: TraceId,
 }
 
 /// `append_entries`: ledger replication plus heartbeat (§4.1).
@@ -91,9 +90,10 @@ pub struct RequestVoteResponse {
     pub granted: bool,
 }
 
-/// A snapshot offer to a node too far behind the primary's retained ledger
-/// (nodes normally start from an operator-provided snapshot; this is the
-/// in-protocol fallback).
+/// The snapshot a primary was built from, sent to a peer whose next entry
+/// lies at or below the primary's snapshot base (nodes normally start from
+/// an operator-provided snapshot; this is the in-protocol fallback). A
+/// snapshot is committed state: the receiver commits up to its seqno.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InstallSnapshot {
     /// The sender's view.
@@ -102,8 +102,6 @@ pub struct InstallSnapshot {
     pub leader: NodeId,
     /// The snapshot itself.
     pub snapshot: crate::Snapshot,
-    /// The primary's commit seqno.
-    pub commit_seqno: Seqno,
 }
 
 /// All consensus messages.

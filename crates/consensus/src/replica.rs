@@ -279,8 +279,9 @@ pub struct Replica {
     next_seqno: HashMap<NodeId, Seqno>,
     match_seqno: HashMap<NodeId, Seqno>,
     last_ack: HashMap<NodeId, Time>,
-    // Snapshot the node layer last produced, offered to far-behind peers.
-    latest_snapshot: Option<Snapshot>,
+    /// The snapshot this replica was built from (at join or by an
+    /// `InstallSnapshot`); sent to peers behind `base_seqno`.
+    snapshot: Option<Snapshot>,
 
     // Candidate volatile state.
     votes: BTreeSet<NodeId>,
@@ -338,7 +339,7 @@ impl Replica {
             next_seqno: HashMap::new(),
             match_seqno: HashMap::new(),
             last_ack: HashMap::new(),
-            latest_snapshot: None,
+            snapshot: None,
             votes: BTreeSet::new(),
             now: 0,
             election_deadline: 0,
@@ -368,7 +369,7 @@ impl Replica {
         r.active_configs.clear();
         let mut out = Actions::default();
         if let Some(snap) = snapshot {
-            r.install_snapshot_internal(snap, true, &mut out);
+            r.install_snapshot_internal(snap, &mut out);
         }
         (r, out)
     }
@@ -525,12 +526,6 @@ impl Replica {
         TxStatus::Unknown
     }
 
-    /// Supplies the most recent snapshot produced by the node layer, to be
-    /// offered to peers that have fallen behind the retained ledger.
-    pub fn set_latest_snapshot(&mut self, snapshot: Snapshot) {
-        self.latest_snapshot = Some(snapshot);
-    }
-
     // ------------------------------------------------------------------
     // Time
     // ------------------------------------------------------------------
@@ -668,16 +663,8 @@ impl Replica {
         self.last_sig_emit = self.now;
         let txid = TxId::new(self.view, self.last_seqno() + 1);
         let entry = LedgerEntry::signature(txid, self.merkle.root(), &self.id, &self.key);
-        // Piggyback the trace ids this signature covers (every traced
-        // entry since the previous signature), so backups can close
-        // their `sign` stages without an extra protocol round.
-        let covered: Vec<ccf_obs::TraceId> = self
-            .inflight_traces
-            .values()
-            .filter(|t| t.signed_at.is_none())
-            .map(|t| t.trace)
-            .collect();
-        self.append_local(Arc::new(ReplicatedEntry { entry, config: None, traces: covered }), out);
+        let trace = ccf_obs::TraceId::NONE;
+        self.append_local(Arc::new(ReplicatedEntry { entry, config: None, trace }), out);
         // Replicate eagerly: commit latency is dominated by signature
         // round-trips (Figure 8).
         self.broadcast_entries(out);
@@ -710,6 +697,11 @@ impl Replica {
             self.unsigned_since_sig += 1;
         }
         if let Some(config) = &entry.config {
+            // A node the reconfiguration adds gets a full leadership-ack
+            // window, as `become_primary` gives every peer (§4.2).
+            for node in config {
+                self.last_ack.entry(node.clone()).or_insert(self.now);
+            }
             self.active_configs.push(ActiveConfig {
                 seqno: entry.entry.txid.seqno,
                 nodes: config.clone(),
@@ -731,49 +723,34 @@ impl Replica {
     /// Trace bookkeeping at append time (DESIGN.md §12). A traced user
     /// entry opens this node's `append` marker plus in-flight `sign` and
     /// `commit` stages; a signature entry closes the `sign` stage of
-    /// every trace it covers and opens their `replicate` stages. Runs
-    /// identically on the primary (its own appends) and on backups
-    /// (piggybacked ids), so traces survive leader changes.
+    /// every in-flight trace below it and opens their `replicate` stages.
+    /// Runs identically on the primary (its own appends) and on backups
+    /// (the ids the entries carry), so traces survive leader changes.
     fn note_append_traces(&mut self, entry: &ReplicatedEntry) {
         let m = &self.metrics;
-        let seqno = entry.entry.txid.seqno;
         if entry.entry.kind == EntryKind::Signature {
-            if entry.traces.is_empty() {
-                return;
-            }
-            let covered: std::collections::BTreeSet<u64> =
-                entry.traces.iter().map(|t| t.0).collect();
-            for t in self.inflight_traces.values_mut() {
-                if t.signed_at.is_none() && covered.contains(&t.trace.0) {
-                    t.signed_at = Some(self.now);
-                    if let Some(tok) = t.sign_token.take() {
-                        let sign_id = m.reg.trace_exit(tok);
-                        t.replicate_token =
-                            Some(m.reg.trace_enter(t.trace, sign_id, "replicate", m.node));
-                    }
+            for t in self.inflight_traces.values_mut().filter(|t| t.signed_at.is_none()) {
+                t.signed_at = Some(self.now);
+                if let Some(tok) = t.sign_token.take() {
+                    let sign_id = m.reg.trace_exit(tok);
+                    t.replicate_token =
+                        Some(m.reg.trace_enter(t.trace, sign_id, "replicate", m.node));
                 }
             }
-        } else {
-            for &trace in &entry.traces {
-                let append_id =
-                    m.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "append", m.node);
-                self.inflight_traces.insert(
-                    seqno,
-                    InflightTrace {
-                        trace,
-                        appended_at: self.now,
-                        signed_at: None,
-                        sign_token: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
-                        replicate_token: None,
-                        commit_token: Some(m.reg.trace_enter(
-                            trace,
-                            append_id,
-                            "commit",
-                            m.node,
-                        )),
-                    },
-                );
-            }
+        } else if !entry.trace.is_none() {
+            let trace = entry.trace;
+            let append_id = m.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "append", m.node);
+            self.inflight_traces.insert(
+                entry.entry.txid.seqno,
+                InflightTrace {
+                    trace,
+                    appended_at: self.now,
+                    signed_at: None,
+                    sign_token: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
+                    replicate_token: None,
+                    commit_token: Some(m.reg.trace_enter(trace, append_id, "commit", m.node)),
+                },
+            );
         }
     }
 
@@ -836,28 +813,28 @@ impl Replica {
         }
     }
 
+    /// Sends `peer` its next batch of entries from `next_seqno`, or, when
+    /// that entry lies at or below `base_seqno`, the snapshot this replica
+    /// was built from. `base_seqno` moves only when a snapshot is
+    /// installed, so a replica with a base always holds one.
     fn send_entries_to(&mut self, peer: &NodeId, out: &mut Actions) {
         let next = self.next_seqno.get(peer).copied().unwrap_or(self.last_seqno() + 1);
         if next <= self.base_seqno {
-            // The peer needs entries we no longer retain: offer a snapshot.
-            if let Some(snapshot) = &self.latest_snapshot {
-                let m = &self.metrics;
-                m.snapshots_sent.inc();
-                let to = m.reg.node_ref(peer);
-                let seqno = snapshot.last_txid.seqno;
-                m.reg.flight(m.node, "snapshot", "sent", Some(to), self.view, seqno);
-                out.messages.push((
-                    peer.clone(),
-                    Message::InstallSnapshot(InstallSnapshot {
-                        view: self.view,
-                        leader: self.id.clone(),
-                        snapshot: snapshot.clone(),
-                        commit_seqno: self.commit_seqno,
-                    }),
-                ));
-                return;
-            }
-            // No snapshot available: we cannot help this peer yet.
+            let snapshot =
+                self.snapshot.as_ref().expect("a replica with a base holds its snapshot");
+            let m = &self.metrics;
+            m.snapshots_sent.inc();
+            let to = m.reg.node_ref(peer);
+            let seqno = snapshot.last_txid.seqno;
+            m.reg.flight(m.node, "snapshot", "sent", Some(to), self.view, seqno);
+            out.messages.push((
+                peer.clone(),
+                Message::InstallSnapshot(InstallSnapshot {
+                    view: self.view,
+                    leader: self.id.clone(),
+                    snapshot: snapshot.clone(),
+                }),
+            ));
             return;
         }
         let prev = self
@@ -1345,16 +1322,14 @@ impl Replica {
             self.ack(&m.leader, true, self.last_seqno(), out);
             return;
         }
-        self.install_snapshot_internal(m.snapshot, false, out);
-        let commit = m.commit_seqno.min(self.last_seqno());
-        if commit > self.commit_seqno {
-            self.commit_seqno = commit;
-            self.emit(Command::Committed { seqno: commit }, out);
-        }
+        self.install_snapshot_internal(m.snapshot, out);
         self.ack(&m.leader, true, self.last_seqno(), out);
     }
 
-    fn install_snapshot_internal(&mut self, snapshot: Snapshot, at_boot: bool, out: &mut Actions) {
+    /// Replaces local state with `snapshot` and keeps it to send to peers
+    /// behind it. A snapshot is committed state, so the commit point moves
+    /// to its seqno.
+    fn install_snapshot_internal(&mut self, snapshot: Snapshot, out: &mut Actions) {
         self.ledger.clear();
         // Traced entries the snapshot replaces were committed elsewhere;
         // this node's view of them ends here (tokens die unexited).
@@ -1376,7 +1351,7 @@ impl Replica {
         }
         self.last_sig = snapshot.last_txid;
         self.unsigned_since_sig = 0;
-        self.commit_seqno = if at_boot { snapshot.last_txid.seqno } else { self.commit_seqno };
+        self.commit_seqno = snapshot.last_txid.seqno;
         self.participating = self
             .active_configs
             .iter()
@@ -1387,8 +1362,9 @@ impl Replica {
             self.role = Role::Backup;
             self.reset_election_timer();
         }
-        self.emit(Command::SnapshotInstalled { snapshot }, out);
-        if at_boot && self.commit_seqno > 0 {
+        self.emit(Command::SnapshotInstalled { snapshot: snapshot.clone() }, out);
+        self.snapshot = Some(snapshot);
+        if self.commit_seqno > 0 {
             self.emit(Command::Committed { seqno: self.commit_seqno }, out);
         }
     }

@@ -6,9 +6,10 @@
 //! `--release` and silently corrupted state). The last tests guard the
 //! write path's sharing of entries between the log and its batches, and
 //! the order of the commands a call returns, which the node layer applies
-//! as given.
+//! as given, and the leadership-ack window of a node that a
+//! reconfiguration adds.
 
-use ccf_consensus::harness::user_entry;
+use ccf_consensus::harness::{reconfig_entry, user_entry};
 use ccf_consensus::invariants::InvariantChecker;
 use ccf_consensus::message::ReplicatedEntry;
 use ccf_consensus::replica::{Actions, Command, Replica, ReplicaConfig, Role};
@@ -42,7 +43,7 @@ fn sig_entry(author: &str, txid: TxId) -> Arc<ReplicatedEntry> {
     Arc::new(ReplicatedEntry {
         entry: LedgerEntry::signature(txid, [0u8; 32], author, &key(author)),
         config: None,
-        traces: Vec::new(),
+        trace: ccf_obs::TraceId::NONE,
     })
 }
 
@@ -474,4 +475,24 @@ fn won_election_becomes_primary_then_appends_its_view_signature() {
     };
     let sent = won.messages.iter().filter(|(_, m)| carries_sig(m));
     assert_eq!(sent.count(), 2, "the view signature goes to both peers");
+}
+
+/// A node added by a reconfiguration gets a full leadership-ack window
+/// from the append, as `become_primary` gives every peer (§4.2): a lone
+/// primary that grows its configuration to two nodes keeps leading until
+/// the newcomer has had the whole window to answer.
+#[test]
+fn node_added_by_reconfiguration_gets_a_full_ack_window() {
+    let mut p = replica("p", &["p"]);
+    p.step(Input::Tick(10_000));
+    assert_eq!(p.role(), Role::Primary, "a one-node configuration elects itself");
+    let grown: Config = ["p", "b"].iter().map(|s| s.to_string()).collect();
+    p.propose(|txid| reconfig_entry(txid, &grown)).unwrap();
+    let window = ReplicaConfig::default().leadership_ack_window;
+    for now in [10_001, 10_000 + window] {
+        p.step(Input::Tick(now));
+        assert_eq!(p.role(), Role::Primary, "stepped down at {now}, inside b's window");
+    }
+    p.step(Input::Tick(10_001 + window));
+    assert_eq!(p.role(), Role::Backup, "b never answered within its window");
 }

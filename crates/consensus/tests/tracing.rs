@@ -54,7 +54,7 @@ fn trace_survives_leader_change() {
             ccf_consensus::message::ReplicatedEntry {
                 entry: LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "p", &key("p")),
                 config: None,
-                traces: vec![trace],
+                trace: TraceId::NONE,
             }
             .into(),
         ],
@@ -180,7 +180,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
     let sig = ccf_consensus::message::ReplicatedEntry {
         entry: LedgerEntry::signature(TxId::new(1, 2), [0u8; 32], "p", &key("p")),
         config: None,
-        traces: vec![committed],
+        trace: TraceId::NONE,
     };
     receive(
         &mut b,

@@ -59,7 +59,9 @@ fn map(name: &str) -> MapName {
 /// OCC retries (§6.4) before a conflicted request gets a 409.
 const MAX_OCC_RETRIES: u32 = 8;
 
-/// Node construction options.
+/// Node construction options. No option governs snapshots: a node makes
+/// one only when an operator asks ([`CcfNode::latest_snapshot`]), and its
+/// replica sends a peer behind its base the snapshot it was built from.
 #[derive(Clone)]
 pub struct NodeOpts {
     /// The node's identifier.
@@ -70,8 +72,6 @@ pub struct NodeOpts {
     pub platform: TeePlatform,
     /// Seed for all node-local randomness.
     pub seed: u64,
-    /// Produce a snapshot every this many committed entries (0 = never).
-    pub snapshot_interval: u64,
     /// Observability registry the node reports into. Nodes of one
     /// service share a registry (cluster-wide counters); the default is
     /// a fresh private one.
@@ -85,7 +85,6 @@ impl Default for NodeOpts {
             consensus: ReplicaConfig::default(),
             platform: TeePlatform::Virtual,
             seed: 0,
-            snapshot_interval: 0,
             obs: ccf_obs::Registry::new(),
         }
     }
@@ -198,7 +197,6 @@ struct NodeInner {
     unsent: Vec<(NodeId, Message)>,
     gov: GovernanceEngine,
     rng: ChaChaRng,
-    commits_since_snapshot: u64,
     retired: bool,
     handled_rekey: Option<Vec<u8>>,
     /// Whether the primary's post-commit duties may have work: set when an
@@ -290,7 +288,6 @@ impl CcfNode {
                 unsent: Vec::new(),
                 gov: GovernanceEngine::new(ScriptConstitution::default()),
                 rng,
-                commits_since_snapshot: 0,
                 retired: false,
                 handled_rekey: None,
                 duties_armed: true,
@@ -515,7 +512,7 @@ impl CcfNode {
                     claims_digest,
                 },
                 config: new_config.clone(),
-                traces: if trace.is_none() { Vec::new() } else { vec![trace] },
+                trace,
             }
         })?;
         // The proposal's own `Appended` comes first: it applies the write
@@ -634,22 +631,7 @@ impl CcfNode {
 
     /// Decodes an entry into its full (public + decrypted private) writes.
     fn decode_entry_writes(&self, inner: &NodeInner, entry: &LedgerEntry) -> WriteSet {
-        let mut ws = if entry.public_ws.is_empty() {
-            WriteSet::new()
-        } else {
-            WriteSet::decode(&entry.public_ws).expect("replicated entries are well-formed")
-        };
-        if !entry.private_ws_enc.is_empty() {
-            let secrets = inner
-                .secrets
-                .as_ref()
-                .expect("nodes hold ledger secrets before replicating private data");
-            let plain = secrets
-                .decrypt(entry.txid, &sha256(&entry.public_ws), &entry.private_ws_enc)
-                .expect("ledger entry decryption");
-            ws.merge(WriteSet::decode(&plain).expect("private write set decodes"));
-        }
-        ws
+        entry.open(inner.secrets.as_ref()).expect("replicated entries open")
     }
 
     fn on_committed(&self, inner: &mut NodeInner, seqno: Seqno) {
@@ -678,18 +660,6 @@ impl CcfNode {
         }
         // Prune rollback snapshots: only seqnos >= commit can roll back.
         inner.recent_states = inner.recent_states.split_off(&seqno);
-        // Snapshot production (§4.4).
-        inner.commits_since_snapshot += 1;
-        if self.opts.snapshot_interval > 0
-            && inner.commits_since_snapshot >= self.opts.snapshot_interval
-        {
-            inner.commits_since_snapshot = 0;
-            if let Some(state) = Self::committed_state(inner) {
-                if let Some(snapshot) = inner.replica.snapshot_descriptor(state.serialize()) {
-                    inner.replica.set_latest_snapshot(snapshot);
-                }
-            }
-        }
         // Primary post-commit duties, only while armed. They read the
         // uncommitted store, so the arming follows appends, not commits;
         // an entry they propose re-arms them through its own append.
@@ -937,8 +907,9 @@ impl CcfNode {
         self.lock().replica.tx_status(txid)
     }
 
-    /// The latest snapshot produced (operators copy this to new nodes;
-    /// always computed on demand from the committed prefix).
+    /// A snapshot of the committed prefix, serialized on demand: the one
+    /// source of snapshots (operators copy it to new nodes, Figure 9's
+    /// step B).
     pub fn latest_snapshot(&self) -> Option<Snapshot> {
         let inner = self.lock();
         let state = Self::committed_state(&inner)?;
@@ -1461,14 +1432,8 @@ impl CcfNode {
     }
 
     /// The trace id a user entry carries in the log (DESIGN.md §12.2).
-    /// Signature entries carry the traces they cover, not their own.
     fn logged_trace(inner: &NodeInner, seqno: Seqno) -> ccf_obs::TraceId {
-        inner
-            .replica
-            .entry_at(seqno)
-            .filter(|e| !e.entry.is_signature())
-            .and_then(|e| e.traces.first().copied())
-            .unwrap_or(ccf_obs::TraceId::NONE)
+        inner.replica.entry_at(seqno).map_or(ccf_obs::TraceId::NONE, |e| e.trace)
     }
 
     /// Handles a batch of *signed* user requests (§6.4: "optional support

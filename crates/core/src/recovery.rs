@@ -23,13 +23,12 @@ use crate::node::{CcfNode, NodeOpts, ServiceSecrets};
 use crate::service::ServiceCluster;
 use ccf_consensus::{ActiveConfig, Snapshot};
 use ccf_crypto::chacha::ChaChaRng;
-use ccf_crypto::sha2::sha256;
 use ccf_crypto::shamir::Share;
 use ccf_crypto::{SigningKey, VerifyingKey};
 use ccf_governance::actions::NodeInfo;
 use ccf_governance::recovery::ShareCollector;
 use ccf_governance::{MemberId, NodeStatus};
-use ccf_kv::{builtin, MapName, Store, WriteSet};
+use ccf_kv::{builtin, MapName, Store};
 use ccf_ledger::files::read_chunks;
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
@@ -125,14 +124,7 @@ impl RecoveryCoordinator {
                 }
             }
             // Apply the public part (absent for private-only transactions).
-            let ws = if entry.public_ws.is_empty() {
-                WriteSet::new()
-            } else {
-                match WriteSet::decode(&entry.public_ws) {
-                    Ok(ws) => ws,
-                    Err(_) => break,
-                }
-            };
+            let Ok(ws) = entry.public_writes() else { break };
             store.apply_at(&ws, entry.txid.seqno);
             merkle.append(&entry.leaf_bytes());
             if view_history.last().is_none_or(|&(v, _)| v < entry.txid.view) {
@@ -207,21 +199,9 @@ impl RecoveryCoordinator {
         // with both halves.
         let mut full = Store::new();
         for entry in &self.entries {
-            let mut ws = if entry.public_ws.is_empty() {
-                WriteSet::new()
-            } else {
-                WriteSet::decode(&entry.public_ws).expect("verified")
-            };
-            if !entry.private_ws_enc.is_empty() {
-                let plain = secrets
-                    .decrypt(entry.txid, &sha256(&entry.public_ws), &entry.private_ws_enc)
-                    .map_err(|_| {
-                        RecoveryFailure::Shares(
-                            ccf_governance::recovery::RecoveryError::UnwrapFailed,
-                        )
-                    })?;
-                ws.merge(WriteSet::decode(&plain).expect("private ws decodes"));
-            }
+            let ws = entry
+                .open(Some(&secrets))
+                .map_err(|e| RecoveryFailure::BadLedger(format!("entry {}: {e}", entry.txid)))?;
             full.apply_at(&ws, entry.txid.seqno);
         }
         self.store = full;

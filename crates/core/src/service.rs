@@ -33,7 +33,9 @@ pub struct MemberKeys {
     pub next_nonce: u64,
 }
 
-/// Options for starting a service.
+/// Options for starting a service. No option governs snapshots: a node
+/// joins from one taken on demand ([`ServiceCluster::join_and_trust`]'s
+/// `snapshot_from`), and no node makes them periodically.
 pub struct ServiceOpts {
     /// Number of CCF nodes.
     pub nodes: usize,
@@ -53,8 +55,6 @@ pub struct ServiceOpts {
     pub constitution: Option<String>,
     /// Recovery threshold k (clamped to member count).
     pub recovery_threshold: usize,
-    /// Snapshot production interval in commits (0 = on demand only).
-    pub snapshot_interval: u64,
 }
 
 impl Default for ServiceOpts {
@@ -76,7 +76,6 @@ impl Default for ServiceOpts {
             seed: 1,
             constitution: None,
             recovery_threshold: 1,
-            snapshot_interval: 20,
         }
     }
 }
@@ -102,7 +101,6 @@ pub struct ServiceCluster {
     app: Arc<Application>,
     opts_consensus: ReplicaConfig,
     platform: TeePlatform,
-    snapshot_interval: u64,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
     service_identity: Option<VerifyingKey>,
@@ -138,7 +136,6 @@ impl ServiceCluster {
                 consensus: opts.consensus.clone(),
                 platform: opts.platform,
                 seed: opts.seed * 100,
-                snapshot_interval: opts.snapshot_interval,
                 obs: obs.clone(),
             },
             app.clone(),
@@ -151,7 +148,6 @@ impl ServiceCluster {
             app: app.clone(),
             opts_consensus: opts.consensus.clone(),
             platform: opts.platform,
-            snapshot_interval: opts.snapshot_interval,
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity: None,
@@ -215,7 +211,6 @@ impl ServiceCluster {
             app,
             opts_consensus: ReplicaConfig::default(),
             platform: TeePlatform::Virtual,
-            snapshot_interval: 20,
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity,
@@ -252,7 +247,6 @@ impl ServiceCluster {
                 consensus: self.opts_consensus.clone(),
                 platform: self.platform,
                 seed: self.next_seed * 7919,
-                snapshot_interval: self.snapshot_interval,
                 obs: self.obs().clone(),
             },
             self.app.clone(),

@@ -6,6 +6,7 @@
 //! recovery and offline auditors read it back with
 //! [`LedgerEntry::signature_payload`] and [`SignaturePayload::verify`].
 
+use crate::secrets::LedgerSecrets;
 use ccf_crypto::sha2::{sha256, Sha256};
 use ccf_crypto::{CryptoError, Digest32, Signature, SigningKey, VerifyingKey};
 use ccf_kv::codec::{CodecError, Reader, Writer};
@@ -132,6 +133,29 @@ impl SignaturePayload {
     }
 }
 
+/// Why [`LedgerEntry::open`] could not read an entry's write sets.
+#[derive(Debug)]
+pub enum OpenError {
+    /// A write set did not decode.
+    Codec(CodecError),
+    /// The private write set did not decrypt.
+    Crypto(CryptoError),
+    /// The entry has private writes and no ledger secrets were given.
+    NoSecrets,
+}
+
+impl std::fmt::Display for OpenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpenError::Codec(e) => write!(f, "write set: {e}"),
+            OpenError::Crypto(e) => write!(f, "private write set: {e}"),
+            OpenError::NoSecrets => write!(f, "private write set without ledger secrets"),
+        }
+    }
+}
+
+impl std::error::Error for OpenError {}
+
 /// One entry of the ledger, as replicated between nodes and persisted by
 /// the host. Private-map updates are already encrypted at this layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -228,6 +252,29 @@ impl LedgerEntry {
         self.kind == EntryKind::Signature
     }
 
+    /// Decodes the public write set (empty when the entry has none).
+    pub fn public_writes(&self) -> Result<WriteSet, CodecError> {
+        if self.public_ws.is_empty() {
+            return Ok(WriteSet::new());
+        }
+        WriteSet::decode(&self.public_ws)
+    }
+
+    /// Decodes the full write set: the public writes, merged with the
+    /// private writes decrypted under `secrets`. Only an entry with no
+    /// private writes opens without secrets.
+    pub fn open(&self, secrets: Option<&LedgerSecrets>) -> Result<WriteSet, OpenError> {
+        let mut ws = self.public_writes().map_err(OpenError::Codec)?;
+        if !self.private_ws_enc.is_empty() {
+            let plain = secrets
+                .ok_or(OpenError::NoSecrets)?
+                .decrypt(self.txid, &sha256(&self.public_ws), &self.private_ws_enc)
+                .map_err(OpenError::Crypto)?;
+            ws.merge(WriteSet::decode(&plain).map_err(OpenError::Codec)?);
+        }
+        Ok(ws)
+    }
+
     /// Builds the signature transaction at `txid`: `node_id`'s signature
     /// with `key` over Merkle root `root`, written in its public write set.
     pub fn signature(txid: TxId, root: Digest32, node_id: &str, key: &SigningKey) -> LedgerEntry {
@@ -255,7 +302,7 @@ impl LedgerEntry {
         if !self.is_signature() {
             return Err(CodecError::BadValue { context: "signature entry kind" });
         }
-        let ws = WriteSet::decode(&self.public_ws)?;
+        let ws = self.public_writes()?;
         let payload = ws
             .maps
             .get(&MapName::new(builtin::SIGNATURES))
@@ -280,6 +327,39 @@ mod tests {
             private_ws_enc: vec![1, 2, 3],
             claims_digest: [0u8; 32],
         }
+    }
+
+    /// `open` merges the decrypted private writes into the public ones,
+    /// and refuses an entry it cannot read instead of guessing.
+    #[test]
+    fn open_merges_private_writes_and_refuses_what_it_cannot_read() {
+        let secrets = LedgerSecrets::new([5u8; 32]);
+        let mut public = WriteSet::new();
+        public.write(MapName::new("public:app.m"), b"k".to_vec(), b"v".to_vec());
+        let mut private = WriteSet::new();
+        private.write(MapName::new("app.secret"), b"s".to_vec(), b"hidden".to_vec());
+        let txid = TxId::new(2, 7);
+        let public_ws = public.encode();
+        let private_ws_enc = secrets.encrypt(txid, &sha256(&public_ws), &private.encode());
+        let entry = LedgerEntry {
+            txid,
+            kind: EntryKind::User,
+            public_ws,
+            private_ws_enc,
+            claims_digest: [0u8; 32],
+        };
+        let mut both = public.clone();
+        both.merge(private);
+        assert_eq!(entry.open(Some(&secrets)).unwrap(), both);
+        assert_eq!(entry.public_writes().unwrap(), public);
+        assert!(matches!(entry.open(None), Err(OpenError::NoSecrets)));
+        let wrong = LedgerSecrets::new([6u8; 32]);
+        assert!(matches!(entry.open(Some(&wrong)), Err(OpenError::Crypto(_))));
+        let garbled = LedgerEntry { public_ws: vec![0xff; 3], ..entry };
+        assert!(garbled.public_writes().is_err());
+        assert!(matches!(garbled.open(Some(&secrets)), Err(OpenError::Codec(_))));
+        let public_only = LedgerEntry { private_ws_enc: Vec::new(), ..sample_entry() };
+        assert_eq!(public_only.open(None).unwrap(), public);
     }
 
     #[test]

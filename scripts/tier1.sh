@@ -64,9 +64,9 @@ echo "$chaos_out"
 # The sweep is deterministic in its seeds, so its counts pin every
 # schedule: a driver change that moves one fails here. The wall-time
 # field is not compared.
-for pin in '^\[consensus\] .* 1099 protocol records checked$' \
-           '^\[service\] .* 339 protocol records checked$' \
-           ': 1114 commits, 900 faults, 0 failures$'; do
+for pin in '^\[consensus\] .* 1101 protocol records checked$' \
+           '^\[service\] .* 349 protocol records checked$' \
+           ': 1117 commits, 900 faults, 0 failures$'; do
     grep -qE "$pin" <<<"$chaos_out" || { echo "chaos sweep moved: no line matches /$pin/"; exit 1; }
 done
 
@@ -76,9 +76,9 @@ echo "== tier1: wide chaos sweep (release, 300 fixed seeds, ~13 s)"
 # counts guard the primary's post-commit duty gate as well as the schedule.
 chaos_out=$(cargo run -q --release -p ccf-bench --bin chaos -- --seeds 300)
 echo "$chaos_out"
-for pin in '^\[consensus\] .* 12171 protocol records checked$' \
-           '^\[service\] .* 3094 protocol records checked$' \
-           ': 12014 commits, 10800 faults, 0 failures$'; do
+for pin in '^\[consensus\] .* 12115 protocol records checked$' \
+           '^\[service\] .* 3125 protocol records checked$' \
+           ': 12015 commits, 10800 faults, 0 failures$'; do
     grep -qE "$pin" <<<"$chaos_out" || { echo "wide chaos sweep moved: no line matches /$pin/"; exit 1; }
 done
 # The sweep's metrics snapshot is committed as well: every registry series
@@ -118,5 +118,8 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier1: rustdoc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+echo "== tier1: non-test lines per crate (information only, no gate)"
+scripts/loc.sh
 
 echo "== tier1: OK"

@@ -96,7 +96,7 @@ fn figure9_replace_failed_primary() {
 #[test]
 fn snapshot_join_does_not_need_full_history() {
     let mut service = ServiceCluster::start(
-        ServiceOpts { nodes: 1, members: 1, seed: 43, snapshot_interval: 5, ..ServiceOpts::default() },
+        ServiceOpts { nodes: 1, members: 1, seed: 43, ..ServiceOpts::default() },
         Arc::new(app()),
     );
     service.open_service();
@@ -107,6 +107,40 @@ fn snapshot_join_does_not_need_full_history() {
     let n1 = service.join_and_trust("n1", Some("n0"));
     // The new node serves reads of data it never replayed entry-by-entry.
     let idx = service.nodes.keys().position(|k| *k == n1).unwrap();
+    let r = service.user_request(idx, "GET", "/log?id=5", b"");
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert_eq!(r.text(), "v5");
+}
+
+/// A primary booted from a snapshot catches up a node that joins with no
+/// snapshot by sending it the one it was built from: the new node's next
+/// entry lies below the primary's base.
+#[test]
+fn snapshot_booted_primary_catches_up_a_node_behind_its_base() {
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 1, members: 1, seed: 47, ..ServiceOpts::default() },
+        Arc::new(app()),
+    );
+    service.open_service();
+    for i in 0..40 {
+        service.user_request(0, "POST", "/log", format!("{i}=v{i}").as_bytes());
+    }
+    service.run_for(500);
+    service.join_and_trust("n1", Some("n0"));
+    assert!(service.run_until(30_000, |c| c.primary().is_some()), "no primary after n1 joined");
+    service.join_and_trust("n2", Some("n0"));
+    service.run_for(1000);
+
+    // Every live node but n0 now starts at a snapshot base.
+    service.crash("n0");
+    assert!(
+        service.run_until(30_000, |c| c.primary().is_some_and(|p| p != "n0")),
+        "no failover"
+    );
+    let sent = service.obs().counter("consensus.snapshots_sent").get();
+    let n3 = service.join_and_trust("n3", None);
+    assert!(service.obs().counter("consensus.snapshots_sent").get() > sent);
+    let idx = service.nodes.keys().position(|k| *k == n3).unwrap();
     let r = service.user_request(idx, "GET", "/log?id=5", b"");
     assert_eq!(r.status, 200, "{}", r.text());
     assert_eq!(r.text(), "v5");

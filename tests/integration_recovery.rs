@@ -119,6 +119,15 @@ fn full_disaster_recovery_flow() {
     let r = recovered.user_request(0, "POST", "/put", b"post_recovery=yes");
     assert_eq!(r.status, 200, "{}", r.text());
     recovered.run_until_committed(r.txid.unwrap());
+
+    // 8. The service grows back: a node that joins with no snapshot is
+    // sent the one the recovered node was built from, and serves
+    // pre-disaster data.
+    let r1 = recovered.join_and_trust("r1", None);
+    let idx = recovered.nodes.keys().position(|k| *k == r1).unwrap();
+    let r = recovered.user_request(idx, "GET", "/get?k=k3", b"");
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert_eq!(r.text(), "value-3");
 }
 
 #[test]

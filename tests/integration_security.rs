@@ -181,7 +181,7 @@ fn host_surface_sees_only_ciphertext_for_private_data() {
     // End-to-end confidentiality check across ALL host-visible artifacts:
     // persisted ledger, snapshots handed to operators.
     let mut service = ServiceCluster::start(
-        ServiceOpts { nodes: 3, members: 1, seed: 92, snapshot_interval: 5, ..ServiceOpts::default() },
+        ServiceOpts { nodes: 3, members: 1, seed: 92, ..ServiceOpts::default() },
         Arc::new(app()),
     );
     service.open_service();
