@@ -6,9 +6,9 @@
 //! drives a 3-node [`ServiceCluster`] entirely in virtual time: every
 //! latency below is a deterministic function of the seed. Writes enter
 //! through a session pinned to a *backup* (so they take the 307
-//! forwarding hop) and as signed batches sent to that backup (so they pay
-//! batch signature verification, once at the backup and once at the
-//! primary, in the call that brings them), then flow
+//! forwarding hop) and as signed batches sent to that backup (which
+//! answers them 307 unverified; the primary pays the batch signature
+//! verification, in the call that brings them), then flow
 //! forward → request → append → replicate/sign → commit → receipt, each
 //! stage recorded as a causal trace span and a virtual-time histogram
 //! observation (DESIGN.md §12).

@@ -57,7 +57,7 @@ fn main() {
                     view: 3,
                     leader: "n2".into(),
                     prev: TxId::ZERO,
-                    entries: mk_entries(*len),
+                    entries: mk_entries(*len).into(),
                     commit_seqno: 0,
                 }),
             });

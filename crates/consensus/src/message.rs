@@ -17,8 +17,8 @@ use std::sync::Arc;
 ///
 /// Entries are immutable once proposed and are shared behind an [`Arc`]:
 /// the replica log and every [`AppendEntries`] batch cut from it point at
-/// the same allocation, so (re)sending an entry costs a refcount, not a
-/// copy of its write sets. The type is deliberately not `Clone`.
+/// the same allocation, so putting an entry in a batch costs a refcount,
+/// not a copy of its write sets. The type is deliberately not `Clone`.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ReplicatedEntry {
     /// The ledger entry.
@@ -45,8 +45,11 @@ pub struct AppendEntries {
     /// strengthened to full TxIds).
     pub prev: TxId,
     /// The entries to append (empty for a pure heartbeat), shared with the
-    /// sender's log.
-    pub entries: Vec<Arc<ReplicatedEntry>>,
+    /// sender's log. The slice itself is immutable and shared too: the
+    /// primary hands every send of the same ledger range the batch it last
+    /// built, so re-sending a batch costs one refcount, and the receiver
+    /// clones only the entries it appends.
+    pub entries: Arc<[Arc<ReplicatedEntry>]>,
     /// The primary's commit sequence number, so backups advance theirs.
     pub commit_seqno: Seqno,
 }

@@ -282,6 +282,14 @@ pub struct Replica {
     /// The snapshot this replica was built from (at join or by an
     /// `InstallSnapshot`); sent to peers behind `base_seqno`.
     snapshot: Option<Snapshot>,
+    /// The last AppendEntries batch built, by its first seqno: every send
+    /// of that exact ledger range shares it. Dropped whenever the log
+    /// below its end may change (truncation, snapshot install).
+    last_batch: Option<(Seqno, Arc<[Arc<ReplicatedEntry>]>)>,
+    /// Set when a commit retired configurations: a signature the old
+    /// quorums held back may now commit, so the next ack re-checks even
+    /// if it raises no match.
+    recheck_commit: bool,
 
     // Candidate volatile state.
     votes: BTreeSet<NodeId>,
@@ -340,6 +348,8 @@ impl Replica {
             match_seqno: HashMap::new(),
             last_ack: HashMap::new(),
             snapshot: None,
+            last_batch: None,
+            recheck_commit: false,
             votes: BTreeSet::new(),
             now: 0,
             election_deadline: 0,
@@ -842,8 +852,17 @@ impl Replica {
             .expect("next-1 is within the retained ledger by the check above");
         let from_idx = (next - self.base_seqno - 1) as usize;
         let to_idx = (from_idx + self.cfg.max_batch).min(self.ledger.len());
-        // Copies pointers: the batch shares the log's entries.
-        let entries = self.ledger[from_idx..to_idx].to_vec();
+        let entries = match &self.last_batch {
+            Some((first, batch)) if *first == next && batch.len() == to_idx - from_idx => {
+                batch.clone()
+            }
+            _ => {
+                // Copies pointers: the batch shares the log's entries.
+                let batch: Arc<[_]> = self.ledger[from_idx..to_idx].into();
+                self.last_batch = Some((next, batch.clone()));
+                batch
+            }
+        };
         self.metrics.append_batches.inc();
         self.metrics.append_batch_entries.observe(entries.len() as u64);
         out.messages.push((
@@ -862,6 +881,7 @@ impl Replica {
         if !matches!(self.role, Role::Primary | Role::Retiring) {
             return;
         }
+        self.recheck_commit = false;
         // Highest signature transaction of the current view replicated to a
         // quorum of every active configuration (§4.1, §4.4). Nothing after
         // the last signature can qualify, so the scan starts there; the
@@ -984,7 +1004,9 @@ impl Replica {
             .find(|c| c.seqno <= seqno)
             .map(|c| c.seqno);
         if let Some(newest) = newest_committed {
+            let before = self.active_configs.len();
             self.active_configs.retain(|c| c.seqno >= newest);
+            self.recheck_commit |= self.active_configs.len() < before;
         }
         let in_current = self
             .active_configs
@@ -1095,6 +1117,7 @@ impl Replica {
         self.metrics.rollbacks.inc();
         self.metrics.rollback_entries.observe(self.last_seqno() - seqno);
         self.drop_rolled_back_traces(seqno);
+        self.last_batch = None;
         self.ledger.truncate((seqno - self.base_seqno) as usize);
         self.merkle.truncate(seqno);
         // Roll back active configurations introduced after the cut (§4.4);
@@ -1139,7 +1162,7 @@ impl Replica {
             // ledger, though not yet participating in elections.
             self.role = Role::Backup;
         }
-        self.leader_hint = Some(m.leader.clone());
+        self.set_leader_hint(&m.leader);
         self.reset_election_timer();
 
         // Consistency check on the previous transaction ID (§4.1).
@@ -1156,9 +1179,11 @@ impl Replica {
             return;
         }
 
-        // Append, resolving conflicts in the primary's favour (§4.2).
+        // Append, resolving conflicts in the primary's favour (§4.2). The
+        // batch is shared with the sender: only appended entries are
+        // cloned, and every entry's txid is still compared with the log.
         let batch_end = m.prev.seqno + m.entries.len() as u64;
-        for re in m.entries {
+        for re in m.entries.iter() {
             let s = re.entry.txid.seqno;
             if s <= self.base_seqno {
                 // Below our snapshot base: already covered by durable
@@ -1186,7 +1211,7 @@ impl Replica {
                         self.ack(from, false, self.commit_seqno, out);
                         return;
                     }
-                    self.append_local(re, out);
+                    self.append_local(re.clone(), out);
                 }
                 None => {
                     if s != self.last_seqno() + 1 {
@@ -1199,7 +1224,7 @@ impl Replica {
                         self.ack(from, false, self.last_seqno(), out);
                         return;
                     }
-                    self.append_local(re, out);
+                    self.append_local(re.clone(), out);
                 }
             }
         }
@@ -1227,6 +1252,14 @@ impl Replica {
         self.ack(from, true, matched, out);
     }
 
+    /// Records `leader` as the primary to forward to, writing only a
+    /// change.
+    fn set_leader_hint(&mut self, leader: &NodeId) {
+        if self.leader_hint.as_ref() != Some(leader) {
+            self.leader_hint = Some(leader.clone());
+        }
+    }
+
     /// Sends an [`AppendEntriesResponse`] to `to` in the current view.
     fn ack(&self, to: &NodeId, success: bool, last_seqno: Seqno, out: &mut Actions) {
         let resp =
@@ -1242,12 +1275,17 @@ impl Replica {
         if !matches!(self.role, Role::Primary | Role::Retiring) || m.view < self.view {
             return;
         }
-        self.last_ack.insert(m.from.clone(), self.now);
+        *slot(&mut self.last_ack, &m.from) = self.now;
         if m.success {
-            let matched = self.match_seqno.entry(m.from.clone()).or_insert(0);
+            let matched = slot(&mut self.match_seqno, &m.from);
+            let raised = m.last_seqno > *matched;
             *matched = (*matched).max(m.last_seqno);
-            self.next_seqno.insert(m.from.clone(), m.last_seqno + 1);
-            self.try_advance_commit(out);
+            *slot(&mut self.next_seqno, &m.from) = m.last_seqno + 1;
+            // Only a raised match (or configurations a commit retired) can
+            // move the commit point: appends re-check it themselves.
+            if raised || self.recheck_commit {
+                self.try_advance_commit(out);
+            }
             // Stream further entries if the peer is still behind.
             if m.last_seqno < self.last_seqno() {
                 self.send_entries_to(&m.from, out);
@@ -1264,7 +1302,7 @@ impl Replica {
             // `current - 1`, degenerating to one-seqno-per-round-trip
             // catch-up (O(log length) round trips instead of O(1)).
             let next = (m.last_seqno + 1).min(self.last_seqno() + 1).max(1);
-            self.next_seqno.insert(m.from.clone(), next);
+            *slot(&mut self.next_seqno, &m.from) = next;
             self.send_entries_to(&m.from, out);
         }
     }
@@ -1315,7 +1353,7 @@ impl Replica {
         if self.role == Role::Pending {
             self.role = Role::Backup;
         }
-        self.leader_hint = Some(m.leader.clone());
+        self.set_leader_hint(&m.leader);
         self.reset_election_timer();
         if m.snapshot.last_txid.seqno <= self.last_seqno() {
             // We already have everything the snapshot covers.
@@ -1331,6 +1369,7 @@ impl Replica {
     /// to its seqno.
     fn install_snapshot_internal(&mut self, snapshot: Snapshot, out: &mut Actions) {
         self.ledger.clear();
+        self.last_batch = None;
         // Traced entries the snapshot replaces were committed elsewhere;
         // this node's view of them ends here (tokens die unexited).
         self.inflight_traces.clear();
@@ -1398,5 +1437,207 @@ impl Replica {
                 .copied()
                 .collect(),
         })
+    }
+}
+
+/// `map[key]`, inserted as `V::default()` on first use: a per-ack update
+/// clones the peer id only the first time that peer answers.
+fn slot<'a, V: Default>(map: &'a mut HashMap<NodeId, V>, key: &NodeId) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.clone(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{reconfig_entry, user_entry};
+
+    fn replica(id: &str, config: &[&str], max_batch: usize) -> Replica {
+        let config = config.iter().map(|s| s.to_string()).collect();
+        let cfg = ReplicaConfig { max_batch, ..ReplicaConfig::default() };
+        let key = SigningKey::from_seed(ccf_crypto::sha256(id.as_bytes()));
+        Replica::new(id, config, cfg, 1, key, &ccf_obs::Registry::new())
+    }
+
+    fn receive(r: &mut Replica, from: &str, msg: Message) -> Actions {
+        r.step(Input::Receive { from: from.to_string(), msg })
+    }
+
+    /// Times `r` out at `now` and hands it `voter`'s vote; returns what
+    /// winning did.
+    fn win(r: &mut Replica, now: Time, voter: &str) -> Actions {
+        r.step(Input::Tick(now));
+        let vote = RequestVoteResponse { view: r.view, from: voter.to_string(), granted: true };
+        let won = receive(r, voter, Message::RequestVoteResponse(vote));
+        assert_eq!(r.role, Role::Primary);
+        won
+    }
+
+    fn ack(r: &mut Replica, from: &str, success: bool, last_seqno: Seqno) -> Actions {
+        let view = r.view;
+        let resp = AppendEntriesResponse { view, from: from.to_string(), success, last_seqno };
+        receive(r, from, Message::AppendEntriesResponse(resp))
+    }
+
+    /// The batch of the last AppendEntries in `out` addressed to `to`.
+    fn batch_to(out: &Actions, to: &str) -> Arc<[Arc<ReplicatedEntry>]> {
+        out.messages
+            .iter()
+            .rev()
+            .find_map(|(dest, msg)| match msg {
+                Message::AppendEntries(ae) if dest == to => Some(ae.entries.clone()),
+                _ => None,
+            })
+            .expect("an AppendEntries to the peer")
+    }
+
+    fn txids(batch: &[Arc<ReplicatedEntry>]) -> Vec<TxId> {
+        batch.iter().map(|e| e.entry.txid).collect()
+    }
+
+    fn committed(out: &Actions) -> Vec<Seqno> {
+        out.commands
+            .iter()
+            .filter_map(|c| match c {
+                Command::Committed { seqno } => Some(*seqno),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A primary of {p, b, c} in view 1, batching at most `max_batch`
+    /// entries, whose log holds its view signature and two user entries;
+    /// a negative ack from `b` has made it send (and keep) the batch
+    /// [2, 3].
+    fn primary_with_cached_batch(max_batch: usize) -> (Replica, Arc<[Arc<ReplicatedEntry>]>) {
+        let mut p = replica("p", &["p", "b", "c"], max_batch);
+        win(&mut p, 10_000, "b");
+        for i in 0..2 {
+            p.propose(|txid| user_entry(txid, format!("view-1-{i}").as_bytes())).unwrap();
+        }
+        let batch = batch_to(&ack(&mut p, "b", false, 1), "b");
+        assert_eq!(txids(&batch), [TxId::new(1, 2), TxId::new(1, 3)]);
+        assert!(p.last_batch.is_some());
+        (p, batch)
+    }
+
+    #[test]
+    fn sends_of_one_range_share_one_batch() {
+        let mut p = replica("p", &["p", "b", "c"], 256);
+        let won = win(&mut p, 10_000, "b");
+        let (to_b, to_c) = (batch_to(&won, "b"), batch_to(&won, "c"));
+        assert_eq!(txids(&to_b), [TxId::new(1, 1)], "the view signature");
+        assert!(Arc::ptr_eq(&to_b, &to_c), "both peers get the batch built once");
+
+        for i in 0..3 {
+            p.propose(|txid| user_entry(txid, format!("w{i}").as_bytes())).unwrap();
+        }
+        let signed = p.emit_signature();
+        let (to_b, to_c) = (batch_to(&signed, "b"), batch_to(&signed, "c"));
+        assert_eq!(to_b.len(), 5);
+        assert!(Arc::ptr_eq(&to_b, &to_c));
+        // A heartbeat re-sends the same range: one more refcount.
+        let heartbeat = p.step(Input::Tick(10_000 + p.cfg.heartbeat_interval));
+        assert!(Arc::ptr_eq(&batch_to(&heartbeat, "b"), &to_b));
+        assert!(Arc::ptr_eq(&batch_to(&heartbeat, "c"), &to_b));
+    }
+
+    #[test]
+    fn a_replaced_suffix_is_never_sent_from_the_cached_batch() {
+        let (mut p, old) = primary_with_cached_batch(2);
+        // The view-2 primary replaces [2, 3] with entries of its own.
+        let new: Vec<Arc<ReplicatedEntry>> = vec![
+            Arc::new(user_entry(TxId::new(2, 2), b"view-2")),
+            Arc::new(ReplicatedEntry {
+                entry: LedgerEntry::signature(TxId::new(2, 3), [0; 32], "c", &p.key),
+                config: None,
+                trace: ccf_obs::TraceId::NONE,
+            }),
+        ];
+        let ae = AppendEntries {
+            view: 2,
+            leader: "c".to_string(),
+            prev: TxId::new(1, 1),
+            entries: new.clone().into(),
+            commit_seqno: 0,
+        };
+        let out = receive(&mut p, "c", Message::AppendEntries(ae));
+        assert!(out.commands.contains(&Command::RolledBack { seqno: 1 }));
+        assert!(p.last_batch.is_none(), "truncation must drop the cached batch");
+
+        // Back to primary in view 3; b asks for [2, 3] again.
+        win(&mut p, 20_000, "b");
+        let resent = batch_to(&ack(&mut p, "b", false, 1), "b");
+        assert_eq!(txids(&resent), [TxId::new(2, 2), TxId::new(2, 3)]);
+        assert!(!Arc::ptr_eq(&resent, &old));
+        assert!(resent.iter().zip(&new).all(|(sent, held)| Arc::ptr_eq(sent, held)));
+    }
+
+    /// A snapshot always ends past the log it replaces, so no later send
+    /// can name the cached range again; the install must still drop the
+    /// batch rather than keep the replaced entries alive.
+    #[test]
+    fn a_snapshot_install_drops_the_cached_batch() {
+        let (mut p, old) = primary_with_cached_batch(2);
+        let nodes: Config = ["p", "b", "c"].iter().map(|s| s.to_string()).collect();
+        let snapshot = Snapshot {
+            last_txid: TxId::new(2, 5),
+            kv_state: Vec::new(),
+            merkle_leaves: vec![[0; 32]; 5],
+            configs: vec![ActiveConfig { seqno: 0, nodes }],
+            view_history: vec![(1, 1), (2, 4)],
+        };
+        let msg = InstallSnapshot { view: 2, leader: "c".to_string(), snapshot };
+        receive(&mut p, "c", Message::InstallSnapshot(msg));
+        assert_eq!(p.last_seqno(), 5);
+        assert!(p.last_batch.is_none(), "a snapshot install must drop the cached batch");
+        assert_eq!(Arc::strong_count(&old), 1, "the replaced entries' batch is freed");
+
+        win(&mut p, 20_000, "b");
+        let sent = batch_to(&ack(&mut p, "b", false, 5), "b");
+        assert_eq!(txids(&sent), [TxId::new(3, 6)], "the first batch above the new base");
+    }
+
+    #[test]
+    fn only_an_ack_that_raises_a_match_can_commit() {
+        // Two identical primaries; only the first also hears acks that
+        // raise no match.
+        let primary = || {
+            let mut p = replica("p", &["p", "b", "c"], 256);
+            win(&mut p, 10_000, "b");
+            p.propose(|txid| user_entry(txid, b"w")).unwrap();
+            p.emit_signature();
+            assert_eq!(committed(&ack(&mut p, "b", true, 1)), [1]);
+            p
+        };
+        let (mut heard_more, mut twin) = (primary(), primary());
+        for (from, last_seqno) in [("b", 1), ("b", 0), ("c", 0)] {
+            let out = ack(&mut heard_more, from, true, last_seqno);
+            assert!(committed(&out).is_empty(), "ack {from}@{last_seqno} committed");
+        }
+        let raising = ack(&mut heard_more, "b", true, 3);
+        assert_eq!(committed(&raising), [3]);
+        let expected = ack(&mut twin, "b", true, 3);
+        assert_eq!(raising.commands, expected.commands);
+        assert_eq!(raising.messages, expected.messages);
+    }
+
+    /// Retiring a configuration can make a signature the old quorum held
+    /// back committable, with no match raised: the next ack commits it.
+    #[test]
+    fn a_commit_that_retires_a_configuration_lets_the_next_ack_commit() {
+        let mut p = replica("p", &["p", "b", "c"], 256);
+        win(&mut p, 10_000, "b");
+        let next: Config = ["p", "d"].iter().map(|s| s.to_string()).collect();
+        p.propose(|txid| reconfig_entry(txid, &next)).unwrap();
+        p.emit_signature(); // 3
+        p.propose(|txid| user_entry(txid, b"w")).unwrap();
+        p.emit_signature(); // 5
+        assert!(committed(&ack(&mut p, "d", true, 5)).is_empty(), "{{p, b, c}} has no quorum");
+        // b's ack commits 3, which retires {p, b, c}; 5 then needs only d.
+        assert_eq!(committed(&ack(&mut p, "b", true, 3)), [3]);
+        assert_eq!(committed(&ack(&mut p, "d", true, 5)), [5]);
     }
 }

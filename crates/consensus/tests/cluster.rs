@@ -260,7 +260,7 @@ fn table2_election_vote_matrix() {
                     view: 3,
                     leader: "n2".into(),
                     prev: TxId::ZERO,
-                    entries: mk_entries(*len),
+                    entries: mk_entries(*len).into(),
                     commit_seqno: 0,
                 }),
             });

@@ -82,7 +82,8 @@ fn backup_with_committed_prefix(reg: &Registry) -> Replica {
             entries: vec![
                 user_entry(TxId::new(1, 1), b"committed-payload").into(),
                 sig_entry("p", TxId::new(1, 2)),
-            ],
+            ]
+            .into(),
             commit_seqno: 2,
         },
     );
@@ -124,7 +125,7 @@ fn rewrite_history(b: &mut Replica) -> Vec<AppendEntriesResponse> {
             view: 2,
             leader: "q".to_string(),
             prev: TxId::ZERO,
-            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()],
+            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()].into(),
             commit_seqno: 0,
         },
     )
@@ -169,7 +170,7 @@ fn truncate_never_crosses_commit_point() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted").into()],
+            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted").into()].into(),
             commit_seqno: 2,
         },
     );
@@ -183,7 +184,7 @@ fn truncate_never_crosses_commit_point() {
             view: 2,
             leader: "c".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(2, 3), b"replacement").into()],
+            entries: vec![user_entry(TxId::new(2, 3), b"replacement").into()].into(),
             commit_seqno: 2,
         },
     );
@@ -210,7 +211,7 @@ fn gapped_batch_is_rejected_with_retransmission_hint() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(1, 4), b"gapped").into()],
+            entries: vec![user_entry(TxId::new(1, 4), b"gapped").into()].into(),
             commit_seqno: 2,
         },
     );
@@ -242,7 +243,8 @@ fn ack_from_stale_tip_claims_only_the_batch() {
                 user_entry(TxId::new(1, 1), b"signed").into(),
                 sig_entry("p", TxId::new(1, 2)),
                 user_entry(TxId::new(1, 3), b"stale-suffix").into(),
-            ],
+            ]
+            .into(),
             commit_seqno: 0,
         },
     );
@@ -255,7 +257,7 @@ fn ack_from_stale_tip_claims_only_the_batch() {
             view: 2,
             leader: "c".to_string(),
             prev: TxId::new(1, 1),
-            entries: vec![sig_entry("p", TxId::new(1, 2))],
+            entries: vec![sig_entry("p", TxId::new(1, 2))].into(),
             commit_seqno: 0,
         },
     );
@@ -403,7 +405,7 @@ fn suffix_replacement_rolls_back_then_appends_then_commits() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted").into()],
+            entries: vec![user_entry(TxId::new(1, 3), b"uncommitted").into()].into(),
             commit_seqno: 2,
         },
     );
@@ -418,7 +420,7 @@ fn suffix_replacement_rolls_back_then_appends_then_commits() {
             view: 2,
             leader: "c".to_string(),
             prev: TxId::new(1, 2),
-            entries: replacement.clone(),
+            entries: replacement.clone().into(),
             commit_seqno: 4,
         }),
     );
@@ -452,7 +454,8 @@ fn won_election_becomes_primary_then_appends_its_view_signature() {
                 user_entry(TxId::new(1, 1), b"signed").into(),
                 sig_entry("c", TxId::new(1, 2)),
                 user_entry(TxId::new(1, 3), b"unsigned").into(),
-            ],
+            ]
+            .into(),
             commit_seqno: 0,
         },
     );

@@ -57,7 +57,8 @@ fn trace_survives_leader_change() {
                 trace: TraceId::NONE,
             }
             .into(),
-        ],
+        ]
+        .into(),
         commit_seqno: 0,
     };
     receive(&mut b, "p", Message::AppendEntries(from_p.clone()));
@@ -189,7 +190,11 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::ZERO,
-            entries: vec![traced_user_entry(TxId::new(1, 1), b"committed", committed).into(), sig.into()],
+            entries: vec![
+                traced_user_entry(TxId::new(1, 1), b"committed", committed).into(),
+                sig.into(),
+            ]
+            .into(),
             commit_seqno: 2,
         }),
     );
@@ -203,7 +208,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
             view: 1,
             leader: "p".to_string(),
             prev: TxId::new(1, 2),
-            entries: vec![traced_user_entry(TxId::new(1, 3), b"in-flight", inflight).into()],
+            entries: vec![traced_user_entry(TxId::new(1, 3), b"in-flight", inflight).into()].into(),
             commit_seqno: 2,
         }),
     );
@@ -217,7 +222,7 @@ fn forensics_bundle_has_flight_tail_and_affected_trace() {
             view: 2,
             leader: "q".to_string(),
             prev: TxId::ZERO,
-            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()],
+            entries: vec![user_entry(TxId::new(2, 1), b"rewritten-history").into()].into(),
             commit_seqno: 0,
         }),
     );

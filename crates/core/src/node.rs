@@ -569,7 +569,12 @@ impl CcfNode {
     /// Queues what a replica call sent for the next step's output and
     /// applies its commands in order. Caller holds the inner lock.
     fn apply(&self, inner: &mut NodeInner, actions: Actions) {
-        inner.unsent.extend(actions.messages);
+        if inner.unsent.is_empty() {
+            // Nothing queued: the replica's own vec becomes the queue.
+            inner.unsent = actions.messages;
+        } else {
+            inner.unsent.extend(actions.messages);
+        }
         for command in actions.commands {
             match command {
                 Command::Appended(entry) => self.on_appended(inner, &entry.entry, None),
@@ -1442,14 +1447,49 @@ impl CcfNode {
     /// be `user/<METHOD> <path>`; the signer's key must match a registered
     /// user cert (stored as the hex public key). Authentication is
     /// cryptographic — no transport identity needed — and the envelope is
-    /// replay-bound to the method+path. All envelope signatures are
-    /// checked with a single batched verification
+    /// replay-bound to the method+path. The envelopes this node serves are
+    /// signature-checked with a single batched verification
     /// ([`ccf_crypto::verify_batch`] — one shared doubling chain for the
     /// whole batch) in this call; if the batch rejects, each envelope is
     /// re-verified individually so only the offending requests get a 401
-    /// and the rest proceed normally. A backup answers 307 to each valid
-    /// request, as [`CcfNode::handle_request`] does.
+    /// and the rest proceed normally. A node that is not primary serves
+    /// only what is not a write: it answers each envelope naming an
+    /// endpoint not declared read-only with a 307, unverified, since the
+    /// primary it names verifies it anyway.
     pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
+        let forward_hint = {
+            let inner = self.lock();
+            let replica = &inner.replica;
+            (!matches!(replica.role(), Role::Primary | Role::Retiring))
+                .then(|| replica.leader_hint().cloned().unwrap_or_default())
+        };
+        let forwarded: Vec<bool> = envelopes
+            .iter()
+            .map(|e| forward_hint.is_some() && self.names_write_endpoint(&e.purpose))
+            .collect();
+        let served: Vec<&SignedRequest> =
+            envelopes.iter().zip(&forwarded).filter(|(_, f)| !**f).map(|(e, _)| e).collect();
+        let mut valid = self.verify_envelopes(&served).into_iter();
+        envelopes
+            .iter()
+            .zip(forwarded)
+            .map(|(envelope, forwarded)| {
+                if forwarded {
+                    self.metrics.leader_forwards.inc();
+                    let hint = forward_hint.as_deref().unwrap_or_default();
+                    Response { status: 307, body: hint.as_bytes().to_vec(), txid: None }
+                } else if valid.next() == Some(true) {
+                    self.dispatch_signed_user_request(envelope)
+                } else {
+                    Response::error(401, "invalid request signature")
+                }
+            })
+            .collect()
+    }
+
+    /// Checks the envelopes' signatures in one batch, then one by one if
+    /// the batch rejects; an empty slice costs nothing.
+    fn verify_envelopes(&self, envelopes: &[&SignedRequest]) -> Vec<bool> {
         if envelopes.is_empty() {
             return Vec::new();
         }
@@ -1466,17 +1506,32 @@ impl CcfNode {
         envelopes
             .iter()
             .map(|envelope| {
-                let valid = all_valid || {
+                all_valid || {
                     self.metrics.single_verifies.inc();
                     envelope.verify().is_ok()
-                };
-                if valid {
-                    self.dispatch_signed_user_request(envelope)
-                } else {
-                    Response::error(401, "invalid request signature")
                 }
             })
             .collect()
+    }
+
+    /// Whether `purpose` (`user/<METHOD> <path>`) names an application
+    /// endpoint not declared read-only, which only the primary serves.
+    /// Built-in endpoints, unknown routes and malformed purposes are
+    /// answered wherever they land.
+    fn names_write_endpoint(&self, purpose: &str) -> bool {
+        let Some((method, path)) = purpose.strip_prefix("user/").and_then(|r| r.split_once(' '))
+        else {
+            return false;
+        };
+        let (path, _) = split_query(path);
+        if path.starts_with("/node/") || path.starts_with("/gov/") {
+            return false;
+        }
+        if let Some(def) = self.app.route(method, &path) {
+            return !def.read_only;
+        }
+        let script_app = self.lock().script_app.clone();
+        script_app.is_some_and(|app| app.route(method, &path).is_some_and(|(_, ro)| !ro))
     }
 
     /// Post-verification half of signed user request handling: resolve the

@@ -156,12 +156,52 @@ fn signed_batch_at_primary_is_answered_in_one_call() {
 }
 
 #[test]
-fn signed_batch_at_backup_is_verified_there_and_at_the_primary() {
+fn signed_write_batch_at_backup_is_verified_only_at_the_primary() {
     let mut service = start();
     let (_, backup) = primary_and_backup(&service);
-    // The backup verifies the batch and answers 307; the primary it
-    // names verifies and runs it.
-    assert_eq!(send_signed_writes(&mut service, backup, 6), (2, 12));
+    // The backup answers 307 without checking the signatures; the
+    // primary it names verifies and runs the batch.
+    assert_eq!(send_signed_writes(&mut service, backup, 6), (1, 6));
+}
+
+#[test]
+fn signed_reads_at_backup_are_verified_and_served_there() {
+    let mut service = start();
+    let (primary, backup) = primary_and_backup(&service);
+    let key = service.register_user_key("alice");
+    let write = service.signed_user_request(&key, primary, "POST", "/log", b"3=held", 1);
+    service.run_until_committed(write.txid.expect("write txid"));
+    let forwards = service.obs().counter("node.leader_forwards");
+    let verifies = service.obs().counter("crypto.ed25519_batch_verifies");
+    let sigs = service.obs().counter("crypto.ed25519_batch_sigs");
+    let before = (forwards.get(), verifies.get(), sigs.get());
+    let reads: Vec<SignedRequest> =
+        (0..4).map(|i| SignedRequest::sign(&key, "user/GET /log?id=3", b"", 10 + i)).collect();
+    for resp in service.signed_user_requests(backup, reads) {
+        assert_eq!((resp.status, resp.body.as_slice()), (200, &b"held"[..]), "{}", resp.text());
+    }
+    let after = (forwards.get(), verifies.get(), sigs.get());
+    assert_eq!(after, (before.0, before.1 + 1, before.2 + 4), "(forwards, verifies, signatures)");
+}
+
+#[test]
+fn forged_write_at_backup_is_refused_by_the_primary() {
+    let mut service = start();
+    let (_, backup) = primary_and_backup(&service);
+    let key = service.register_user_key("alice");
+    let read = SignedRequest::sign(&key, "user/GET /log?id=8", b"", 1);
+    let mut forged = SignedRequest::sign(&key, "user/POST /log", b"8=forged", 2);
+    forged.payload = b"8=rewritten".to_vec();
+    let single = service.obs().counter("crypto.ed25519_single_verifies");
+    let single0 = single.get();
+    let responses = service.signed_user_requests(backup, vec![read, forged]);
+    // The backup serves the read and forwards the write unverified; the
+    // primary's check catches the forgery, which never runs.
+    assert_eq!(responses[0].status, 404, "{}", responses[0].text());
+    assert_eq!(responses[1].status, 401, "{}", responses[1].text());
+    assert_eq!(single.get() - single0, 1, "only the primary re-checks the rejected batch");
+    let probe = service.signed_user_request(&key, backup, "GET", "/log?id=8", b"", 3);
+    assert_eq!(probe.status, 404, "the forged write must not have run");
 }
 
 #[test]

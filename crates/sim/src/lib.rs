@@ -18,6 +18,7 @@
 pub mod nemesis;
 
 use ccf_crypto::chacha::ChaChaRng;
+use ccf_obs::NodeRef;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet};
 
@@ -48,6 +49,8 @@ struct Scheduled<M> {
     seq: u64, // FIFO tiebreak for equal times — determinism
     from: NodeId,
     to: NodeId,
+    /// `from` and `to` as the flight recorder knows them, resolved at send.
+    refs: (NodeRef, NodeRef),
     msg: M,
 }
 
@@ -114,6 +117,11 @@ pub struct SimNet<M> {
     dropped_counter: ccf_obs::Counter,
     /// The run's registry: its clock and flight recorder.
     reg: ccf_obs::Registry,
+    /// Every node id this network has recorded, interned in `reg` the
+    /// first time it is seen, so a send resolves its ids without the
+    /// registry's name lock (a delivery reuses its send's). A cluster has
+    /// a handful of nodes: a scan beats hashing the id.
+    refs: Vec<(NodeId, NodeRef)>,
     /// Classifies messages into short static tags ("append_entries",
     /// "request_vote", …) for the flight recorder. A plain `fn` pointer
     /// keeps the simulator dependency-free and `SimNet` comparable.
@@ -144,21 +152,30 @@ impl<M: Eq + Clone> SimNet<M> {
             sent_counter: reg.counter("net.messages_sent"),
             dropped_counter: reg.counter("net.messages_dropped"),
             reg: reg.clone(),
+            refs: Vec::new(),
             tagger,
         }
     }
 
-    /// Records a net flight event.
-    fn flight(&self, kind: &'static str, from: &NodeId, to: &NodeId, msg: &M, at: Time) {
-        let f = self.reg.node_ref(from);
-        let t = self.reg.node_ref(to);
-        self.reg.flight(f, kind, (self.tagger)(msg), Some(t), at, 0);
+    /// The flight-recorder ref of `id`, interned on first sight.
+    fn node_ref(&mut self, id: &NodeId) -> NodeRef {
+        if let Some((_, r)) = self.refs.iter().find(|(known, _)| known == id) {
+            return *r;
+        }
+        let r = self.reg.node_ref(id);
+        self.refs.push((id.clone(), r));
+        r
+    }
+
+    /// Records a net flight event between the resolved `(from, to)`.
+    fn flight(&self, kind: &'static str, (from, to): (NodeRef, NodeRef), msg: &M, at: Time) {
+        self.reg.flight(from, kind, (self.tagger)(msg), Some(to), at, 0);
     }
 
     /// Counts and records a lost message.
-    fn drop_msg(&self, from: &NodeId, to: &NodeId, msg: &M, at: Time) {
+    fn drop_msg(&self, refs: (NodeRef, NodeRef), msg: &M, at: Time) {
         self.dropped_counter.inc();
-        self.flight("drop", from, to, msg, at);
+        self.flight("drop", refs, msg, at);
     }
 
     /// Current virtual time.
@@ -195,13 +212,14 @@ impl<M: Eq + Clone> SimNet<M> {
     /// Sends `msg` from `from` to `to`, subject to faults and latency.
     pub fn send(&mut self, from: &NodeId, to: &NodeId, msg: M) {
         self.sent_counter.inc();
-        self.flight("send", from, to, &msg, self.now);
+        let refs = (self.node_ref(from), self.node_ref(to));
+        self.flight("send", refs, &msg, self.now);
         if self.crashed.contains(from)
             || self.crashed.contains(to)
             || !self.can_communicate(from, to)
             || (self.cfg.drop_probability > 0.0 && self.rng.gen_bool(self.cfg.drop_probability))
         {
-            self.drop_msg(from, to, &msg, self.now);
+            self.drop_msg(refs, &msg, self.now);
             return;
         }
         let (lo, hi) = self.cfg.latency;
@@ -223,6 +241,7 @@ impl<M: Eq + Clone> SimNet<M> {
                 seq: self.seq,
                 from: from.clone(),
                 to: to.clone(),
+                refs,
                 msg: msg.clone(),
             }));
         }
@@ -231,6 +250,7 @@ impl<M: Eq + Clone> SimNet<M> {
             seq,
             from: from.clone(),
             to: to.clone(),
+            refs,
             msg,
         }));
     }
@@ -247,10 +267,10 @@ impl<M: Eq + Clone> SimNet<M> {
             }
             let Reverse(s) = self.queue.pop().unwrap();
             if self.crashed.contains(&s.to) || !self.can_communicate(&s.from, &s.to) {
-                self.drop_msg(&s.from, &s.to, &s.msg, s.deliver_at);
+                self.drop_msg(s.refs, &s.msg, s.deliver_at);
                 continue;
             }
-            self.flight("recv", &s.from, &s.to, &s.msg, s.deliver_at);
+            self.flight("recv", s.refs, &s.msg, s.deliver_at);
             out.push(Delivery { at: s.deliver_at, from: s.from, to: s.to, msg: s.msg });
         }
         out
@@ -492,6 +512,46 @@ mod tests {
         }
         assert_eq!(net.deliveries_until(300).len(), 20);
         assert_eq!(clones.get(), 10, "one clone per duplicate");
+    }
+
+    /// The flight recorder reads the same through the network's interned
+    /// refs as when every event resolves its names in the registry, and
+    /// the registry interns names in the order they are first seen.
+    #[test]
+    fn flight_records_match_per_event_registry_resolution() {
+        // Latency (1, 2) is always 1 ms: every delivery lands at t = 1.
+        let cfg = NetConfig { latency: (1, 2), drop_probability: 0.0 };
+        let reg = ccf_obs::Registry::new();
+        let z = reg.node_ref("z"); // interned before the network sees any id
+        let mut net: SimNet<u32> = SimNet::new(cfg, 1, &reg, |_| "msg");
+        net.send(&n("b"), &n("a"), 1);
+        net.send(&n("a"), &n("c"), 2); // dropped at delivery: c crashes
+        net.crash("c");
+        net.send(&n("a"), &n("c"), 3); // dropped at send
+        net.send(&n("c"), &n("b"), 4); // dropped at send
+        assert_eq!(net.deliveries_until(10).len(), 1);
+
+        let expected = ccf_obs::Registry::new();
+        expected.node_ref("z");
+        let events = [
+            ("send", "b", "a", 0),
+            ("send", "a", "c", 0),
+            ("send", "a", "c", 0),
+            ("drop", "a", "c", 0),
+            ("send", "c", "b", 0),
+            ("drop", "c", "b", 0),
+            ("recv", "b", "a", 1),
+            ("drop", "a", "c", 1),
+        ];
+        for (kind, from, to, at) in events {
+            let (f, t) = (expected.node_ref(from), expected.node_ref(to));
+            expected.flight(f, kind, "msg", Some(t), at, 0);
+        }
+        assert_eq!(reg.flight_records(), expected.flight_records());
+        let refs = ["z", "b", "a", "c"].map(|name| reg.node_ref(name));
+        assert_eq!(refs[0], z);
+        assert!(refs.windows(2).all(|w| w[0] < w[1]), "interned out of first-seen order");
+        assert_eq!(refs, ["z", "b", "a", "c"].map(|name| expected.node_ref(name)));
     }
 
     /// A toy node for [`SimNet::step`]: on each tick it sends `fanout`

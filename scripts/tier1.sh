@@ -45,6 +45,17 @@ cargo bench --no-run -q
 echo "== tier1: repo benchmark builds (perfbench, path deps on the crates)"
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "== tier1: repo benchmark runs (each workload, 0.2 s, ~7 s in all)"
+# A short run of every workload must still finish correct with no failed
+# operation; the timings it prints are not compared.
+for workload in write-private-n3 write-public-n1-sig1 read-heavy-n3; do
+    last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.2 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0,' <<<"$last"; then
+        echo "perfbench $workload: $last"; exit 1
+    fi
+done
+
 echo "== tier1: replica hardening regressions (release)"
 # Two of the fixed bugs were debug_assert!s that compiled away under
 # --release; the regression tests must exercise the release path.

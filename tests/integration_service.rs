@@ -549,7 +549,8 @@ fn append_next_view_entry(node: &CcfNode, leader: &NodeId, prev: TxId) {
         private_ws_enc: Vec::new(),
         claims_digest: [0; 32],
     };
-    let entries = vec![Arc::new(ReplicatedEntry { entry, config: None, trace: ccf_obs::TraceId::NONE })];
+    let entry = ReplicatedEntry { entry, config: None, trace: ccf_obs::TraceId::NONE };
+    let entries = Arc::from([Arc::new(entry)]);
     let commit_seqno = node.commit_seqno();
     let ae = AppendEntries { view: txid.view, leader: leader.clone(), prev, entries, commit_seqno };
     node.receive(leader, Message::AppendEntries(ae));
