@@ -353,100 +353,78 @@ pub fn split_query(path_and_query: &str) -> (String, HashMap<String, String>) {
 // Script applications (the paper's JavaScript apps)
 // ----------------------------------------------------------------------
 
-/// A CScript application: source installed in `public:ccf.gov.modules`
-/// (via `set_js_app` proposals — live code updates, §5) whose endpoints
-/// are functions named `<method>_<path segments joined by _>`, e.g.
-/// `POST /log` → `post_log(caller, body, params)`.
-pub struct ScriptApp {
-    program: ccf_script::ast::Program,
-    /// Routing table: (method, path) → (function, read_only).
-    routes: Vec<(String, String, String, bool)>,
-}
+/// CScript applications: source installed in `public:ccf.gov.modules`
+/// (via `set_js_app` proposals — live code updates, §5). A script
+/// declares its endpoints in `function endpoints()`, returning
+/// `[{method, path, func, read_only}, ...]`; each becomes an ordinary
+/// [`EndpointDef`] (policy `UserCert`) whose handler calls
+/// `func(caller, body, params)` in the interpreter.
+pub struct ScriptApp;
+
+/// Interpreter fuel for one request's script call.
+const REQUEST_FUEL: u64 = 10_000_000;
 
 impl ScriptApp {
-    /// Compiles a script application. Routes are declared by a
-    /// `function endpoints()` returning
-    /// `[{method, path, func, read_only}, ...]`.
-    pub fn compile(source: &str) -> Result<ScriptApp, String> {
-        let program = ccf_script::compile(source).map_err(|e| e.to_string())?;
+    /// Compiles a script application into an [`Application`] of its
+    /// endpoints.
+    pub fn compile(source: &str) -> Result<Application, String> {
+        let program = Arc::new(ccf_script::compile(source).map_err(|e| e.to_string())?);
         let mut interp = ccf_script::Interpreter::new(&program, 100_000);
         let table = interp
             .call("endpoints", vec![], &mut ccf_script::NoHost)
             .map_err(|e| format!("endpoints(): {e}"))?;
-        let mut routes = Vec::new();
+        let mut app = Application::new("script app");
         let list = table.as_arr().ok_or("endpoints() must return an array")?;
         for item in list {
             let method = item.get("method").and_then(|v| v.as_str()).ok_or("route needs method")?;
             let path = item.get("path").and_then(|v| v.as_str()).ok_or("route needs path")?;
             let func = item.get("func").and_then(|v| v.as_str()).ok_or("route needs func")?;
-            let read_only = item
-                .get("read_only")
-                .map(|v| v.truthy())
-                .unwrap_or(false);
             if program.function(func).is_none() {
                 return Err(format!("route {method} {path} references missing function {func}"));
             }
-            routes.push((method.to_string(), path.to_string(), func.to_string(), read_only));
+            let (program, func) = (program.clone(), func.to_string());
+            let handler = move |ctx: &mut EndpointContext<'_>| run_script(&program, &func, ctx);
+            app = app.endpoint(if item.get("read_only").is_some_and(|v| v.truthy()) {
+                EndpointDef::read(method, path, handler)
+            } else {
+                EndpointDef::write(method, path, handler)
+            });
         }
-        Ok(ScriptApp { program, routes })
+        Ok(app)
     }
+}
 
-    /// Routes a request; returns (function name, read_only).
-    pub fn route(&self, method: &str, path: &str) -> Option<(&str, bool)> {
-        self.routes
+/// Runs script function `func` over the request. It returns either a
+/// `{status, body}` object or a plain value (status 200).
+fn run_script(program: &ccf_script::ast::Program, func: &str, ctx: &mut EndpointContext<'_>) -> HandlerResult {
+    let caller = match ctx.caller {
+        Caller::Anonymous => ccf_script::Value::Null,
+        Caller::User(id) => ccf_script::Value::str(id.clone()),
+        Caller::Member(id) => ccf_script::Value::str(id.clone()),
+    };
+    let body = ccf_script::Value::str(String::from_utf8_lossy(ctx.body).to_string());
+    let params = ccf_script::Value::obj(
+        ctx.params
             .iter()
-            .find(|(m, p, _, _)| m == method && p == path)
-            .map(|(_, _, f, ro)| (f.as_str(), *ro))
-    }
-
-    /// Executes a routed function against the transaction.
-    pub fn invoke(
-        &self,
-        func: &str,
-        ctx: &mut EndpointContext<'_>,
-        fuel: u64,
-    ) -> HandlerResult {
-        let caller = match ctx.caller {
-            Caller::Anonymous => ccf_script::Value::Null,
-            Caller::User(id) => ccf_script::Value::str(id.clone()),
-            Caller::Member(id) => ccf_script::Value::str(id.clone()),
-        };
-        let body = ccf_script::Value::str(String::from_utf8_lossy(ctx.body).to_string());
-        let params = ccf_script::Value::obj(
-            ctx.params
-                .iter()
-                .map(|(k, v)| (k.clone(), ccf_script::Value::str(v.clone()))),
-        );
-        let mut host = TxScriptHost { tx: &mut *ctx.tx };
-        let mut interp = ccf_script::Interpreter::new(&self.program, fuel);
-        match interp.call(func, vec![caller, body, params], &mut host) {
-            Ok(v) => {
-                // Convention: {status, body} object or a plain value.
-                if let Some(status) = v.get("status").and_then(|s| s.as_num()) {
-                    let body = v
-                        .get("body")
-                        .map(|b| match b {
-                            ccf_script::Value::Str(s) => s.clone().into_bytes(),
-                            other => ccf_script::to_json(other).into_bytes(),
-                        })
-                        .unwrap_or_default();
-                    if (200..300).contains(&(status as u16)) {
-                        Ok(body)
-                    } else {
-                        Err(AppError {
-                            status: status as u16,
-                            message: String::from_utf8_lossy(&body).to_string(),
-                        })
-                    }
-                } else {
-                    Ok(match v {
-                        ccf_script::Value::Str(s) => s.into_bytes(),
-                        other => ccf_script::to_json(&other).into_bytes(),
-                    })
-                }
-            }
-            Err(e) => Err(AppError::bad_request(format!("script error: {e}"))),
-        }
+            .map(|(k, v)| (k.clone(), ccf_script::Value::str(v.clone()))),
+    );
+    let mut host = TxScriptHost { tx: &mut *ctx.tx };
+    let mut interp = ccf_script::Interpreter::new(program, REQUEST_FUEL);
+    let v = interp
+        .call(func, vec![caller, body, params], &mut host)
+        .map_err(|e| AppError::bad_request(format!("script error: {e}")))?;
+    let bytes = |v: &ccf_script::Value| match v {
+        ccf_script::Value::Str(s) => s.clone().into_bytes(),
+        other => ccf_script::to_json(other).into_bytes(),
+    };
+    let Some(status) = v.get("status").and_then(|s| s.as_num()) else {
+        return Ok(bytes(&v));
+    };
+    let body = v.get("body").map(bytes).unwrap_or_default();
+    if (200..300).contains(&(status as u16)) {
+        Ok(body)
+    } else {
+        Err(AppError { status: status as u16, message: String::from_utf8_lossy(&body).to_string() })
     }
 }
 
@@ -574,8 +552,9 @@ mod tests {
     #[test]
     fn script_app_logging_roundtrip() {
         let app = ScriptApp::compile(logging_script_app()).unwrap();
-        assert_eq!(app.route("POST", "/log"), Some(("write_message", false)));
-        assert_eq!(app.route("GET", "/log"), Some(("read_message", true)));
+        let (write, read) = (app.route("POST", "/log").unwrap(), app.route("GET", "/log").unwrap());
+        assert!(!write.read_only && read.read_only);
+        assert!(write.auth == AuthPolicy::UserCert && read.auth == AuthPolicy::UserCert);
 
         let store = Store::new();
         let mut tx = store.begin();
@@ -586,7 +565,7 @@ mod tests {
             params: HashMap::new(),
             claims: None,
         };
-        app.invoke("write_message", &mut ctx, 1_000_000).unwrap();
+        write.invoke(&mut ctx).unwrap();
         let mut params = HashMap::new();
         params.insert("id".to_string(), "7".to_string());
         let mut ctx = EndpointContext {
@@ -596,7 +575,7 @@ mod tests {
             params,
             claims: None,
         };
-        assert_eq!(app.invoke("read_message", &mut ctx, 1_000_000).unwrap(), b"the message");
+        assert_eq!(read.invoke(&mut ctx).unwrap(), b"the message");
         // Missing message → 404.
         let mut params = HashMap::new();
         params.insert("id".to_string(), "999".to_string());
@@ -607,7 +586,7 @@ mod tests {
             params,
             claims: None,
         };
-        let err = app.invoke("read_message", &mut ctx, 1_000_000).unwrap_err();
+        let err = read.invoke(&mut ctx).unwrap_err();
         assert_eq!(err.status, 404);
     }
 
@@ -632,7 +611,7 @@ mod tests {
             params: HashMap::new(),
             claims: None,
         };
-        assert!(app.invoke("evil", &mut ctx, 1_000_000).is_err());
+        assert!(app.route("POST", "/evil").unwrap().invoke(&mut ctx).is_err());
         assert_eq!(
             tx.get(&MapName::new("public:ccf.gov.members.certs"), b"me"),
             None

@@ -21,8 +21,8 @@
 //! re-applies the kept write sets above it.
 
 use crate::app::{
-    split_query, AppError, Application, AuthPolicy, Caller, EndpointContext, Request, Response,
-    ScriptApp,
+    split_query, AppError, Application, AuthPolicy, Caller, EndpointContext, EndpointDef, Request,
+    Response, ScriptApp,
 };
 use crate::indexer::{Indexer, KeyToTxIds};
 use ccf_consensus::message::{Message, ReplicatedEntry};
@@ -181,7 +181,7 @@ struct NodeInner {
     /// The last transaction applied to `store` (the read fast path's txid).
     last_applied: TxId,
     /// The live script app (`MODULES["app"]`), recompiled on change.
-    script_app: Option<Arc<ScriptApp>>,
+    script_app: Option<Arc<Application>>,
     /// Virtual time of the previous tick (0 before the first).
     last_tick_ms: u64,
     secrets: Option<LedgerSecrets>,
@@ -1070,41 +1070,28 @@ impl CcfNode {
             return self.handle_builtin(req, &path, &params);
         }
 
-        // One lock for the whole read view: the transaction's snapshot, the
-        // script app and the txid a read-only response carries.
-        let (mut tx, script_app, mut last_applied) = {
-            let inner = self.lock();
-            (inner.store.begin(), inner.script_app.clone(), inner.last_applied)
-        };
-        // Application endpoints require the service to be open.
-        enum Routed {
-            Native(crate::app::EndpointDef),
-            Script(Arc<ScriptApp>, String, bool),
-        }
-        let routed = if let Some(def) = self.app.route(&req.method, &path) {
-            Routed::Native(def.clone())
-        } else if let Some(sa) = script_app {
-            match sa.route(&req.method, &path) {
-                Some((func, ro)) => {
-                    let f = func.to_string();
-                    Routed::Script(sa, f, ro)
-                }
-                None => return Response::error(404, "no such endpoint"),
-            }
-        } else {
+        // One lock for routing and the whole read view: the script app, the
+        // transaction's snapshot and the txid a read-only response carries.
+        let inner = self.lock();
+        let script_app = inner.script_app.clone();
+        let Some(def) = self.endpoint(script_app.as_deref(), &req.method, &path) else {
             return Response::error(404, "no such endpoint");
         };
-        let (auth, read_only) = match &routed {
-            Routed::Native(def) => (def.auth, def.read_only),
-            Routed::Script(_, _, ro) => (AuthPolicy::UserCert, *ro),
-        };
-        if let Err(e) = Self::check_policy(&req.caller, auth) {
+        if let Err(e) = Self::check_policy(&req.caller, def.auth) {
             return Response::error(e.status, &e.message);
         }
+        if !def.read_only {
+            if let Some(forward) = self.forward_write(&inner) {
+                return forward;
+            }
+        }
+        let (mut tx, mut last_applied) = (inner.store.begin(), inner.last_applied);
+        drop(inner);
 
         let mut attempts = 0;
         loop {
             attempts += 1;
+            // Application endpoints require the service to be open.
             if !self.service_open(&mut tx) {
                 return Response::error(503, "service is not open");
             }
@@ -1118,10 +1105,7 @@ impl CcfNode {
                 params: params.clone(),
                 claims: None,
             };
-            let result = match &routed {
-                Routed::Native(def) => def.invoke(&mut ctx),
-                Routed::Script(sa, func, _) => sa.invoke(func, &mut ctx, 10_000_000),
-            };
+            let result = def.invoke(&mut ctx);
             let claims = ctx.claims.take();
             match result {
                 Err(e) => return Response::error(e.status, &e.message),
@@ -1131,7 +1115,7 @@ impl CcfNode {
                     if tx.is_read_only() {
                         return Response { status: 200, body, txid: Some(last_applied) };
                     }
-                    if read_only {
+                    if def.read_only {
                         return Response::error(
                             500,
                             "endpoint declared read-only but wrote to the store",
@@ -1158,13 +1142,14 @@ impl CcfNode {
                         return Response::error(409, "transaction conflict");
                     }
                     let ws = tx.into_write_set();
-                    // Trace ids are minted only once the request reaches
-                    // its primary with a validated write set, so ids stay
-                    // dense and deterministic across forwarding. The root
-                    // "request" span is opened (seq assigned) before the
-                    // proposal so the stages it causes sort under it; on
-                    // propose failure the token is dropped unexited and
-                    // nothing is recorded.
+                    // Trace ids are minted only here, at a primary with a
+                    // validated write set (a backup forwarded the write
+                    // before running it), so ids stay dense and
+                    // deterministic across forwarding. The root "request"
+                    // span is opened (seq assigned) before the proposal so
+                    // the stages it causes sort under it; on propose
+                    // failure the token is dropped unexited and nothing is
+                    // recorded.
                     let trace = self.metrics.reg.mint_trace();
                     let tok = self.metrics.reg.trace_enter_at(
                         trace,
@@ -1173,30 +1158,42 @@ impl CcfNode {
                         self.metrics.node,
                         entered_at,
                     );
-                    match self.propose_write_set(&mut inner, ws, claims, trace) {
+                    return match self.propose_write_set(&mut inner, ws, claims, trace) {
                         Ok(txid) => {
                             self.metrics.reg.trace_exit(tok);
                             inner.inflight_traces.insert(txid.seqno, (trace, entered_at));
-                            return Response { status: 200, body, txid: Some(txid) };
+                            Response { status: 200, body, txid: Some(txid) }
                         }
-                        Err(ProposeError::NotPrimary(hint)) => {
-                            let hint = hint
-                                .or_else(|| inner.replica.leader_hint().cloned())
-                                .unwrap_or_default();
-                            self.metrics.leader_forwards.inc();
-                            return Response {
-                                status: 307,
-                                body: hint.into_bytes(),
-                                txid: None,
-                            };
-                        }
-                        Err(ProposeError::Retiring) => {
-                            return Response::error(503, "node is retiring");
-                        }
-                    }
+                        Err(e) => Response::error(503, &format!("propose failed: {e}")),
+                    };
                 }
             }
         }
+    }
+
+    /// The endpoint serving `method` `path` (no query string): the native
+    /// app's, else the live script app's.
+    fn endpoint<'a>(
+        &'a self,
+        script_app: Option<&'a Application>,
+        method: &str,
+        path: &str,
+    ) -> Option<&'a EndpointDef> {
+        self.app.route(method, path).or_else(|| script_app?.route(method, path))
+    }
+
+    /// §4.3 forwarding: a node that is neither primary nor retiring runs
+    /// no write. It answers each write route 307, the body naming the
+    /// primary it knows of (empty if none), and the client resends there.
+    /// This is the only place that builds that answer.
+    fn forward_write(&self, inner: &NodeInner) -> Option<Response> {
+        let replica = &inner.replica;
+        if matches!(replica.role(), Role::Primary | Role::Retiring) {
+            return None;
+        }
+        self.metrics.leader_forwards.inc();
+        let hint = replica.leader_hint().cloned().unwrap_or_default();
+        Some(Response { status: 307, body: hint.into_bytes(), txid: None })
     }
 
     fn handle_builtin(
@@ -1283,16 +1280,14 @@ impl CcfNode {
     }
 
     fn handle_gov(&self, req: &Request, op: GovOp) -> Response {
+        let mut inner = self.lock();
+        if let Some(forward) = self.forward_write(&inner) {
+            return forward;
+        }
         let envelope = match SignedRequest::decode(&req.body) {
             Ok(e) => e,
             Err(e) => return Response::error(400, &format!("bad envelope: {e}")),
         };
-        let mut inner = self.lock();
-        if !inner.replica.is_primary() {
-            let hint = inner.replica.leader_hint().cloned().unwrap_or_default();
-            self.metrics.leader_forwards.inc();
-            return Response { status: 307, body: hint.into_bytes(), txid: None };
-        }
         let mut tx = inner.store.begin();
         let outcome = match &op {
             GovOp::Propose => inner
@@ -1452,37 +1447,37 @@ impl CcfNode {
     /// ([`ccf_crypto::verify_batch`] — one shared doubling chain for the
     /// whole batch) in this call; if the batch rejects, each envelope is
     /// re-verified individually so only the offending requests get a 401
-    /// and the rest proceed normally. A node that is not primary serves
-    /// only what is not a write: it answers each envelope naming an
-    /// endpoint not declared read-only with a 307, unverified, since the
-    /// primary it names verifies it anyway.
+    /// and the rest proceed normally. An envelope naming an application
+    /// write endpoint is forwarded like a plain write, unverified, since
+    /// the primary verifies it anyway.
     pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
-        let forward_hint = {
+        let forwards: Vec<Option<Response>> = {
             let inner = self.lock();
-            let replica = &inner.replica;
-            (!matches!(replica.role(), Role::Primary | Role::Retiring))
-                .then(|| replica.leader_hint().cloned().unwrap_or_default())
+            let script_app = inner.script_app.as_deref();
+            envelopes
+                .iter()
+                .map(|envelope| {
+                    let (method, path) = signed_route(&envelope.purpose)?;
+                    let path = path.split_once('?').map_or(path, |(path, _)| path);
+                    let def = self.endpoint(script_app, method, path)?;
+                    if def.read_only { None } else { self.forward_write(&inner) }
+                })
+                .collect()
         };
-        let forwarded: Vec<bool> = envelopes
-            .iter()
-            .map(|e| forward_hint.is_some() && self.names_write_endpoint(&e.purpose))
-            .collect();
         let served: Vec<&SignedRequest> =
-            envelopes.iter().zip(&forwarded).filter(|(_, f)| !**f).map(|(e, _)| e).collect();
+            envelopes.iter().zip(&forwards).filter(|(_, f)| f.is_none()).map(|(e, _)| e).collect();
         let mut valid = self.verify_envelopes(&served).into_iter();
         envelopes
             .iter()
-            .zip(forwarded)
-            .map(|(envelope, forwarded)| {
-                if forwarded {
-                    self.metrics.leader_forwards.inc();
-                    let hint = forward_hint.as_deref().unwrap_or_default();
-                    Response { status: 307, body: hint.as_bytes().to_vec(), txid: None }
-                } else if valid.next() == Some(true) {
-                    self.dispatch_signed_user_request(envelope)
-                } else {
-                    Response::error(401, "invalid request signature")
-                }
+            .zip(forwards)
+            .map(|(envelope, forward)| {
+                forward.unwrap_or_else(|| {
+                    if valid.next() == Some(true) {
+                        self.dispatch_signed_user_request(envelope)
+                    } else {
+                        Response::error(401, "invalid request signature")
+                    }
+                })
             })
             .collect()
     }
@@ -1514,33 +1509,10 @@ impl CcfNode {
             .collect()
     }
 
-    /// Whether `purpose` (`user/<METHOD> <path>`) names an application
-    /// endpoint not declared read-only, which only the primary serves.
-    /// Built-in endpoints, unknown routes and malformed purposes are
-    /// answered wherever they land.
-    fn names_write_endpoint(&self, purpose: &str) -> bool {
-        let Some((method, path)) = purpose.strip_prefix("user/").and_then(|r| r.split_once(' '))
-        else {
-            return false;
-        };
-        let (path, _) = split_query(path);
-        if path.starts_with("/node/") || path.starts_with("/gov/") {
-            return false;
-        }
-        if let Some(def) = self.app.route(method, &path) {
-            return !def.read_only;
-        }
-        let script_app = self.lock().script_app.clone();
-        script_app.is_some_and(|app| app.route(method, &path).is_some_and(|(_, ro)| !ro))
-    }
-
     /// Post-verification half of signed user request handling: resolve the
     /// purpose and signer, then execute as an authenticated user.
     fn dispatch_signed_user_request(&self, envelope: &SignedRequest) -> Response {
-        let Some(rest) = envelope.purpose.strip_prefix("user/") else {
-            return Response::error(400, "purpose must be user/<METHOD> <path>");
-        };
-        let Some((method, path)) = rest.split_once(' ') else {
+        let Some((method, path)) = signed_route(&envelope.purpose) else {
             return Response::error(400, "purpose must be user/<METHOD> <path>");
         };
         // Resolve the signer to a registered user id by cert match.
@@ -1601,6 +1573,12 @@ enum GovOp {
     Propose,
     Vote(String),
     Withdraw(String),
+}
+
+/// The method and path (query included) a signed user request's purpose,
+/// `user/<METHOD> <path>`, names.
+fn signed_route(purpose: &str) -> Option<(&str, &str)> {
+    purpose.strip_prefix("user/")?.split_once(' ')
 }
 
 fn parse_txid(params: &std::collections::HashMap<String, String>) -> Result<TxId, String> {
