@@ -8,11 +8,12 @@
 //! Run with: `cargo run --release -p ccf-bench --bin bench_crypto`
 //!
 //! Emits a single-line JSON object to stdout and to `BENCH_crypto.json`
-//! in the current directory. `CCF_BENCH_SAMPLES` overrides the per-metric
-//! sample count (default 30). With `--smoke` the run first asserts the
-//! fast paths against their oracles on seeded inputs, then times with
-//! few samples and prints the JSON without writing any file.
+//! in the current directory; each metric is the median of 30 samples.
+//! With `--smoke` the run first asserts the fast paths against their
+//! oracles on seeded inputs, then times with 5 samples and prints the
+//! JSON without writing any file.
 
+use ccf_bench::median_ns_per_call;
 use ccf_crypto::bignum::Scalar;
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::ed25519::Point;
@@ -20,26 +21,6 @@ use ccf_crypto_ref::ed25519 as reference;
 use ccf_crypto::field25519::{Fe, P};
 use ccf_crypto::{Signature, SigningKey, VerifyingKey};
 use ccf_ledger::MerkleTree;
-use std::time::Instant;
-
-/// Median nanoseconds per call over `samples` timed samples of `iters`
-/// calls each (after one warm-up sample).
-fn median_ns_per_call(samples: usize, iters: u64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_call.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    per_call[per_call.len() / 2]
-}
 
 fn signed_triples(n: usize) -> (Vec<Vec<u8>>, Vec<Signature>, Vec<VerifyingKey>) {
     let keys: Vec<SigningKey> = (0..n)
@@ -84,10 +65,7 @@ fn main() {
     if smoke {
         smoke_check();
     }
-    let samples: usize = std::env::var("CCF_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 5 } else { 30 });
+    let samples = if smoke { 5 } else { 30 };
     let mut fields: Vec<(String, f64)> = Vec::new();
 
     // Signing: two SHA-512 passes, one fixed-base multiplication and one

@@ -6,12 +6,12 @@
 //! Run with: `cargo run --release -p ccf-bench --bin bench_symmetric`
 //!
 //! Emits a single-line JSON object to stdout and to `BENCH_symmetric.json`
-//! in the current directory. `CCF_BENCH_SAMPLES` overrides the per-metric
-//! sample count (default 30). With `--smoke` the run first asserts
-//! fast == reference on a fixed seed, then uses a reduced sample count so
-//! CI can afford it; the JSON is printed but no file is written.
+//! in the current directory; each metric is the median of 30 samples.
+//! With `--smoke` the run first asserts fast == reference on a fixed
+//! seed, then times with 5 samples so CI can afford it; the JSON is
+//! printed but no file is written.
 
-use ccf_bench::{bench_opts, logging_app, MESSAGE};
+use ccf_bench::{bench_opts, logging_app, median_ns_per_call, MESSAGE};
 use ccf_core::service::ServiceCluster;
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::gcm::AesGcm256;
@@ -20,25 +20,6 @@ use ccf_crypto_ref::{gcm, sha2};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Median nanoseconds per call over `samples` timed samples of `iters`
-/// calls each (after one warm-up sample).
-fn median_ns_per_call(samples: usize, iters: u64, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters {
-        f();
-    }
-    let mut per_call: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_call.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    per_call[per_call.len() / 2]
-}
 
 /// `--smoke` gate: the fast pipelines must agree with the frozen oracles
 /// on a fixed seed before any number is reported.
@@ -69,10 +50,7 @@ fn main() {
     if smoke {
         smoke_check();
     }
-    let samples: usize = std::env::var("CCF_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 5 } else { 30 });
+    let samples = if smoke { 5 } else { 30 };
     let mut fields: Vec<(String, f64)> = Vec::new();
 
     // AES-256-GCM seal/open: fast T-table + Shoup-table pipeline vs the

@@ -3,7 +3,8 @@
 //! Each binary in `src/bin/` regenerates one table or figure from the
 //! paper's evaluation (§7); see EXPERIMENTS.md for the index and
 //! paper-vs-measured results. This library provides the logging app,
-//! service options and the timed sim stepper they share.
+//! service options, the timed sim stepper and the per-call timing helper
+//! they share.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +33,25 @@ pub fn logging_app() -> Application {
                 None => AppResult::not_found("missing"),
             }
         }))
+}
+
+/// Median nanoseconds per call over `samples` timed samples of `iters`
+/// calls each (after one warm-up sample).
+pub fn median_ns_per_call(samples: usize, iters: u64, mut f: impl FnMut()) -> f64 {
+    for _ in 0..iters {
+        f();
+    }
+    let mut per_call: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    per_call.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    per_call[per_call.len() / 2]
 }
 
 /// A 20-character message, as in the paper's setup.

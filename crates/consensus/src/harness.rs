@@ -195,9 +195,7 @@ impl Cluster {
     /// piggybacked on the entry, giving consensus-level runs full
     /// per-stage causal traces without a node layer on top.
     pub fn propose(&mut self, payload: &[u8]) -> Result<TxId, ProposeError> {
-        let primary = self
-            .primary()
-            .ok_or(ProposeError::NotPrimary(None))?;
+        let primary = self.primary().ok_or(ProposeError::NotPrimary)?;
         let trace = self.obs().mint_trace();
         let replica = self.replicas.get_mut(&primary).unwrap();
         let (txid, actions) = replica.propose(|txid| traced_user_entry(txid, payload, trace))?;
@@ -207,7 +205,7 @@ impl Cluster {
 
     /// Proposes a reconfiguration on the current primary.
     pub fn propose_reconfig(&mut self, config: &Config) -> Result<TxId, ProposeError> {
-        let primary = self.primary().ok_or(ProposeError::NotPrimary(None))?;
+        let primary = self.primary().ok_or(ProposeError::NotPrimary)?;
         let replica = self.replicas.get_mut(&primary).unwrap();
         let (txid, actions) = replica.propose(|txid| reconfig_entry(txid, config))?;
         self.send_at_tick(&primary, actions.messages);

@@ -154,9 +154,8 @@ pub(crate) mod record {
 /// Errors from [`Replica::propose`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProposeError {
-    /// Only the primary accepts proposals; carries the current primary
-    /// hint for request forwarding (§4.3).
-    NotPrimary(Option<NodeId>),
+    /// Only the primary accepts proposals.
+    NotPrimary,
     /// The primary is retiring and no longer accepts new transactions.
     Retiring,
 }
@@ -164,7 +163,7 @@ pub enum ProposeError {
 impl std::fmt::Display for ProposeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProposeError::NotPrimary(hint) => write!(f, "not primary (hint: {hint:?})"),
+            ProposeError::NotPrimary => write!(f, "not primary"),
             ProposeError::Retiring => write!(f, "primary is retiring"),
         }
     }
@@ -641,7 +640,7 @@ impl Replica {
         match self.role {
             Role::Primary => {}
             Role::Retiring => return Err(ProposeError::Retiring),
-            _ => return Err(ProposeError::NotPrimary(self.leader_hint.clone())),
+            _ => return Err(ProposeError::NotPrimary),
         }
         let txid = TxId::new(self.view, self.last_seqno() + 1);
         let entry = build(txid);

@@ -9,7 +9,9 @@
 //!
 //! Two kinds of applications exist, mirroring the paper's C++-vs-JS split:
 //! native Rust handlers ([`Application`]) and CScript applications
-//! ([`ScriptApp`]) installed (and live-updatable) via governance.
+//! installed (and live-updatable) via governance, which [`ScriptApp`]
+//! compiles into an [`Application`] whose handlers run the interpreter.
+//! Either way a node routes and runs requests through [`EndpointDef`]s.
 
 use ccf_kv::{MapName, Transaction};
 use ccf_ledger::TxId;
@@ -396,7 +398,11 @@ impl ScriptApp {
 
 /// Runs script function `func` over the request. It returns either a
 /// `{status, body}` object or a plain value (status 200).
-fn run_script(program: &ccf_script::ast::Program, func: &str, ctx: &mut EndpointContext<'_>) -> HandlerResult {
+fn run_script(
+    program: &ccf_script::ast::Program,
+    func: &str,
+    ctx: &mut EndpointContext<'_>,
+) -> HandlerResult {
     let caller = match ctx.caller {
         Caller::Anonymous => ccf_script::Value::Null,
         Caller::User(id) => ccf_script::Value::str(id.clone()),

@@ -19,6 +19,14 @@
 //! transactions (the only commit points) and at a snapshot-install base;
 //! rollback installs the newest kept state at or below its target and
 //! re-applies the kept write sets above it.
+//!
+//! Requests follow one route and one forwarding rule. An application
+//! request is routed to the native app's endpoint, else to the live script
+//! app's (both are [`EndpointDef`]s). A node that is neither primary nor
+//! retiring answers every write route 307 with its leader hint before
+//! running it (§4.3): a plain request once its endpoint's auth policy
+//! holds, a signed envelope before its signature is checked, a governance
+//! POST before its envelope is decoded. Reads are served where they land.
 
 use crate::app::{
     split_query, AppError, Application, AuthPolicy, Caller, EndpointContext, EndpointDef, Request,
@@ -27,7 +35,7 @@ use crate::app::{
 use crate::indexer::{Indexer, KeyToTxIds};
 use ccf_consensus::message::{Message, ReplicatedEntry};
 use ccf_consensus::replica::{Actions, Command, ProposeError, Replica, ReplicaConfig, Role};
-use ccf_consensus::{NodeId, Seqno, Snapshot, TxStatus};
+use ccf_consensus::{NodeId, Seqno, Snapshot, TxStatus, View};
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::sha2::sha256;
 use ccf_crypto::x25519::DhKeyPair;
@@ -204,8 +212,6 @@ struct NodeInner {
     /// rollback, snapshot install and role change; cleared only by a scan
     /// that finds no `Retiring` node and no unhandled rekey marker.
     duties_armed: bool,
-    /// Monotonic count of primary changes (terminates forwarded sessions).
-    view_epoch: u64,
     /// Traced user requests proposed here and not yet globally
     /// committed: seqno → (trace, request entry time).
     inflight_traces: BTreeMap<Seqno, (ccf_obs::TraceId, u64)>,
@@ -291,7 +297,6 @@ impl CcfNode {
                 retired: false,
                 handled_rekey: None,
                 duties_armed: true,
-                view_epoch: 0,
                 inflight_traces: BTreeMap::new(),
             }),
             node_key,
@@ -449,24 +454,14 @@ impl CcfNode {
         let threshold = recovery_threshold.clamp(1, member_enc.len().max(1));
         write_recovery_material(&mut tx, &secrets, &member_enc, threshold, &mut inner.rng)
             .map_err(|e| format!("recovery material: {e}"))?;
-        self.propose_tx(&mut inner, tx).map_err(|e| format!("genesis propose: {e}"))
+        let ws = tx.into_write_set();
+        self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
+            .map_err(|e| format!("genesis propose: {e}"))
     }
 
     // ------------------------------------------------------------------
     // The uniform propose/apply pipeline
     // ------------------------------------------------------------------
-
-    /// Validates `tx` and proposes its write set as a ledger entry; the
-    /// state application happens via its `Appended` command. Caller holds
-    /// the inner lock.
-    fn propose_tx(&self, inner: &mut NodeInner, tx: Transaction) -> Result<TxId, ProposeError> {
-        // Surface conflicts as a retryable error at the caller.
-        inner
-            .store
-            .validate(&tx)
-            .map_err(|_| ProposeError::NotPrimary(None))?;
-        self.propose_write_set(inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
-    }
 
     /// Proposes a prepared write set with optional claims. A non-NONE
     /// `trace` rides the replicated entry so every replica records
@@ -592,7 +587,6 @@ impl CcfNode {
                     inner.duties_armed = true;
                 }
                 Command::BecamePrimary { .. } | Command::BecameBackup { .. } => {
-                    inner.view_epoch += 1;
                     inner.duties_armed = true;
                 }
                 Command::RetirementCommitted => inner.retired = true,
@@ -942,11 +936,11 @@ impl CcfNode {
         self.lock().retired
     }
 
-    /// A counter that changes whenever this node's role changes —
-    /// sessions pinned to a forwarding target terminate when it does
-    /// (§4.3 session consistency).
-    pub fn view_epoch(&self) -> u64 {
-        self.lock().view_epoch
+    /// The consensus view this node is in. A view has at most one
+    /// primary, so of two nodes that both call themselves primary, the
+    /// one in the higher view is the service's.
+    pub fn view(&self) -> View {
+        self.lock().replica.view()
     }
 
     // ------------------------------------------------------------------
@@ -1052,9 +1046,9 @@ impl CcfNode {
             == Some(ServiceStatus::Open)
     }
 
-    /// Handles a request. Writes must land on the primary — other nodes
-    /// return a 307 with the primary hint in the body (the service harness
-    /// implements the forwarding of §4.3 on top).
+    /// Handles a request. Writes run only on the primary: other nodes
+    /// answer them 307 with the primary hint in the body, a retiring
+    /// primary 503 (the service harness follows the 307, §4.3).
     pub fn handle_request(&self, req: &Request) -> Response {
         let platform = self.opts.platform;
         platform.run(|| self.handle_request_inner(req))

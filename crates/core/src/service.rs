@@ -11,7 +11,7 @@ use crate::app::{Application, Caller, Request, Response};
 use crate::node::{CcfNode, NodeOpts, ServiceSecrets};
 use ccf_consensus::message::Message;
 use ccf_consensus::replica::ReplicaConfig;
-use ccf_consensus::{NodeId, TxStatus};
+use ccf_consensus::{NodeId, TxStatus, View};
 use ccf_crypto::sha2::sha256;
 use ccf_crypto::x25519::DhKeyPair;
 use ccf_crypto::{SigningKey, VerifyingKey};
@@ -86,7 +86,7 @@ impl Default for ServiceOpts {
 struct Session {
     node: NodeId,
     caller: Caller,
-    forwarded_to: Option<(NodeId, u64)>, // (primary, its view_epoch)
+    forwarded_to: Option<(NodeId, View)>, // (primary, its view)
 }
 
 /// The running service.
@@ -327,21 +327,16 @@ impl ServiceCluster {
         );
     }
 
-    /// The current primary (if any live node is one).
+    /// The current primary: of the live nodes that call themselves
+    /// primary, the one in the highest view. A primary cut off from its
+    /// quorum keeps the title until its leadership-ack window runs out,
+    /// but a view has at most one primary.
     pub fn primary(&self) -> Option<NodeId> {
-        let mut best: Option<(NodeId, u64)> = None;
-        for (id, node) in &self.nodes {
-            if self.is_crashed(id) {
-                continue;
-            }
-            if node.is_primary() {
-                let epoch = node.view_epoch();
-                if best.as_ref().is_none_or(|(_, e)| epoch >= *e) {
-                    best = Some((id.clone(), epoch));
-                }
-            }
-        }
-        best.map(|(id, _)| id)
+        self.nodes
+            .iter()
+            .filter(|(id, node)| !self.is_crashed(id) && node.is_primary())
+            .max_by_key(|(_, node)| node.view())
+            .map(|(id, _)| id.clone())
     }
 
     /// Live (non-crashed, non-retired) node ids.
@@ -428,11 +423,12 @@ impl ServiceCluster {
             return Response::error(503, "node unreachable; reconnect to another node");
         }
         // Session consistency: once forwarded, always forwarded — and if
-        // the forwarding target's epoch changed, terminate the session.
+        // the forwarding target is no longer primary of the view it was
+        // pinned in, terminate the session.
         let target = match &session.forwarded_to {
-            Some((primary, epoch)) => {
+            Some((primary, view)) => {
                 if self.is_crashed(primary)
-                    || self.nodes[primary].view_epoch() != *epoch
+                    || self.nodes[primary].view() != *view
                     || !self.nodes[primary].is_primary()
                 {
                     self.sessions.remove(&session_id);
@@ -451,8 +447,8 @@ impl ServiceCluster {
         let Some(primary) = self.forward_target(&resp.body) else {
             return Response::error(503, "no reachable primary");
         };
-        let epoch = self.nodes[&primary].view_epoch();
-        self.sessions.get_mut(&session_id).unwrap().forwarded_to = Some((primary.clone(), epoch));
+        let view = self.nodes[&primary].view();
+        self.sessions.get_mut(&session_id).unwrap().forwarded_to = Some((primary.clone(), view));
         let forwarded = self.nodes[&primary].handle_request(&req);
         // The forwarding hop is a zero-duration stage on the request's
         // trace, attributed to the backup that issued the 307.

@@ -130,6 +130,36 @@ fn session_terminates_on_primary_change() {
 }
 
 #[test]
+fn primary_is_the_self_declared_primary_of_the_highest_view() {
+    // A primary cut off from its quorum keeps calling itself primary until
+    // its leadership-ack window runs out, here longer than the test: each
+    // partition below leaves two self-declared primaries. Seed 1 makes
+    // the second partition's stale primary the one with the later id and
+    // as many role changes as the new primary.
+    let mut opts = ServiceOpts { nodes: 3, members: 3, seed: 1, ..ServiceOpts::default() };
+    opts.consensus.leadership_ack_window = 60_000;
+    let mut service = ServiceCluster::start(opts, Arc::new(logging_app()));
+    service.open_service();
+    for _ in 0..2 {
+        let stale = service.primary().expect("primary");
+        let others: BTreeSet<String> =
+            service.nodes.keys().filter(|id| **id != stale).cloned().collect();
+        service.net.partition(vec![[stale.clone()].into(), others]);
+        let elected = |c: &ServiceCluster| {
+            c.nodes.iter().find(|(id, n)| **id != stale && n.is_primary()).map(|(id, _)| id.clone())
+        };
+        assert!(service.run_until(10_000, |c| elected(c).is_some()), "no primary elected");
+        let new = elected(&service).unwrap();
+        assert!(service.nodes[&stale].is_primary(), "{stale} stepped down early");
+        assert!(service.nodes[&new].view() > service.nodes[&stale].view());
+        assert_eq!(service.primary(), Some(new), "stale {stale} chosen");
+        service.net.heal();
+        assert!(service.run_until(10_000, |c| !c.nodes[&stale].is_primary()));
+        service.run_for(500);
+    }
+}
+
+#[test]
 fn user_request_as_skips_a_crashed_node() {
     let mut service = start_open(42, 3);
     let old_primary = service.primary().unwrap();
