@@ -44,10 +44,12 @@ const READS_PER_NODE_MS: u64 = 20;
 const MIX_OPS_PER_MS: u64 = 20;
 /// Sequential writes, one per virtual ms, in the Fig. 8 trace.
 const TRACE_WRITES: u64 = 1000;
-/// Runs per point in the full run. `--smoke` takes 3, except at the gated
-/// Table 5 read points: their wall-clock ratios need all 10 to hold on a
-/// shared host.
+/// Runs per point in the full run; `--smoke` takes 3.
 const FULL_ROUNDS: u64 = 10;
+/// Runs of each gated Table 5 read point, in every run. Each run is a few
+/// ms of wall time, so one descheduling on a shared host spoils it; the
+/// best of 10 still fell below the gate about once in 20 smoke runs.
+const GATED_READ_ROUNDS: u64 = 30;
 
 /// An open, prefilled service, stepped by [`TimedService`]. The script variant
 /// installs the script app by governance over an empty native app, so
@@ -111,7 +113,7 @@ fn main() {
     let mut fields: Vec<(String, f64)> = Vec::new();
     println!("=== Figure 7, Figure 8, Table 5 (paper §7): ops/s with one machine per node ===");
     println!(
-        "best of {rounds} runs (Table 5 reads: {FULL_ROUNDS}) of {RUN_MS} virtual ms; \
+        "best of {rounds} runs (Table 5 reads: {GATED_READ_ROUNDS}) of {RUN_MS} virtual ms; \
          ops ÷ the busiest node's busy time"
     );
 
@@ -165,7 +167,7 @@ fn main() {
         .iter()
         .map(|&(script, platform)| service(ServiceOpts { platform, ..bench_opts(5, 500) }, script))
         .collect();
-    let reads = measure(&mut svcs, &[load(0, 5 * READS_PER_NODE_MS); 4], FULL_ROUNDS);
+    let reads = measure(&mut svcs, &[load(0, 5 * READS_PER_NODE_MS); 4], GATED_READ_ROUNDS);
     let writes = measure(&mut svcs, &[load(WRITES_PER_MS, 0); 4], rounds);
     println!("\nTable 5: writes / reads per second, five nodes");
     println!("{:>8} | {:>17} | {:>17}", "", "virtual", "sgx-sim");
