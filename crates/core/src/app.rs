@@ -178,8 +178,8 @@ pub struct EndpointContext<'a> {
     pub caller: &'a Caller,
     /// The request body.
     pub body: &'a [u8],
-    /// Parsed query parameters.
-    pub params: HashMap<String, String>,
+    /// Parsed query parameters, borrowed from the request path.
+    pub params: &'a HashMap<&'a str, &'a str>,
     /// Claims the handler attaches to the transaction's receipt (§3.5).
     pub claims: Option<Vec<u8>>,
 }
@@ -189,7 +189,7 @@ impl<'a> EndpointContext<'a> {
     pub fn query(&self, key: &str) -> Result<String, AppError> {
         self.params
             .get(key)
-            .cloned()
+            .map(|v| v.to_string())
             .ok_or_else(|| AppError::bad_request(format!("missing query parameter {key}")))
     }
 
@@ -212,7 +212,7 @@ impl<'a> EndpointContext<'a> {
 
     /// Reads from a private application map.
     pub fn get_private(&mut self, map: &str, key: &[u8]) -> Option<Vec<u8>> {
-        self.tx.get(&MapName::new(map), key)
+        self.tx.read(map, key).map(<[u8]>::to_vec)
     }
 
     /// Writes to a private application map.
@@ -222,7 +222,7 @@ impl<'a> EndpointContext<'a> {
 
     /// Reads from a public application map.
     pub fn get_public(&mut self, map: &str, key: &[u8]) -> Option<Vec<u8>> {
-        self.tx.get(&MapName::new(format!("public:{map}")), key)
+        self.tx.read(&format!("public:{map}"), key).map(<[u8]>::to_vec)
     }
 
     /// Writes to a public application map.
@@ -335,18 +335,13 @@ impl Application {
     }
 }
 
-/// Splits `/p?a=1&b=2` into the path and parsed parameters.
-pub fn split_query(path_and_query: &str) -> (String, HashMap<String, String>) {
+/// Splits `/p?a=1&b=2` into the path and parsed parameters, both
+/// borrowed from `path_and_query`.
+pub fn split_query(path_and_query: &str) -> (&str, HashMap<&str, &str>) {
     match path_and_query.split_once('?') {
-        None => (path_and_query.to_string(), HashMap::new()),
+        None => (path_and_query, HashMap::new()),
         Some((path, query)) => {
-            let mut params = HashMap::new();
-            for pair in query.split('&') {
-                if let Some((k, v)) = pair.split_once('=') {
-                    params.insert(k.to_string(), v.to_string());
-                }
-            }
-            (path.to_string(), params)
+            (path, query.split('&').filter_map(|pair| pair.split_once('=')).collect())
         }
     }
 }
@@ -412,7 +407,7 @@ fn run_script(
     let params = ccf_script::Value::obj(
         ctx.params
             .iter()
-            .map(|(k, v)| (k.clone(), ccf_script::Value::str(v.clone()))),
+            .map(|(k, v)| (k.to_string(), ccf_script::Value::str(v.to_string()))),
     );
     let mut host = TxScriptHost { tx: &mut *ctx.tx };
     let mut interp = ccf_script::Interpreter::new(program, REQUEST_FUEL);
@@ -442,11 +437,7 @@ struct TxScriptHost<'a> {
 
 impl ccf_script::Host for TxScriptHost<'_> {
     fn kv_get(&mut self, map: &str, key: &str) -> Result<Option<String>, String> {
-        let name = MapName::new(map);
-        Ok(self
-            .tx
-            .get(&name, key.as_bytes())
-            .map(|v| String::from_utf8_lossy(&v).to_string()))
+        Ok(self.tx.read(map, key.as_bytes()).map(|v| String::from_utf8_lossy(v).into_owned()))
     }
 
     fn kv_put(&mut self, map: &str, key: &str, value: &str) -> Result<(), String> {
@@ -543,7 +534,7 @@ mod tests {
             tx: &mut tx,
             caller: &Caller::User("alice".into()),
             body: b"42=hello",
-            params: HashMap::new(),
+            params: &HashMap::new(),
             claims: None,
         };
         let def = EndpointDef::write("POST", "/log", |ctx| {
@@ -568,28 +559,26 @@ mod tests {
             tx: &mut tx,
             caller: &Caller::User("alice".into()),
             body: b"7=the message",
-            params: HashMap::new(),
+            params: &HashMap::new(),
             claims: None,
         };
         write.invoke(&mut ctx).unwrap();
-        let mut params = HashMap::new();
-        params.insert("id".to_string(), "7".to_string());
+        let params = HashMap::from([("id", "7")]);
         let mut ctx = EndpointContext {
             tx: &mut tx,
             caller: &Caller::User("alice".into()),
             body: b"",
-            params,
+            params: &params,
             claims: None,
         };
         assert_eq!(read.invoke(&mut ctx).unwrap(), b"the message");
         // Missing message → 404.
-        let mut params = HashMap::new();
-        params.insert("id".to_string(), "999".to_string());
+        let params = HashMap::from([("id", "999")]);
         let mut ctx = EndpointContext {
             tx: &mut tx,
             caller: &Caller::User("alice".into()),
             body: b"",
-            params,
+            params: &params,
             claims: None,
         };
         let err = read.invoke(&mut ctx).unwrap_err();
@@ -614,7 +603,7 @@ mod tests {
             tx: &mut tx,
             caller: &Caller::User("mallory".into()),
             body: b"",
-            params: HashMap::new(),
+            params: &HashMap::new(),
             claims: None,
         };
         assert!(app.route("POST", "/evil").unwrap().invoke(&mut ctx).is_err());

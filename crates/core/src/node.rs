@@ -1014,14 +1014,14 @@ impl CcfNode {
         match &req.caller {
             Caller::Anonymous => Ok(()),
             Caller::User(id) => {
-                if tx.get(&map(builtin::USERS_CERTS), id.as_bytes()).is_some() {
+                if tx.read(builtin::USERS_CERTS, id.as_bytes()).is_some() {
                     Ok(())
                 } else {
                     Err(AppError::forbidden(format!("unknown user {id}")))
                 }
             }
             Caller::Member(id) => {
-                if tx.get(&map(builtin::MEMBERS_CERTS), id.as_bytes()).is_some() {
+                if tx.read(builtin::MEMBERS_CERTS, id.as_bytes()).is_some() {
                     Ok(())
                 } else {
                     Err(AppError::forbidden(format!("unknown member {id}")))
@@ -1040,9 +1040,9 @@ impl CcfNode {
     }
 
     fn service_open(&self, tx: &mut Transaction) -> bool {
-        tx.get(&map(builtin::SERVICE_INFO), b"status")
-            .and_then(|v| String::from_utf8(v).ok())
-            .and_then(|s| ServiceStatus::parse(&s))
+        tx.read(builtin::SERVICE_INFO, b"status")
+            .and_then(|v| std::str::from_utf8(v).ok())
+            .and_then(ServiceStatus::parse)
             == Some(ServiceStatus::Open)
     }
 
@@ -1061,14 +1061,14 @@ impl CcfNode {
         let (path, params) = split_query(&req.path);
         // Built-in endpoints (§3.2's tx, §3.5's receipt, governance).
         if path.starts_with("/node/") || path.starts_with("/gov/") {
-            return self.handle_builtin(req, &path, &params);
+            return self.handle_builtin(req, path, &params);
         }
 
         // One lock for routing and the whole read view: the script app, the
         // transaction's snapshot and the txid a read-only response carries.
         let inner = self.lock();
         let script_app = inner.script_app.clone();
-        let Some(def) = self.endpoint(script_app.as_deref(), &req.method, &path) else {
+        let Some(def) = self.endpoint(script_app.as_deref(), &req.method, path) else {
             return Response::error(404, "no such endpoint");
         };
         if let Err(e) = Self::check_policy(&req.caller, def.auth) {
@@ -1079,7 +1079,9 @@ impl CcfNode {
                 return forward;
             }
         }
-        let (mut tx, mut last_applied) = (inner.store.begin(), inner.last_applied);
+        // A read keeps no read-set (§3.4): it is never validated.
+        let mut tx = if def.read_only { inner.store.begin_read() } else { inner.store.begin() };
+        let mut last_applied = inner.last_applied;
         drop(inner);
 
         let mut attempts = 0;
@@ -1096,7 +1098,7 @@ impl CcfNode {
                 tx: &mut tx,
                 caller: &req.caller,
                 body: &req.body,
-                params: params.clone(),
+                params: &params,
                 claims: None,
             };
             let result = def.invoke(&mut ctx);
@@ -1194,7 +1196,7 @@ impl CcfNode {
         &self,
         req: &Request,
         path: &str,
-        params: &std::collections::HashMap<String, String>,
+        params: &std::collections::HashMap<&str, &str>,
     ) -> Response {
         match (req.method.as_str(), path) {
             ("GET", "/node/tx") => {
@@ -1248,13 +1250,13 @@ impl CcfNode {
             }
             ("POST", "/gov/proposals") => self.handle_gov(req, GovOp::Propose),
             ("POST", "/gov/ballots") => {
-                let Some(id) = params.get("proposal_id").cloned() else {
+                let Some(id) = params.get("proposal_id").map(|id| id.to_string()) else {
                     return Response::error(400, "missing proposal_id");
                 };
                 self.handle_gov(req, GovOp::Vote(id))
             }
             ("POST", "/gov/withdraw") => {
-                let Some(id) = params.get("proposal_id").cloned() else {
+                let Some(id) = params.get("proposal_id").map(|id| id.to_string()) else {
                     return Response::error(400, "missing proposal_id");
                 };
                 self.handle_gov(req, GovOp::Withdraw(id))
@@ -1264,7 +1266,7 @@ impl CcfNode {
                     return Response::error(400, "missing proposal_id");
                 };
                 let mut tx = self.begin();
-                match GovernanceEngine::proposal_state(&mut tx, id) {
+                match GovernanceEngine::proposal_state(&mut tx, &id.to_string()) {
                     Ok(state) => Response::ok(state.as_str().as_bytes().to_vec()),
                     Err(e) => Response::error(404, &e.to_string()),
                 }
@@ -1575,7 +1577,7 @@ fn signed_route(purpose: &str) -> Option<(&str, &str)> {
     purpose.strip_prefix("user/")?.split_once(' ')
 }
 
-fn parse_txid(params: &std::collections::HashMap<String, String>) -> Result<TxId, String> {
+fn parse_txid(params: &std::collections::HashMap<&str, &str>) -> Result<TxId, String> {
     let view = params
         .get("view")
         .and_then(|s| s.parse().ok())

@@ -8,6 +8,10 @@
 //! read-set yields [`CommitError::Conflict`] and the caller (the node)
 //! re-executes — application logic therefore need not be
 //! deterministic, but its committed transaction is applied exactly once.
+//!
+//! A read transaction ([`Store::begin_read`], the §3.4 fast path) keeps
+//! no read-set: it is never validated, and [`Store::validate`] and
+//! [`Store::commit`] refuse it with [`CommitError::ReadTransaction`].
 
 use crate::champ::ChampMap;
 use crate::writeset::WriteSet;
@@ -36,7 +40,7 @@ pub struct StoreState {
 
 impl StoreState {
     /// Reads a value (with its version) from the snapshot.
-    pub fn get(&self, map: &MapName, key: &[u8]) -> Option<&Versioned> {
+    pub fn get(&self, map: &str, key: &[u8]) -> Option<&Versioned> {
         self.maps.get(map)?.get(key)
     }
 
@@ -149,6 +153,9 @@ pub enum CommitError {
     /// The transaction attempted to write a reserved (`ccf.`) map without
     /// the internal privilege.
     ReservedMap(MapName),
+    /// A read transaction ([`Store::begin_read`]) keeps no read-set, so
+    /// validating it would pass vacuously.
+    ReadTransaction,
 }
 
 impl std::fmt::Display for CommitError {
@@ -158,6 +165,7 @@ impl std::fmt::Display for CommitError {
                 write!(f, "write conflict on {map} key {:?}", String::from_utf8_lossy(key))
             }
             CommitError::ReservedMap(m) => write!(f, "application wrote reserved map {m}"),
+            CommitError::ReadTransaction => f.write_str("a read transaction cannot be validated"),
         }
     }
 }
@@ -190,7 +198,17 @@ impl Store {
 
     /// Begins a transaction against the latest state.
     pub fn begin(&self) -> Transaction {
-        Transaction::new(self.snapshot())
+        Transaction {
+            snapshot: self.snapshot(),
+            reads: Some(ReadSet::new()),
+            writes: WriteSet::new(),
+        }
+    }
+
+    /// Begins a read transaction (§3.4 fast path): it records no read-set,
+    /// and [`Store::validate`] and [`Store::commit`] refuse it.
+    pub fn begin_read(&self) -> Transaction {
+        Transaction { snapshot: self.snapshot(), reads: None, writes: WriteSet::new() }
     }
 
     /// Validates a transaction's read-set against the current state
@@ -199,8 +217,9 @@ impl Store {
     /// consensus, and application flows through the uniform
     /// `Appended`-event path (`apply_at`) on primary and backups alike.
     pub fn validate(&self, tx: &Transaction) -> Result<(), CommitError> {
-        for ((map, key), observed) in &tx.reads {
-            let now = self.current.get(map, key).map(|v| v.version);
+        let reads = tx.reads.as_ref().ok_or(CommitError::ReadTransaction)?;
+        for ((map, key), observed) in reads {
+            let now = self.current.get(&map.0, key).map(|v| v.version);
             if now != *observed {
                 return Err(CommitError::Conflict { map: map.clone(), key: key.clone() });
             }
@@ -218,6 +237,9 @@ impl Store {
         tx: Transaction,
         allow_reserved: bool,
     ) -> Result<(u64, WriteSet), CommitError> {
+        if tx.reads.is_none() {
+            return Err(CommitError::ReadTransaction);
+        }
         if !allow_reserved {
             if let Some(name) = tx.writes.maps.keys().find(|n| n.is_reserved()) {
                 return Err(CommitError::ReservedMap(name.clone()));
@@ -252,31 +274,38 @@ impl Store {
     }
 }
 
+/// The version each read observed (`None`: the key was absent).
+type ReadSet = BTreeMap<(MapName, Vec<u8>), Option<u64>>;
+
 /// An in-flight transaction: snapshot reads + buffered writes.
 pub struct Transaction {
     snapshot: Arc<StoreState>,
-    reads: BTreeMap<(MapName, Vec<u8>), Option<u64>>,
+    /// For OCC validation; `None` for a read transaction, which is never
+    /// validated.
+    reads: Option<ReadSet>,
     writes: WriteSet,
 }
 
 impl Transaction {
-    fn new(snapshot: Arc<StoreState>) -> Transaction {
-        Transaction { snapshot, reads: BTreeMap::new(), writes: WriteSet::new() }
-    }
-
-    /// Reads a key: own writes first, then the snapshot (recording the
-    /// observed version for OCC validation).
-    pub fn get(&mut self, map: &MapName, key: &[u8]) -> Option<Vec<u8>> {
-        if let Some(writes) = self.writes.maps.get(map) {
-            if let Some(v) = writes.get(key) {
-                return v.clone();
-            }
+    /// Reads a key by reference: own writes first, then the snapshot. A
+    /// tracked transaction records the observed version for OCC
+    /// validation; a read transaction records nothing.
+    pub fn read(&mut self, map: &str, key: &[u8]) -> Option<&[u8]> {
+        if let Some(v) = self.writes.maps.get(map).and_then(|w| w.get(key)) {
+            return v.as_deref();
         }
         let found = self.snapshot.get(map, key);
-        self.reads
-            .entry((map.clone(), key.to_vec()))
-            .or_insert_with(|| found.map(|v| v.version));
-        found.map(|v| v.data.clone())
+        if let Some(reads) = &mut self.reads {
+            reads
+                .entry((MapName::new(map), key.to_vec()))
+                .or_insert_with(|| found.map(|v| v.version));
+        }
+        found.map(|v| v.data.as_slice())
+    }
+
+    /// Reads a key as an owned copy ([`Transaction::read`]).
+    pub fn get(&mut self, map: &MapName, key: &[u8]) -> Option<Vec<u8>> {
+        self.read(&map.0, key).map(<[u8]>::to_vec)
     }
 
     /// Writes a key (buffered until commit).
@@ -327,6 +356,8 @@ impl Transaction {
 
     /// True iff the transaction has buffered no writes (read-only fast
     /// path, §3.4: such transactions are never recorded on the ledger).
+    /// A read transaction may still buffer writes, which its caller must
+    /// refuse, since the store never commits it.
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
     }
@@ -493,7 +524,7 @@ mod tests {
         t1.put(&map("m"), b"k", b"new");
         store.commit(t1, false).unwrap();
         // The old snapshot still reads the old value.
-        assert_eq!(snap.get(&map("m"), b"k").unwrap().data, b"old");
+        assert_eq!(snap.get("m", b"k").unwrap().data, b"old");
         // A fresh transaction reads the new one.
         let mut tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"k"), Some(b"new".to_vec()));
@@ -516,7 +547,7 @@ mod tests {
         let held = store.snapshot();
         store.apply_at(&WriteSet::new(), 4);
         assert_ne!(Arc::as_ptr(&store.snapshot()), state);
-        assert_eq!(held.get(&map("m"), b"k").unwrap().data, b"w");
+        assert_eq!(held.get("m", b"k").unwrap().data, b"w");
     }
 
     #[test]
@@ -556,11 +587,60 @@ mod tests {
         );
         // Versions preserved for OCC.
         assert_eq!(
-            restored.get(&map("m"), &[3]).unwrap().version,
-            state.get(&map("m"), &[3]).unwrap().version
+            restored.get("m", &[3]).unwrap().version,
+            state.get("m", &[3]).unwrap().version
         );
         // Deterministic encoding.
         assert_eq!(restored.serialize(), bytes);
+    }
+
+    #[test]
+    fn read_transaction_records_no_read_set() {
+        let store = Store::new();
+        let mut tracked = store.begin();
+        let mut read = store.begin_read();
+        for tx in [&mut tracked, &mut read] {
+            let _ = tx.read("m", b"k");
+            let _ = tx.get(&map("m"), b"j");
+        }
+        assert_eq!(tracked.reads.as_ref().map(BTreeMap::len), Some(2));
+        assert!(read.reads.is_none());
+    }
+
+    #[test]
+    fn read_transaction_returns_what_a_tracked_one_does() {
+        let mut store = Store::new();
+        let mut seed = store.begin();
+        seed.put(&map("m"), b"present", b"v");
+        seed.put(&map("m"), b"removed", b"gone");
+        store.commit(seed, false).unwrap();
+        let mut tracked = store.begin();
+        let mut read = store.begin_read();
+        for tx in [&mut tracked, &mut read] {
+            tx.put(&map("m"), b"own", b"buffered");
+            tx.remove(&map("m"), b"removed");
+        }
+        for key in [&b"present"[..], b"absent", b"own", b"removed"] {
+            assert_eq!(read.read("m", key), tracked.read("m", key), "key {key:?}");
+            assert_eq!(read.get(&map("m"), key), tracked.get(&map("m"), key));
+            assert_eq!(read.read("other", key), None);
+        }
+        assert_eq!(read.read("m", b"present"), Some(&b"v"[..]));
+        assert_eq!(read.read("m", b"own"), Some(&b"buffered"[..]));
+    }
+
+    #[test]
+    fn read_transaction_cannot_be_validated_or_committed() {
+        let mut store = Store::new();
+        let mut read = store.begin_read();
+        assert_eq!(read.read("m", b"k"), None);
+        assert_eq!(store.validate(&read), Err(CommitError::ReadTransaction));
+        // Even one that buffered a write, reserved maps allowed.
+        read.put(&map("m"), b"k", b"v");
+        assert_eq!(store.validate(&read), Err(CommitError::ReadTransaction));
+        assert_eq!(store.commit(read, true), Err(CommitError::ReadTransaction));
+        assert_eq!(store.version(), 0);
+        assert_eq!(store.begin_read().read("m", b"k"), None);
     }
 
     #[test]

@@ -127,6 +127,11 @@ git diff --exit-code -- BENCH_latency.json
 echo "== tier1: clippy -D warnings (whole workspace: libs, tests, examples, benches)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "== tier1: clippy -D warnings (repo benchmark, its own workspace)"
+# perfbench calls the crates' app API; a change to that API must leave it
+# compiling and lint-clean without edits.
+cargo clippy -q --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "== tier1: rustdoc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -329,11 +329,29 @@ fn read_only_endpoint_writing_is_an_error() {
     }));
     let mut service = ServiceCluster::start(
         ServiceOpts { nodes: 1, members: 1, seed: 21, ..ServiceOpts::default() },
-        Arc::new(bad_app),
+        Arc::new(bad_app.clone()),
     );
     service.open_service();
     let resp = service.user_request(0, "GET", "/oops", b"");
     assert_eq!(resp.status, 500);
+
+    // At the primary and at a backup of three nodes alike, and no entry
+    // is proposed.
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 3, members: 1, seed: 21, ..ServiceOpts::default() },
+        Arc::new(bad_app),
+    );
+    service.open_service();
+    let primary = service.nodes[&service.primary().expect("primary")].clone();
+    let before = primary.last_applied();
+    let user0 = ccf_core::app::Caller::User("user0".into());
+    let req = ccf_core::app::Request::new("GET", "/oops", user0, b"");
+    for node in service.nodes.values() {
+        let resp = node.handle_request(&req);
+        assert_eq!(resp.status, 500, "{}", resp.text());
+        assert_eq!(resp.text(), "endpoint declared read-only but wrote to the store");
+    }
+    assert_eq!(primary.last_applied(), before);
 }
 
 #[test]
