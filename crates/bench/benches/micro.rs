@@ -8,7 +8,7 @@ use ccf_consensus::replica::ReplicaConfig;
 use ccf_crypto::chacha::ChaChaRng;
 use ccf_crypto::gcm::AesGcm256;
 use ccf_crypto::SigningKey;
-use ccf_kv::{ChampMap, MapName, Store};
+use ccf_kv::{ChampMap, MapName, Store, Transaction};
 use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{LedgerEntry, MerkleTree, TxId};
 use ccf_sim::NetConfig;
@@ -136,6 +136,14 @@ fn bench_kv_snapshots(c: &mut Criterion) {
     g.finish();
 }
 
+/// Applies `tx`'s writes as the next version, as a node does once it has
+/// proposed them; returns that version.
+fn commit(store: &mut Store, tx: Transaction) -> u64 {
+    let version = store.version() + 1;
+    store.apply_at(&tx.into_write_set(), version);
+    version
+}
+
 fn bench_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("store");
     let mut store = Store::new();
@@ -143,7 +151,7 @@ fn bench_store(c: &mut Criterion) {
     for i in 0..1000u64 {
         let mut tx = store.begin();
         tx.put(&map, &i.to_le_bytes(), b"twenty.characters.xx");
-        store.commit(tx, false).unwrap();
+        commit(&mut store, tx);
     }
     g.bench_function("write_tx_commit", |b| {
         let mut i = 1000u64;
@@ -151,12 +159,12 @@ fn bench_store(c: &mut Criterion) {
             i += 1;
             let mut tx = store.begin();
             tx.put(&map, &(i % 5000).to_le_bytes(), b"twenty.characters.xx");
-            store.commit(tx, false).unwrap()
+            commit(&mut store, tx)
         })
     });
     g.bench_function("read_tx_snapshot", |b| {
         b.iter(|| {
-            let mut tx = store.begin();
+            let tx = store.begin();
             black_box(tx.get(&map, &42u64.to_le_bytes()))
         })
     });

@@ -124,7 +124,6 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
         400 => "Bad Request",
         403 => "Forbidden",
         404 => "Not Found",
-        409 => "Conflict",
         503 => "Service Unavailable",
         _ => "Status",
     };

@@ -9,7 +9,7 @@
 //! | Layer | Crate |
 //! |---|---|
 //! | cryptography | `ccf-crypto` |
-//! | transactional kv store (CHAMP, OCC) | `ccf-kv` |
+//! | transactional kv store (CHAMP snapshots, write sets) | `ccf-kv` |
 //! | Merkle ledger, receipts, ledger secrets | `ccf-ledger` |
 //! | consensus (CCF's Raft variant) | `ccf-consensus` |
 //! | TEE simulation (attestation, node channels, platforms) | `ccf-tee` |

@@ -1,17 +1,19 @@
 //! A CCF node: the composition of store, ledger, consensus, TEE and
 //! governance into one unit of the service (paper Figure 2).
 //!
-//! All of a node's state sits behind one lock. A request takes it to
-//! begin its transaction, runs the endpoint on that store snapshot with
-//! the lock released, and takes it again to validate, propose and apply
-//! (OCC validation → consensus proposal → state application). All state
-//! mutation flows through the consensus [`Command`]s each replica call
-//! returns, on the primary and on backups alike, which is what makes
-//! rollback after view changes (and snapshot install) a matter of
-//! restoring an earlier CHAMP snapshot.
+//! All of a node's state sits behind one lock, and a request holds it
+//! from routing to proposal: it begins its transaction, runs the endpoint
+//! and proposes the write set (consensus proposal → state application)
+//! under one hold. No other transaction runs in between, so the write
+//! set is proposed exactly as it executed, with no validation and no
+//! retry: serializability holds because a node runs one transaction at a
+//! time. All state mutation flows through the consensus [`Command`]s each
+//! replica call returns, on the primary and on backups alike, which is
+//! what makes rollback after view changes (and snapshot install) a matter
+//! of restoring an earlier CHAMP snapshot.
 //! They differ only in where an entry's write set comes from: a backup
 //! decrypts and decodes each entry once, on append; the primary applies
-//! the write set it validated and sealed, and never opens its own
+//! the write set it executed and sealed, and never opens its own
 //! ciphertext. Either way the applied writes are kept until commit, when
 //! they feed the indexer.
 //!
@@ -63,9 +65,6 @@ use std::sync::Arc;
 fn map(name: &str) -> MapName {
     MapName::new(name)
 }
-
-/// OCC retries (§6.4) before a conflicted request gets a 409.
-const MAX_OCC_RETRIES: u32 = 8;
 
 /// Node construction options. No option governs snapshots: a node makes
 /// one only when an operator asks ([`CcfNode::latest_snapshot`]), and its
@@ -511,7 +510,7 @@ impl CcfNode {
             }
         })?;
         // The proposal's own `Appended` comes first: it applies the write
-        // set validated here, never a decrypt of the entry just sealed.
+        // set executed here, never a decrypt of the entry just sealed.
         let Command::Appended(entry) = actions.commands.remove(0) else {
             unreachable!("propose returns the new entry's Appended first")
         };
@@ -548,10 +547,13 @@ impl CcfNode {
     }
 
     /// Proposes a CCF-internal transaction (recovery genesis, operator
-    /// tooling). Bypasses the reserved-map guard by design.
-    pub fn propose_internal(&self, tx: Transaction) -> Result<TxId, String> {
+    /// tooling): `write` runs on a transaction begun under the node's
+    /// lock, and what it wrote is proposed under the same hold. Bypasses
+    /// the reserved-map guard by design.
+    pub fn propose_internal(&self, write: impl FnOnce(&mut Transaction)) -> Result<TxId, String> {
         let mut inner = self.lock();
-        inner.store.validate(&tx).map_err(|e| e.to_string())?;
+        let mut tx = inner.store.begin();
+        write(&mut tx);
         self.propose_write_set(&mut inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
             .map_err(|e| e.to_string())
     }
@@ -830,7 +832,7 @@ impl CcfNode {
     /// Re-derives app/constitution caches from the (possibly reverted)
     /// store state.
     fn reload_dynamic_state(&self, inner: &mut NodeInner) {
-        let mut tx = inner.store.begin();
+        let tx = inner.store.begin();
         if let Some(src) = tx.get(&map(builtin::MODULES), b"app") {
             if let Ok(app) = ScriptApp::compile(&String::from_utf8_lossy(&src)) {
                 inner.script_app = Some(Arc::new(app));
@@ -1010,7 +1012,7 @@ impl CcfNode {
     // Request handling
     // ------------------------------------------------------------------
 
-    fn authenticate(&self, tx: &mut Transaction, req: &Request) -> Result<(), AppError> {
+    fn authenticate(&self, tx: &Transaction, req: &Request) -> Result<(), AppError> {
         match &req.caller {
             Caller::Anonymous => Ok(()),
             Caller::User(id) => {
@@ -1039,7 +1041,7 @@ impl CcfNode {
         }
     }
 
-    fn service_open(&self, tx: &mut Transaction) -> bool {
+    fn service_open(&self, tx: &Transaction) -> bool {
         tx.read(builtin::SERVICE_INFO, b"status")
             .and_then(|v| std::str::from_utf8(v).ok())
             .and_then(ServiceStatus::parse)
@@ -1064,9 +1066,10 @@ impl CcfNode {
             return self.handle_builtin(req, path, &params);
         }
 
-        // One lock for routing and the whole read view: the script app, the
-        // transaction's snapshot and the txid a read-only response carries.
-        let inner = self.lock();
+        // One hold of the lock from routing to proposal: no other
+        // transaction runs between this one's reads and its proposal, so
+        // its write set is proposed exactly as it executed.
+        let mut inner = self.lock();
         let script_app = inner.script_app.clone();
         let Some(def) = self.endpoint(script_app.as_deref(), &req.method, path) else {
             return Response::error(404, "no such endpoint");
@@ -1079,91 +1082,61 @@ impl CcfNode {
                 return forward;
             }
         }
-        // A read keeps no read-set (§3.4): it is never validated.
-        let mut tx = if def.read_only { inner.store.begin_read() } else { inner.store.begin() };
-        let mut last_applied = inner.last_applied;
-        drop(inner);
-
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            // Application endpoints require the service to be open.
-            if !self.service_open(&mut tx) {
-                return Response::error(503, "service is not open");
+        let mut tx = inner.store.begin();
+        // Application endpoints require the service to be open.
+        if !self.service_open(&tx) {
+            return Response::error(503, "service is not open");
+        }
+        if let Err(e) = self.authenticate(&tx, req) {
+            return Response::error(e.status, &e.message);
+        }
+        let mut ctx = EndpointContext {
+            tx: &mut tx,
+            caller: &req.caller,
+            body: &req.body,
+            params: &params,
+            claims: None,
+        };
+        let result = def.invoke(&mut ctx);
+        let claims = ctx.claims.take();
+        let body = match result {
+            Err(e) => return Response::error(e.status, &e.message),
+            Ok(body) => body,
+        };
+        // Read-only fast path (§3.4): nothing recorded, the response
+        // carries the last applied txid.
+        if tx.is_read_only() {
+            return Response { status: 200, body, txid: Some(inner.last_applied) };
+        }
+        if def.read_only {
+            return Response::error(500, "endpoint declared read-only but wrote to the store");
+        }
+        // Application logic may not touch reserved maps.
+        if let Some(name) = tx.write_set().maps.keys().find(|n| n.is_reserved()) {
+            return Response::error(403, &format!("application wrote reserved map {name}"));
+        }
+        let ws = tx.into_write_set();
+        // Trace ids are minted only here, at a primary with a write set to
+        // propose (a backup forwarded the write before running it), so ids
+        // stay dense and deterministic across forwarding. The root
+        // "request" span is opened (seq assigned) before the proposal so
+        // the stages it causes sort under it; on propose failure the token
+        // is dropped unexited and nothing is recorded.
+        let trace = self.metrics.reg.mint_trace();
+        let tok = self.metrics.reg.trace_enter_at(
+            trace,
+            ccf_obs::SpanId::NONE,
+            "request",
+            self.metrics.node,
+            entered_at,
+        );
+        match self.propose_write_set(&mut inner, ws, claims, trace) {
+            Ok(txid) => {
+                self.metrics.reg.trace_exit(tok);
+                inner.inflight_traces.insert(txid.seqno, (trace, entered_at));
+                Response { status: 200, body, txid: Some(txid) }
             }
-            if let Err(e) = self.authenticate(&mut tx, req) {
-                return Response::error(e.status, &e.message);
-            }
-            let mut ctx = EndpointContext {
-                tx: &mut tx,
-                caller: &req.caller,
-                body: &req.body,
-                params: &params,
-                claims: None,
-            };
-            let result = def.invoke(&mut ctx);
-            let claims = ctx.claims.take();
-            match result {
-                Err(e) => return Response::error(e.status, &e.message),
-                Ok(body) => {
-                    // Read-only fast path (§3.4): nothing recorded, the
-                    // response carries the last applied txid.
-                    if tx.is_read_only() {
-                        return Response { status: 200, body, txid: Some(last_applied) };
-                    }
-                    if def.read_only {
-                        return Response::error(
-                            500,
-                            "endpoint declared read-only but wrote to the store",
-                        );
-                    }
-                    // Application logic may not touch reserved maps.
-                    if let Some(name) =
-                        tx.write_set().maps.keys().find(|n| n.is_reserved())
-                    {
-                        return Response::error(
-                            403,
-                            &format!("application wrote reserved map {name}"),
-                        );
-                    }
-                    let mut inner = self.lock();
-                    if inner.store.validate(&tx).is_err() {
-                        if attempts <= MAX_OCC_RETRIES {
-                            // §6.4: re-executed on the latest state,
-                            // applied once.
-                            tx = inner.store.begin();
-                            last_applied = inner.last_applied;
-                            continue;
-                        }
-                        return Response::error(409, "transaction conflict");
-                    }
-                    let ws = tx.into_write_set();
-                    // Trace ids are minted only here, at a primary with a
-                    // validated write set (a backup forwarded the write
-                    // before running it), so ids stay dense and
-                    // deterministic across forwarding. The root "request"
-                    // span is opened (seq assigned) before the proposal so
-                    // the stages it causes sort under it; on propose
-                    // failure the token is dropped unexited and nothing is
-                    // recorded.
-                    let trace = self.metrics.reg.mint_trace();
-                    let tok = self.metrics.reg.trace_enter_at(
-                        trace,
-                        ccf_obs::SpanId::NONE,
-                        "request",
-                        self.metrics.node,
-                        entered_at,
-                    );
-                    return match self.propose_write_set(&mut inner, ws, claims, trace) {
-                        Ok(txid) => {
-                            self.metrics.reg.trace_exit(tok);
-                            inner.inflight_traces.insert(txid.seqno, (trace, entered_at));
-                            Response { status: 200, body, txid: Some(txid) }
-                        }
-                        Err(e) => Response::error(503, &format!("propose failed: {e}")),
-                    };
-                }
-            }
+            Err(e) => Response::error(503, &format!("propose failed: {e}")),
         }
     }
 
@@ -1302,9 +1275,6 @@ impl CcfNode {
         match outcome {
             Err(e) => Response::error(400, &e.to_string()),
             Ok(body) => {
-                if inner.store.validate(&tx).is_err() {
-                    return Response::error(409, "governance transaction conflict");
-                }
                 let ws = tx.into_write_set();
                 match self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE) {
                     Ok(txid) => Response { status: 200, body: body.into_bytes(), txid: Some(txid) },
@@ -1396,9 +1366,10 @@ impl CcfNode {
         self.lock().indexer.register(KeyToTxIds::new(map_name));
     }
 
-    /// Begins a transaction on the latest store state (operator tooling
-    /// and tests; what it writes is proposed via
-    /// [`CcfNode::propose_internal`]).
+    /// A read view of the latest store state (tests, examples, operator
+    /// tooling). Nothing it writes is proposed: a write runs in
+    /// [`CcfNode::propose_internal`], on a transaction begun under the
+    /// node's lock.
     pub fn begin(&self) -> Transaction {
         self.lock().store.begin()
     }

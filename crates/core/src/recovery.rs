@@ -145,7 +145,7 @@ impl RecoveryCoordinator {
         merkle.truncate(last_verified as u64);
         view_history.retain(|&(_, start)| start <= last_verified as u64);
         let previous_identity = {
-            let mut tx = store.begin();
+            let tx = store.begin();
             tx.get(&map(builtin::SERVICE_INFO), b"cert")
                 .map(|v| String::from_utf8_lossy(&v).to_string())
         };
@@ -276,46 +276,46 @@ pub fn restart_service(
     );
     // Recovery genesis: retire all old nodes, trust the recovery node,
     // install the new service identity, mark Recovering.
-    let mut tx = node.begin();
-    let mut old_nodes: Vec<(String, NodeInfo)> = Vec::new();
-    tx.for_each(&map(builtin::NODES_INFO), |k, v| {
-        if let (Ok(id), Ok(text)) = (std::str::from_utf8(k), std::str::from_utf8(v)) {
-            if let Some(info) = NodeInfo::from_json(text) {
-                old_nodes.push((id.to_string(), info));
+    node.propose_internal(|tx| {
+        let mut old_nodes: Vec<(String, NodeInfo)> = Vec::new();
+        tx.for_each(&map(builtin::NODES_INFO), |k, v| {
+            if let (Ok(id), Ok(text)) = (std::str::from_utf8(k), std::str::from_utf8(v)) {
+                if let Some(info) = NodeInfo::from_json(text) {
+                    old_nodes.push((id.to_string(), info));
+                }
             }
+        });
+        for (id, mut info) in old_nodes {
+            info.status = NodeStatus::Retired;
+            ccf_governance::actions::put_node_info(tx, &id, &info);
         }
-    });
-    for (id, mut info) in old_nodes {
-        info.status = NodeStatus::Retired;
-        ccf_governance::actions::put_node_info(&mut tx, &id, &info);
-    }
-    ccf_governance::actions::put_node_info(
-        &mut tx,
-        &node_id,
-        &NodeInfo {
-            status: NodeStatus::Trusted,
-            cert: ccf_crypto::hex::to_hex(&node.node_public().0),
-            code_id: node.code_id().to_hex(),
-            enc_key: ccf_crypto::hex::to_hex(&node.enc_public()),
-        },
-    );
-    tx.put(
-        &map(builtin::SERVICE_INFO),
-        b"cert",
-        ccf_crypto::hex::to_hex(&new_identity.0).as_bytes(),
-    );
-    tx.put(
-        &map(builtin::SERVICE_INFO),
-        b"previous_cert",
-        coordinator.previous_identity.clone().unwrap_or_default().as_bytes(),
-    );
-    tx.put(
-        &map(builtin::SERVICE_INFO),
-        b"status",
-        ccf_governance::ServiceStatus::Recovering.as_str().as_bytes(),
-    );
-    node.propose_internal(tx)
-        .map_err(|e| RecoveryFailure::BadLedger(format!("recovery genesis: {e}")))?;
+        ccf_governance::actions::put_node_info(
+            tx,
+            &node_id,
+            &NodeInfo {
+                status: NodeStatus::Trusted,
+                cert: ccf_crypto::hex::to_hex(&node.node_public().0),
+                code_id: node.code_id().to_hex(),
+                enc_key: ccf_crypto::hex::to_hex(&node.enc_public()),
+            },
+        );
+        tx.put(
+            &map(builtin::SERVICE_INFO),
+            b"cert",
+            ccf_crypto::hex::to_hex(&new_identity.0).as_bytes(),
+        );
+        tx.put(
+            &map(builtin::SERVICE_INFO),
+            b"previous_cert",
+            coordinator.previous_identity.clone().unwrap_or_default().as_bytes(),
+        );
+        tx.put(
+            &map(builtin::SERVICE_INFO),
+            b"status",
+            ccf_governance::ServiceStatus::Recovering.as_str().as_bytes(),
+        );
+    })
+    .map_err(|e| RecoveryFailure::BadLedger(format!("recovery genesis: {e}")))?;
     cluster.run_for(500);
     Ok((cluster, coordinator.previous_identity.clone(), new_identity))
 }

@@ -1,6 +1,6 @@
 //! The read fast path (§3.4): a read-only endpoint, native or script, is
-//! served by any node from a read transaction, which keeps no read-set and
-//! proposes nothing. A read-only endpoint that writes is refused.
+//! served by any node and proposes nothing. A read-only endpoint that
+//! writes is refused.
 
 use ccf_core::app::{AppResult, Application, Caller, EndpointDef, Request};
 use ccf_core::service::{ServiceCluster, ServiceOpts};

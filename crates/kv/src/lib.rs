@@ -8,13 +8,13 @@
 //! Maps are backed by a persistent CHAMP trie ([`champ`]) — the same data
 //! structure the production CCF uses — giving O(1) snapshots: a
 //! transaction reads the snapshot it began on (one `Arc` clone) while the
-//! store moves on, which gives optimistic concurrency control and cheap
-//! historical state reconstruction.
+//! store moves on, which gives cheap read views and historical state
+//! reconstruction.
 //!
 //! [`store::Store`] provides transactions ([`store::Transaction`]) that
-//! read from an immutable snapshot, buffer writes, and on commit validate
-//! their read-set against the latest state (first-committer-wins OCC),
-//! emitting a deterministic [`writeset::WriteSet`] for the ledger.
+//! read from an immutable snapshot and buffer writes into a deterministic
+//! [`writeset::WriteSet`] for the ledger. A node runs one transaction at a
+//! time, so a write set needs no validation before it is proposed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +25,7 @@ pub mod store;
 pub mod writeset;
 
 pub use champ::ChampMap;
-pub use store::{CommitError, Store, Transaction};
+pub use store::{Store, Transaction};
 pub use writeset::{MapWrites, WriteSet};
 
 /// A map name, e.g. `public:ccf.gov.nodes.info` or `msgs` (private).

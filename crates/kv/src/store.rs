@@ -1,17 +1,14 @@
-//! The versioned store and its optimistic transactions.
+//! The store and its transactions.
 //!
 //! Execution model (paper §3.3, §6.4): every endpoint invocation runs a
-//! [`Transaction`] against an immutable snapshot of the latest state. Reads
-//! record the version of each value they observed; on commit the read-set
-//! is validated against the current state and, if still fresh, the write
-//! buffer is applied atomically under a new monotonic version. A stale
-//! read-set yields [`CommitError::Conflict`] and the caller (the node)
-//! re-executes — application logic therefore need not be
-//! deterministic, but its committed transaction is applied exactly once.
-//!
-//! A read transaction ([`Store::begin_read`], the §3.4 fast path) keeps
-//! no read-set: it is never validated, and [`Store::validate`] and
-//! [`Store::commit`] refuse it with [`CommitError::ReadTransaction`].
+//! [`Transaction`] against an immutable snapshot of the latest state and
+//! buffers its writes. The production CCF runs many transactions at once
+//! on worker threads and validates each one's reads optimistically before
+//! it commits. A node here runs one transaction at a time, from begin to
+//! proposal under its one lock, so nothing commits between a
+//! transaction's reads and its proposal: every such validation would
+//! pass, and there is none. The write set becomes a ledger entry, and
+//! [`Store::apply_at`] applies it on the primary and on backups alike.
 
 use crate::champ::ChampMap;
 use crate::writeset::WriteSet;
@@ -19,16 +16,7 @@ use crate::MapName;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// A value plus the store version at which it was last written.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Versioned {
-    /// Store version (= ledger sequence number) of the writing transaction.
-    pub version: u64,
-    /// The value bytes.
-    pub data: Vec<u8>,
-}
-
-type Map = ChampMap<Vec<u8>, Versioned>;
+type Map = ChampMap<Vec<u8>, Vec<u8>>;
 
 /// An immutable snapshot of the whole store.
 #[derive(Clone, Default)]
@@ -39,15 +27,15 @@ pub struct StoreState {
 }
 
 impl StoreState {
-    /// Reads a value (with its version) from the snapshot.
-    pub fn get(&self, map: &str, key: &[u8]) -> Option<&Versioned> {
-        self.maps.get(map)?.get(key)
+    /// Reads a value from the snapshot.
+    pub fn get(&self, map: &str, key: &[u8]) -> Option<&[u8]> {
+        self.maps.get(map)?.get(key).map(Vec::as_slice)
     }
 
     /// Iterates over all entries of a map.
     pub fn for_each(&self, map: &MapName, mut f: impl FnMut(&[u8], &[u8])) {
         if let Some(m) = self.maps.get(map) {
-            m.for_each(|k, v| f(k, &v.data));
+            m.for_each(|k, v| f(k, v));
         }
     }
 
@@ -67,8 +55,7 @@ impl StoreState {
     }
 
     /// Serializes the full state deterministically — the basis of CCF
-    /// snapshots (§4.4). Includes per-value versions so a restored store
-    /// continues to validate OCC reads correctly.
+    /// snapshots (§4.4).
     pub fn serialize(&self) -> Vec<u8> {
         let mut w = crate::codec::Writer::new();
         w.u64(self.version);
@@ -84,8 +71,7 @@ impl StoreState {
             w.u32(entries.len() as u32);
             for (k, v) in entries {
                 w.bytes(k);
-                w.u64(v.version);
-                w.bytes(&v.data);
+                w.bytes(v);
             }
         }
         w.finish()
@@ -103,9 +89,8 @@ impl StoreState {
             let mut m = Map::new();
             for _ in 0..entry_count {
                 let k = r.bytes("snapshot key")?.to_vec();
-                let ver = r.u64("snapshot value version")?;
                 let data = r.bytes("snapshot value")?.to_vec();
-                m.insert(k, Versioned { version: ver, data });
+                m.insert(k, data);
             }
             maps.insert(name, m);
         }
@@ -125,10 +110,7 @@ impl StoreState {
             let m = self.maps.get_mut(name).expect("inserted above");
             for (key, value) in writes {
                 match value {
-                    Some(data) => m.insert(
-                        key.clone(),
-                        Versioned { version: new_version, data: data.clone() },
-                    ),
+                    Some(data) => m.insert(key.clone(), data.clone()),
                     None => {
                         m.remove(key.as_slice());
                     }
@@ -138,39 +120,6 @@ impl StoreState {
         self.version = new_version;
     }
 }
-
-/// Why a transaction failed to commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommitError {
-    /// Another transaction wrote a key in this transaction's read-set after
-    /// its snapshot was taken: re-execute (optimistic concurrency).
-    Conflict {
-        /// The first conflicting map observed.
-        map: MapName,
-        /// The first conflicting key observed.
-        key: Vec<u8>,
-    },
-    /// The transaction attempted to write a reserved (`ccf.`) map without
-    /// the internal privilege.
-    ReservedMap(MapName),
-    /// A read transaction ([`Store::begin_read`]) keeps no read-set, so
-    /// validating it would pass vacuously.
-    ReadTransaction,
-}
-
-impl std::fmt::Display for CommitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommitError::Conflict { map, key } => {
-                write!(f, "write conflict on {map} key {:?}", String::from_utf8_lossy(key))
-            }
-            CommitError::ReservedMap(m) => write!(f, "application wrote reserved map {m}"),
-            CommitError::ReadTransaction => f.write_str("a read transaction cannot be validated"),
-        }
-    }
-}
-
-impl std::error::Error for CommitError {}
 
 /// The mutable store: the current state, which readers snapshot by
 /// cloning one `Arc`. A writer updates the state in place when no
@@ -191,73 +140,19 @@ impl Store {
         self.current.clone()
     }
 
-    /// The version of the latest committed transaction.
+    /// The version of the latest applied transaction.
     pub fn version(&self) -> u64 {
         self.current.version
     }
 
     /// Begins a transaction against the latest state.
     pub fn begin(&self) -> Transaction {
-        Transaction {
-            snapshot: self.snapshot(),
-            reads: Some(ReadSet::new()),
-            writes: WriteSet::new(),
-        }
+        Transaction { snapshot: self.snapshot(), writes: WriteSet::new() }
     }
 
-    /// Begins a read transaction (§3.4 fast path): it records no read-set,
-    /// and [`Store::validate`] and [`Store::commit`] refuse it.
-    pub fn begin_read(&self) -> Transaction {
-        Transaction { snapshot: self.snapshot(), reads: None, writes: WriteSet::new() }
-    }
-
-    /// Validates a transaction's read-set against the current state
-    /// WITHOUT applying it. The full node uses this: validation happens
-    /// under the node's lock, the write set becomes a ledger entry via
-    /// consensus, and application flows through the uniform
-    /// `Appended`-event path (`apply_at`) on primary and backups alike.
-    pub fn validate(&self, tx: &Transaction) -> Result<(), CommitError> {
-        let reads = tx.reads.as_ref().ok_or(CommitError::ReadTransaction)?;
-        for ((map, key), observed) in reads {
-            let now = self.current.get(&map.0, key).map(|v| v.version);
-            if now != *observed {
-                return Err(CommitError::Conflict { map: map.clone(), key: key.clone() });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates and applies a transaction. On success returns the new
-    /// version (the transaction's sequence number) and its write set.
-    ///
-    /// `allow_reserved` is set only by CCF-internal writers (governance
-    /// application, signature transactions, join processing).
-    pub fn commit(
-        &mut self,
-        tx: Transaction,
-        allow_reserved: bool,
-    ) -> Result<(u64, WriteSet), CommitError> {
-        if tx.reads.is_none() {
-            return Err(CommitError::ReadTransaction);
-        }
-        if !allow_reserved {
-            if let Some(name) = tx.writes.maps.keys().find(|n| n.is_reserved()) {
-                return Err(CommitError::ReservedMap(name.clone()));
-            }
-        }
-        // OCC validation: every read must still observe the same version.
-        self.validate(&tx)?;
-        let new_version = self.current.version + 1;
-        // Releasing the transaction's snapshot first lets the apply below
-        // update in place.
-        let writes = tx.into_write_set();
-        Arc::make_mut(&mut self.current).apply_write_set(&writes, new_version);
-        Ok((new_version, writes))
-    }
-
-    /// Applies a write set directly at `version` (replication/replay path:
-    /// backups apply exactly what the primary committed, no validation).
-    /// `version` must be `current version + 1`.
+    /// Applies a write set at `version`, the one apply: a proposer's own
+    /// write set and a replicated or replayed entry alike. `version` must
+    /// be `current version + 1`.
     pub fn apply_at(&mut self, ws: &WriteSet, version: u64) {
         assert_eq!(
             version,
@@ -274,56 +169,38 @@ impl Store {
     }
 }
 
-/// The version each read observed (`None`: the key was absent).
-type ReadSet = BTreeMap<(MapName, Vec<u8>), Option<u64>>;
-
 /// An in-flight transaction: snapshot reads + buffered writes.
 pub struct Transaction {
     snapshot: Arc<StoreState>,
-    /// For OCC validation; `None` for a read transaction, which is never
-    /// validated.
-    reads: Option<ReadSet>,
     writes: WriteSet,
 }
 
 impl Transaction {
-    /// Reads a key by reference: own writes first, then the snapshot. A
-    /// tracked transaction records the observed version for OCC
-    /// validation; a read transaction records nothing.
-    pub fn read(&mut self, map: &str, key: &[u8]) -> Option<&[u8]> {
+    /// Reads a key by reference: own writes first, then the snapshot.
+    pub fn read(&self, map: &str, key: &[u8]) -> Option<&[u8]> {
         if let Some(v) = self.writes.maps.get(map).and_then(|w| w.get(key)) {
             return v.as_deref();
         }
-        let found = self.snapshot.get(map, key);
-        if let Some(reads) = &mut self.reads {
-            reads
-                .entry((MapName::new(map), key.to_vec()))
-                .or_insert_with(|| found.map(|v| v.version));
-        }
-        found.map(|v| v.data.as_slice())
+        self.snapshot.get(map, key)
     }
 
     /// Reads a key as an owned copy ([`Transaction::read`]).
-    pub fn get(&mut self, map: &MapName, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn get(&self, map: &MapName, key: &[u8]) -> Option<Vec<u8>> {
         self.read(&map.0, key).map(<[u8]>::to_vec)
     }
 
-    /// Writes a key (buffered until commit).
+    /// Writes a key (buffered until proposal).
     pub fn put(&mut self, map: &MapName, key: &[u8], value: &[u8]) {
         self.writes.write(map.clone(), key.to_vec(), value.to_vec());
     }
 
-    /// Removes a key (buffered until commit).
+    /// Removes a key (buffered until proposal).
     pub fn remove(&mut self, map: &MapName, key: &[u8]) {
         self.writes.remove(map.clone(), key.to_vec());
     }
 
     /// Iterates over a map as seen by this transaction (snapshot overlaid
     /// with the transaction's own writes), in sorted key order.
-    ///
-    /// Note: iteration does not record per-key read dependencies (matching
-    /// the production CCF, where `foreach` is not conflict-checked against
-    /// concurrent inserts); use targeted `get`s where strict OCC matters.
     pub fn for_each(&self, map: &MapName, mut f: impl FnMut(&[u8], &[u8])) {
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         self.snapshot.for_each(map, |k, v| {
@@ -356,8 +233,6 @@ impl Transaction {
 
     /// True iff the transaction has buffered no writes (read-only fast
     /// path, §3.4: such transactions are never recorded on the ledger).
-    /// A read transaction may still buffer writes, which its caller must
-    /// refuse, since the store never commits it.
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
     }
@@ -368,8 +243,8 @@ impl Transaction {
     }
 
     /// Ends the transaction, keeping only its write set. Proposers use
-    /// this so no snapshot outlives validation: the apply that follows
-    /// then updates the store in place.
+    /// this so no snapshot outlives the transaction: the apply that
+    /// follows then updates the store in place.
     pub fn into_write_set(self) -> WriteSet {
         self.writes
     }
@@ -383,6 +258,14 @@ mod tests {
         MapName::new(name)
     }
 
+    /// Applies `tx`'s writes as the next version, as a node does once it
+    /// has proposed them.
+    fn commit(store: &mut Store, tx: Transaction) -> u64 {
+        let version = store.version() + 1;
+        store.apply_at(&tx.into_write_set(), version);
+        version
+    }
+
     #[test]
     fn basic_commit_and_read() {
         let mut store = Store::new();
@@ -391,102 +274,10 @@ mod tests {
         tx.put(&map("m"), b"k", b"v");
         // Read-your-writes.
         assert_eq!(tx.get(&map("m"), b"k"), Some(b"v".to_vec()));
-        let (version, ws) = store.commit(tx, false).unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(ws.update_count(), 1);
-        let mut tx2 = store.begin();
+        assert_eq!(tx.write_set().update_count(), 1);
+        assert_eq!(commit(&mut store, tx), 1);
+        let tx2 = store.begin();
         assert_eq!(tx2.get(&map("m"), b"k"), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn conflict_detection() {
-        let mut store = Store::new();
-        let mut seed = store.begin();
-        seed.put(&map("m"), b"k", b"0");
-        store.commit(seed, false).unwrap();
-
-        let mut t1 = store.begin();
-        let mut t2 = store.begin();
-        let v1 = t1.get(&map("m"), b"k").unwrap();
-        let v2 = t2.get(&map("m"), b"k").unwrap();
-        t1.put(&map("m"), b"k", &[v1[0] + 1]);
-        t2.put(&map("m"), b"k", &[v2[0] + 1]);
-        store.commit(t1, false).unwrap();
-        match store.commit(t2, false) {
-            Err(CommitError::Conflict { map: m, key }) => {
-                assert_eq!(m, map("m"));
-                assert_eq!(key, b"k");
-            }
-            other => panic!("expected conflict, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn no_conflict_on_disjoint_keys() {
-        let mut store = Store::new();
-        let mut t1 = store.begin();
-        let mut t2 = store.begin();
-        t1.put(&map("m"), b"a", b"1");
-        t2.put(&map("m"), b"b", b"2");
-        store.commit(t1, false).unwrap();
-        store.commit(t2, false).unwrap();
-        assert_eq!(store.version(), 2);
-    }
-
-    #[test]
-    fn blind_writes_do_not_conflict() {
-        // Writes without reads carry no read-set, hence cannot conflict.
-        let mut store = Store::new();
-        let mut t1 = store.begin();
-        let mut t2 = store.begin();
-        t1.put(&map("m"), b"k", b"1");
-        t2.put(&map("m"), b"k", b"2");
-        store.commit(t1, false).unwrap();
-        store.commit(t2, false).unwrap();
-        let mut t = store.begin();
-        assert_eq!(t.get(&map("m"), b"k"), Some(b"2".to_vec()));
-    }
-
-    #[test]
-    fn conflict_on_read_of_deleted_key() {
-        let mut store = Store::new();
-        let mut seed = store.begin();
-        seed.put(&map("m"), b"k", b"0");
-        store.commit(seed, false).unwrap();
-
-        let mut t1 = store.begin();
-        let _ = t1.get(&map("m"), b"k");
-        t1.put(&map("m"), b"other", b"x");
-
-        let mut t2 = store.begin();
-        t2.remove(&map("m"), b"k");
-        store.commit(t2, false).unwrap();
-        // t1's read of k is stale... but deletion removes the versioned
-        // value entirely, which must also be detected.
-        assert!(matches!(store.commit(t1, false), Err(CommitError::Conflict { .. })));
-    }
-
-    #[test]
-    fn read_of_absent_key_conflicts_with_insert() {
-        let mut store = Store::new();
-        let mut t1 = store.begin();
-        assert_eq!(t1.get(&map("m"), b"k"), None);
-        t1.put(&map("m"), b"out", b"x");
-        let mut t2 = store.begin();
-        t2.put(&map("m"), b"k", b"now exists");
-        store.commit(t2, false).unwrap();
-        assert!(matches!(store.commit(t1, false), Err(CommitError::Conflict { .. })));
-    }
-
-    #[test]
-    fn reserved_maps_guarded() {
-        let mut store = Store::new();
-        let mut tx = store.begin();
-        tx.put(&map(crate::builtin::SIGNATURES), b"k", b"v");
-        assert!(matches!(store.commit(tx, false), Err(CommitError::ReservedMap(_))));
-        let mut tx = store.begin();
-        tx.put(&map(crate::builtin::SIGNATURES), b"k", b"v");
-        assert!(store.commit(tx, true).is_ok());
     }
 
     #[test]
@@ -500,7 +291,7 @@ mod tests {
         store.apply_at(&ws1, 1);
         store.apply_at(&ws2, 2);
         assert_eq!(store.version(), 2);
-        let mut tx = store.begin();
+        let tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"a"), None);
         assert_eq!(tx.get(&map("m"), b"b"), Some(b"2".to_vec()));
     }
@@ -518,15 +309,15 @@ mod tests {
         let mut store = Store::new();
         let mut t0 = store.begin();
         t0.put(&map("m"), b"k", b"old");
-        store.commit(t0, false).unwrap();
+        commit(&mut store, t0);
         let snap = store.snapshot();
         let mut t1 = store.begin();
         t1.put(&map("m"), b"k", b"new");
-        store.commit(t1, false).unwrap();
+        commit(&mut store, t1);
         // The old snapshot still reads the old value.
-        assert_eq!(snap.get("m", b"k").unwrap().data, b"old");
+        assert_eq!(snap.get("m", b"k"), Some(&b"old"[..]));
         // A fresh transaction reads the new one.
-        let mut tx = store.begin();
+        let tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"k"), Some(b"new".to_vec()));
     }
 
@@ -535,19 +326,19 @@ mod tests {
         let mut store = Store::new();
         let mut tx = store.begin();
         tx.put(&map("m"), b"k", b"v");
-        store.commit(tx, false).unwrap();
+        commit(&mut store, tx);
         let state = Arc::as_ptr(&store.snapshot());
         // The transaction's own snapshot is released before the apply.
         let mut tx = store.begin();
         tx.put(&map("m"), b"k", b"w");
-        store.commit(tx, false).unwrap();
+        commit(&mut store, tx);
         store.apply_at(&WriteSet::new(), 3);
         assert_eq!(Arc::as_ptr(&store.snapshot()), state);
         // A held snapshot is copied on the next apply, and keeps its value.
         let held = store.snapshot();
         store.apply_at(&WriteSet::new(), 4);
         assert_ne!(Arc::as_ptr(&store.snapshot()), state);
-        assert_eq!(held.get("m", b"k").unwrap().data, b"w");
+        assert_eq!(held.get("m", b"k"), Some(&b"w"[..]));
     }
 
     #[test]
@@ -556,7 +347,7 @@ mod tests {
         let mut t0 = store.begin();
         t0.put(&map("m"), b"a", b"1");
         t0.put(&map("m"), b"b", b"2");
-        store.commit(t0, false).unwrap();
+        commit(&mut store, t0);
         let mut tx = store.begin();
         tx.put(&map("m"), b"c", b"3");
         tx.remove(&map("m"), b"a");
@@ -575,7 +366,7 @@ mod tests {
             let mut tx = store.begin();
             tx.put(&map("m"), &[i], &[i * 2]);
             tx.put(&map("public:x"), &[i], b"pub");
-            store.commit(tx, false).unwrap();
+            commit(&mut store, tx);
         }
         let state = store.snapshot();
         let bytes = state.serialize();
@@ -585,62 +376,8 @@ mod tests {
             restored.entries_sorted(&map("m")),
             state.entries_sorted(&map("m"))
         );
-        // Versions preserved for OCC.
-        assert_eq!(
-            restored.get("m", &[3]).unwrap().version,
-            state.get("m", &[3]).unwrap().version
-        );
         // Deterministic encoding.
         assert_eq!(restored.serialize(), bytes);
-    }
-
-    #[test]
-    fn read_transaction_records_no_read_set() {
-        let store = Store::new();
-        let mut tracked = store.begin();
-        let mut read = store.begin_read();
-        for tx in [&mut tracked, &mut read] {
-            let _ = tx.read("m", b"k");
-            let _ = tx.get(&map("m"), b"j");
-        }
-        assert_eq!(tracked.reads.as_ref().map(BTreeMap::len), Some(2));
-        assert!(read.reads.is_none());
-    }
-
-    #[test]
-    fn read_transaction_returns_what_a_tracked_one_does() {
-        let mut store = Store::new();
-        let mut seed = store.begin();
-        seed.put(&map("m"), b"present", b"v");
-        seed.put(&map("m"), b"removed", b"gone");
-        store.commit(seed, false).unwrap();
-        let mut tracked = store.begin();
-        let mut read = store.begin_read();
-        for tx in [&mut tracked, &mut read] {
-            tx.put(&map("m"), b"own", b"buffered");
-            tx.remove(&map("m"), b"removed");
-        }
-        for key in [&b"present"[..], b"absent", b"own", b"removed"] {
-            assert_eq!(read.read("m", key), tracked.read("m", key), "key {key:?}");
-            assert_eq!(read.get(&map("m"), key), tracked.get(&map("m"), key));
-            assert_eq!(read.read("other", key), None);
-        }
-        assert_eq!(read.read("m", b"present"), Some(&b"v"[..]));
-        assert_eq!(read.read("m", b"own"), Some(&b"buffered"[..]));
-    }
-
-    #[test]
-    fn read_transaction_cannot_be_validated_or_committed() {
-        let mut store = Store::new();
-        let mut read = store.begin_read();
-        assert_eq!(read.read("m", b"k"), None);
-        assert_eq!(store.validate(&read), Err(CommitError::ReadTransaction));
-        // Even one that buffered a write, reserved maps allowed.
-        read.put(&map("m"), b"k", b"v");
-        assert_eq!(store.validate(&read), Err(CommitError::ReadTransaction));
-        assert_eq!(store.commit(read, true), Err(CommitError::ReadTransaction));
-        assert_eq!(store.version(), 0);
-        assert_eq!(store.begin_read().read("m", b"k"), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests: CHAMP vs a reference map under arbitrary
-//! operation sequences, codec and write-set roundtrips, store semantics.
+//! operation sequences, codec, write-set and snapshot roundtrips, and the
+//! decoders on arbitrary bytes.
 
 use ccf_kv::codec::{Reader, Writer};
 use ccf_kv::store::StoreState;
 use ccf_kv::{ChampMap, MapName, Store, WriteSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -35,6 +37,22 @@ fn version_op_strategy() -> impl Strategy<Value = VersionOp> {
         op_strategy().prop_map(VersionOp::Update),
         Just(VersionOp::Retain),
     ]
+}
+
+fn map() -> MapName {
+    MapName::new("m")
+}
+
+/// The state after applying one write per `(key, value)` to map `m`, each
+/// as the next version.
+fn state_from(writes: &[(Vec<u8>, Vec<u8>)]) -> Arc<StoreState> {
+    let mut store = Store::new();
+    for (k, v) in writes {
+        let mut ws = WriteSet::new();
+        ws.write(map(), k.clone(), v.clone());
+        store.apply_at(&ws, store.version() + 1);
+    }
+    store.snapshot()
 }
 
 fn contents(map: &ChampMap<u16, u32>) -> HashMap<u16, u32> {
@@ -220,53 +238,35 @@ proptest! {
             1..30,
         )
     ) {
-        let mut store = Store::new();
-        let map = MapName::new("m");
-        for (k, v) in &writes {
-            let mut tx = store.begin();
-            tx.put(&map, k, v);
-            store.commit(tx, false).unwrap();
-        }
-        let state = store.snapshot();
+        let state = state_from(&writes);
         let restored = StoreState::deserialize(&state.serialize()).unwrap();
         prop_assert_eq!(restored.version, state.version);
-        prop_assert_eq!(restored.entries_sorted(&map), state.entries_sorted(&map));
+        prop_assert_eq!(restored.entries_sorted(&map()), state.entries_sorted(&map()));
         // Determinism: same bytes again.
         prop_assert_eq!(restored.serialize(), state.serialize());
     }
 
+    /// A joining node decodes a snapshot from bytes its host supplies:
+    /// arbitrary bytes never panic the decoder.
     #[test]
-    fn occ_serializability_of_counter(increments in 1usize..30) {
-        // Apply `increments` read-modify-write transactions with random
-        // interleavings of begin/commit; conflicts retry. The final value
-        // must equal the number of successful commits.
-        let mut store = Store::new();
-        let map = MapName::new("m");
-        let mut committed = 0u64;
-        let mut pending = Vec::new();
-        for i in 0..increments {
-            let mut tx = store.begin();
-            let v = tx
-                .get(&map, b"ctr")
-                .map(|b| String::from_utf8_lossy(&b).parse::<u64>().unwrap())
-                .unwrap_or(0);
-            tx.put(&map, b"ctr", (v + 1).to_string().as_bytes());
-            pending.push(tx);
-            // Commit every other transaction late to force conflicts.
-            if i % 2 == 0 && store.commit(pending.remove(0), false).is_ok() {
-                committed += 1;
-            }
+    fn store_state_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let _ = StoreState::deserialize(&bytes); // must not panic, only Err
+    }
+
+    /// Every strict prefix of a valid serialization is refused: the
+    /// encoding is length-prefixed throughout, so a cut snapshot never
+    /// decodes as a smaller state.
+    #[test]
+    fn store_state_decode_refuses_every_strict_prefix(
+        writes in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 1..8),
+             proptest::collection::vec(any::<u8>(), 0..16)),
+            0..12,
+        )
+    ) {
+        let bytes = state_from(&writes).serialize();
+        for len in 0..bytes.len() {
+            prop_assert!(StoreState::deserialize(&bytes[..len]).is_err(), "prefix of {} bytes", len);
         }
-        for tx in pending {
-            if store.commit(tx, false).is_ok() {
-                committed += 1;
-            }
-        }
-        let mut tx = store.begin();
-        let v = tx
-            .get(&map, b"ctr")
-            .map(|b| String::from_utf8_lossy(&b).parse::<u64>().unwrap())
-            .unwrap_or(0);
-        prop_assert_eq!(v, committed, "lost or duplicated increments");
     }
 }

@@ -63,7 +63,7 @@ fn main() {
     // ---- 2. Proposals are easy to inspect offline (§5.1) ----
     println!("\n2. the proposal as recorded on the ledger (succinct JSON):");
     let node = service.nodes.values().next().unwrap();
-    let mut tx = node.begin();
+    let tx = node.begin();
     let stored = tx.get(&MapName::new(ccf_kv::builtin::PROPOSALS), pid.as_bytes()).unwrap();
     println!("   {}", String::from_utf8_lossy(&stored));
 

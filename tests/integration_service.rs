@@ -271,9 +271,8 @@ fn script_application_runs_and_live_updates() {
 
 #[test]
 fn occ_increments_are_applied_exactly_once() {
-    // An endpoint that read-modify-writes a single hot key: conflicting
-    // interleavings must retry and never lose updates (§6.4: executed
-    // multiple times, applied exactly once).
+    // An endpoint that read-modify-writes a single hot key: the node runs
+    // one transaction at a time, so no update is lost or applied twice.
     let counter_app = Application::new("counter v1")
         .endpoint(EndpointDef::write("POST", "/incr", |ctx| {
             let current = ctx
@@ -441,7 +440,7 @@ fn decrypted_once_per_backup_and_applied_identically(nodes: u64) {
     assert!(sealed > 0);
     assert_eq!(opened, (nodes - 1) * sealed, "{nodes} nodes opened {opened} B, sealed {sealed} B");
 
-    // The primary's validated write set and the backups' decoded ones
+    // The primary's executed write set and the backups' decoded ones
     // leave byte-identical state at the common commit seqno.
     let states: Vec<Vec<u8>> = service
         .nodes
