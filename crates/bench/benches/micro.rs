@@ -136,11 +136,14 @@ fn bench_kv_snapshots(c: &mut Criterion) {
     g.finish();
 }
 
-/// Applies `tx`'s writes as the next version, as a node does once it has
-/// proposed them; returns that version.
-fn commit(store: &mut Store, tx: Transaction) -> u64 {
+/// Runs `write` in a transaction and applies its writes as the next
+/// version, as a node does once it has proposed them; returns that version.
+fn commit(store: &mut Store, write: impl FnOnce(&mut Transaction)) -> u64 {
+    let mut tx = store.begin();
+    write(&mut tx);
+    let ws = tx.into_write_set();
     let version = store.version() + 1;
-    store.apply_at(&tx.into_write_set(), version);
+    store.apply_at(&ws, version);
     version
 }
 
@@ -149,17 +152,15 @@ fn bench_store(c: &mut Criterion) {
     let mut store = Store::new();
     let map = MapName::new("msgs");
     for i in 0..1000u64 {
-        let mut tx = store.begin();
-        tx.put(&map, &i.to_le_bytes(), b"twenty.characters.xx");
-        commit(&mut store, tx);
+        commit(&mut store, |tx| tx.put(&map, &i.to_le_bytes(), b"twenty.characters.xx"));
     }
     g.bench_function("write_tx_commit", |b| {
         let mut i = 1000u64;
         b.iter(|| {
             i += 1;
-            let mut tx = store.begin();
-            tx.put(&map, &(i % 5000).to_le_bytes(), b"twenty.characters.xx");
-            commit(&mut store, tx)
+            commit(&mut store, |tx| {
+                tx.put(&map, &(i % 5000).to_le_bytes(), b"twenty.characters.xx")
+            })
         })
     });
     g.bench_function("read_tx_snapshot", |b| {
@@ -257,8 +258,8 @@ fn bench_script_vs_native(c: &mut Criterion) {
         r#"function handler(key, msg) { kv_put("msgs", key, msg); return "ok"; }"#,
     )
     .unwrap();
-    struct H<'a>(&'a mut ccf_kv::Transaction);
-    impl ccf_script::Host for H<'_> {
+    struct H<'a, 's>(&'a mut ccf_kv::Transaction<'s>);
+    impl ccf_script::Host for H<'_, '_> {
         fn kv_get(&mut self, m: &str, k: &str) -> Result<Option<String>, String> {
             Ok(self.0.get(&MapName::new(m), k.as_bytes()).map(|v| String::from_utf8_lossy(&v).to_string()))
         }

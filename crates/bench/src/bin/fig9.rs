@@ -184,9 +184,10 @@ fn main() {
     // ---- Listing 2: the governance key updates from the ledger ----
     println!("\nListing 2 analog — key updates recorded in the public governance maps:");
     let live = service.live_nodes()[0].clone();
-    let mut tx = service.nodes[&live].begin();
+    let state = service.nodes[&live].store_state();
+    let tx = state.begin();
     for node in ["n0", "n3"] {
-        if let Some(info) = ccf_governance::actions::get_node_info(&mut tx, node) {
+        if let Some(info) = ccf_governance::actions::get_node_info(&tx, node) {
             println!("  public:ccf.gov.nodes.info[{node}] = {{status: {:?}}}", info.status);
         }
     }

@@ -170,10 +170,11 @@ impl AppResult {
 }
 
 /// The execution context a handler receives: the open transaction, the
-/// caller, the body, and claim attachment (§3.5).
-pub struct EndpointContext<'a> {
+/// caller, the body, and claim attachment (§3.5). `'s` is the store state
+/// the transaction borrows, which outlives the context.
+pub struct EndpointContext<'a, 's> {
     /// The open kv transaction.
-    pub tx: &'a mut Transaction,
+    pub tx: &'a mut Transaction<'s>,
     /// The authenticated caller.
     pub caller: &'a Caller,
     /// The request body.
@@ -184,7 +185,7 @@ pub struct EndpointContext<'a> {
     pub claims: Option<Vec<u8>>,
 }
 
-impl<'a> EndpointContext<'a> {
+impl EndpointContext<'_, '_> {
     /// Query parameter by name.
     pub fn query(&self, key: &str) -> Result<String, AppError> {
         self.params
@@ -242,7 +243,7 @@ impl<'a> EndpointContext<'a> {
     }
 }
 
-type Handler = Arc<dyn Fn(&mut EndpointContext<'_>) -> HandlerResult + Send + Sync>;
+type Handler = Arc<dyn Fn(&mut EndpointContext<'_, '_>) -> HandlerResult + Send + Sync>;
 
 /// One endpoint definition.
 #[derive(Clone)]
@@ -263,7 +264,7 @@ impl EndpointDef {
     pub fn read(
         method: &str,
         path: &str,
-        handler: impl Fn(&mut EndpointContext<'_>) -> HandlerResult + Send + Sync + 'static,
+        handler: impl Fn(&mut EndpointContext<'_, '_>) -> HandlerResult + Send + Sync + 'static,
     ) -> EndpointDef {
         EndpointDef {
             method: method.to_string(),
@@ -278,7 +279,7 @@ impl EndpointDef {
     pub fn write(
         method: &str,
         path: &str,
-        handler: impl Fn(&mut EndpointContext<'_>) -> HandlerResult + Send + Sync + 'static,
+        handler: impl Fn(&mut EndpointContext<'_, '_>) -> HandlerResult + Send + Sync + 'static,
     ) -> EndpointDef {
         EndpointDef {
             method: method.to_string(),
@@ -296,7 +297,7 @@ impl EndpointDef {
     }
 
     /// Invokes the handler.
-    pub fn invoke(&self, ctx: &mut EndpointContext<'_>) -> HandlerResult {
+    pub fn invoke(&self, ctx: &mut EndpointContext<'_, '_>) -> HandlerResult {
         (self.handler)(ctx)
     }
 }
@@ -380,7 +381,7 @@ impl ScriptApp {
                 return Err(format!("route {method} {path} references missing function {func}"));
             }
             let (program, func) = (program.clone(), func.to_string());
-            let handler = move |ctx: &mut EndpointContext<'_>| run_script(&program, &func, ctx);
+            let handler = move |ctx: &mut EndpointContext<'_, '_>| run_script(&program, &func, ctx);
             app = app.endpoint(if item.get("read_only").is_some_and(|v| v.truthy()) {
                 EndpointDef::read(method, path, handler)
             } else {
@@ -396,7 +397,7 @@ impl ScriptApp {
 fn run_script(
     program: &ccf_script::ast::Program,
     func: &str,
-    ctx: &mut EndpointContext<'_>,
+    ctx: &mut EndpointContext<'_, '_>,
 ) -> HandlerResult {
     let caller = match ctx.caller {
         Caller::Anonymous => ccf_script::Value::Null,
@@ -431,11 +432,11 @@ fn run_script(
 
 /// [`ccf_script::Host`] over an open transaction: script kv access is
 /// string-typed and blocked from reserved maps.
-struct TxScriptHost<'a> {
-    tx: &'a mut Transaction,
+struct TxScriptHost<'a, 's> {
+    tx: &'a mut Transaction<'s>,
 }
 
-impl ccf_script::Host for TxScriptHost<'_> {
+impl ccf_script::Host for TxScriptHost<'_, '_> {
     fn kv_get(&mut self, map: &str, key: &str) -> Result<Option<String>, String> {
         Ok(self.tx.read(map, key.as_bytes()).map(|v| String::from_utf8_lossy(v).into_owned()))
     }

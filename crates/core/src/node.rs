@@ -1,13 +1,14 @@
 //! A CCF node: the composition of store, ledger, consensus, TEE and
 //! governance into one unit of the service (paper Figure 2).
 //!
-//! All of a node's state sits behind one lock, and a request holds it
-//! from routing to proposal: it begins its transaction, runs the endpoint
-//! and proposes the write set (consensus proposal → state application)
-//! under one hold. No other transaction runs in between, so the write
-//! set is proposed exactly as it executed, with no validation and no
-//! retry: serializability holds because a node runs one transaction at a
-//! time. All state mutation flows through the consensus [`Command`]s each
+//! All of a node's state sits behind one lock, and each public call takes
+//! it once: a request (or a whole batch of signed ones) holds it from
+//! routing to proposal. It begins its transaction, which borrows the
+//! store, runs the endpoint and proposes the write set (consensus
+//! proposal → state application) under one hold. The borrow ends before
+//! the apply, so no other transaction runs in between, and the write set
+//! is proposed exactly as it executed, with no validation and no retry:
+//! serializability holds because a node runs one transaction at a time. All state mutation flows through the consensus [`Command`]s each
 //! replica call returns, on the primary and on backups alike, which is
 //! what makes rollback after view changes (and snapshot install) a matter
 //! of restoring an earlier CHAMP snapshot.
@@ -363,16 +364,6 @@ impl CcfNode {
         inner.secrets = Some(ledger_secrets);
     }
 
-    /// Exports the service secrets for a verified joiner (trusted nodes
-    /// hold the service key, Table 1).
-    pub fn export_secrets(&self) -> Option<ServiceSecrets> {
-        let inner = self.lock();
-        Some(ServiceSecrets {
-            service_key_seed: inner.service_key.as_ref()?.seed(),
-            ledger_secrets: inner.secrets.as_ref()?.serialize(),
-        })
-    }
-
     // ------------------------------------------------------------------
     // Service genesis
     // ------------------------------------------------------------------
@@ -388,7 +379,7 @@ impl CcfNode {
         constitution_script: Option<&str>,
         recovery_threshold: usize,
     ) -> Result<TxId, String> {
-        let mut inner = self.lock();
+        let inner = &mut *self.lock();
         assert!(inner.replica.is_primary(), "genesis requires primacy");
         // Service identity & ledger secret are born here (Table 1).
         let service_key = SigningKey::generate(&mut inner.rng);
@@ -454,7 +445,7 @@ impl CcfNode {
         write_recovery_material(&mut tx, &secrets, &member_enc, threshold, &mut inner.rng)
             .map_err(|e| format!("recovery material: {e}"))?;
         let ws = tx.into_write_set();
-        self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
+        self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE)
             .map_err(|e| format!("genesis propose: {e}"))
     }
 
@@ -539,10 +530,7 @@ impl CcfNode {
         let after = trusted_nodes(&tx);
         // Only a *change* to the trusted set is a reconfiguration (e.g.
         // registering a Pending node is not).
-        let before = {
-            let tx = store.begin();
-            trusted_nodes(&tx)
-        };
+        let before = trusted_nodes(&store.begin());
         (after != before).then_some(after)
     }
 
@@ -554,7 +542,8 @@ impl CcfNode {
         let mut inner = self.lock();
         let mut tx = inner.store.begin();
         write(&mut tx);
-        self.propose_write_set(&mut inner, tx.into_write_set(), None, ccf_obs::TraceId::NONE)
+        let ws = tx.into_write_set();
+        self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
             .map_err(|e| e.to_string())
     }
 
@@ -761,9 +750,9 @@ impl CcfNode {
             let mut m = BTreeMap::new();
             let ids = GovernanceEngine::members(&tx);
             for id in ids {
-                if let Some(enc_hex) = tx.get(&map(builtin::MEMBERS_ENC_KEYS), id.as_bytes()) {
+                if let Some(enc_hex) = tx.read(builtin::MEMBERS_ENC_KEYS, id.as_bytes()) {
                     if let Ok(enc) = ccf_crypto::hex::from_hex_array::<32>(
-                        std::str::from_utf8(&enc_hex).unwrap_or(""),
+                        std::str::from_utf8(enc_hex).unwrap_or(""),
                     ) {
                         m.insert(id, enc);
                     }
@@ -771,7 +760,7 @@ impl CcfNode {
             }
             m
         };
-        let threshold = ccf_governance::recovery::recovery_threshold(&mut tx).unwrap_or(1);
+        let threshold = ccf_governance::recovery::recovery_threshold(&tx).unwrap_or(1);
         let _ = write_recovery_material(
             &mut tx,
             &new_secrets,
@@ -983,9 +972,8 @@ impl CcfNode {
         }
         // 3. The code id must be allow-listed (Listing 1's map).
         let mut tx = inner.store.begin();
-        let allowed = tx
-            .get(&map(builtin::NODES_CODE_IDS), code_id.to_hex().as_bytes())
-            .is_some_and(|v| v == b"AllowedToJoin");
+        let allowed = tx.read(builtin::NODES_CODE_IDS, code_id.to_hex().as_bytes())
+            == Some(b"AllowedToJoin");
         if !allowed {
             return Err(format!("code id {} is not allowed to join", code_id.to_hex()));
         }
@@ -1003,9 +991,12 @@ impl CcfNode {
         let ws = tx.into_write_set();
         self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE)
             .map_err(|e| format!("join propose: {e}"))?;
-        // 5. Share the service secrets with the verified enclave.
-        drop(inner);
-        self.export_secrets().ok_or_else(|| "secrets not available".to_string())
+        // 5. Share the service secrets with the verified enclave (trusted
+        // nodes hold the service key, Table 1).
+        let (Some(key), Some(secrets)) = (&inner.service_key, &inner.secrets) else {
+            return Err("secrets not available".to_string());
+        };
+        Ok(ServiceSecrets { service_key_seed: key.seed(), ledger_secrets: secrets.serialize() })
     }
 
     // ------------------------------------------------------------------
@@ -1052,33 +1043,30 @@ impl CcfNode {
     /// answer them 307 with the primary hint in the body, a retiring
     /// primary 503 (the service harness follows the 307, §4.3).
     pub fn handle_request(&self, req: &Request) -> Response {
-        let platform = self.opts.platform;
-        platform.run(|| self.handle_request_inner(req))
+        self.opts.platform.run(|| self.serve(&mut self.lock(), req))
     }
 
-    fn handle_request_inner(&self, req: &Request) -> Response {
+    /// Serves one request under the caller's hold of the lock, from
+    /// routing to proposal: no other transaction runs between this one's
+    /// reads and its proposal, so its write set is proposed exactly as it
+    /// executed.
+    fn serve(&self, inner: &mut NodeInner, req: &Request) -> Response {
         // Captured up front so the eventual root "request" span covers
         // routing, auth, and endpoint execution (DESIGN.md §12).
         let entered_at = self.metrics.reg.now();
         let (path, params) = split_query(&req.path);
         // Built-in endpoints (§3.2's tx, §3.5's receipt, governance).
         if path.starts_with("/node/") || path.starts_with("/gov/") {
-            return self.handle_builtin(req, path, &params);
+            return self.handle_builtin(inner, req, path, &params);
         }
-
-        // One hold of the lock from routing to proposal: no other
-        // transaction runs between this one's reads and its proposal, so
-        // its write set is proposed exactly as it executed.
-        let mut inner = self.lock();
-        let script_app = inner.script_app.clone();
-        let Some(def) = self.endpoint(script_app.as_deref(), &req.method, path) else {
+        let Some(def) = self.endpoint(inner.script_app.as_deref(), &req.method, path) else {
             return Response::error(404, "no such endpoint");
         };
         if let Err(e) = Self::check_policy(&req.caller, def.auth) {
             return Response::error(e.status, &e.message);
         }
         if !def.read_only {
-            if let Some(forward) = self.forward_write(&inner) {
+            if let Some(forward) = self.forward_write(inner) {
                 return forward;
             }
         }
@@ -1130,7 +1118,7 @@ impl CcfNode {
             self.metrics.node,
             entered_at,
         );
-        match self.propose_write_set(&mut inner, ws, claims, trace) {
+        match self.propose_write_set(inner, ws, claims, trace) {
             Ok(txid) => {
                 self.metrics.reg.trace_exit(tok);
                 inner.inflight_traces.insert(txid.seqno, (trace, entered_at));
@@ -1167,6 +1155,7 @@ impl CcfNode {
 
     fn handle_builtin(
         &self,
+        inner: &mut NodeInner,
         req: &Request,
         path: &str,
         params: &std::collections::HashMap<&str, &str>,
@@ -1177,7 +1166,7 @@ impl CcfNode {
                     Ok(t) => t,
                     Err(e) => return Response::error(400, &e),
                 };
-                let status = self.tx_status(txid);
+                let status = inner.replica.tx_status(txid);
                 Response::ok(format!("{status:?}").into_bytes())
             }
             ("GET", "/node/receipt") => {
@@ -1185,13 +1174,12 @@ impl CcfNode {
                     Ok(t) => t,
                     Err(e) => return Response::error(400, &e),
                 };
-                match self.receipt(txid) {
+                match self.receipt_in(inner, txid) {
                     Some(receipt) => Response::ok(receipt.encode()),
                     None => Response::error(404, "transaction not committed or not held here"),
                 }
             }
             ("GET", "/node/network") => {
-                let inner = self.lock();
                 let body = format!(
                     "{{\"view\":{},\"primary\":{:?},\"commit\":{}}}",
                     inner.replica.view(),
@@ -1203,7 +1191,7 @@ impl CcfNode {
             ("GET", "/node/historical") => {
                 let from: u64 = params.get("from").and_then(|s| s.parse().ok()).unwrap_or(1);
                 let to: u64 = params.get("to").and_then(|s| s.parse().ok()).unwrap_or(from);
-                match self.historical_writes(from, to) {
+                match self.historical_writes_in(inner, from, to) {
                     Ok(list) => {
                         let mut out = String::from("[");
                         for (i, (txid, ws)) in list.iter().enumerate() {
@@ -1221,25 +1209,24 @@ impl CcfNode {
                     Err(e) => Response::error(400, &e),
                 }
             }
-            ("POST", "/gov/proposals") => self.handle_gov(req, GovOp::Propose),
+            ("POST", "/gov/proposals") => self.handle_gov(inner, req, GovOp::Propose),
             ("POST", "/gov/ballots") => {
                 let Some(id) = params.get("proposal_id").map(|id| id.to_string()) else {
                     return Response::error(400, "missing proposal_id");
                 };
-                self.handle_gov(req, GovOp::Vote(id))
+                self.handle_gov(inner, req, GovOp::Vote(id))
             }
             ("POST", "/gov/withdraw") => {
                 let Some(id) = params.get("proposal_id").map(|id| id.to_string()) else {
                     return Response::error(400, "missing proposal_id");
                 };
-                self.handle_gov(req, GovOp::Withdraw(id))
+                self.handle_gov(inner, req, GovOp::Withdraw(id))
             }
             ("GET", "/gov/proposals") => {
                 let Some(id) = params.get("proposal_id") else {
                     return Response::error(400, "missing proposal_id");
                 };
-                let mut tx = self.begin();
-                match GovernanceEngine::proposal_state(&mut tx, &id.to_string()) {
+                match GovernanceEngine::proposal_state(&inner.store.begin(), &id.to_string()) {
                     Ok(state) => Response::ok(state.as_str().as_bytes().to_vec()),
                     Err(e) => Response::error(404, &e.to_string()),
                 }
@@ -1248,9 +1235,8 @@ impl CcfNode {
         }
     }
 
-    fn handle_gov(&self, req: &Request, op: GovOp) -> Response {
-        let mut inner = self.lock();
-        if let Some(forward) = self.forward_write(&inner) {
+    fn handle_gov(&self, inner: &mut NodeInner, req: &Request, op: GovOp) -> Response {
+        if let Some(forward) = self.forward_write(inner) {
             return forward;
         }
         let envelope = match SignedRequest::decode(&req.body) {
@@ -1276,7 +1262,7 @@ impl CcfNode {
             Err(e) => Response::error(400, &e.to_string()),
             Ok(body) => {
                 let ws = tx.into_write_set();
-                match self.propose_write_set(&mut inner, ws, None, ccf_obs::TraceId::NONE) {
+                match self.propose_write_set(inner, ws, None, ccf_obs::TraceId::NONE) {
                     Ok(txid) => Response { status: 200, body: body.into_bytes(), txid: Some(txid) },
                     Err(e) => Response::error(503, &format!("propose failed: {e}")),
                 }
@@ -1291,7 +1277,10 @@ impl CcfNode {
     /// Builds a verifiable receipt for a committed transaction, if this
     /// node retains the entry and a covering signature transaction.
     pub fn receipt(&self, txid: TxId) -> Option<Receipt> {
-        let inner = self.lock();
+        self.receipt_in(&self.lock(), txid)
+    }
+
+    fn receipt_in(&self, inner: &NodeInner, txid: TxId) -> Option<Receipt> {
         if inner.replica.tx_status(txid) != TxStatus::Committed {
             return None;
         }
@@ -1310,7 +1299,7 @@ impl CcfNode {
         let endorsement =
             service_key.sign(&endorsement_bytes(&payload.node_id, &payload.node_public));
         // Receipt issuance is the last stage of a traced request's life.
-        let trace = Self::logged_trace(&inner, txid.seqno);
+        let trace = Self::logged_trace(inner, txid.seqno);
         if trace.is_some() {
             self.metrics.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "receipt", self.metrics.node);
         }
@@ -1337,7 +1326,15 @@ impl CcfNode {
         from: Seqno,
         to: Seqno,
     ) -> Result<Vec<(TxId, WriteSet)>, String> {
-        let inner = self.lock();
+        self.historical_writes_in(&self.lock(), from, to)
+    }
+
+    fn historical_writes_in(
+        &self,
+        inner: &NodeInner,
+        from: Seqno,
+        to: Seqno,
+    ) -> Result<Vec<(TxId, WriteSet)>, String> {
         if from == 0 || to < from {
             return Err("invalid range".to_string());
         }
@@ -1351,7 +1348,7 @@ impl CcfNode {
                     .entry_at(s)
                     .ok_or_else(|| format!("entry {s} not retained in enclave"))?
                     .entry;
-                Ok((entry.txid, self.decode_entry_writes(&inner, entry)))
+                Ok((entry.txid, self.decode_entry_writes(inner, entry)))
             })
             .collect()
     }
@@ -1366,15 +1363,11 @@ impl CcfNode {
         self.lock().indexer.register(KeyToTxIds::new(map_name));
     }
 
-    /// A read view of the latest store state (tests, examples, operator
-    /// tooling). Nothing it writes is proposed: a write runs in
-    /// [`CcfNode::propose_internal`], on a transaction begun under the
-    /// node's lock.
-    pub fn begin(&self) -> Transaction {
-        self.lock().store.begin()
-    }
-
-    /// The latest store state.
+    /// The latest store state (tests, examples, operator tooling), read
+    /// with [`StoreState::get`] or a transaction from
+    /// [`StoreState::begin`]. Nothing written there is proposed: a write
+    /// runs in [`CcfNode::propose_internal`], on a transaction begun under
+    /// the node's lock.
     pub fn store_state(&self) -> Arc<StoreState> {
         self.lock().store.snapshot()
     }
@@ -1416,21 +1409,19 @@ impl CcfNode {
     /// re-verified individually so only the offending requests get a 401
     /// and the rest proceed normally. An envelope naming an application
     /// write endpoint is forwarded like a plain write, unverified, since
-    /// the primary verifies it anyway.
+    /// the primary verifies it anyway. The whole batch runs under one hold
+    /// of the node lock.
     pub fn handle_signed_user_requests(&self, envelopes: &[SignedRequest]) -> Vec<Response> {
-        let forwards: Vec<Option<Response>> = {
-            let inner = self.lock();
-            let script_app = inner.script_app.as_deref();
-            envelopes
-                .iter()
-                .map(|envelope| {
-                    let (method, path) = signed_route(&envelope.purpose)?;
-                    let path = path.split_once('?').map_or(path, |(path, _)| path);
-                    let def = self.endpoint(script_app, method, path)?;
-                    if def.read_only { None } else { self.forward_write(&inner) }
-                })
-                .collect()
-        };
+        let mut inner = self.lock();
+        let forwards: Vec<Option<Response>> = envelopes
+            .iter()
+            .map(|envelope| {
+                let (method, path) = signed_route(&envelope.purpose)?;
+                let path = path.split_once('?').map_or(path, |(path, _)| path);
+                let def = self.endpoint(inner.script_app.as_deref(), method, path)?;
+                if def.read_only { None } else { self.forward_write(&inner) }
+            })
+            .collect();
         let served: Vec<&SignedRequest> =
             envelopes.iter().zip(&forwards).filter(|(_, f)| f.is_none()).map(|(e, _)| e).collect();
         let mut valid = self.verify_envelopes(&served).into_iter();
@@ -1440,7 +1431,7 @@ impl CcfNode {
             .map(|(envelope, forward)| {
                 forward.unwrap_or_else(|| {
                     if valid.next() == Some(true) {
-                        self.dispatch_signed_user_request(envelope)
+                        self.dispatch_signed_user_request(&mut inner, envelope)
                     } else {
                         Response::error(401, "invalid request signature")
                     }
@@ -1477,15 +1468,20 @@ impl CcfNode {
     }
 
     /// Post-verification half of signed user request handling: resolve the
-    /// purpose and signer, then execute as an authenticated user.
-    fn dispatch_signed_user_request(&self, envelope: &SignedRequest) -> Response {
+    /// purpose and signer, then execute as an authenticated user, under
+    /// the platform as [`CcfNode::handle_request`] does.
+    fn dispatch_signed_user_request(
+        &self,
+        inner: &mut NodeInner,
+        envelope: &SignedRequest,
+    ) -> Response {
         let Some((method, path)) = signed_route(&envelope.purpose) else {
             return Response::error(400, "purpose must be user/<METHOD> <path>");
         };
         // Resolve the signer to a registered user id by cert match.
         let signer_hex = ccf_crypto::hex::to_hex(&envelope.signer.0);
         let mut user_id = None;
-        self.begin().for_each(&map(builtin::USERS_CERTS), |k, v| {
+        inner.store.begin().for_each(&map(builtin::USERS_CERTS), |k, v| {
             if v == signer_hex.as_bytes() {
                 user_id = std::str::from_utf8(k).ok().map(str::to_string);
             }
@@ -1493,12 +1489,8 @@ impl CcfNode {
         let Some(user_id) = user_id else {
             return Response::error(403, "signer is not a registered user");
         };
-        self.handle_request(&Request::new(
-            method,
-            path,
-            Caller::User(user_id),
-            &envelope.payload,
-        ))
+        let req = Request::new(method, path, Caller::User(user_id), &envelope.payload);
+        self.opts.platform.run(|| self.serve(inner, &req))
     }
 
     /// Member-facing convenience: a signed proposal envelope builder is in

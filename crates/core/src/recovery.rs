@@ -110,8 +110,8 @@ impl RecoveryCoordinator {
                     break;
                 }
                 // The signer must be a registered node with this cert.
-                let mut tx = store.begin();
-                let registered = ccf_governance::actions::get_node_info(&mut tx, &payload.node_id)
+                let tx = store.begin();
+                let registered = ccf_governance::actions::get_node_info(&tx, &payload.node_id)
                     .is_some_and(|info| {
                         info.cert == ccf_crypto::hex::to_hex(&payload.node_public.0)
                             && info.status != NodeStatus::Retired
@@ -144,11 +144,9 @@ impl RecoveryCoordinator {
         store.install((*verified_state).clone());
         merkle.truncate(last_verified as u64);
         view_history.retain(|&(_, start)| start <= last_verified as u64);
-        let previous_identity = {
-            let tx = store.begin();
-            tx.get(&map(builtin::SERVICE_INFO), b"cert")
-                .map(|v| String::from_utf8_lossy(&v).to_string())
-        };
+        let previous_identity = verified_state
+            .get(builtin::SERVICE_INFO, b"cert")
+            .map(|v| String::from_utf8_lossy(v).to_string());
         Ok(RecoveryCoordinator {
             entries,
             store,
@@ -172,8 +170,7 @@ impl RecoveryCoordinator {
         member: &MemberId,
         enc: &ccf_crypto::x25519::DhKeyPair,
     ) -> Result<Share, ccf_governance::recovery::RecoveryError> {
-        let mut tx = self.store.begin();
-        ccf_governance::recovery::decrypt_my_share(&mut tx, member, enc)
+        ccf_governance::recovery::decrypt_my_share(&self.store.begin(), member, enc)
     }
 
     /// Submits a member's share (§5.2 step 3).
@@ -189,12 +186,10 @@ impl RecoveryCoordinator {
     /// Attempts to reconstruct the ledger secrets and decrypt the private
     /// state. On success the coordinator holds the fully recovered state.
     pub fn try_complete(&mut self) -> Result<(), RecoveryFailure> {
-        let mut tx = self.store.begin();
         let secrets = self
             .collector
-            .try_reconstruct(&mut tx)
+            .try_reconstruct(&self.store.begin())
             .map_err(RecoveryFailure::Shares)?;
-        drop(tx);
         // Decrypt and apply every private write set, rebuilding the store
         // with both halves.
         let mut full = Store::new();

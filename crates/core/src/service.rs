@@ -272,9 +272,7 @@ impl ServiceCluster {
         assert!(
             self.run_until(10_000, |c| {
                 let node = &c.nodes[&c.primary().unwrap_or_else(|| "n0".into())];
-                let tx = node.begin();
-                tx.get(&ccf_kv::MapName::new(ccf_kv::builtin::SERVICE_INFO), b"status")
-                    == Some(b"Open".to_vec())
+                node.store_state().get(ccf_kv::builtin::SERVICE_INFO, b"status") == Some(b"Open")
             }),
             "service never opened"
         );

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// A counter: `POST /incr` reads the key and writes it back plus one.
 fn counter_app() -> Application {
-    let count = |ctx: &mut ccf_core::app::EndpointContext<'_>| {
+    let count = |ctx: &mut ccf_core::app::EndpointContext<'_, '_>| {
         ctx.get_private("counters", b"hits")
             .map(|v| String::from_utf8_lossy(&v).parse::<u64>().expect("counter is a number"))
             .unwrap_or(0)

@@ -88,9 +88,9 @@ impl NodeInfo {
 }
 
 /// Reads a node's info from the transaction.
-pub fn get_node_info(tx: &mut Transaction, node_id: &str) -> Option<NodeInfo> {
-    let bytes = tx.get(&map(builtin::NODES_INFO), node_id.as_bytes())?;
-    NodeInfo::from_json(std::str::from_utf8(&bytes).ok()?)
+pub fn get_node_info(tx: &Transaction, node_id: &str) -> Option<NodeInfo> {
+    let bytes = tx.read(builtin::NODES_INFO, node_id.as_bytes())?;
+    NodeInfo::from_json(std::str::from_utf8(bytes).ok()?)
 }
 
 /// Writes a node's info.
@@ -388,7 +388,7 @@ mod tests {
             },
         );
         apply(&trust, &mut tx, "p").unwrap();
-        assert_eq!(get_node_info(&mut tx, "n3").unwrap().status, NodeStatus::Trusted);
+        assert_eq!(get_node_info(&tx, "n3").unwrap().status, NodeStatus::Trusted);
         assert!(trusted_nodes(&tx).contains("n3"));
         // Removal: Trusted → Retiring.
         apply(
@@ -400,7 +400,7 @@ mod tests {
             "p",
         )
         .unwrap();
-        assert_eq!(get_node_info(&mut tx, "n3").unwrap().status, NodeStatus::Retiring);
+        assert_eq!(get_node_info(&tx, "n3").unwrap().status, NodeStatus::Retiring);
         assert!(!trusted_nodes(&tx).contains("n3"));
     }
 

@@ -95,9 +95,9 @@ impl GovernanceEngine {
     }
 
     /// Looks up an active member by signing key.
-    pub fn member_of(tx: &mut Transaction, key: &VerifyingKey) -> Option<MemberId> {
+    pub fn member_of(tx: &Transaction, key: &VerifyingKey) -> Option<MemberId> {
         let id = member_id(key);
-        let stored = tx.get(&map(builtin::MEMBERS_CERTS), id.as_bytes())?;
+        let stored = tx.read(builtin::MEMBERS_CERTS, id.as_bytes())?;
         (stored == ccf_crypto::hex::to_hex(&key.0).as_bytes()).then_some(id)
     }
 
@@ -125,7 +125,7 @@ impl GovernanceEngine {
 
     fn authenticate(
         &self,
-        tx: &mut Transaction,
+        tx: &Transaction,
         envelope: &SignedRequest,
         purpose: &str,
     ) -> Result<MemberId, GovError> {
@@ -141,21 +141,21 @@ impl GovernanceEngine {
     }
 
     fn load_proposal(
-        tx: &mut Transaction,
+        tx: &Transaction,
         id: &ProposalId,
     ) -> Result<(Proposal, ProposalInfo), GovError> {
         let pbytes = tx
-            .get(&map(builtin::PROPOSALS), id.as_bytes())
+            .read(builtin::PROPOSALS, id.as_bytes())
             .ok_or_else(|| GovError::UnknownProposal(id.clone()))?;
         let proposal = Proposal::from_json(
-            std::str::from_utf8(&pbytes).map_err(|_| GovError::BadRequest("utf8".into()))?,
+            std::str::from_utf8(pbytes).map_err(|_| GovError::BadRequest("utf8".into()))?,
         )
         .map_err(GovError::BadRequest)?;
         let ibytes = tx
-            .get(&map(builtin::PROPOSALS_INFO), id.as_bytes())
+            .read(builtin::PROPOSALS_INFO, id.as_bytes())
             .ok_or_else(|| GovError::UnknownProposal(id.clone()))?;
         let info = ProposalInfo::from_json(
-            std::str::from_utf8(&ibytes).map_err(|_| GovError::BadRequest("utf8".into()))?,
+            std::str::from_utf8(ibytes).map_err(|_| GovError::BadRequest("utf8".into()))?,
         )
         .map_err(GovError::BadRequest)?;
         Ok((proposal, info))
@@ -297,7 +297,7 @@ impl GovernanceEngine {
 
     /// Reads a proposal's current state.
     pub fn proposal_state(
-        tx: &mut Transaction,
+        tx: &Transaction,
         proposal_id: &ProposalId,
     ) -> Result<ProposalState, GovError> {
         Ok(Self::load_proposal(tx, proposal_id)?.1.state)
@@ -508,7 +508,7 @@ mod tests {
         assert_eq!(tx.get(&MapName::new(builtin::USERS_CERTS), b"bob"), None);
         // State is recorded as Failed.
         assert_eq!(
-            GovernanceEngine::proposal_state(&mut tx, &id).unwrap(),
+            GovernanceEngine::proposal_state(&tx, &id).unwrap(),
             ProposalState::Failed
         );
     }

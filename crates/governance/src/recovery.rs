@@ -107,23 +107,23 @@ pub fn write_recovery_material(
 
 /// Member-side: fetches and decrypts this member's share.
 pub fn decrypt_my_share(
-    tx: &mut Transaction,
+    tx: &Transaction,
     member: &MemberId,
     enc_keypair: &DhKeyPair,
 ) -> Result<Share, RecoveryError> {
     let sealed = tx
-        .get(&map(builtin::RECOVERY_SHARES), member.as_bytes())
+        .read(builtin::RECOVERY_SHARES, member.as_bytes())
         .ok_or(RecoveryError::MissingState("no share for this member"))?;
-    let plain = open_box(enc_keypair, b"ccf-recovery-share", &sealed)?;
+    let plain = open_box(enc_keypair, b"ccf-recovery-share", sealed)?;
     Share::from_bytes(&plain).map_err(RecoveryError::Crypto)
 }
 
 /// The configured recovery threshold k.
-pub fn recovery_threshold(tx: &mut Transaction) -> Result<usize, RecoveryError> {
+pub fn recovery_threshold(tx: &Transaction) -> Result<usize, RecoveryError> {
     let bytes = tx
-        .get(&map(builtin::RECOVERY_THRESHOLD), b"k")
+        .read(builtin::RECOVERY_THRESHOLD, b"k")
         .ok_or(RecoveryError::MissingState("recovery threshold"))?;
-    std::str::from_utf8(&bytes)
+    std::str::from_utf8(bytes)
         .ok()
         .and_then(|s| s.parse().ok())
         .ok_or(RecoveryError::MissingState("recovery threshold"))
@@ -154,22 +154,19 @@ impl ShareCollector {
     }
 
     /// Attempts reconstruction against the wrapped blob in the store.
-    pub fn try_reconstruct(
-        &self,
-        tx: &mut Transaction,
-    ) -> Result<LedgerSecrets, RecoveryError> {
+    pub fn try_reconstruct(&self, tx: &Transaction) -> Result<LedgerSecrets, RecoveryError> {
         let need = recovery_threshold(tx)?;
         if self.count() < need {
             return Err(RecoveryError::BelowThreshold { have: self.count(), need });
         }
         let wrapped = tx
-            .get(&map(builtin::LEDGER_SECRET), b"wrapped")
+            .read(builtin::LEDGER_SECRET, b"wrapped")
             .ok_or(RecoveryError::MissingState("wrapped ledger secret"))?;
         let shares: Vec<Share> = self.shares.values().cloned().collect();
         let key_bytes = shamir::combine(&shares).map_err(RecoveryError::Crypto)?;
         let key: [u8; 32] =
             key_bytes.try_into().map_err(|_| RecoveryError::UnwrapFailed)?;
-        secrets::unwrap_with(&key, &wrapped).map_err(|_| RecoveryError::UnwrapFailed)
+        secrets::unwrap_with(&key, wrapped).map_err(|_| RecoveryError::UnwrapFailed)
     }
 }
 
@@ -203,19 +200,19 @@ mod tests {
         store.apply_at(&tx.into_write_set(), 1);
 
         // Members m1, m3, m4 submit.
-        let mut tx = store.begin();
+        let tx = store.begin();
         let mut collector = ShareCollector::new();
         for id in ["m1", "m3", "m4"] {
-            let share = decrypt_my_share(&mut tx, &id.to_string(), &keys[id]).unwrap();
+            let share = decrypt_my_share(&tx, &id.to_string(), &keys[id]).unwrap();
             collector.submit(id.to_string(), share);
             if collector.count() < 3 {
                 assert!(matches!(
-                    collector.try_reconstruct(&mut tx),
+                    collector.try_reconstruct(&tx),
                     Err(RecoveryError::BelowThreshold { .. })
                 ));
             }
         }
-        let recovered = collector.try_reconstruct(&mut tx).unwrap();
+        let recovered = collector.try_reconstruct(&tx).unwrap();
         assert_eq!(recovered.key_for(1), Some(&[0x11; 32]));
     }
 
@@ -228,7 +225,7 @@ mod tests {
         let mut tx = store.begin();
         write_recovery_material(&mut tx, &secrets, &pubs, 2, &mut rng).unwrap();
         // m0's key cannot open m1's share.
-        assert!(decrypt_my_share(&mut tx, &"m1".to_string(), &keys["m0"]).is_err());
+        assert!(decrypt_my_share(&tx, &"m1".to_string(), &keys["m0"]).is_err());
     }
 
     #[test]
@@ -240,13 +237,13 @@ mod tests {
         let mut tx = store.begin();
         write_recovery_material(&mut tx, &secrets, &pubs, 2, &mut rng).unwrap();
         let mut collector = ShareCollector::new();
-        let good = decrypt_my_share(&mut tx, &"m0".to_string(), &keys["m0"]).unwrap();
+        let good = decrypt_my_share(&tx, &"m0".to_string(), &keys["m0"]).unwrap();
         collector.submit("m0".to_string(), good);
         // A forged share passes structure checks but breaks reconstruction.
-        let mut forged = decrypt_my_share(&mut tx, &"m1".to_string(), &keys["m1"]).unwrap();
+        let mut forged = decrypt_my_share(&tx, &"m1".to_string(), &keys["m1"]).unwrap();
         forged.y[0] ^= 1;
         collector.submit("m1".to_string(), forged);
-        assert!(matches!(collector.try_reconstruct(&mut tx), Err(RecoveryError::UnwrapFailed)));
+        assert!(matches!(collector.try_reconstruct(&tx), Err(RecoveryError::UnwrapFailed)));
     }
 
     #[test]
@@ -257,22 +254,22 @@ mod tests {
         let mut rng = ChaChaRng::seed_from_u64(4);
         let mut tx = store.begin();
         write_recovery_material(&mut tx, &secrets, &pubs, 2, &mut rng).unwrap();
-        let old0 = decrypt_my_share(&mut tx, &"m0".to_string(), &keys["m0"]).unwrap();
-        let old1 = decrypt_my_share(&mut tx, &"m1".to_string(), &keys["m1"]).unwrap();
+        let old0 = decrypt_my_share(&tx, &"m0".to_string(), &keys["m0"]).unwrap();
+        let old1 = decrypt_my_share(&tx, &"m1".to_string(), &keys["m1"]).unwrap();
         // Refresh (e.g. threshold change).
         write_recovery_material(&mut tx, &secrets, &pubs, 2, &mut rng).unwrap();
         let mut collector = ShareCollector::new();
         collector.submit("m0".to_string(), old0);
         collector.submit("m1".to_string(), old1);
         // Old shares reconstruct the OLD wrapping key — unwrap must fail.
-        assert!(matches!(collector.try_reconstruct(&mut tx), Err(RecoveryError::UnwrapFailed)));
+        assert!(matches!(collector.try_reconstruct(&tx), Err(RecoveryError::UnwrapFailed)));
         // Fresh shares work.
         let mut collector = ShareCollector::new();
         for id in ["m0", "m2"] {
             collector
-                .submit(id.to_string(), decrypt_my_share(&mut tx, &id.to_string(), &keys[id]).unwrap());
+                .submit(id.to_string(), decrypt_my_share(&tx, &id.to_string(), &keys[id]).unwrap());
         }
-        assert!(collector.try_reconstruct(&mut tx).is_ok());
+        assert!(collector.try_reconstruct(&tx).is_ok());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! internal and governance maps, enabling offline audit).
 //!
 //! Maps are backed by a persistent CHAMP trie ([`champ`]) — the same data
-//! structure the production CCF uses — giving O(1) snapshots: a
-//! transaction reads the snapshot it began on (one `Arc` clone) while the
-//! store moves on, which gives cheap read views and historical state
-//! reconstruction.
+//! structure the production CCF uses — giving O(1) snapshots: a state
+//! kept for rollback or a snapshot (one `Arc` clone) stays as it was while
+//! the store moves on.
 //!
 //! [`store::Store`] provides transactions ([`store::Transaction`]) that
-//! read from an immutable snapshot and buffer writes into a deterministic
-//! [`writeset::WriteSet`] for the ledger. A node runs one transaction at a
-//! time, so a write set needs no validation before it is proposed.
+//! borrow the store's state and buffer writes into a deterministic
+//! [`writeset::WriteSet`] for the ledger. The borrow means nothing applies
+//! while a transaction lives: a node runs one transaction at a time, so a
+//! write set needs no validation before it is proposed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,19 +1,20 @@
 //! The store and its transactions.
 //!
 //! Execution model (paper §3.3, §6.4): every endpoint invocation runs a
-//! [`Transaction`] against an immutable snapshot of the latest state and
-//! buffers its writes. The production CCF runs many transactions at once
-//! on worker threads and validates each one's reads optimistically before
-//! it commits. A node here runs one transaction at a time, from begin to
-//! proposal under its one lock, so nothing commits between a
-//! transaction's reads and its proposal: every such validation would
-//! pass, and there is none. The write set becomes a ledger entry, and
-//! [`Store::apply_at`] applies it on the primary and on backups alike.
+//! [`Transaction`] against a snapshot of the latest state and buffers its
+//! writes. The production CCF runs many transactions at once on worker
+//! threads and validates each one's reads optimistically before it
+//! commits. A node here runs one transaction at a time, from begin to
+//! proposal under its one lock, and the types say so: a transaction
+//! borrows the state it reads, so nothing can apply to the store while it
+//! lives, and there is no validation. The write set becomes a ledger
+//! entry, and [`Store::apply_at`] applies it on the primary and on
+//! backups alike.
 
 use crate::champ::ChampMap;
 use crate::writeset::WriteSet;
 use crate::MapName;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 type Map = ChampMap<Vec<u8>, Vec<u8>>;
@@ -32,8 +33,13 @@ impl StoreState {
         self.maps.get(map)?.get(key).map(Vec::as_slice)
     }
 
+    /// Begins a transaction that reads this state.
+    pub fn begin(&self) -> Transaction<'_> {
+        Transaction { snapshot: self, writes: WriteSet::new() }
+    }
+
     /// Iterates over all entries of a map.
-    pub fn for_each(&self, map: &MapName, mut f: impl FnMut(&[u8], &[u8])) {
+    pub fn for_each<'a>(&'a self, map: &MapName, mut f: impl FnMut(&'a [u8], &'a [u8])) {
         if let Some(m) = self.maps.get(map) {
             m.for_each(|k, v| f(k, v));
         }
@@ -42,8 +48,7 @@ impl StoreState {
     /// Collects the entries of a map, sorted by key (deterministic).
     pub fn entries_sorted(&self, map: &MapName) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
-        self.for_each(map, |k, v| out.push((k.to_vec(), v.to_vec())));
-        out.sort();
+        self.begin().for_each(map, |k, v| out.push((k.to_vec(), v.to_vec())));
         out
     }
 
@@ -64,9 +69,7 @@ impl StoreState {
         for name in names {
             w.str(&name.0);
             let mut entries = Vec::new();
-            if let Some(m) = self.maps.get(&name) {
-                m.for_each(|k, v| entries.push((k, v)));
-            }
+            self.for_each(&name, |k, v| entries.push((k, v)));
             entries.sort_unstable_by_key(|(k, _)| *k);
             w.u32(entries.len() as u32);
             for (k, v) in entries {
@@ -121,9 +124,10 @@ impl StoreState {
     }
 }
 
-/// The mutable store: the current state, which readers snapshot by
-/// cloning one `Arc`. A writer updates the state in place when no
-/// snapshot holds it, and copies only what a held snapshot shares.
+/// The mutable store: the current state, which a transaction borrows and
+/// a state that outlives a call (a kept rollback base) holds by cloning
+/// one `Arc`. A writer updates the state in place when no such state
+/// holds it, and copies only what a held state shares.
 #[derive(Default)]
 pub struct Store {
     current: Arc<StoreState>,
@@ -135,7 +139,7 @@ impl Store {
         Store::default()
     }
 
-    /// Takes an immutable snapshot of the latest state.
+    /// Takes an immutable snapshot of the latest state, to keep.
     pub fn snapshot(&self) -> Arc<StoreState> {
         self.current.clone()
     }
@@ -145,9 +149,10 @@ impl Store {
         self.current.version
     }
 
-    /// Begins a transaction against the latest state.
-    pub fn begin(&self) -> Transaction {
-        Transaction { snapshot: self.snapshot(), writes: WriteSet::new() }
+    /// Begins a transaction against the latest state. It borrows the
+    /// store, so no write set can apply until it ends.
+    pub fn begin(&self) -> Transaction<'_> {
+        self.current.begin()
     }
 
     /// Applies a write set at `version`, the one apply: a proposer's own
@@ -169,13 +174,24 @@ impl Store {
     }
 }
 
-/// An in-flight transaction: snapshot reads + buffered writes.
-pub struct Transaction {
-    snapshot: Arc<StoreState>,
+/// An in-flight transaction: reads of the state it borrows, plus
+/// buffered writes. The borrow is the invariant that one transaction runs
+/// at a time: the store cannot apply anything while a transaction from
+/// [`Store::begin`] lives.
+///
+/// ```compile_fail,E0502
+/// use ccf_kv::{Store, WriteSet};
+/// let mut store = Store::new();
+/// let tx = store.begin();
+/// store.apply_at(&WriteSet::new(), 1);
+/// tx.is_read_only();
+/// ```
+pub struct Transaction<'s> {
+    snapshot: &'s StoreState,
     writes: WriteSet,
 }
 
-impl Transaction {
+impl Transaction<'_> {
     /// Reads a key by reference: own writes first, then the snapshot.
     pub fn read(&self, map: &str, key: &[u8]) -> Option<&[u8]> {
         if let Some(v) = self.writes.maps.get(map).and_then(|w| w.get(key)) {
@@ -200,22 +216,20 @@ impl Transaction {
     }
 
     /// Iterates over a map as seen by this transaction (snapshot overlaid
-    /// with the transaction's own writes), in sorted key order.
+    /// with the transaction's own writes), in sorted key order. Nothing
+    /// is copied: it sorts borrowed pairs.
     pub fn for_each(&self, map: &MapName, mut f: impl FnMut(&[u8], &[u8])) {
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        let writes = self.writes.maps.get(map);
+        let mut entries: Vec<(&[u8], &[u8])> = Vec::new();
         self.snapshot.for_each(map, |k, v| {
-            merged.insert(k.to_vec(), Some(v.to_vec()));
+            if !writes.is_some_and(|w| w.contains_key(k)) {
+                entries.push((k, v));
+            }
         });
-        if let Some(writes) = self.writes.maps.get(map) {
-            for (k, v) in writes {
-                merged.insert(k.clone(), v.clone());
-            }
-        }
-        for (k, v) in merged {
-            if let Some(v) = v {
-                f(&k, &v);
-            }
-        }
+        let own = writes.into_iter().flatten();
+        entries.extend(own.filter_map(|(k, v)| Some((k.as_slice(), v.as_deref()?))));
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.into_iter().for_each(|(k, v)| f(k, v));
     }
 
     /// Snapshots the current write buffer (savepoint). Combined with
@@ -242,9 +256,9 @@ impl Transaction {
         &self.writes
     }
 
-    /// Ends the transaction, keeping only its write set. Proposers use
-    /// this so no snapshot outlives the transaction: the apply that
-    /// follows then updates the store in place.
+    /// Ends the transaction, keeping only its write set, and with it the
+    /// borrow of the store: only then can the write set be applied, and
+    /// the apply updates the store in place.
     pub fn into_write_set(self) -> WriteSet {
         self.writes
     }
@@ -258,11 +272,11 @@ mod tests {
         MapName::new(name)
     }
 
-    /// Applies `tx`'s writes as the next version, as a node does once it
-    /// has proposed them.
-    fn commit(store: &mut Store, tx: Transaction) -> u64 {
+    /// Applies a transaction's writes as the next version, as a node does
+    /// once it has proposed them.
+    fn commit(ws: WriteSet, store: &mut Store) -> u64 {
         let version = store.version() + 1;
-        store.apply_at(&tx.into_write_set(), version);
+        store.apply_at(&ws, version);
         version
     }
 
@@ -275,7 +289,7 @@ mod tests {
         // Read-your-writes.
         assert_eq!(tx.get(&map("m"), b"k"), Some(b"v".to_vec()));
         assert_eq!(tx.write_set().update_count(), 1);
-        assert_eq!(commit(&mut store, tx), 1);
+        assert_eq!(commit(tx.into_write_set(), &mut store), 1);
         let tx2 = store.begin();
         assert_eq!(tx2.get(&map("m"), b"k"), Some(b"v".to_vec()));
     }
@@ -309,11 +323,11 @@ mod tests {
         let mut store = Store::new();
         let mut t0 = store.begin();
         t0.put(&map("m"), b"k", b"old");
-        commit(&mut store, t0);
+        commit(t0.into_write_set(), &mut store);
         let snap = store.snapshot();
         let mut t1 = store.begin();
         t1.put(&map("m"), b"k", b"new");
-        commit(&mut store, t1);
+        commit(t1.into_write_set(), &mut store);
         // The old snapshot still reads the old value.
         assert_eq!(snap.get("m", b"k"), Some(&b"old"[..]));
         // A fresh transaction reads the new one.
@@ -326,12 +340,12 @@ mod tests {
         let mut store = Store::new();
         let mut tx = store.begin();
         tx.put(&map("m"), b"k", b"v");
-        commit(&mut store, tx);
+        commit(tx.into_write_set(), &mut store);
         let state = Arc::as_ptr(&store.snapshot());
-        // The transaction's own snapshot is released before the apply.
+        // The transaction ends before the apply, so nothing holds the state.
         let mut tx = store.begin();
         tx.put(&map("m"), b"k", b"w");
-        commit(&mut store, tx);
+        commit(tx.into_write_set(), &mut store);
         store.apply_at(&WriteSet::new(), 3);
         assert_eq!(Arc::as_ptr(&store.snapshot()), state);
         // A held snapshot is copied on the next apply, and keeps its value.
@@ -345,18 +359,26 @@ mod tests {
     fn for_each_overlays_writes() {
         let mut store = Store::new();
         let mut t0 = store.begin();
-        t0.put(&map("m"), b"a", b"1");
-        t0.put(&map("m"), b"b", b"2");
-        commit(&mut store, t0);
+        for (k, v) in [(b"a", b"1"), (b"b", b"2"), (b"d", b"4"), (b"f", b"6")] {
+            t0.put(&map("m"), k, v);
+        }
+        commit(t0.into_write_set(), &mut store);
         let mut tx = store.begin();
         tx.put(&map("m"), b"c", b"3");
+        tx.put(&map("m"), b"d", b"5");
+        tx.put(&map("m"), b"g", b"7");
         tx.remove(&map("m"), b"a");
+        tx.remove(&map("m"), b"z");
         let mut seen = Vec::new();
         tx.for_each(&map("m"), |k, v| seen.push((k.to_vec(), v.to_vec())));
-        assert_eq!(
-            seen,
-            vec![(b"b".to_vec(), b"2".to_vec()), (b"c".to_vec(), b"3".to_vec())]
-        );
+        // A removal hides a snapshot key, an own write lands between two
+        // snapshot keys and another overwrites one, in key order.
+        let expected: Vec<(Vec<u8>, Vec<u8>)> =
+            [("b", "2"), ("c", "3"), ("d", "5"), ("f", "6"), ("g", "7")]
+                .iter()
+                .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+                .collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]
@@ -366,7 +388,7 @@ mod tests {
             let mut tx = store.begin();
             tx.put(&map("m"), &[i], &[i * 2]);
             tx.put(&map("public:x"), &[i], b"pub");
-            commit(&mut store, tx);
+            commit(tx.into_write_set(), &mut store);
         }
         let state = store.snapshot();
         let bytes = state.serialize();

@@ -12,13 +12,13 @@ use std::sync::Arc;
 
 const ACCOUNTS: &str = "accounts"; // private map: account id -> balance (USD cents)
 
-fn balance(ctx: &mut ccf_core::app::EndpointContext<'_>, id: &str) -> u64 {
+fn balance(ctx: &mut ccf_core::app::EndpointContext<'_, '_>, id: &str) -> u64 {
     ctx.get_private(ACCOUNTS, id.as_bytes())
         .map(|v| String::from_utf8_lossy(&v).parse().unwrap_or(0))
         .unwrap_or(0)
 }
 
-fn set_balance(ctx: &mut ccf_core::app::EndpointContext<'_>, id: &str, amount: u64) {
+fn set_balance(ctx: &mut ccf_core::app::EndpointContext<'_, '_>, id: &str, amount: u64) {
     ctx.put_private(ACCOUNTS, id.as_bytes(), amount.to_string().as_bytes());
 }
 

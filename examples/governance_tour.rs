@@ -63,9 +63,9 @@ fn main() {
     // ---- 2. Proposals are easy to inspect offline (§5.1) ----
     println!("\n2. the proposal as recorded on the ledger (succinct JSON):");
     let node = service.nodes.values().next().unwrap();
-    let tx = node.begin();
-    let stored = tx.get(&MapName::new(ccf_kv::builtin::PROPOSALS), pid.as_bytes()).unwrap();
-    println!("   {}", String::from_utf8_lossy(&stored));
+    let state = node.store_state();
+    let stored = state.get(ccf_kv::builtin::PROPOSALS, pid.as_bytes()).unwrap();
+    println!("   {}", String::from_utf8_lossy(stored));
 
     // ---- 3. Live application update (set_js_app, §6.4) ----
     println!("\n3. live code update: installing a script endpoint without restart:");
@@ -105,9 +105,10 @@ fn main() {
     service.run_for(3000);
     // Listing 2's end state: n0 retiring/retired, n3 trusted.
     let live = service.live_nodes()[0].clone();
-    let mut tx = service.nodes[&live].begin();
+    let state = service.nodes[&live].store_state();
+    let tx = state.begin();
     for id in [&n0, &n3] {
-        let info = ccf_governance::actions::get_node_info(&mut tx, id).unwrap();
+        let info = ccf_governance::actions::get_node_info(&tx, id).unwrap();
         println!("   nodes.info[{id}] = {{status: {:?}}}", info.status);
     }
 

@@ -61,6 +61,21 @@ for workload in write-private-n3 write-public-n1-sig1 read-heavy-n3; do
     fi
 done
 
+echo "== tier1: repo benchmark traced runs (each workload, --trace 1, 0.2 s)"
+# A traced run times every node call; its epochs must still fail no
+# operation and replay the untraced epochs of the same seed exactly. The
+# closure share is wall clock and sits near its 10 % limit, so it is
+# printed, not gated.
+for workload in write-private-n3 write-public-n1-sig1 read-heavy-n3; do
+    out=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.2 --trace 1 2>&1)
+    last=$(tail -n 1 <<<"$out")
+    echo "$workload $(grep 'closure:' <<<"$out" || echo 'closure: missing')"
+    if ! grep -q '"failed": 0,' <<<"$last" || ! grep -q 'same-seed epochs identical: true' <<<"$out"; then
+        echo "perfbench $workload --trace 1: $last"; exit 1
+    fi
+done
+
 echo "== tier1: replica hardening regressions (release)"
 # Two of the fixed bugs were debug_assert!s that compiled away under
 # --release; the regression tests must exercise the release path.

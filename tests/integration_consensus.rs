@@ -85,8 +85,8 @@ fn figure9_replace_failed_primary() {
     assert_eq!(r.text(), "last before crash");
     // And n0's retirement is recorded (Listing 2's final state).
     let live = service.live_nodes()[0].clone();
-    let mut tx = service.nodes[&live].begin();
-    let info = ccf_governance::actions::get_node_info(&mut tx, &n0).unwrap();
+    let state = service.nodes[&live].store_state();
+    let info = ccf_governance::actions::get_node_info(&state.begin(), &n0).unwrap();
     assert!(
         matches!(info.status, ccf_governance::NodeStatus::Retiring | ccf_governance::NodeStatus::Retired),
         "n0 is {:?}", info.status

@@ -92,7 +92,8 @@ fn majority_is_required_and_ballots_are_recorded_on_ledger() {
     // Everything is auditable from public maps: the proposal, its info
     // with ballots, and the signed envelopes in gov history.
     let node = service.nodes.values().next().unwrap();
-    let tx = node.begin();
+    let state = node.store_state();
+    let tx = state.begin();
     assert!(tx.get(&MapName::new(ccf_kv::builtin::PROPOSALS), pid.as_bytes()).is_some());
     let info = tx
         .get(&MapName::new(ccf_kv::builtin::PROPOSALS_INFO), pid.as_bytes())
