@@ -12,7 +12,7 @@
 //! | transactional kv store (CHAMP snapshots, write sets) | `ccf-kv` |
 //! | Merkle ledger, receipts, ledger secrets | `ccf-ledger` |
 //! | consensus (CCF's Raft variant) | `ccf-consensus` |
-//! | TEE simulation (attestation, node channels, platforms) | `ccf-tee` |
+//! | TEE simulation (attestation, node channels) | `ccf-tee` |
 //! | governance (constitution, proposals, recovery shares) | `ccf-governance` |
 //! | script runtime (QuickJS stand-in) | `ccf-script` |
 //! | deterministic network simulation | `ccf-sim` |
@@ -82,5 +82,4 @@ pub mod prelude {
     pub use ccf_kv::{MapName, Store, Transaction};
     pub use ccf_ledger::{Receipt, TxId};
     pub use ccf_script::Value;
-    pub use ccf_tee::TeePlatform;
 }

@@ -59,7 +59,6 @@ use ccf_ledger::secrets::LedgerSecrets;
 use ccf_ledger::{LedgerEntry, Receipt, TxId};
 use ccf_sim::Input;
 use ccf_tee::attestation::{AttestationReport, CodeId};
-use ccf_tee::TeePlatform;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -76,8 +75,6 @@ pub struct NodeOpts {
     pub id: NodeId,
     /// Consensus timing/batching.
     pub consensus: ReplicaConfig,
-    /// TEE platform (virtual vs simulated SGX).
-    pub platform: TeePlatform,
     /// Seed for all node-local randomness.
     pub seed: u64,
     /// Observability registry the node reports into. Nodes of one
@@ -91,7 +88,6 @@ impl Default for NodeOpts {
         NodeOpts {
             id: "n0".to_string(),
             consensus: ReplicaConfig::default(),
-            platform: TeePlatform::Virtual,
             seed: 0,
             obs: ccf_obs::Registry::new(),
         }
@@ -232,7 +228,6 @@ struct Applied {
 pub struct CcfNode {
     /// Node id.
     pub id: NodeId,
-    opts: NodeOpts,
     app: Arc<Application>,
     inner: std::sync::Mutex<NodeInner>,
     node_key: SigningKey,
@@ -278,7 +273,7 @@ impl CcfNode {
         let (replica, boot) = make_replica(&opts, node_key.clone());
         let metrics = NodeMetrics::new(&opts.obs, &opts.id);
         let node = Arc::new(CcfNode {
-            id: opts.id.clone(),
+            id: opts.id,
             app,
             inner: std::sync::Mutex::new(NodeInner {
                 replica,
@@ -303,7 +298,6 @@ impl CcfNode {
             dh_key,
             code_id,
             metrics,
-            opts,
         });
         node.apply(&mut node.lock(), boot);
         node
@@ -1043,7 +1037,7 @@ impl CcfNode {
     /// answer them 307 with the primary hint in the body, a retiring
     /// primary 503 (the service harness follows the 307, §4.3).
     pub fn handle_request(&self, req: &Request) -> Response {
-        self.opts.platform.run(|| self.serve(&mut self.lock(), req))
+        self.serve(&mut self.lock(), req)
     }
 
     /// Serves one request under the caller's hold of the lock, from
@@ -1468,8 +1462,8 @@ impl CcfNode {
     }
 
     /// Post-verification half of signed user request handling: resolve the
-    /// purpose and signer, then execute as an authenticated user, under
-    /// the platform as [`CcfNode::handle_request`] does.
+    /// purpose and signer, then serve the request as an authenticated
+    /// user, as [`CcfNode::handle_request`] does.
     fn dispatch_signed_user_request(
         &self,
         inner: &mut NodeInner,
@@ -1490,7 +1484,7 @@ impl CcfNode {
             return Response::error(403, "signer is not a registered user");
         };
         let req = Request::new(method, path, Caller::User(user_id), &envelope.payload);
-        self.opts.platform.run(|| self.serve(inner, &req))
+        self.serve(inner, &req)
     }
 
     /// Member-facing convenience: a signed proposal envelope builder is in

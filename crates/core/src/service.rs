@@ -19,7 +19,6 @@ use ccf_governance::{member_id, Ballot, Proposal, ProposalState};
 use ccf_ledger::{Receipt, TxId};
 use ccf_script::Value;
 use ccf_sim::{NetConfig, SimNet};
-use ccf_tee::TeePlatform;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -47,8 +46,6 @@ pub struct ServiceOpts {
     pub consensus: ReplicaConfig,
     /// Network behaviour.
     pub net: NetConfig,
-    /// TEE platform for every node.
-    pub platform: TeePlatform,
     /// Master seed.
     pub seed: u64,
     /// Constitution script (None = default majority constitution).
@@ -72,7 +69,6 @@ impl Default for ServiceOpts {
                 max_batch: 128,
             },
             net: NetConfig { latency: (1, 5), drop_probability: 0.0 },
-            platform: TeePlatform::Virtual,
             seed: 1,
             constitution: None,
             recovery_threshold: 1,
@@ -100,7 +96,6 @@ pub struct ServiceCluster {
     pub members: BTreeMap<String, MemberKeys>,
     app: Arc<Application>,
     opts_consensus: ReplicaConfig,
-    platform: TeePlatform,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
     service_identity: Option<VerifyingKey>,
@@ -134,7 +129,6 @@ impl ServiceCluster {
             NodeOpts {
                 id: "n0".to_string(),
                 consensus: opts.consensus.clone(),
-                platform: opts.platform,
                 seed: opts.seed * 100,
                 obs: obs.clone(),
             },
@@ -147,7 +141,6 @@ impl ServiceCluster {
             members,
             app: app.clone(),
             opts_consensus: opts.consensus.clone(),
-            platform: opts.platform,
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity: None,
@@ -210,7 +203,6 @@ impl ServiceCluster {
             members,
             app,
             opts_consensus: ReplicaConfig::default(),
-            platform: TeePlatform::Virtual,
             sessions: BTreeMap::new(),
             next_session: 0,
             service_identity,
@@ -245,7 +237,6 @@ impl ServiceCluster {
             NodeOpts {
                 id: id.to_string(),
                 consensus: self.opts_consensus.clone(),
-                platform: self.platform,
                 seed: self.next_seed * 7919,
                 obs: self.obs().clone(),
             },

@@ -9,10 +9,6 @@
 //!   binding a measurement and report data under a simulated hardware
 //!   root of trust, and verification. This is what CCF's join protocol
 //!   checks against `nodes.code_ids` before sharing service secrets.
-//! * [`platform`] — the platform cost model: `Virtual` (no overhead, the
-//!   paper's virtual mode) vs `SgxSim` (an injected cost proportional to
-//!   each request's execution time, calibrated to the paper's observed
-//!   SGX slowdown), used by the Table 5 experiment.
 //! * [`channel`] — authenticated encrypted node-to-node channels
 //!   (X25519 + HKDF + AES-256-GCM), standing in for the paper's
 //!   Diffie-Hellman node-to-node encryption (§7).
@@ -20,13 +16,15 @@
 //! CCF's host↔enclave ringbuffer pair (§7) is not modelled: nodes are
 //! in-process, and the untrusted host's view is the ledger chunks and
 //! consensus messages the node hands out (DESIGN.md §3).
+//!
+//! Nor is SGX's performance cost: a node runs at native speed, and
+//! `ccf-bench` derives Table 5's SGX column from the request time it
+//! measures (DESIGN.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attestation;
 pub mod channel;
-pub mod platform;
 
 pub use attestation::{AttestationReport, CodeId, HardwareRoot};
-pub use platform::TeePlatform;

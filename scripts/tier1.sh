@@ -30,6 +30,14 @@ if [ -n "$other_mutexes" ]; then
     echo "$other_mutexes"; echo "a Mutex besides the node's one lock"; exit 1
 fi
 
+echo "== tier1: no wall clock in node code"
+# A node's behaviour is a function of its seed and virtual time; wall
+# time is measured only from outside, by the benches (Table 5's SGX
+# model included), so no node crate reads a clock or spins.
+if grep -rn "std::time\|Instant\|SystemTime\|spin_loop" crates/{core,kv,ledger,governance,script,consensus,tee,sim,obs}/src; then
+    echo "a node crate reads the wall clock or spins"; exit 1
+fi
+
 echo "== tier1: frozen reference crypto is test and bench code, not shipped code"
 # The oracles live in the dev-only ccf-crypto-ref crate: no node may link
 # it, and ccf-crypto keeps no in-crate reference module.
