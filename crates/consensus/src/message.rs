@@ -1,10 +1,10 @@
 //! Consensus RPCs (paper §4.1–§4.2).
 //!
-//! Messages are passed as values: in the full system they travel over the
-//! TEE-to-TEE authenticated channels established by `ccf-tee`, and in the
-//! simulator they are delivered by `ccf-sim`. Each message carries the
-//! sender's view; receivers update their own view (or reply negatively)
-//! per §4.2.
+//! Messages are passed as values and delivered by `ccf-sim`. CCF sends
+//! them over authenticated TEE-to-TEE channels; nothing encrypts
+//! node-to-node messages here, and `ccf_tee::channel` is on no message
+//! path. Each message carries the sender's view; receivers update their
+//! own view (or reply negatively) per §4.2.
 
 use crate::{NodeId, Seqno, View};
 use ccf_ledger::{LedgerEntry, TxId};

@@ -233,19 +233,17 @@ impl ReplicaMetrics {
 }
 
 /// Per-replica bookkeeping for one traced entry between append and
-/// commit (DESIGN.md §12). Tokens are `Copy` and record nothing until
+/// commit (DESIGN.md §12): its open stage tokens, which carry the trace
+/// and each stage's start. Tokens are `Copy` and record nothing until
 /// exited, so dropping the whole struct on rollback erases the stages
 /// as if they never happened.
 struct InflightTrace {
-    trace: ccf_obs::TraceId,
-    appended_at: Time,
-    signed_at: Option<Time>,
     /// `sign` stage: local append → covering signature tx appended.
-    sign_token: Option<ccf_obs::TraceSpanToken>,
+    sign: Option<ccf_obs::TraceSpanToken>,
     /// `replicate` stage: signature appended → commit point covers it.
-    replicate_token: Option<ccf_obs::TraceSpanToken>,
+    replicate: Option<ccf_obs::TraceSpanToken>,
     /// `commit` stage: local append → commit point covers it.
-    commit_token: Option<ccf_obs::TraceSpanToken>,
+    commit: ccf_obs::TraceSpanToken,
 }
 
 /// The consensus replica.
@@ -518,10 +516,24 @@ impl Replica {
                     self.status_from_view_history(txid)
                 }
             }
-            // Not held (past our log, or covered by a snapshot so views
-            // can no longer be compared precisely): use view history.
+            // Committed but not held (below a snapshot base): the view
+            // that covers the seqno decides.
+            None if txid.seqno <= self.commit_seqno => {
+                if self.view_covering(txid.seqno) == Some(txid.view) {
+                    TxStatus::Committed
+                } else {
+                    TxStatus::Invalid
+                }
+            }
+            // Past our commit point and not held: use view history.
             None => self.status_from_view_history(txid),
         }
+    }
+
+    /// The view of the entry at `seqno`: the last view in the history
+    /// that started at or below it.
+    fn view_covering(&self, seqno: Seqno) -> Option<View> {
+        self.view_history.iter().rev().find(|&&(_, start)| start <= seqno).map(|&(view, _)| view)
     }
 
     /// A transaction is Invalid if a greater view started at a
@@ -738,12 +750,10 @@ impl Replica {
     fn note_append_traces(&mut self, entry: &ReplicatedEntry) {
         let m = &self.metrics;
         if entry.entry.kind == EntryKind::Signature {
-            for t in self.inflight_traces.values_mut().filter(|t| t.signed_at.is_none()) {
-                t.signed_at = Some(self.now);
-                if let Some(tok) = t.sign_token.take() {
+            for t in self.inflight_traces.values_mut() {
+                if let Some(tok) = t.sign.take() {
                     let sign_id = m.reg.trace_exit(tok);
-                    t.replicate_token =
-                        Some(m.reg.trace_enter(t.trace, sign_id, "replicate", m.node));
+                    t.replicate = Some(m.reg.trace_enter(tok.trace(), sign_id, "replicate", m.node));
                 }
             }
         } else if !entry.trace.is_none() {
@@ -752,19 +762,18 @@ impl Replica {
             self.inflight_traces.insert(
                 entry.entry.txid.seqno,
                 InflightTrace {
-                    trace,
-                    appended_at: self.now,
-                    signed_at: None,
-                    sign_token: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
-                    replicate_token: None,
-                    commit_token: Some(m.reg.trace_enter(trace, append_id, "commit", m.node)),
+                    sign: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
+                    replicate: None,
+                    commit: m.reg.trace_enter(trace, append_id, "commit", m.node),
                 },
             );
         }
     }
 
     /// Closes the stage spans of every traced entry the new commit point
-    /// covers, and feeds the per-stage virtual-time histograms.
+    /// covers, and feeds the per-stage virtual-time histograms. Each
+    /// latency is read off its span, start and end on the registry clock,
+    /// so a histogram's sum is its stage's span durations summed.
     fn close_committed_traces(&mut self, seqno: Seqno) {
         if self.inflight_traces.is_empty() {
             return;
@@ -772,18 +781,15 @@ impl Replica {
         let rest = self.inflight_traces.split_off(&(seqno + 1));
         let done = std::mem::replace(&mut self.inflight_traces, rest);
         let m = &self.metrics;
+        let now = m.reg.now();
         for t in done.into_values() {
-            m.commit_latency.observe(self.now - t.appended_at);
-            if let Some(signed) = t.signed_at {
-                m.sign_latency.observe(signed - t.appended_at);
-                m.replication_latency.observe(self.now - signed);
-            }
-            if let Some(tok) = t.replicate_token {
+            m.commit_latency.observe(now - t.commit.start());
+            if let Some(tok) = t.replicate {
+                m.sign_latency.observe(tok.start() - t.commit.start());
+                m.replication_latency.observe(now - tok.start());
                 m.reg.trace_exit(tok);
             }
-            if let Some(tok) = t.commit_token {
-                m.reg.trace_exit(tok);
-            }
+            m.reg.trace_exit(t.commit);
         }
     }
 

@@ -427,7 +427,8 @@ fn retiring_primary_stops_proposing_and_successor_emerges() {
 fn snapshot_bootstraps_new_node_without_full_replay() {
     let mut cluster = Cluster::new(3, fast_cfg(), quiet_net(), 10);
     assert!(cluster.run_until(5000, |c| c.primary().is_some()));
-    for i in 0..50 {
+    let early = cluster.propose(b"entry0").unwrap();
+    for i in 1..50 {
         let _ = cluster.propose(format!("entry{i}").as_bytes());
     }
     cluster.emit_signature();
@@ -452,8 +453,14 @@ fn snapshot_bootstraps_new_node_without_full_replay() {
         cluster.replicas[&new_id].commit_seqno()
     );
     // It only holds entries after the snapshot point.
-    assert!(cluster.replicas[&new_id].entry_at(1).is_none());
-    assert!(cluster.replicas[&new_id].entry_at(snap_seqno + 1).is_some());
+    let joiner = &cluster.replicas[&new_id];
+    assert!(joiner.entry_at(1).is_none());
+    assert!(joiner.entry_at(snap_seqno + 1).is_some());
+    // Yet it knows the status of a transaction the snapshot covers: its
+    // view history decides, as for any committed seqno (Fig. 4).
+    assert!(joiner.entry_at(early.seqno).is_none());
+    assert_eq!(joiner.tx_status(early), TxStatus::Committed);
+    assert_eq!(joiner.tx_status(TxId::new(early.view + 1, early.seqno)), TxStatus::Invalid);
     cluster.assert_committed_prefixes_consistent();
 }
 

@@ -152,6 +152,40 @@ fn same_seed_runs_emit_byte_identical_trace_json() {
     assert_eq!(a.to_json(), b.to_json());
 }
 
+/// Each stage latency histogram is read off that stage's spans: on the
+/// primary and on every backup, its count is the number of spans and its
+/// sum their summed durations, all on the registry's one clock.
+#[test]
+fn stage_histograms_agree_with_their_spans() {
+    let mut cluster = Cluster::new(3, fast_cfg(), quiet_net(), 21);
+    assert!(cluster.run_until(5000, |c| c.primary().is_some()));
+    let mut last = TxId::ZERO;
+    for round in 0..4 {
+        for i in 0..5 {
+            last = cluster.propose(format!("w{round}-{i}").as_bytes()).unwrap();
+            cluster.run_for(2);
+        }
+        cluster.emit_signature();
+        cluster.run_for(30);
+    }
+    assert!(cluster.run_until(5000, |c| c.min_commit() > last.seqno));
+    let snap = cluster.obs().snapshot();
+    assert_eq!(snap.trace_spans_total, snap.trace_spans.len() as u64, "the span ring overflowed");
+    for (stage, histogram) in [
+        ("sign", "consensus.sign_latency_ms"),
+        ("replicate", "consensus.replication_latency_ms"),
+        ("commit", "consensus.commit_latency_ms"),
+    ] {
+        let spans: Vec<_> = snap.trace_spans.iter().filter(|s| s.stage == stage).collect();
+        let h = &snap.histograms[histogram];
+        // 20 traced entries, each closed on all 3 replicas.
+        assert_eq!((h.count, spans.len()), (60, 60), "{stage}");
+        let span_sum: u64 = spans.iter().map(|s| s.end - s.start).sum();
+        assert!(span_sum > 0, "{stage} spans took no virtual time");
+        assert_eq!(h.sum, span_sum, "{histogram} disagrees with the {stage} spans");
+    }
+}
+
 fn key(id: &str) -> SigningKey {
     let mut seed = [7u8; 32];
     seed[..id.len().min(32)].copy_from_slice(&id.as_bytes()[..id.len().min(32)]);

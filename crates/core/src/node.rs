@@ -8,7 +8,9 @@
 //! proposal → state application) under one hold. The borrow ends before
 //! the apply, so no other transaction runs in between, and the write set
 //! is proposed exactly as it executed, with no validation and no retry:
-//! serializability holds because a node runs one transaction at a time. All state mutation flows through the consensus [`Command`]s each
+//! serializability holds because a node runs one transaction at a time.
+//!
+//! All state mutation flows through the consensus [`Command`]s each
 //! replica call returns, on the primary and on backups alike, which is
 //! what makes rollback after view changes (and snapshot install) a matter
 //! of restoring an earlier CHAMP snapshot.
@@ -145,9 +147,10 @@ impl NodeMetrics {
 }
 
 /// Secrets handed to a joining node after its attestation verifies
-/// (Table 1: service key + ledger secret go to *trusted* nodes only; in
-/// production over an attested TLS channel, here via `ccf-tee` channels
-/// or directly in the in-process harness).
+/// (Table 1: service key + ledger secret go to *trusted* nodes only). In
+/// production they travel over an attested TLS channel; here the
+/// in-process harness hands them over directly, and a `ccf-tee` channel
+/// carries them only in `tests/integration_security.rs`.
 #[derive(Clone, Debug)]
 pub struct ServiceSecrets {
     /// The service identity private key seed.
@@ -209,8 +212,8 @@ struct NodeInner {
     /// that finds no `Retiring` node and no unhandled rekey marker.
     duties_armed: bool,
     /// Traced user requests proposed here and not yet globally
-    /// committed: seqno → (trace, request entry time).
-    inflight_traces: BTreeMap<Seqno, (ccf_obs::TraceId, u64)>,
+    /// committed: seqno → start of the request's root span.
+    inflight_traces: BTreeMap<Seqno, u64>,
 }
 
 /// An applied entry, kept until commit: the writes it applied (for the
@@ -629,7 +632,7 @@ impl CcfNode {
             let rest = inner.inflight_traces.split_off(&(seqno + 1));
             let done = std::mem::replace(&mut inner.inflight_traces, rest);
             let now = self.metrics.reg.now();
-            for (_, (_, entered_at)) in done {
+            for entered_at in done.into_values() {
                 self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
             }
         }
@@ -1045,9 +1048,6 @@ impl CcfNode {
     /// reads and its proposal, so its write set is proposed exactly as it
     /// executed.
     fn serve(&self, inner: &mut NodeInner, req: &Request) -> Response {
-        // Captured up front so the eventual root "request" span covers
-        // routing, auth, and endpoint execution (DESIGN.md §12).
-        let entered_at = self.metrics.reg.now();
         let (path, params) = split_query(&req.path);
         // Built-in endpoints (§3.2's tx, §3.5's receipt, governance).
         if path.starts_with("/node/") || path.starts_with("/gov/") {
@@ -1102,20 +1102,16 @@ impl CcfNode {
         // propose (a backup forwarded the write before running it), so ids
         // stay dense and deterministic across forwarding. The root
         // "request" span is opened (seq assigned) before the proposal so
-        // the stages it causes sort under it; on propose failure the token
-        // is dropped unexited and nothing is recorded.
+        // the stages it causes sort under it; no virtual time passes
+        // within a call, so it starts when the request entered. On propose
+        // failure the token is dropped unexited and nothing is recorded.
         let trace = self.metrics.reg.mint_trace();
-        let tok = self.metrics.reg.trace_enter_at(
-            trace,
-            ccf_obs::SpanId::NONE,
-            "request",
-            self.metrics.node,
-            entered_at,
-        );
+        let tok =
+            self.metrics.reg.trace_enter(trace, ccf_obs::SpanId::NONE, "request", self.metrics.node);
         match self.propose_write_set(inner, ws, claims, trace) {
             Ok(txid) => {
                 self.metrics.reg.trace_exit(tok);
-                inner.inflight_traces.insert(txid.seqno, (trace, entered_at));
+                inner.inflight_traces.insert(txid.seqno, tok.start());
                 Response { status: 200, body, txid: Some(txid) }
             }
             Err(e) => Response::error(503, &format!("propose failed: {e}")),

@@ -116,7 +116,9 @@ pub mod builtin {
     pub const RECOVERY_SHARES: &str = "public:ccf.gov.recovery_shares";
     /// Configured recovery threshold k.
     pub const RECOVERY_THRESHOLD: &str = "public:ccf.gov.recovery_threshold";
-    /// Reconfiguration marker map (written by reconfiguration transactions).
+    /// Reconfiguration marker map. Only the consensus harness's synthetic
+    /// reconfiguration entries write it; a node's reconfiguration goes
+    /// through governance (`nodes.info`).
     pub const CONFIGURATIONS: &str = "public:ccf.internal.configurations";
 }
 

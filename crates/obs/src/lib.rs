@@ -13,14 +13,14 @@
 //! # Model
 //!
 //! * [`Registry`] — a cheaply-cloneable handle (an `Arc`) owning all
-//!   metrics of one run. There is deliberately no process-global
-//!   registry: each `Cluster`/`ServiceCluster`/chaos run owns its own,
-//!   so parallel tests never share state and same-seed runs snapshot
-//!   identically.
+//!   metrics of one run, with all of its state behind one lock. There
+//!   is deliberately no process-global registry: each
+//!   `Cluster`/`ServiceCluster`/chaos run owns its own, so parallel
+//!   tests never share state and same-seed runs snapshot identically.
 //! * [`Counter`] / [`Gauge`] — monotone and last-write-wins `u64`
-//!   cells. Handles are `Arc<AtomicU64>` clones: fetch them once (e.g.
-//!   into a per-replica metrics struct) and increment lock-free on the
-//!   hot path.
+//!   cells. Handles are shared atomic cells: fetch them once (e.g.
+//!   into a per-replica metrics struct) and increment without the
+//!   registry lock on the hot path.
 //! * [`Histogram`] — fixed bucket boundaries declared at registration
 //!   (`le`-style cumulative export), plus count and sum. No dynamic
 //!   resizing, so observation cost is a branchless-ish scan over a
@@ -31,12 +31,13 @@
 //!   [`Registry::trace_exit`] (stages: `forward`, `request`,
 //!   `append`, `sign`, `replicate`, `commit`, `receipt`) into a bounded
 //!   ring buffer (old spans are overwritten, a total count is kept).
-//!   Each span stamps the virtual time and a monotone sequence number;
-//!   off-simulation — when nothing calls [`Registry::set_now`] — the
-//!   virtual clock stays at zero and the sequence number alone orders
-//!   events. The id — a plain `u64` — piggybacks on consensus messages,
-//!   so a trace spans nodes. [`trace::assemble`] rebuilds trace trees
-//!   from a snapshot and computes per-stage critical paths.
+//!   Each span stamps the registry's virtual time and a monotone
+//!   sequence number; off-simulation — when nothing calls
+//!   [`Registry::set_now`] — the virtual clock stays at zero and the
+//!   sequence number alone orders events. The id — a plain `u64` —
+//!   rides the replicated entry it traces, so a trace spans nodes.
+//!   [`trace::assemble`] rebuilds trace trees from a snapshot and
+//!   computes per-stage critical paths.
 //! * Flight recorder — [`Registry::flight`] records bounded structured
 //!   protocol events (message send/recv/drop, elections, commits,
 //!   rollbacks, snapshots). The chaos invariant checker reads it
@@ -64,7 +65,7 @@ pub use trace::{SpanId, TraceId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default capacity of the trace-span ring buffer.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -120,9 +121,9 @@ struct HistogramInner {
     /// Upper bounds (inclusive) of each bucket; an implicit `+inf`
     /// bucket follows the last bound.
     bounds: &'static [u64],
-    /// `bounds.len() + 1` cells; the last is the overflow bucket.
+    /// `bounds.len() + 1` cells; the last is the overflow bucket. Their
+    /// total is the observation count.
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -139,12 +140,7 @@ impl Histogram {
     fn new(bounds: &'static [u64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramInner {
-            bounds,
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }))
+        Histogram(Arc::new(HistogramInner { bounds, buckets, sum: AtomicU64::new(0) }))
     }
 
     /// Records one observation of `v`.
@@ -152,13 +148,12 @@ impl Histogram {
         let inner = &self.0;
         let idx = inner.bounds.iter().position(|&b| v <= b).unwrap_or(inner.bounds.len());
         inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Total number of observations.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all observed values.
@@ -167,10 +162,11 @@ impl Histogram {
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         HistogramSnapshot {
             bounds: self.0.bounds.to_vec(),
-            buckets: self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: self.count(),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum(),
         }
     }
@@ -187,7 +183,7 @@ struct Ring<T> {
     capacity: usize,
 }
 
-impl<T: Clone> Ring<T> {
+impl<T> Ring<T> {
     fn new(capacity: usize) -> Self {
         Ring { buf: Vec::new(), head: 0, total: 0, capacity }
     }
@@ -206,15 +202,15 @@ impl<T: Clone> Ring<T> {
     }
 
     /// Contents in recording order (oldest retained first).
-    fn ordered(&self) -> Vec<T> {
+    fn ordered(&self) -> impl Iterator<Item = &T> {
         self.newest(self.buf.len())
     }
 
     /// The last `k` retained items in recording order (fewer if the ring
     /// holds fewer).
-    fn newest(&self, k: usize) -> Vec<T> {
+    fn newest(&self, k: usize) -> impl Iterator<Item = &T> {
         let len = self.buf.len();
-        (len - k.min(len)..len).map(|i| self.buf[(self.head + i) % len].clone()).collect()
+        (len - k.min(len)..len).map(move |i| &self.buf[(self.head + i) % len])
     }
 }
 
@@ -352,28 +348,86 @@ impl FlightRecord {
     }
 }
 
+/// Everything one run's registry holds, behind its one lock.
 #[derive(Debug)]
-struct Inner {
-    counters: Mutex<BTreeMap<&'static str, Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, Gauge>>,
-    histograms: Mutex<BTreeMap<&'static str, Histogram>>,
-    traces: Mutex<Ring<TraceRec>>,
-    flight: Mutex<Ring<FlightRec>>,
+struct State {
+    counters: BTreeMap<&'static str, Counter>,
+    gauges: BTreeMap<&'static str, Gauge>,
+    histograms: BTreeMap<&'static str, Histogram>,
+    traces: Ring<TraceRec>,
+    flight: Ring<FlightRec>,
     /// Interned node names; a [`NodeRef`] indexes this vec.
-    nodes: Mutex<Vec<String>>,
+    nodes: Vec<String>,
     /// Virtual time, fed by the harness driving the run.
-    now: AtomicU64,
-    /// Monotone event sequence; the ordering stub off-simulation.
-    /// Starts at 1 so 0 can mean "no parent" in trace spans.
-    seq: AtomicU64,
+    now: u64,
+    /// Last event sequence number handed out; the ordering stub
+    /// off-simulation. Numbers start at 1 so 0 can mean "no parent" in
+    /// trace spans.
+    seq: u64,
     /// Trace ids minted so far; ids start at 1 (0 = `TraceId::NONE`).
-    trace_ids: AtomicU64,
+    trace_ids: u64,
 }
 
-/// A registry of metrics, traces and flight events for one run. Cloning yields another
-/// handle to the same underlying state.
+impl State {
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// The name interned as `r`; empty for [`NodeRef::ANON`].
+    fn node_name(&self, r: u32) -> String {
+        self.nodes.get(r as usize).cloned().unwrap_or_default()
+    }
+
+    fn trace_enter(
+        &mut self,
+        trace: TraceId,
+        parent: SpanId,
+        stage: &'static str,
+        node: NodeRef,
+    ) -> TraceSpanToken {
+        let seq = if trace.is_none() { 0 } else { self.next_seq() };
+        TraceSpanToken { trace, parent, stage, node, start: self.now, seq }
+    }
+
+    fn trace_exit(&mut self, token: TraceSpanToken) -> SpanId {
+        if token.trace.is_none() {
+            return SpanId::NONE;
+        }
+        let rec = TraceRec {
+            trace: token.trace.0,
+            parent: token.parent.0,
+            stage: token.stage,
+            node: token.node.0,
+            start: token.start,
+            end: self.now,
+            seq: token.seq,
+        };
+        self.traces.push(rec);
+        SpanId(token.seq)
+    }
+
+    fn resolve_flight(&self, r: &FlightRec) -> FlightRecord {
+        FlightRecord {
+            at: r.at,
+            seq: r.seq,
+            node: self.node_name(r.node),
+            kind: r.kind.to_string(),
+            tag: r.tag.to_string(),
+            peer: self.node_name(r.peer),
+            a: r.a,
+            b: r.b,
+        }
+    }
+}
+
+/// A registry of metrics, traces and flight events for one run. Cloning
+/// yields another handle to the same state. Every method takes the
+/// registry's one lock once, so a sequence number and the ring slot of
+/// the record it stamps are assigned under the same hold: ring order is
+/// `seq` order.
 #[derive(Clone, Debug)]
-pub struct Registry(Arc<Inner>);
+pub struct Registry(Arc<std::sync::Mutex<State>>);
 
 impl Default for Registry {
     fn default() -> Self {
@@ -391,29 +445,35 @@ impl Registry {
     /// stage spans and flight-recorder events (older entries are
     /// overwritten; the totals are still counted).
     pub fn with_capacities(traces: usize, flight: usize) -> Self {
-        Registry(Arc::new(Inner {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            traces: Mutex::new(Ring::new(traces)),
-            flight: Mutex::new(Ring::new(flight)),
-            nodes: Mutex::new(Vec::new()),
-            now: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            trace_ids: AtomicU64::new(0),
-        }))
+        Registry(Arc::new(std::sync::Mutex::new(State {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            traces: Ring::new(traces),
+            flight: Ring::new(flight),
+            nodes: Vec::new(),
+            now: 0,
+            seq: 0,
+            trace_ids: 0,
+        })))
+    }
+
+    /// The one hold of the registry lock a method takes. std's lock is
+    /// not reentrant: nothing called under the guard may take it again.
+    fn state(&self) -> std::sync::MutexGuard<'_, State> {
+        self.0.lock().expect("a thread panicked while holding the registry lock")
     }
 
     /// Returns the counter registered under `name`, creating it on
     /// first use. Cache the handle; do not call this on a hot path.
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.0.counters.lock().unwrap().entry(name).or_default().clone()
+        self.state().counters.entry(name).or_default().clone()
     }
 
     /// Returns the gauge registered under `name`, creating it on first
     /// use.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.0.gauges.lock().unwrap().entry(name).or_default().clone()
+        self.state().gauges.entry(name).or_default().clone()
     }
 
     /// Returns the histogram registered under `name`, creating it with
@@ -425,8 +485,8 @@ impl Registry {
     /// caller (the recorded buckets would not mean what the call site
     /// thinks) and trips a `debug_assert!`.
     pub fn histogram(&self, name: &'static str, bounds: &'static [u64]) -> Histogram {
-        let mut map = self.0.histograms.lock().unwrap();
-        let h = map.entry(name).or_insert_with(|| Histogram::new(bounds));
+        let mut s = self.state();
+        let h = s.histograms.entry(name).or_insert_with(|| Histogram::new(bounds));
         debug_assert_eq!(
             h.0.bounds, bounds,
             "histogram {name:?} re-registered with different bounds (first registration wins)"
@@ -437,43 +497,37 @@ impl Registry {
     /// Advances the virtual clock to `t` (monotone: earlier values are
     /// ignored). Harnesses call this once per simulation step.
     pub fn set_now(&self, t: u64) {
-        self.0.now.fetch_max(t, Ordering::Relaxed);
+        let mut s = self.state();
+        s.now = s.now.max(t);
     }
 
     /// Current virtual time (0 until [`set_now`](Registry::set_now) is
-    /// first called — the off-simulation stub).
+    /// first called — the off-simulation stub). Every timestamp the
+    /// registry records, and every stage latency derived from a span, is
+    /// read off this clock.
     pub fn now(&self) -> u64 {
-        self.0.now.load(Ordering::Relaxed)
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.0.seq.fetch_add(1, Ordering::Relaxed) + 1
+        self.state().now
     }
 
     /// Interns `name`, returning a cheap `Copy` reference for use in
     /// trace spans and flight events. Call once per component, not on
     /// a hot path.
     pub fn node_ref(&self, name: &str) -> NodeRef {
-        let mut nodes = self.0.nodes.lock().unwrap();
-        if let Some(i) = nodes.iter().position(|n| n == name) {
+        let mut s = self.state();
+        if let Some(i) = s.nodes.iter().position(|n| n == name) {
             return NodeRef(i as u32);
         }
-        nodes.push(name.to_string());
-        NodeRef((nodes.len() - 1) as u32)
-    }
-
-    fn node_name(&self, r: u32) -> String {
-        if r == u32::MAX {
-            return String::new();
-        }
-        self.0.nodes.lock().unwrap().get(r as usize).cloned().unwrap_or_default()
+        s.nodes.push(name.to_string());
+        NodeRef((s.nodes.len() - 1) as u32)
     }
 
     /// Mints a fresh [`TraceId`] — called when a user request enters
     /// the node. Ids are dense from 1, so same-seed runs mint identical
     /// ids in identical order.
     pub fn mint_trace(&self) -> TraceId {
-        TraceId(self.0.trace_ids.fetch_add(1, Ordering::Relaxed) + 1)
+        let mut s = self.state();
+        s.trace_ids += 1;
+        TraceId(s.trace_ids)
     }
 
     /// Opens a trace stage span for `trace`, starting now. `parent` is
@@ -487,44 +541,14 @@ impl Registry {
         stage: &'static str,
         node: NodeRef,
     ) -> TraceSpanToken {
-        self.trace_enter_at(trace, parent, stage, node, self.now())
-    }
-
-    /// Like [`Registry::trace_enter`] but backdated to `start` — for
-    /// stages whose beginning is only known in hindsight (e.g. a request
-    /// span opened when its proposal is known to succeed, from the time
-    /// the request entered). The sequence number is still
-    /// assigned now, so causal order reflects the record time.
-    pub fn trace_enter_at(
-        &self,
-        trace: TraceId,
-        parent: SpanId,
-        stage: &'static str,
-        node: NodeRef,
-        start: u64,
-    ) -> TraceSpanToken {
-        let seq = if trace.is_none() { 0 } else { self.next_seq() };
-        TraceSpanToken { trace, parent, stage, node, start, seq }
+        self.state().trace_enter(trace, parent, stage, node)
     }
 
     /// Closes a trace stage span, recording it into the trace ring.
     /// Returns the recorded [`SpanId`] (usable as a child's parent).
     /// No-op for inert tokens (minted against [`TraceId::NONE`]).
     pub fn trace_exit(&self, token: TraceSpanToken) -> SpanId {
-        if token.trace.is_none() {
-            return SpanId::NONE;
-        }
-        let rec = TraceRec {
-            trace: token.trace.0,
-            parent: token.parent.0,
-            stage: token.stage,
-            node: token.node.0,
-            start: token.start,
-            end: self.now(),
-            seq: token.seq,
-        };
-        self.0.traces.lock().unwrap().push(rec);
-        SpanId(token.seq)
+        self.state().trace_exit(token)
     }
 
     /// Records a zero-duration trace stage marker (enter + exit now).
@@ -535,7 +559,9 @@ impl Registry {
         stage: &'static str,
         node: NodeRef,
     ) -> SpanId {
-        self.trace_exit(self.trace_enter(trace, parent, stage, node))
+        let mut s = self.state();
+        let token = s.trace_enter(trace, parent, stage, node);
+        s.trace_exit(token)
     }
 
     /// Records a structured protocol event into the flight recorder.
@@ -549,9 +575,10 @@ impl Registry {
         a: u64,
         b: u64,
     ) {
+        let mut s = self.state();
         let rec = FlightRec {
-            at: self.now(),
-            seq: self.next_seq(),
+            at: s.now,
+            seq: s.next_seq(),
             node: node.0,
             kind,
             tag,
@@ -559,21 +586,14 @@ impl Registry {
             a,
             b,
         };
-        self.0.flight.lock().unwrap().push(rec);
-    }
-
-    /// The retained flight-recorder events, causally ordered (oldest
-    /// retained first). This is the "last N events" a violation dumps.
-    pub fn flight_records(&self) -> Vec<FlightRecord> {
-        let recs = self.0.flight.lock().unwrap().ordered();
-        recs.into_iter().map(|r| self.resolve_flight(r)).collect()
+        s.flight.push(rec);
     }
 
     /// Total flight-recorder events ever recorded, overwritten ones
     /// included: the cursor a [`Registry::flight_since`] reader starts
     /// from.
     pub fn flight_total(&self) -> u64 {
-        self.0.flight.lock().unwrap().total
+        self.state().flight.total
     }
 
     /// The flight records pushed since the total was `since` (an earlier
@@ -582,88 +602,36 @@ impl Registry {
     /// the retained tail: `total - since - records.len()` were lost. The
     /// cursor is the ring's total, not `seq`, which trace spans share.
     pub fn flight_since(&self, since: u64) -> (u64, Vec<FlightRecord>) {
-        let (total, recs) = {
-            let ring = self.0.flight.lock().unwrap();
-            let new = ring.total.saturating_sub(since);
-            (ring.total, ring.newest(usize::try_from(new).unwrap_or(usize::MAX)))
-        };
-        (total, recs.into_iter().map(|r| self.resolve_flight(r)).collect())
-    }
-
-    fn resolve_flight(&self, r: FlightRec) -> FlightRecord {
-        FlightRecord {
-            at: r.at,
-            seq: r.seq,
-            node: self.node_name(r.node),
-            kind: r.kind.to_string(),
-            tag: r.tag.to_string(),
-            peer: self.node_name(r.peer),
-            a: r.a,
-            b: r.b,
-        }
+        let s = self.state();
+        let new = usize::try_from(s.flight.total.saturating_sub(since)).unwrap_or(usize::MAX);
+        (s.flight.total, s.flight.newest(new).map(|r| s.resolve_flight(r)).collect())
     }
 
     /// Captures everything into a plain, comparable [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .0
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.get()))
-            .collect();
-        let gauges = self
-            .0
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.get()))
-            .collect();
-        let histograms = self
-            .0
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.snapshot()))
-            .collect();
-        let (trace_spans_total, trace_recs) = {
-            let ring = self.0.traces.lock().unwrap();
-            (ring.total, ring.ordered())
-        };
-        let trace_spans = trace_recs
-            .into_iter()
+        let s = self.state();
+        let trace_spans = s
+            .traces
+            .ordered()
             .map(|r| TraceSpan {
                 trace: r.trace,
                 parent: r.parent,
                 stage: r.stage.to_string(),
-                node: self.node_name(r.node),
+                node: s.node_name(r.node),
                 start: r.start,
                 end: r.end,
                 seq: r.seq,
             })
             .collect();
-        let (flight_total, flight_recs) = {
-            let ring = self.0.flight.lock().unwrap();
-            (ring.total, ring.ordered())
-        };
-        let flight = flight_recs.into_iter().map(|r| self.resolve_flight(r)).collect();
         Snapshot {
-            counters,
-            gauges,
-            histograms,
-            trace_spans_total,
+            counters: s.counters.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
+            gauges: s.gauges.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
+            histograms: s.histograms.iter().map(|(k, v)| (k.to_string(), v.snapshot())).collect(),
+            trace_spans_total: s.traces.total,
             trace_spans,
-            flight_total,
-            flight,
+            flight_total: s.flight.total,
+            flight: s.flight.ordered().map(|r| s.resolve_flight(r)).collect(),
         }
-    }
-
-    /// Shorthand for `self.snapshot().to_json()`.
-    pub fn to_json(&self) -> String {
-        self.snapshot().to_json()
     }
 }
 
@@ -989,7 +957,7 @@ mod tests {
             let tok = reg.trace_enter(tr, SpanId::NONE, "request", n);
             reg.trace_exit(tok);
             reg.flight(n, "send", "append_entries", Some(n), 1, 2);
-            reg.to_json()
+            reg.snapshot().to_json()
         };
         let a = build();
         let b = build();
@@ -1092,13 +1060,12 @@ mod tests {
             reg.set_now(i);
             reg.flight(n0, "send", "append_entries", Some(n1), 1, i);
         }
-        let recs = reg.flight_records();
+        let snap = reg.snapshot();
+        let recs = &snap.flight;
         assert_eq!(recs.len(), 3);
         assert!(recs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(recs.last().unwrap().b, 4);
-        let snap = reg.snapshot();
         assert_eq!(snap.flight_total, 5);
-        assert_eq!(snap.flight, recs);
         let line = recs[0].render();
         assert!(line.contains("n0 -> n1 send append_entries"), "{line}");
     }
@@ -1120,7 +1087,7 @@ mod tests {
         let (total, recs) = reg.flight_since(2);
         assert_eq!(total, reg.flight_total());
         assert_eq!((total, recs.iter().map(|r| r.b).collect::<Vec<_>>()), (6, vec![6, 7, 8]));
-        assert_eq!(recs, reg.flight_records());
+        assert_eq!(recs, reg.snapshot().flight);
         let (_, tail) = reg.flight_since(5);
         assert_eq!(tail.iter().map(|r| r.b).collect::<Vec<_>>(), vec![8]);
     }

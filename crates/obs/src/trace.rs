@@ -1,10 +1,10 @@
 //! Causal trace reconstruction and critical-path analysis.
 //!
 //! A trace is the life of one user write request: minted as a
-//! [`TraceId`] when the request enters the node, propagated through
-//! leader forwarding and consensus (the id piggybacks on
-//! `append_entries` payloads, acks, and signature transactions), and
-//! closed at global commit / receipt issuance. Every component along
+//! [`TraceId`] when the primary proposes the request's write set,
+//! propagated through consensus (the id rides the traced entry inside
+//! `append_entries`; no ack and no signature transaction carries one),
+//! and closed at global commit / receipt issuance. Every component along
 //! the way records *stage spans* against the id — `forward`,
 //! `request`, `append`, `sign`, `replicate`, `commit`, `receipt` —
 //! stamped in virtual time, so same-seed runs reconstruct byte-for-byte

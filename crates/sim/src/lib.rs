@@ -547,7 +547,7 @@ mod tests {
             let (f, t) = (expected.node_ref(from), expected.node_ref(to));
             expected.flight(f, kind, "msg", Some(t), at, 0);
         }
-        assert_eq!(reg.flight_records(), expected.flight_records());
+        assert_eq!(reg.snapshot().flight, expected.snapshot().flight);
         let refs = ["z", "b", "a", "c"].map(|name| reg.node_ref(name));
         assert_eq!(refs[0], z);
         assert!(refs.windows(2).all(|w| w[0] < w[1]), "interned out of first-seen order");

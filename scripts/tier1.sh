@@ -30,6 +30,30 @@ if [ -n "$other_mutexes" ]; then
     echo "$other_mutexes"; echo "a Mutex besides the node's one lock"; exit 1
 fi
 
+echo "== tier1: one lock in ccf-obs, atomics only in its metric handles"
+# A registry keeps all of its state behind one std Mutex, so a record's
+# sequence number and its ring slot are assigned under one hold. Counter,
+# Gauge and Histogram handles are atomic cells that the hot path bumps
+# without that lock; nothing else in the crate is atomic.
+if grep -rn "thread::\|RwLock" crates/obs/src; then
+    echo "ccf-obs spawns a thread or holds an RwLock"; exit 1
+fi
+obs_extra=$(grep -rn "Mutex\|Atomic\|sync::atomic" crates/obs/src \
+    | grep -v -e '^crates/obs/src/lib.rs:[0-9]*:pub struct Registry(Arc<std::sync::Mutex<State>>);$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:        Registry(Arc::new(std::sync::Mutex::new(State {$' \
+              -e "^crates/obs/src/lib.rs:[0-9]*:    fn state(&self) -> std::sync::MutexGuard<'_, State> {\$" \
+              -e '^crates/obs/src/lib.rs:[0-9]*:use std::sync::atomic::{AtomicU64, Ordering};$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:pub struct Counter(Arc<AtomicU64>);$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:pub struct Gauge(Arc<AtomicU64>);$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:    buckets: Vec<AtomicU64>,$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:    sum: AtomicU64,$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();$' \
+              -e '^crates/obs/src/lib.rs:[0-9]*:        Histogram(Arc::new(HistogramInner { bounds, buckets, sum: AtomicU64::new(0) }))$' \
+    || true)
+if [ -n "$obs_extra" ]; then
+    echo "$obs_extra"; echo "a Mutex besides the registry's one, or an atomic outside the metric handles"; exit 1
+fi
+
 echo "== tier1: no wall clock in node code"
 # A node's behaviour is a function of its seed and virtual time; wall
 # time is measured only from outside, by the benches (Table 5's SGX
