@@ -143,7 +143,7 @@ fn commit(store: &mut Store, write: impl FnOnce(&mut Transaction)) -> u64 {
     write(&mut tx);
     let ws = tx.into_write_set();
     let version = store.version() + 1;
-    store.apply_at(&ws, version);
+    store.apply_at(ws, version);
     version
 }
 

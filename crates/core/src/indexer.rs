@@ -6,6 +6,10 @@
 //! state for fast lookup. This reproduction ships the paper's one example
 //! strategy, [`KeyToTxIds`]. Index state lives in memory only; the paper's
 //! offload of index state to host storage is not modelled.
+//!
+//! The node feeds each entry on append. The indexer keeps only the keys
+//! the strategies watch, and hands them over once the entry commits; a
+//! rollback drops those of lost entries. With no strategy, nothing is kept.
 
 use ccf_kv::{MapName, WriteSet};
 use ccf_ledger::TxId;
@@ -46,11 +50,14 @@ impl KeyToTxIds {
     }
 }
 
-/// The indexer: drives registered strategies over committed transactions,
-/// strictly in order, tracking the high-water mark.
+/// The indexer: fed every applied entry strictly in order, it drives the
+/// registered strategies over those that commit.
 #[derive(Default)]
 pub struct Indexer {
     strategies: Vec<KeyToTxIds>,
+    /// Watched keys of fed entries not yet committed, in seqno order:
+    /// (txid, strategy, key).
+    pending: Vec<(TxId, usize, Vec<u8>)>,
     processed_upto: u64,
 }
 
@@ -67,26 +74,38 @@ impl Indexer {
         self.strategies.push(strategy);
     }
 
-    /// Feeds one committed transaction (seqnos must be consecutive).
+    /// Feeds one applied entry (seqnos must be consecutive). Its watched
+    /// keys reach the strategies when [`Indexer::commit`] covers it.
     pub fn feed(&mut self, txid: TxId, writes: &WriteSet) {
-        assert_eq!(
-            txid.seqno,
-            self.processed_upto + 1,
-            "indexer must see commits in order"
-        );
-        for s in &mut self.strategies {
-            s.handle_committed(txid, writes);
+        assert_eq!(txid.seqno, self.processed_upto + 1, "indexer must see entries in order");
+        for (i, strategy) in self.strategies.iter().enumerate() {
+            let keys = writes.maps.get(&strategy.map).into_iter().flat_map(|w| w.keys());
+            self.pending.extend(keys.map(|key| (txid, i, key.clone())));
         }
         self.processed_upto = txid.seqno;
     }
 
-    /// Highest seqno processed.
+    /// Hands the strategies the pending keys of entries up to `seqno`,
+    /// which has committed.
+    pub fn commit(&mut self, seqno: u64) {
+        let done = self.pending.partition_point(|(txid, _, _)| txid.seqno <= seqno);
+        for (txid, i, key) in self.pending.drain(..done) {
+            self.strategies[i].index.entry(key).or_default().push(txid);
+        }
+    }
+
+    /// Highest seqno fed.
     pub fn processed_upto(&self) -> u64 {
         self.processed_upto
     }
 
-    /// Resets to a new position (snapshot install / recovery).
+    /// Restarts the feed after `seqno` (a rollback's target or a snapshot
+    /// base), dropping the pending keys above it, or all of them for a
+    /// snapshot past every fed entry: it replaced the log they came from.
     pub fn reset_to(&mut self, seqno: u64) {
+        let keep = if seqno > self.processed_upto { 0 } else { seqno };
+        let kept = self.pending.partition_point(|(txid, _, _)| txid.seqno <= keep);
+        self.pending.truncate(kept);
         self.processed_upto = seqno;
     }
 
@@ -127,6 +146,30 @@ mod tests {
         indexer.feed(TxId::new(1, 1), &ws("m", &["a"]));
         indexer.feed(TxId::new(1, 2), &ws("m", &["b"]));
         assert_eq!(indexer.processed_upto(), 2);
+    }
+
+    #[test]
+    fn strategies_see_committed_entries_only() {
+        let mut indexer = Indexer::new();
+        indexer.register(KeyToTxIds::new("m"));
+        for seqno in 1..=4 {
+            indexer.feed(TxId::new(1, seqno), &ws("m", &["a"]));
+        }
+        let txids = |i: &Indexer| i.strategy(0).unwrap().txids_for(b"a").to_vec();
+        assert!(txids(&indexer).is_empty(), "nothing has committed");
+        indexer.commit(2);
+        assert_eq!(txids(&indexer), [TxId::new(1, 1), TxId::new(1, 2)]);
+        // Entry 4 rolls back and another view's entry replaces it.
+        indexer.reset_to(3);
+        indexer.feed(TxId::new(2, 4), &ws("m", &["a"]));
+        indexer.commit(4);
+        assert_eq!(txids(&indexer)[2..], [TxId::new(1, 3), TxId::new(2, 4)]);
+        // A snapshot past every fed entry drops what is pending.
+        indexer.feed(TxId::new(2, 5), &ws("m", &["a"]));
+        indexer.reset_to(9);
+        indexer.commit(9);
+        assert_eq!(txids(&indexer).len(), 4);
+        assert_eq!(indexer.processed_upto(), 9);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! They differ only in where an entry's write set comes from: a backup
 //! decrypts and decodes each entry once, on append; the primary applies
 //! the write set it executed and sealed, and never opens its own
-//! ciphertext. Either way the applied writes are kept until commit, when
-//! they feed the indexer.
+//! ciphertext. Either way the write set feeds the indexer and then moves
+//! into the store: no write set is kept once applied.
 //!
 //! The store is updated in place. A store state is kept only at signature
 //! transactions (the only commit points) and at a snapshot-install base;
 //! rollback installs the newest kept state at or below its target and
-//! re-applies the kept write sets above it.
+//! replays the entries above it from the replica's log.
 //!
 //! Requests follow one route and one forwarding rule. An application
 //! request is routed to the native app's endpoint, else to the live script
@@ -194,9 +194,10 @@ struct NodeInner {
     secrets: Option<LedgerSecrets>,
     service_identity: Option<VerifyingKey>,
     service_key: Option<SigningKey>,
-    /// Entries that may still roll back, plus the commit point (which
-    /// always keeps its state).
-    recent_states: BTreeMap<Seqno, Applied>,
+    /// The store state after each signature transaction and snapshot-install
+    /// base from the commit point (always one of those) up: the rollback
+    /// bases and the source of snapshots. No entry keeps its write set.
+    recent_states: BTreeMap<Seqno, Arc<StoreState>>,
     indexer: Indexer,
     /// Messages sent by replica calls since the last `step` returned (the
     /// proposals of requests, joins, governance); the next step sends them
@@ -214,17 +215,6 @@ struct NodeInner {
     /// Traced user requests proposed here and not yet globally
     /// committed: seqno → start of the request's root span.
     inflight_traces: BTreeMap<Seqno, u64>,
-}
-
-/// An applied entry, kept until commit: the writes it applied (for the
-/// indexer and rollback replay) and, at a signature transaction or a
-/// snapshot-install base, the store state after it (a rollback base and
-/// the source of snapshots). Keeping a state makes the next update copy
-/// the store paths it shares, so other entries keep none.
-struct Applied {
-    state: Option<Arc<StoreState>>,
-    txid: TxId,
-    writes: WriteSet,
 }
 
 /// A CCF node.
@@ -568,9 +558,9 @@ impl CcfNode {
                         .expect("snapshot kv state must deserialize");
                     inner.last_applied = snapshot.last_txid;
                     inner.store.install(state);
-                    inner.recent_states.clear();
-                    self.keep_applied(inner, snapshot.last_txid, WriteSet::new(), true);
-                    inner.indexer.reset_to(snapshot.last_txid.seqno);
+                    let base = snapshot.last_txid.seqno;
+                    inner.recent_states = [(base, inner.store.snapshot())].into();
+                    inner.indexer.reset_to(base);
                     self.reload_dynamic_state(inner);
                     inner.duties_armed = true;
                 }
@@ -584,7 +574,8 @@ impl CcfNode {
 
     /// Applies appended entry `e`: `own` is the write set of this node's
     /// own proposal; any other entry (a backup's, or a signature the
-    /// replica built) is decoded here, once.
+    /// replica built) is decoded here, once. The write set is read by the
+    /// checks and the indexer, then moved into the store: nothing keeps it.
     fn on_appended(&self, inner: &mut NodeInner, e: &LedgerEntry, own: Option<WriteSet>) {
         self.metrics.entries_applied.inc();
         let txid = e.txid;
@@ -593,8 +584,6 @@ impl CcfNode {
             return;
         }
         let ws = own.unwrap_or_else(|| self.decode_entry_writes(inner, e));
-        inner.store.apply_at(&ws, txid.seqno);
-        inner.last_applied = txid;
         // React to writes addressed to this node (ledger rekey dist).
         self.check_rekey_distribution(inner, &ws, txid);
         if ws.maps.contains_key(builtin::NODES_INFO) || ws.maps.contains_key(builtin::LEDGER_SECRET) {
@@ -603,22 +592,29 @@ impl CcfNode {
         // Live app / constitution updates take effect on append (they are
         // rolled back with the entry if it never commits, restoring the
         // previous app on the state rollback path).
-        if ws.maps.contains_key(builtin::MODULES) || ws.maps.contains_key(builtin::CONSTITUTION) {
+        let reload =
+            ws.maps.contains_key(builtin::MODULES) || ws.maps.contains_key(builtin::CONSTITUTION);
+        inner.indexer.feed(txid, &ws);
+        inner.store.apply_at(ws, txid.seqno);
+        inner.last_applied = txid;
+        if reload {
             self.reload_dynamic_state(inner);
         }
-        self.keep_applied(inner, txid, ws, e.is_signature());
-    }
-
-    /// Records an applied entry; `keep_state` also keeps the store state
-    /// after it.
-    fn keep_applied(&self, inner: &mut NodeInner, txid: TxId, writes: WriteSet, keep_state: bool) {
-        let state = keep_state.then(|| inner.store.snapshot());
-        inner.recent_states.insert(txid.seqno, Applied { state, txid, writes });
+        if e.is_signature() {
+            inner.recent_states.insert(txid.seqno, inner.store.snapshot());
+        }
     }
 
     /// Decodes an entry into its full (public + decrypted private) writes.
     fn decode_entry_writes(&self, inner: &NodeInner, entry: &LedgerEntry) -> WriteSet {
         entry.open(inner.secrets.as_ref()).expect("replicated entries open")
+    }
+
+    /// The logged entry at `seqno`, decoded (rollback replay, historical
+    /// queries); `None` if the log does not hold it.
+    fn logged_writes(&self, inner: &NodeInner, seqno: Seqno) -> Option<(TxId, WriteSet)> {
+        let entry = &inner.replica.entry_at(seqno)?.entry;
+        Some((entry.txid, self.decode_entry_writes(inner, entry)))
     }
 
     fn on_committed(&self, inner: &mut NodeInner, seqno: Seqno) {
@@ -636,16 +632,8 @@ impl CcfNode {
                 self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
             }
         }
-        // Feed the indexer, in order, with the writes applied at append.
-        while inner.indexer.processed_upto() < seqno {
-            let next = inner.indexer.processed_upto() + 1;
-            match inner.recent_states.get(&next) {
-                Some(applied) => inner.indexer.feed(applied.txid, &applied.writes),
-                // Entry below our snapshot base; skip forward.
-                None => inner.indexer.reset_to(next),
-            }
-        }
-        // Prune rollback snapshots: only seqnos >= commit can roll back.
+        inner.indexer.commit(seqno);
+        // Prune rollback bases: only seqnos >= commit can roll back.
         inner.recent_states = inner.recent_states.split_off(&seqno);
         // Primary post-commit duties, only while armed. They read the
         // uncommitted store, so the arming follows appends, not commits;
@@ -792,24 +780,28 @@ impl CcfNode {
         // Rolled-back proposals never commit here; their traces close on
         // whichever primary re-proposes them (or never).
         inner.inflight_traces.split_off(&(seqno + 1));
-        // The target entry is kept (every entry from the commit point up
-        // is), and so is a state at or below it (the commit point's).
+        // A state at or below the target is kept (the commit point's).
         let kept = &inner.recent_states;
-        let base = kept.range(..=seqno).rev().find_map(|(s, a)| Some((*s, a.state.clone()?)));
-        let Some((base, state)) = base.filter(|_| kept.contains_key(&seqno)) else {
+        let Some((&base, state)) = kept.range(..=seqno).next_back() else {
             panic!(
                 "{}: no kept entry for rollback to {seqno} (have {:?})",
                 self.id,
                 kept.keys().collect::<Vec<_>>()
             )
         };
-        inner.store.install((*state).clone());
-        // Re-apply the kept write sets above the base: `skip(1)`, since
-        // `range(base + 1..=seqno)` panics when the target is the base.
-        for (_, applied) in kept.range(base..=seqno).skip(1) {
-            inner.store.apply_at(&applied.writes, applied.txid.seqno);
-        }
+        inner.store.install((**state).clone());
         inner.recent_states.split_off(&(seqno + 1));
+        // A rekey distributed by a lost entry goes with it.
+        if let Some(secrets) = inner.secrets.as_mut() {
+            secrets.roll_back_to(seqno);
+        }
+        // Replay the entries above the base from the log, which holds
+        // every entry above the commit point.
+        for s in base + 1..=seqno {
+            let (_, ws) = self.logged_writes(inner, s).expect("the log holds entries above commit");
+            inner.store.apply_at(ws, s);
+        }
+        inner.indexer.reset_to(seqno);
         inner.last_applied = inner.replica.last_txid();
         self.reload_dynamic_state(inner);
         inner.duties_armed = true;
@@ -899,16 +891,10 @@ impl CcfNode {
     /// step B).
     pub fn latest_snapshot(&self) -> Option<Snapshot> {
         let inner = self.lock();
-        let state = Self::committed_state(&inner)?;
+        // The commit point's state is always kept (none before the first
+        // commit).
+        let state = inner.recent_states.get(&inner.replica.commit_seqno())?;
         inner.replica.snapshot_descriptor(state.serialize())
-    }
-
-    /// The store state at the commit point, which is always kept (a
-    /// signature transaction or a snapshot-install base). None before the
-    /// first commit.
-    fn committed_state(inner: &NodeInner) -> Option<&Arc<StoreState>> {
-        let commit = inner.replica.commit_seqno();
-        inner.recent_states.get(&commit)?.state.as_ref()
     }
 
     /// Persisted ledger chunk blobs (what the host's disk holds — the
@@ -1333,12 +1319,8 @@ impl CcfNode {
         }
         (from..=to)
             .map(|s| {
-                let entry = &inner
-                    .replica
-                    .entry_at(s)
-                    .ok_or_else(|| format!("entry {s} not retained in enclave"))?
-                    .entry;
-                Ok((entry.txid, self.decode_entry_writes(inner, entry)))
+                let writes = self.logged_writes(inner, s);
+                writes.ok_or_else(|| format!("entry {s} not retained in enclave"))
             })
             .collect()
     }

@@ -125,7 +125,7 @@ impl RecoveryCoordinator {
             }
             // Apply the public part (absent for private-only transactions).
             let Ok(ws) = entry.public_writes() else { break };
-            store.apply_at(&ws, entry.txid.seqno);
+            store.apply_at(ws, entry.txid.seqno);
             merkle.append(&entry.leaf_bytes());
             if view_history.last().is_none_or(|&(v, _)| v < entry.txid.view) {
                 view_history.push((entry.txid.view, entry.txid.seqno));
@@ -197,7 +197,7 @@ impl RecoveryCoordinator {
             let ws = entry
                 .open(Some(&secrets))
                 .map_err(|e| RecoveryFailure::BadLedger(format!("entry {}: {e}", entry.txid)))?;
-            full.apply_at(&ws, entry.txid.seqno);
+            full.apply_at(ws, entry.txid.seqno);
         }
         self.store = full;
         self.secrets = Some(secrets);

@@ -357,7 +357,7 @@ mod tests {
         for m in &members {
             GovernanceEngine::genesis_add_member(&mut tx, &m.verifying_key(), &[0u8; 32]);
         }
-        store.apply_at(&tx.into_write_set(), 1);
+        store.apply_at(tx.into_write_set(), 1);
         Ctx { store, engine, members }
     }
 

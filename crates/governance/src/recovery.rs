@@ -197,7 +197,7 @@ mod tests {
         let mut rng = ChaChaRng::seed_from_u64(1);
         let mut tx = store.begin();
         write_recovery_material(&mut tx, &secrets, &pubs, 3, &mut rng).unwrap();
-        store.apply_at(&tx.into_write_set(), 1);
+        store.apply_at(tx.into_write_set(), 1);
 
         // Members m1, m3, m4 submit.
         let tx = store.begin();

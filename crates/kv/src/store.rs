@@ -103,17 +103,15 @@ impl StoreState {
         Ok(StoreState { version, maps })
     }
 
-    /// Applies `ws` in place as version `new_version`. Only the CHAMP
-    /// nodes another state still shares are copied.
-    fn apply_write_set(&mut self, ws: &WriteSet, new_version: u64) {
-        for (name, writes) in &ws.maps {
-            if !self.maps.contains_key(name) {
-                self.maps.insert(name.clone(), Map::new());
-            }
-            let m = self.maps.get_mut(name).expect("inserted above");
+    /// Applies `ws` in place as version `new_version`, moving its map
+    /// names, keys and values into the maps. Only the CHAMP nodes another
+    /// state still shares are copied.
+    fn apply_write_set(&mut self, ws: WriteSet, new_version: u64) {
+        for (name, writes) in ws.maps {
+            let m = self.maps.entry(name).or_default();
             for (key, value) in writes {
                 match value {
-                    Some(data) => m.insert(key.clone(), data.clone()),
+                    Some(data) => m.insert(key, data),
                     None => {
                         m.remove(key.as_slice());
                     }
@@ -157,8 +155,9 @@ impl Store {
 
     /// Applies a write set at `version`, the one apply: a proposer's own
     /// write set and a replicated or replayed entry alike. `version` must
-    /// be `current version + 1`.
-    pub fn apply_at(&mut self, ws: &WriteSet, version: u64) {
+    /// be `current version + 1`. The write set is consumed: its keys and
+    /// values move into the store, and nothing is cloned.
+    pub fn apply_at(&mut self, ws: WriteSet, version: u64) {
         assert_eq!(
             version,
             self.current.version + 1,
@@ -183,7 +182,7 @@ impl Store {
 /// use ccf_kv::{Store, WriteSet};
 /// let mut store = Store::new();
 /// let tx = store.begin();
-/// store.apply_at(&WriteSet::new(), 1);
+/// store.apply_at(WriteSet::new(), 1);
 /// tx.is_read_only();
 /// ```
 pub struct Transaction<'s> {
@@ -276,7 +275,7 @@ mod tests {
     /// once it has proposed them.
     fn commit(ws: WriteSet, store: &mut Store) -> u64 {
         let version = store.version() + 1;
-        store.apply_at(&ws, version);
+        store.apply_at(ws, version);
         version
     }
 
@@ -302,8 +301,8 @@ mod tests {
         let mut ws2 = WriteSet::new();
         ws2.write(map("m"), b"b".to_vec(), b"2".to_vec());
         ws2.remove(map("m"), b"a".to_vec());
-        store.apply_at(&ws1, 1);
-        store.apply_at(&ws2, 2);
+        store.apply_at(ws1, 1);
+        store.apply_at(ws2, 2);
         assert_eq!(store.version(), 2);
         let tx = store.begin();
         assert_eq!(tx.get(&map("m"), b"a"), None);
@@ -314,8 +313,7 @@ mod tests {
     #[should_panic(expected = "sequence order")]
     fn apply_at_out_of_order_panics() {
         let mut store = Store::new();
-        let ws = WriteSet::new();
-        store.apply_at(&ws, 5);
+        store.apply_at(WriteSet::new(), 5);
     }
 
     #[test]
@@ -346,11 +344,11 @@ mod tests {
         let mut tx = store.begin();
         tx.put(&map("m"), b"k", b"w");
         commit(tx.into_write_set(), &mut store);
-        store.apply_at(&WriteSet::new(), 3);
+        store.apply_at(WriteSet::new(), 3);
         assert_eq!(Arc::as_ptr(&store.snapshot()), state);
         // A held snapshot is copied on the next apply, and keeps its value.
         let held = store.snapshot();
-        store.apply_at(&WriteSet::new(), 4);
+        store.apply_at(WriteSet::new(), 4);
         assert_ne!(Arc::as_ptr(&store.snapshot()), state);
         assert_eq!(held.get("m", b"k"), Some(&b"w"[..]));
     }

@@ -50,7 +50,7 @@ fn state_from(writes: &[(Vec<u8>, Vec<u8>)]) -> Arc<StoreState> {
     for (k, v) in writes {
         let mut ws = WriteSet::new();
         ws.write(map(), k.clone(), v.clone());
-        store.apply_at(&ws, store.version() + 1);
+        store.apply_at(ws, store.version() + 1);
     }
     store.snapshot()
 }

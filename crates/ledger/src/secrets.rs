@@ -112,6 +112,15 @@ impl LedgerSecrets {
         self.ctxs.push(Arc::new(OnceLock::new()));
     }
 
+    /// Drops the versions that entries after `seqno` brought (a rollback
+    /// to `seqno`): a version distributed by the entry at `d` applies from
+    /// `d + 1`, so only versions from `seqno + 1` or earlier survive.
+    pub fn roll_back_to(&mut self, seqno: u64) {
+        let keep = self.versions.partition_point(|v| v.from_seqno <= seqno + 1);
+        self.versions.truncate(keep);
+        self.ctxs.truncate(keep);
+    }
+
     /// The secret in force at `seqno`.
     pub fn key_for(&self, seqno: u64) -> Option<&[u8; 32]> {
         self.version_index_for(seqno).map(|i| &self.versions[i].key)
@@ -299,6 +308,23 @@ mod tests {
         let early = secrets.encrypt(TxId::new(1, 50), &pd, b"old data");
         secrets.rekey(300, [4u8; 32]);
         assert_eq!(secrets.decrypt(TxId::new(1, 50), &pd, &early).unwrap(), b"old data");
+    }
+
+    #[test]
+    fn roll_back_drops_versions_from_lost_entries() {
+        let mut secrets = LedgerSecrets::new([1u8; 32]);
+        // Distributed by entries 9 and 20.
+        secrets.rekey(10, [2u8; 32]);
+        secrets.rekey(21, [3u8; 32]);
+        secrets.roll_back_to(20);
+        assert_eq!(secrets.version_count(), 3, "entry 20 survives, and so does its secret");
+        secrets.roll_back_to(19);
+        assert_eq!(secrets.key_for(25), Some(&[2u8; 32]));
+        secrets.roll_back_to(0);
+        assert_eq!(secrets.version_count(), 1, "the initial secret always survives");
+        // The lost version's seqnos can be rekeyed again.
+        secrets.rekey(15, [4u8; 32]);
+        assert_eq!(secrets.key_for(15), Some(&[4u8; 32]));
     }
 
     #[test]

@@ -80,6 +80,12 @@ echo "== tier1: cargo bench --no-run"
 cargo bench --no-run -q
 
 echo "== tier1: repo benchmark builds (perfbench, path deps on the crates)"
+# Cargo prunes perfbench/Cargo.lock on every perfbench build; put the
+# committed file back on exit, so a tier-1 run leaves the benchmark as
+# it found it.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== tier1: repo benchmark runs (each workload, 0.2 s, ~7 s in all)"

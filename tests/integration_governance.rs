@@ -342,3 +342,54 @@ fn steady_state_writes_run_no_duty_scans() {
     }
     assert_eq!(scans(&service), before, "steady-state writes ran duty scans");
 }
+
+/// A primary cut off right after it appends a ledger rekey's distribution
+/// loses that entry to the majority's next view. The secret the entry
+/// handed it goes with the rollback: the old primary then opens the new
+/// primary's private writes at those seqnos with the secret they were
+/// sealed under, and commits them (it used to panic on a tag mismatch).
+#[test]
+fn rolled_back_rekey_drops_its_secret() {
+    let mut service = ServiceCluster::start(
+        ServiceOpts { nodes: 3, members: 1, seed: 70, ..ServiceOpts::default() },
+        Arc::new(app()),
+    );
+    service.open_service();
+    let old = service.primary().unwrap();
+    let index_of = |s: &ServiceCluster, id: &str| s.nodes.keys().position(|k| k == id).unwrap();
+    let proposal = Proposal::single("trigger_ledger_rekey", Value::Null);
+    assert_eq!(service.try_propose_and_vote(&proposal), Ok(ProposalState::Accepted));
+    let dist = format!("dist/{old}");
+    assert!(service.run_until(5_000, |c| {
+        c.nodes[&old].store_state().get(ccf_kv::builtin::LEDGER_SECRET, dist.as_bytes()).is_some()
+    }));
+    let others: std::collections::BTreeSet<String> =
+        service.nodes.keys().filter(|id| **id != old).cloned().collect();
+    service.net.partition(vec![[old.clone()].into(), others.clone()]);
+
+    let old_view = service.nodes[&old].view();
+    assert!(service.run_until(30_000, |c| {
+        others.iter().any(|id| c.nodes[id].is_primary() && c.nodes[id].view() > old_view)
+    }));
+    let new = others.iter().find(|id| service.nodes[*id].is_primary()).unwrap().clone();
+    let new_idx = index_of(&service, &new);
+    let txids: Vec<TxId> = (0..5)
+        .map(|i| {
+            let r = service.user_request(new_idx, "POST", "/put", format!("k{i}=v{i}").as_bytes());
+            assert_eq!(r.status, 200, "{}", r.text());
+            r.txid.unwrap()
+        })
+        .collect();
+    service.run_for(500);
+    service.net.heal();
+    service.run_for(2000);
+
+    let node = &service.nodes[&old];
+    for txid in &txids {
+        assert_eq!(node.tx_status(*txid), TxStatus::Committed, "{txid} on the old primary");
+    }
+    let state = node.store_state();
+    assert_eq!(state.get("data", b"k4"), Some(&b"v4"[..]));
+    let commit = node.commit_seqno();
+    assert_eq!(node.historical_writes(1, commit).unwrap().len() as u64, commit);
+}

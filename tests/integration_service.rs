@@ -553,6 +553,62 @@ fn partitioned_primary_rolls_back_into_a_closed_chunk() {
     assert_eq!(node.historical_writes(1, commit).unwrap().len() as u64, commit);
 }
 
+/// An index on a primary cut off from its quorum never lists the writes
+/// it loses: they are fed on append but reach the index only on commit,
+/// and the rollback drops them. After healing, the index lists the new
+/// primary's committed writes to the same keys, in seqno order.
+#[test]
+fn index_lists_no_rolled_back_write() {
+    let mut service = start_open(29, 3);
+    for node in service.nodes.values() {
+        node.register_key_index("msgs");
+    }
+    let r = service.user_request(0, "POST", "/log", b"1=kept");
+    service.run_until_committed(r.txid.unwrap());
+    let kept = r.txid.unwrap();
+    let old = service.primary().unwrap();
+    let index_of = |s: &ServiceCluster, id: &str| s.nodes.keys().position(|k| k == id).unwrap();
+    let others: BTreeSet<String> =
+        service.nodes.keys().filter(|id| **id != old).cloned().collect();
+    service.net.partition(vec![[old.clone()].into(), others.clone()]);
+    let txids_for = |s: &ServiceCluster, id: &str, key: &[u8]| {
+        s.nodes[id].with_indexer(|idx| idx.strategy(0).unwrap().txids_for(key).to_vec())
+    };
+
+    let lost: Vec<TxId> = ["1=lost", "2=lost", "1=lost again"]
+        .iter()
+        .map(|body| {
+            let r = service.user_request(index_of(&service, &old), "POST", "/log", body.as_bytes());
+            assert_eq!(r.status, 200, "{}", r.text());
+            r.txid.unwrap()
+        })
+        .collect();
+    service.run_for(50);
+    assert_eq!(service.nodes[&old].with_indexer(|idx| idx.processed_upto()), lost[2].seqno + 1);
+    assert_eq!(txids_for(&service, &old, b"1"), [kept], "an uncommitted write was indexed");
+    assert!(txids_for(&service, &old, b"2").is_empty(), "an uncommitted write was indexed");
+
+    assert!(service.run_until(30_000, |c| others.iter().any(|id| c.nodes[id].is_primary())));
+    let new = others.iter().find(|id| service.nodes[*id].is_primary()).unwrap().clone();
+    let written: Vec<TxId> = ["2=new", "1=new", "2=newer"]
+        .iter()
+        .map(|body| {
+            let r = service.user_request(index_of(&service, &new), "POST", "/log", body.as_bytes());
+            assert_eq!(r.status, 200, "{}", r.text());
+            r.txid.unwrap()
+        })
+        .collect();
+    service.net.heal();
+    service.run_until_committed(written[2]);
+    service.run_for(200);
+
+    assert_eq!(service.nodes[&old].tx_status(lost[0]), TxStatus::Invalid);
+    for id in service.nodes.keys() {
+        assert_eq!(txids_for(&service, id, b"1"), [kept, written[1]], "key 1 on {id}");
+        assert_eq!(txids_for(&service, id, b"2"), [written[0], written[2]], "key 2 on {id}");
+    }
+}
+
 /// A 3-node service whose primary signs after every third entry and never
 /// on a timer, settled so that its log ends in a committed signature.
 /// Returns the service and the ids of (primary, a backup, the other
@@ -605,15 +661,21 @@ fn append_next_view_entry(node: &CcfNode, leader: &NodeId, prev: TxId) {
 
 /// A partitioned primary that appended entries past a signature rolls
 /// back to an unsigned entry between two signatures. The node keeps a
-/// store state only at signatures, so it rebuilds the target state from
-/// the signature's state plus the kept write set above it, and ends
-/// byte-identical to a backup that never held the lost entries.
+/// store state only at signatures and no write set, so it rebuilds the
+/// target state from the signature's state plus the entry above it, read
+/// back from its own log and opened again, and ends byte-identical to a
+/// backup that never held the lost entries.
 #[test]
-fn rollback_between_signatures_replays_kept_writes() {
+fn rollback_between_signatures_replays_logged_entries() {
     let (mut service, primary, backup, other) = start_signing_every_third(27);
-    // Three writes, the signature they trigger, and one unsigned write,
-    // replicated everywhere.
-    let kept = write_messages(&mut service, &primary, 0..4);
+    // Three writes, the signature they trigger, and one unsigned private
+    // write, replicated everywhere.
+    let sealed = service.obs().counter("crypto.gcm_sealed_bytes");
+    let mut kept = write_messages(&mut service, &primary, 0..3);
+    let sealed_before = sealed.get();
+    kept.extend(write_messages(&mut service, &primary, 3..4));
+    let replayed_bytes = sealed.get() - sealed_before;
+    assert!(replayed_bytes > 0, "the unsigned write is not private");
     let signed = TxId::new(kept[2].view, kept[2].seqno + 1);
     assert_eq!(kept[3].seqno, signed.seqno + 1);
     service.run_for(50);
@@ -630,10 +692,13 @@ fn rollback_between_signatures_replays_kept_writes() {
     // The next view's log continues after the unsigned write.
     let rollbacks = service.obs().counter("consensus.rollbacks");
     let before = rollbacks.get();
+    let opened = service.obs().counter("crypto.gcm_opened_bytes");
+    let opened_before = opened.get();
     for id in [&primary, &backup] {
         append_next_view_entry(&service.nodes[id], &other, kept[3]);
     }
     assert_eq!(rollbacks.get(), before + 1, "only the old primary rolls back");
+    assert_eq!(opened.get() - opened_before, replayed_bytes, "the replay opened other bytes");
     assert_eq!(old.tx_status(lost[0]), TxStatus::Invalid);
     assert_eq!(old.store_state().version, kept[3].seqno + 1);
     assert!(
