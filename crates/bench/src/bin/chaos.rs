@@ -117,10 +117,13 @@ fn main() {
     let mut total_commits = 0u64;
     let mut total_faults = 0usize;
     let mut vacuous = false;
-    // Last passing seed's metrics per harness: the baseline for the
-    // per-seed diff printed when an invariant trips, and the per-run
-    // OBS_chaos.json artifact at the end of the sweep.
+    // Last passing seed's metrics: the baseline for the per-seed diff
+    // printed when an invariant trips.
     let mut last_pass_metrics: Option<ccf_obs::Snapshot> = None;
+    // The OBS_chaos.json artifact: the last passing service seed that
+    // sealed a private write and recorded a trace span, so the committed
+    // file covers the write path and not just an idle service.
+    let mut obs_metrics: Option<(u64, ccf_obs::Snapshot)> = None;
     let wall = std::time::Instant::now();
     for &(harness, h_ms, n_events) in &harnesses {
         let mut virt_ms = 0u64;
@@ -141,6 +144,11 @@ fn main() {
                             report.max_commit,
                             report.faults_applied
                         );
+                    }
+                    let wrote = report.metrics.counters.get("crypto.gcm_sealed_bytes") > Some(&0)
+                        && report.metrics.trace_spans_total > 0;
+                    if harness == Harness::Service && wrote {
+                        obs_metrics = Some((seed, report.metrics.clone()));
                     }
                     last_pass_metrics = Some(report.metrics);
                 }
@@ -209,7 +217,8 @@ fn main() {
         }
     }
     std::panic::set_hook(default_hook);
-    if let Some(metrics) = &last_pass_metrics {
+    if let Some((seed, metrics)) = &obs_metrics {
+        println!("metrics snapshot of service seed {seed}");
         ccf_bench::write_obs("chaos", metrics);
     }
     println!(

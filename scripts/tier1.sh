@@ -153,6 +153,11 @@ done
 # The sweep's metrics snapshot is committed as well: every registry series
 # of all 300 seeds must reproduce byte for byte.
 git diff --exit-code -- OBS_chaos.json
+# The snapshot is of a seed that wrote: it must cover a sealed private
+# write and traced stages, or the byte-for-byte check above guards little.
+for key in '"crypto.gcm_sealed_bytes"' '"trace_spans_total"'; do
+    grep -qE "$key: [1-9]" OBS_chaos.json || { echo "OBS_chaos.json: $key is zero or missing"; exit 1; }
+done
 
 echo "== tier1: symmetric fast-path smoke (fast == reference, emits JSON)"
 cargo run -q --release -p ccf-bench --bin bench_symmetric -- --smoke
