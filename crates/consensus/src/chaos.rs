@@ -53,8 +53,6 @@ impl ChaosReport {
 /// commit point keeps moving even between client bursts.
 pub fn chaos_replica_config() -> ReplicaConfig {
     ReplicaConfig {
-        election_timeout: (150, 300),
-        heartbeat_interval: 20,
         leadership_ack_window: 400,
         signature_interval: 4,
         signature_interval_ms: 25,

@@ -27,7 +27,7 @@ pub struct ReplicatedEntry {
     pub config: Option<crate::Config>,
     /// Causal-trace piggyback (DESIGN.md §12): a traced user entry's own
     /// id, [`TraceId::NONE`] on untraced and signature entries. A
-    /// signature closes the `sign` stage of every in-flight trace below
+    /// signature ends the `sign` stage of every in-flight trace below
     /// it, so backups record per-node `append`/`sign`/`commit` stage
     /// spans without any extra protocol round.
     pub trace: TraceId,

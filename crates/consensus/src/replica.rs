@@ -25,14 +25,16 @@ use std::sync::Arc;
 /// Milliseconds of virtual (or real) time.
 pub type Time = u64;
 
+/// Election timeout range [min, max): a fresh timeout is drawn uniformly
+/// on every reset to de-synchronize candidates (§4.2).
+pub const ELECTION_TIMEOUT: (Time, Time) = (150, 300);
+
+/// Interval between primary heartbeats.
+pub const HEARTBEAT_INTERVAL: Time = 20;
+
 /// Consensus timing and batching parameters.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
-    /// Election timeout range [min, max): a fresh timeout is drawn
-    /// uniformly on every reset to de-synchronize candidates (§4.2).
-    pub election_timeout: (Time, Time),
-    /// Interval between primary heartbeats.
-    pub heartbeat_interval: Time,
     /// A primary steps down if it has not heard from a quorum of backups
     /// within this window (§4.2, partial-partition defence).
     pub leadership_ack_window: Time,
@@ -50,8 +52,6 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
-            election_timeout: (150, 300),
-            heartbeat_interval: 20,
             leadership_ack_window: 500,
             signature_interval: 100,
             signature_interval_ms: 10,
@@ -202,6 +202,11 @@ struct ReplicaMetrics {
     sign_latency: ccf_obs::Histogram,
     replication_latency: ccf_obs::Histogram,
     commit_latency: ccf_obs::Histogram,
+    /// Request entry → global commit, for the traced entries this
+    /// replica proposed (DESIGN.md §12.3): a request is proposed in the
+    /// call that brings it, so its entry appends in the virtual
+    /// millisecond it entered.
+    request_latency: ccf_obs::Histogram,
     traces_dropped: ccf_obs::Counter,
 }
 
@@ -227,23 +232,26 @@ impl ReplicaMetrics {
             sign_latency: reg.histogram("consensus.sign_latency_ms", LATENCY_BUCKETS),
             replication_latency: reg.histogram("consensus.replication_latency_ms", LATENCY_BUCKETS),
             commit_latency: reg.histogram("consensus.commit_latency_ms", LATENCY_BUCKETS),
+            request_latency: reg.histogram("node.commit_latency_ms", LATENCY_BUCKETS),
             traces_dropped: reg.counter("consensus.traces_dropped"),
         }
     }
 }
 
 /// Per-replica bookkeeping for one traced entry between append and
-/// commit (DESIGN.md §12): its open stage tokens, which carry the trace
-/// and each stage's start. Tokens are `Copy` and record nothing until
-/// exited, so dropping the whole struct on rollback erases the stages
-/// as if they never happened.
+/// commit (DESIGN.md §12): the stages recorded so far, each as its span
+/// id and virtual time. A stage is recorded once, when it ends, from the
+/// start kept here, so dropping the entry on rollback records nothing.
 struct InflightTrace {
-    /// `sign` stage: local append → covering signature tx appended.
-    sign: Option<ccf_obs::TraceSpanToken>,
-    /// `replicate` stage: signature appended → commit point covers it.
-    replicate: Option<ccf_obs::TraceSpanToken>,
-    /// `commit` stage: local append → commit point covers it.
-    commit: ccf_obs::TraceSpanToken,
+    trace: ccf_obs::TraceId,
+    /// The `append` marker: parent and start of `sign` and `commit`.
+    append: (ccf_obs::SpanId, Time),
+    /// The `sign` span (append → covering signature appended), once
+    /// that signature appends: parent and start of `replicate`.
+    sign: Option<(ccf_obs::SpanId, Time)>,
+    /// Whether this replica proposed the entry; its commit then also
+    /// feeds `node.commit_latency_ms`.
+    proposed: bool,
 }
 
 /// The consensus replica.
@@ -297,9 +305,9 @@ pub struct Replica {
     last_sig_emit: Time,
 
     metrics: ReplicaMetrics,
-    /// Traced entries appended but not yet committed, by seqno. Pruned
-    /// on commit (closing their stage spans) and on rollback (dropping
-    /// them silently).
+    /// Traced entries appended but not yet committed, by seqno: the
+    /// node's only in-flight trace map. Pruned on commit (recording
+    /// their last stages) and on rollback (recording nothing).
     inflight_traces: std::collections::BTreeMap<Seqno, InflightTrace>,
 }
 
@@ -552,8 +560,8 @@ impl Replica {
     // ------------------------------------------------------------------
 
     fn reset_election_timer(&mut self) {
-        let (lo, hi) = self.cfg.election_timeout;
-        self.election_deadline = self.now + self.rng.gen_range_in(lo, hi.max(lo + 1));
+        let (lo, hi) = ELECTION_TIMEOUT;
+        self.election_deadline = self.now + self.rng.gen_range_in(lo, hi);
     }
 
     /// Handles one input — a tick (advance time, fire due timers) or a
@@ -585,7 +593,7 @@ impl Replica {
             Role::Primary => {
                 if self.now >= self.next_heartbeat {
                     self.broadcast_entries(out);
-                    self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
+                    self.next_heartbeat = self.now + HEARTBEAT_INTERVAL;
                 }
                 // Time-based signing: bound commit latency even at low
                 // write rates (§4.1 "regularly appends signature
@@ -604,7 +612,7 @@ impl Replica {
                 // successor can catch up.
                 if self.now >= self.next_heartbeat {
                     self.broadcast_entries_to_stale_only(out);
-                    self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
+                    self.next_heartbeat = self.now + HEARTBEAT_INTERVAL;
                 }
             }
         }
@@ -742,38 +750,31 @@ impl Replica {
     }
 
     /// Trace bookkeeping at append time (DESIGN.md §12). A traced user
-    /// entry opens this node's `append` marker plus in-flight `sign` and
-    /// `commit` stages; a signature entry closes the `sign` stage of
-    /// every in-flight trace below it and opens their `replicate` stages.
-    /// Runs identically on the primary (its own appends) and on backups
-    /// (the ids the entries carry), so traces survive leader changes.
+    /// entry records this node's `append` marker and goes in flight; a
+    /// signature entry records the `sign` stage of every in-flight trace
+    /// below it that has none yet. Runs identically on the primary (its
+    /// own appends) and on backups (the ids the entries carry), so traces
+    /// survive leader changes.
     fn note_append_traces(&mut self, entry: &ReplicatedEntry) {
         let m = &self.metrics;
         if entry.entry.kind == EntryKind::Signature {
-            for t in self.inflight_traces.values_mut() {
-                if let Some(tok) = t.sign.take() {
-                    let sign_id = m.reg.trace_exit(tok);
-                    t.replicate = Some(m.reg.trace_enter(tok.trace(), sign_id, "replicate", m.node));
-                }
+            for t in self.inflight_traces.values_mut().filter(|t| t.sign.is_none()) {
+                let (append_id, appended_at) = t.append;
+                t.sign = Some(m.reg.trace_span(t.trace, append_id, "sign", m.node, appended_at));
             }
-        } else if !entry.trace.is_none() {
-            let trace = entry.trace;
-            let append_id = m.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "append", m.node);
-            self.inflight_traces.insert(
-                entry.entry.txid.seqno,
-                InflightTrace {
-                    sign: Some(m.reg.trace_enter(trace, append_id, "sign", m.node)),
-                    replicate: None,
-                    commit: m.reg.trace_enter(trace, append_id, "commit", m.node),
-                },
-            );
+        } else if entry.trace.is_some() {
+            let append = m.reg.trace_mark(entry.trace, ccf_obs::SpanId::NONE, "append", m.node);
+            // A primary appends only the entries it proposes.
+            let proposed = self.is_primary();
+            let t = InflightTrace { trace: entry.trace, append, sign: None, proposed };
+            self.inflight_traces.insert(entry.entry.txid.seqno, t);
         }
     }
 
-    /// Closes the stage spans of every traced entry the new commit point
-    /// covers, and feeds the per-stage virtual-time histograms. Each
-    /// latency is read off its span, start and end on the registry clock,
-    /// so a histogram's sum is its stage's span durations summed.
+    /// Records the `commit` and then the `replicate` stage of every
+    /// traced entry the new commit point covers, and feeds the per-stage
+    /// virtual-time histograms from the same start and end times, so a
+    /// histogram's sum is its stage's span durations summed.
     fn close_committed_traces(&mut self, seqno: Seqno) {
         if self.inflight_traces.is_empty() {
             return;
@@ -781,20 +782,24 @@ impl Replica {
         let rest = self.inflight_traces.split_off(&(seqno + 1));
         let done = std::mem::replace(&mut self.inflight_traces, rest);
         let m = &self.metrics;
-        let now = m.reg.now();
         for t in done.into_values() {
-            m.commit_latency.observe(now - t.commit.start());
-            if let Some(tok) = t.replicate {
-                m.sign_latency.observe(tok.start() - t.commit.start());
-                m.replication_latency.observe(now - tok.start());
-                m.reg.trace_exit(tok);
+            let (append_id, appended_at) = t.append;
+            let (_, end) = m.reg.trace_span(t.trace, append_id, "commit", m.node, appended_at);
+            m.commit_latency.observe(end - appended_at);
+            if t.proposed {
+                m.request_latency.observe(end - appended_at);
             }
-            m.reg.trace_exit(t.commit);
+            if let Some((sign_id, signed_at)) = t.sign {
+                m.sign_latency.observe(signed_at - appended_at);
+                let (_, end) = m.reg.trace_span(t.trace, sign_id, "replicate", m.node, signed_at);
+                m.replication_latency.observe(end - signed_at);
+            }
         }
     }
 
-    /// Drops traces above the rollback point: their tokens die unexited,
-    /// so a rolled-back stage leaves no span — the trace simply resumes
+    /// Drops traces above the rollback point: their later stages are
+    /// never recorded, so a rolled-back entry leaves only its `append`
+    /// marker (and `sign`, if signed) — the trace simply resumes
     /// when the entry is re-proposed or survives on another node.
     fn drop_rolled_back_traces(&mut self, seqno: Seqno) {
         let dropped = self.inflight_traces.split_off(&(seqno + 1));
@@ -1088,7 +1093,7 @@ impl Replica {
         // becomes committable as soon as a quorum replicates it.
         self.unsigned_since_sig = 1; // force emission even right after a sig
         self.sign(out);
-        self.next_heartbeat = self.now + self.cfg.heartbeat_interval;
+        self.next_heartbeat = self.now + HEARTBEAT_INTERVAL;
     }
 
     fn become_backup(&mut self, view: View, out: &mut Actions) {
@@ -1376,7 +1381,7 @@ impl Replica {
         self.ledger.clear();
         self.last_batch = None;
         // Traced entries the snapshot replaces were committed elsewhere;
-        // this node's view of them ends here (tokens die unexited).
+        // this node's view of them ends here (their stages unrecorded).
         self.inflight_traces.clear();
         self.base_seqno = snapshot.last_txid.seqno;
         self.base_txid = snapshot.last_txid;
@@ -1544,7 +1549,7 @@ mod tests {
         assert_eq!(to_b.len(), 5);
         assert!(Arc::ptr_eq(&to_b, &to_c));
         // A heartbeat re-sends the same range: one more refcount.
-        let heartbeat = p.step(Input::Tick(10_000 + p.cfg.heartbeat_interval));
+        let heartbeat = p.step(Input::Tick(10_000 + HEARTBEAT_INTERVAL));
         assert!(Arc::ptr_eq(&batch_to(&heartbeat, "b"), &to_b));
         assert!(Arc::ptr_eq(&batch_to(&heartbeat, "c"), &to_b));
     }

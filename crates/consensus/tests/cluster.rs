@@ -14,8 +14,6 @@ use std::sync::Arc;
 
 fn fast_cfg() -> ReplicaConfig {
     ReplicaConfig {
-        election_timeout: (150, 300),
-        heartbeat_interval: 20,
         leadership_ack_window: 400,
         signature_interval: 5,
         signature_interval_ms: 0, // tests drive signatures explicitly

@@ -15,8 +15,6 @@ use std::collections::BTreeSet;
 
 fn fast_cfg() -> ReplicaConfig {
     ReplicaConfig {
-        election_timeout: (150, 300),
-        heartbeat_interval: 20,
         leadership_ack_window: 400,
         signature_interval: 5,
         signature_interval_ms: 0, // tests drive signatures explicitly
@@ -184,6 +182,54 @@ fn stage_histograms_agree_with_their_spans() {
         assert!(span_sum > 0, "{stage} spans took no virtual time");
         assert_eq!(h.sum, span_sum, "{histogram} disagrees with the {stage} spans");
     }
+}
+
+/// A traced entry that a new primary rolls back never reaches `sign`,
+/// `replicate` or `commit` on that node: only its `append` marker stays,
+/// and `consensus.traces_dropped` counts it.
+#[test]
+fn rolled_back_trace_records_no_later_stage() {
+    let reg = ccf_obs::Registry::default();
+    let dropped = reg.counter("consensus.traces_dropped");
+    let mut b = replica(&reg, "b", &["p", "b", "q"]);
+    let lost = reg.mint_trace();
+    // "p" replicates a traced write, unsigned, then loses its view.
+    receive(
+        &mut b,
+        "p",
+        Message::AppendEntries(AppendEntries {
+            view: 1,
+            leader: "p".to_string(),
+            prev: TxId::ZERO,
+            entries: vec![traced_user_entry(TxId::new(1, 1), b"lost", lost).into()].into(),
+            commit_seqno: 0,
+        }),
+    );
+    assert_eq!(dropped.get(), 0);
+    // "q" opens view 2 without it: a write and a signature at seqnos 1-2,
+    // committed.
+    let sig = ccf_consensus::message::ReplicatedEntry {
+        entry: LedgerEntry::signature(TxId::new(2, 2), [0u8; 32], "q", &key("q")),
+        config: None,
+        trace: TraceId::NONE,
+    };
+    receive(
+        &mut b,
+        "q",
+        Message::AppendEntries(AppendEntries {
+            view: 2,
+            leader: "q".to_string(),
+            prev: TxId::ZERO,
+            entries: vec![user_entry(TxId::new(2, 1), b"kept").into(), sig.into()].into(),
+            commit_seqno: 2,
+        }),
+    );
+    assert_eq!(b.commit_seqno(), 2);
+    assert_eq!(dropped.get(), 1, "the rolled-back trace was not counted");
+    let snap = reg.snapshot();
+    let stages: Vec<&str> =
+        snap.trace_spans.iter().filter(|s| s.trace == lost.0).map(|s| s.stage.as_str()).collect();
+    assert_eq!(stages, vec!["append"]);
 }
 
 fn key(id: &str) -> SigningKey {

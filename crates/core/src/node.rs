@@ -119,15 +119,10 @@ struct NodeMetrics {
     /// Primary post-commit duty scans (`complete_retirements` +
     /// `process_rekey_request`); zero while nothing arms them.
     duty_scans: ccf_obs::Counter,
-    /// Request entry → global commit, per traced user request
-    /// (DESIGN.md §12; the node-level counterpart of
-    /// `consensus.commit_latency_ms`).
-    commit_latency: ccf_obs::Histogram,
 }
 
 impl NodeMetrics {
     fn new(reg: &ccf_obs::Registry, id: &NodeId) -> NodeMetrics {
-        use ccf_consensus::replica::LATENCY_BUCKETS;
         NodeMetrics {
             reg: reg.clone(),
             node: reg.node_ref(id),
@@ -141,7 +136,6 @@ impl NodeMetrics {
             batch_verify_sigs: reg.counter("crypto.ed25519_batch_sigs"),
             single_verifies: reg.counter("crypto.ed25519_single_verifies"),
             duty_scans: reg.counter("node.duty_scans"),
-            commit_latency: reg.histogram("node.commit_latency_ms", LATENCY_BUCKETS),
         }
     }
 }
@@ -212,9 +206,6 @@ struct NodeInner {
     /// rollback, snapshot install and role change; cleared only by a scan
     /// that finds no `Retiring` node and no unhandled rekey marker.
     duties_armed: bool,
-    /// Traced user requests proposed here and not yet globally
-    /// committed: seqno → start of the request's root span.
-    inflight_traces: BTreeMap<Seqno, u64>,
 }
 
 /// A CCF node.
@@ -285,7 +276,6 @@ impl CcfNode {
                 retired: false,
                 handled_rekey: None,
                 duties_armed: true,
-                inflight_traces: BTreeMap::new(),
             }),
             node_key,
             dh_key,
@@ -451,7 +441,6 @@ impl CcfNode {
         claims: Option<Vec<u8>>,
         trace: ccf_obs::TraceId,
     ) -> Result<TxId, ProposeError> {
-        let (public_ws, private_ws) = ws.split_visibility();
         // Reconfiguration detection: a transaction that changes the set of
         // trusted nodes is a reconfiguration transaction (§4.4).
         let new_config = Self::config_change(&inner.store, &ws);
@@ -462,11 +451,11 @@ impl CcfNode {
             EntryKind::User
         };
         let (txid, mut actions) = inner.replica.propose(|txid| {
-            let public_bytes = if public_ws.is_empty() { Vec::new() } else { public_ws.encode() };
-            let private_bytes = if private_ws.is_empty() {
+            let public_bytes = ws.encode_half(true);
+            let plain = ws.encode_half(false);
+            let private_bytes = if plain.is_empty() {
                 Vec::new()
             } else {
-                let plain = private_ws.encode();
                 let ct = inner
                     .secrets
                     .as_ref()
@@ -618,20 +607,6 @@ impl CcfNode {
     }
 
     fn on_committed(&self, inner: &mut NodeInner, seqno: Seqno) {
-        // Close traced user requests covered by this commit: observe the
-        // node-level end-to-end latency (request entry → global commit).
-        if inner
-            .inflight_traces
-            .first_key_value()
-            .is_some_and(|(s, _)| *s <= seqno)
-        {
-            let rest = inner.inflight_traces.split_off(&(seqno + 1));
-            let done = std::mem::replace(&mut inner.inflight_traces, rest);
-            let now = self.metrics.reg.now();
-            for entered_at in done.into_values() {
-                self.metrics.commit_latency.observe(now.saturating_sub(entered_at));
-            }
-        }
         inner.indexer.commit(seqno);
         // Prune rollback bases: only seqnos >= commit can roll back.
         inner.recent_states = inner.recent_states.split_off(&seqno);
@@ -777,9 +752,6 @@ impl CcfNode {
     }
 
     fn on_rolled_back(&self, inner: &mut NodeInner, seqno: Seqno) {
-        // Rolled-back proposals never commit here; their traces close on
-        // whichever primary re-proposes them (or never).
-        inner.inflight_traces.split_off(&(seqno + 1));
         // A state at or below the target is kept (the commit point's).
         let kept = &inner.recent_states;
         let Some((&base, state)) = kept.range(..=seqno).next_back() else {
@@ -1086,18 +1058,15 @@ impl CcfNode {
         let ws = tx.into_write_set();
         // Trace ids are minted only here, at a primary with a write set to
         // propose (a backup forwarded the write before running it), so ids
-        // stay dense and deterministic across forwarding. The root
-        // "request" span is opened (seq assigned) before the proposal so
-        // the stages it causes sort under it; no virtual time passes
-        // within a call, so it starts when the request entered. On propose
-        // failure the token is dropped unexited and nothing is recorded.
+        // stay dense and deterministic across forwarding. No virtual time
+        // passes within a call, so the "request" stage is a marker,
+        // recorded once the proposal succeeds; a failed proposal records
+        // nothing.
         let trace = self.metrics.reg.mint_trace();
-        let tok =
-            self.metrics.reg.trace_enter(trace, ccf_obs::SpanId::NONE, "request", self.metrics.node);
         match self.propose_write_set(inner, ws, claims, trace) {
             Ok(txid) => {
-                self.metrics.reg.trace_exit(tok);
-                inner.inflight_traces.insert(txid.seqno, tok.start());
+                let node = self.metrics.node;
+                self.metrics.reg.trace_mark(trace, ccf_obs::SpanId::NONE, "request", node);
                 Response { status: 200, body, txid: Some(txid) }
             }
             Err(e) => Response::error(503, &format!("propose failed: {e}")),

@@ -61,8 +61,6 @@ impl Default for ServiceOpts {
             members: 3,
             users: 2,
             consensus: ReplicaConfig {
-                election_timeout: (150, 300),
-                heartbeat_interval: 20,
                 leadership_ack_window: 400,
                 signature_interval: 10,
                 signature_interval_ms: 10,

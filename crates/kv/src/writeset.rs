@@ -41,20 +41,6 @@ impl WriteSet {
         self.maps.entry(map).or_default().insert(key, None);
     }
 
-    /// Splits into (public, private) write sets by map visibility.
-    pub fn split_visibility(&self) -> (WriteSet, WriteSet) {
-        let mut public = WriteSet::new();
-        let mut private = WriteSet::new();
-        for (name, writes) in &self.maps {
-            if writes.is_empty() {
-                continue;
-            }
-            let target = if name.is_public() { &mut public } else { &mut private };
-            target.maps.insert(name.clone(), writes.clone());
-        }
-        (public, private)
-    }
-
     /// Merges `other` into `self` (later writes win on key conflicts).
     pub fn merge(&mut self, other: WriteSet) {
         for (name, writes) in other.maps {
@@ -69,23 +55,38 @@ impl WriteSet {
 
     /// Deterministic binary encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.finish()
+        Self::encode_maps(&self.updated_maps().collect::<Vec<_>>())
     }
 
-    /// Encodes into an existing writer.
-    pub fn encode_into(&self, w: &mut Writer) {
-        let non_empty: Vec<_> = self.maps.iter().filter(|(_, ws)| !ws.is_empty()).collect();
-        w.u32(non_empty.len() as u32);
-        for (name, writes) in non_empty {
+    /// Encodes only the public maps (`public == true`) or only the
+    /// private ones, in the [`WriteSet::encode`] layout and straight from
+    /// this write set: a ledger entry's two halves. A half with no update
+    /// encodes as empty bytes.
+    pub fn encode_half(&self, public: bool) -> Vec<u8> {
+        let maps: Vec<_> = self.updated_maps().filter(|(name, _)| name.is_public() == public).collect();
+        if maps.is_empty() {
+            return Vec::new();
+        }
+        Self::encode_maps(&maps)
+    }
+
+    /// The maps with at least one update, ordered by name.
+    fn updated_maps(&self) -> impl Iterator<Item = (&MapName, &MapWrites)> {
+        self.maps.iter().filter(|(_, writes)| !writes.is_empty())
+    }
+
+    fn encode_maps(maps: &[(&MapName, &MapWrites)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(maps.len() as u32);
+        for (name, writes) in maps {
             w.str(&name.0);
             w.u32(writes.len() as u32);
-            for (key, value) in writes {
+            for (key, value) in *writes {
                 w.bytes(key);
                 w.opt_bytes(value.as_deref());
             }
         }
+        w.finish()
     }
 
     /// Decodes the [`WriteSet::encode`] layout.
@@ -148,16 +149,28 @@ mod tests {
     }
 
     #[test]
-    fn split_visibility() {
-        let (public, private) = sample().split_visibility();
+    fn encode_half_splits_by_visibility_and_round_trips() {
+        let ws = sample();
+        let public = WriteSet::decode(&ws.encode_half(true)).unwrap();
         assert_eq!(public.maps.len(), 1);
         assert!(public.maps.keys().all(|n| n.is_public()));
+        let private = WriteSet::decode(&ws.encode_half(false)).unwrap();
         assert_eq!(private.maps.len(), 1);
         assert!(private.maps.keys().all(|n| n.is_private()));
-        // Recombining preserves everything.
+        // Each half is the plain encoding of its maps, and recombining
+        // the halves preserves everything.
+        assert_eq!(ws.encode_half(true), public.encode());
+        assert_eq!(ws.encode_half(false), private.encode());
         let mut merged = public;
         merged.merge(private);
-        assert_eq!(merged, sample());
+        assert_eq!(merged, ws);
+        // A half with no update (here, also one whose map is empty)
+        // encodes as empty bytes.
+        let mut only_private = WriteSet::new();
+        only_private.write(MapName::new("msgs"), b"k".to_vec(), b"v".to_vec());
+        only_private.maps.insert(MapName::new("public:empty"), MapWrites::new());
+        assert!(only_private.encode_half(true).is_empty());
+        assert_eq!(only_private.encode_half(false), only_private.encode());
     }
 
     #[test]

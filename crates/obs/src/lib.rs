@@ -26,15 +26,18 @@
 //!   resizing, so observation cost is a branchless-ish scan over a
 //!   handful of atomics.
 //! * Traces — [`Registry::mint_trace`] issues a [`TraceId`] when a user
-//!   request enters the node; components along the write path record
-//!   stage spans against it with [`Registry::trace_enter`] /
-//!   [`Registry::trace_exit`] (stages: `forward`, `request`,
-//!   `append`, `sign`, `replicate`, `commit`, `receipt`) into a bounded
-//!   ring buffer (old spans are overwritten, a total count is kept).
-//!   Each span stamps the registry's virtual time and a monotone
-//!   sequence number; off-simulation — when nothing calls
-//!   [`Registry::set_now`] — the virtual clock stays at zero and the
-//!   sequence number alone orders events. The id — a plain `u64` —
+//!   write is proposed at its primary; components along the write path
+//!   record each stage once, when it ends, with [`Registry::trace_span`]
+//!   (from a start time the caller kept) or [`Registry::trace_mark`]
+//!   (a zero-duration marker). Stages are `forward`, `request`,
+//!   `append`, `sign`, `replicate`, `commit` and `receipt`; they go into
+//!   a bounded ring buffer (old spans are overwritten, a total count is
+//!   kept). Each span stamps its end from the registry's virtual clock
+//!   and takes a monotone sequence number with its ring slot, so the
+//!   ring is in `seq` order and a stage that never ends uses no number;
+//!   off-simulation — when nothing calls [`Registry::set_now`] — the
+//!   virtual clock stays at zero and the sequence number alone orders
+//!   events. The id — a plain `u64` —
 //!   rides the replicated entry it traces, so a trace spans nodes.
 //!   [`trace::assemble`] rebuilds trace trees from a snapshot and
 //!   computes per-stage critical paths.
@@ -226,39 +229,6 @@ impl NodeRef {
     pub const ANON: NodeRef = NodeRef(u32::MAX);
 }
 
-/// An in-flight trace stage span: returned by
-/// [`Registry::trace_enter`], consumed by [`Registry::trace_exit`].
-/// `Copy`, so protocol state machines can park tokens in maps keyed by
-/// seqno and drop them wholesale on rollback (dropping records
-/// nothing — a rolled-back stage never happened).
-#[derive(Clone, Copy, Debug)]
-pub struct TraceSpanToken {
-    trace: TraceId,
-    parent: SpanId,
-    stage: &'static str,
-    node: NodeRef,
-    start: u64,
-    seq: u64,
-}
-
-impl TraceSpanToken {
-    /// The span id this token will record under — usable as the
-    /// `parent` of child stages before the token is exited.
-    pub fn id(&self) -> SpanId {
-        SpanId(self.seq)
-    }
-
-    /// The trace this token belongs to.
-    pub fn trace(&self) -> TraceId {
-        self.trace
-    }
-
-    /// The virtual-time start stamped at enter.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-}
-
 /// Internal ring representation of a completed trace stage span (no
 /// owned strings; see [`TraceSpan`] for the snapshot form).
 #[derive(Clone, Copy, Debug)]
@@ -379,32 +349,25 @@ impl State {
         self.nodes.get(r as usize).cloned().unwrap_or_default()
     }
 
-    fn trace_enter(
+    /// Records a finished stage that started at `start` and ends now:
+    /// the span's `seq` and its ring slot are assigned together.
+    fn trace_span(
         &mut self,
         trace: TraceId,
         parent: SpanId,
         stage: &'static str,
         node: NodeRef,
-    ) -> TraceSpanToken {
-        let seq = if trace.is_none() { 0 } else { self.next_seq() };
-        TraceSpanToken { trace, parent, stage, node, start: self.now, seq }
-    }
-
-    fn trace_exit(&mut self, token: TraceSpanToken) -> SpanId {
-        if token.trace.is_none() {
-            return SpanId::NONE;
+        start: u64,
+    ) -> (SpanId, u64) {
+        let end = self.now;
+        if trace.is_none() {
+            return (SpanId::NONE, end);
         }
-        let rec = TraceRec {
-            trace: token.trace.0,
-            parent: token.parent.0,
-            stage: token.stage,
-            node: token.node.0,
-            start: token.start,
-            end: self.now,
-            seq: token.seq,
-        };
+        debug_assert!(start <= end, "trace stage {stage:?} ends before it starts");
+        let seq = self.next_seq();
+        let rec = TraceRec { trace: trace.0, parent: parent.0, stage, node: node.0, start, end, seq };
         self.traces.push(rec);
-        SpanId(token.seq)
+        (SpanId(seq), end)
     }
 
     fn resolve_flight(&self, r: &FlightRec) -> FlightRecord {
@@ -530,38 +493,35 @@ impl Registry {
         TraceId(s.trace_ids)
     }
 
-    /// Opens a trace stage span for `trace`, starting now. `parent` is
-    /// the enclosing stage's [`SpanId`] ([`SpanId::NONE`] for a root).
-    /// With `trace == TraceId::NONE` the returned token is inert:
-    /// exiting it records nothing.
-    pub fn trace_enter(
+    /// Records a finished trace stage of `trace` that started at `start`
+    /// (a virtual time its caller kept) and ends now. `parent` is the
+    /// enclosing stage's [`SpanId`] ([`SpanId::NONE`] for a root).
+    /// Returns the span's id (usable as a later stage's parent) and its
+    /// end time. A [`TraceId::NONE`] trace records nothing and returns
+    /// [`SpanId::NONE`].
+    pub fn trace_span(
         &self,
         trace: TraceId,
         parent: SpanId,
         stage: &'static str,
         node: NodeRef,
-    ) -> TraceSpanToken {
-        self.state().trace_enter(trace, parent, stage, node)
+        start: u64,
+    ) -> (SpanId, u64) {
+        self.state().trace_span(trace, parent, stage, node, start)
     }
 
-    /// Closes a trace stage span, recording it into the trace ring.
-    /// Returns the recorded [`SpanId`] (usable as a child's parent).
-    /// No-op for inert tokens (minted against [`TraceId::NONE`]).
-    pub fn trace_exit(&self, token: TraceSpanToken) -> SpanId {
-        self.state().trace_exit(token)
-    }
-
-    /// Records a zero-duration trace stage marker (enter + exit now).
+    /// Records a zero-duration trace stage marker now: a
+    /// [`trace_span`](Registry::trace_span) that starts when it ends.
     pub fn trace_mark(
         &self,
         trace: TraceId,
         parent: SpanId,
         stage: &'static str,
         node: NodeRef,
-    ) -> SpanId {
+    ) -> (SpanId, u64) {
         let mut s = self.state();
-        let token = s.trace_enter(trace, parent, stage, node);
-        s.trace_exit(token)
+        let now = s.now;
+        s.trace_span(trace, parent, stage, node, now)
     }
 
     /// Records a structured protocol event into the flight recorder.
@@ -909,18 +869,16 @@ mod tests {
         let reg = Registry::with_capacities(3, DEFAULT_FLIGHT_CAPACITY);
         let n = reg.node_ref("n0");
         for i in 0..5u64 {
-            reg.set_now(i * 10);
-            let t = reg.trace_enter(reg.mint_trace(), SpanId::NONE, "request", n);
             reg.set_now(i * 10 + 1);
-            reg.trace_exit(t);
+            reg.trace_span(reg.mint_trace(), SpanId::NONE, "request", n, i * 10);
         }
         let snap = reg.snapshot();
         assert_eq!(snap.trace_spans_total, 5);
         assert_eq!(snap.trace_spans.len(), 3);
         // Oldest retained first: spans 2, 3, 4.
         assert_eq!(
-            snap.trace_spans.iter().map(|s| s.start).collect::<Vec<_>>(),
-            vec![20, 30, 40]
+            snap.trace_spans.iter().map(|s| (s.start, s.end)).collect::<Vec<_>>(),
+            vec![(20, 21), (30, 31), (40, 41)]
         );
         assert!(snap.trace_spans.windows(2).all(|w| w[0].seq < w[1].seq));
     }
@@ -954,8 +912,7 @@ mod tests {
             reg.set_now(42);
             let n = reg.node_ref("n0");
             let tr = reg.mint_trace();
-            let tok = reg.trace_enter(tr, SpanId::NONE, "request", n);
-            reg.trace_exit(tok);
+            reg.trace_span(tr, SpanId::NONE, "request", n, 40);
             reg.flight(n, "send", "append_entries", Some(n), 1, 2);
             reg.snapshot().to_json()
         };
@@ -1020,35 +977,40 @@ mod tests {
         let tr = reg.mint_trace();
         assert_eq!(tr, TraceId(1));
         reg.set_now(10);
-        let root = reg.trace_enter(tr, SpanId::NONE, "request", n0);
-        let child = reg.trace_enter(tr, root.id(), "append", n1);
+        let (root, at) = reg.trace_mark(tr, SpanId::NONE, "request", n0);
+        assert_eq!(at, 10);
         reg.set_now(15);
-        reg.trace_exit(child);
-        let root_id = reg.trace_exit(root);
-        assert_eq!(root_id, root.id());
+        let (child, end) = reg.trace_span(tr, root, "append", n1, at);
+        assert_eq!(end, 15);
         let snap = reg.snapshot();
         assert_eq!(snap.trace_spans.len(), 2);
-        let child_span = &snap.trace_spans[0];
-        assert_eq!(child_span.stage, "append");
-        assert_eq!(child_span.node, "n1");
-        assert_eq!(child_span.parent, root.id().0);
-        assert_eq!(child_span.start, 10);
-        assert_eq!(child_span.end, 15);
-        let root_span = &snap.trace_spans[1];
+        let root_span = &snap.trace_spans[0];
+        assert_eq!(root_span.stage, "request");
         assert_eq!(root_span.parent, 0);
         assert_eq!(root_span.node, "n0");
+        assert_eq!((root_span.start, root_span.end, root_span.seq), (10, 10, root.0));
+        let child_span = &snap.trace_spans[1];
+        assert_eq!(child_span.stage, "append");
+        assert_eq!(child_span.node, "n1");
+        assert_eq!(child_span.parent, root.0);
+        assert_eq!(child_span.start, 10);
+        assert_eq!(child_span.end, 15);
+        assert_eq!(child_span.seq, child.0);
+        assert!(root.0 < child.0);
     }
 
     #[test]
-    fn none_trace_tokens_are_inert() {
+    fn none_trace_records_nothing() {
         let reg = Registry::new();
         let n = reg.node_ref("n0");
-        let tok = reg.trace_enter(TraceId::NONE, SpanId::NONE, "request", n);
-        assert_eq!(reg.trace_exit(tok), SpanId::NONE);
-        assert_eq!(reg.trace_mark(TraceId::NONE, SpanId::NONE, "commit", n), SpanId::NONE);
+        reg.set_now(7);
+        assert_eq!(reg.trace_span(TraceId::NONE, SpanId::NONE, "request", n, 3), (SpanId::NONE, 7));
+        assert_eq!(reg.trace_mark(TraceId::NONE, SpanId::NONE, "commit", n), (SpanId::NONE, 7));
         let snap = reg.snapshot();
         assert_eq!(snap.trace_spans_total, 0);
         assert!(snap.trace_spans.is_empty());
+        // No sequence number was used up: the next record takes 1.
+        assert_eq!(reg.trace_mark(reg.mint_trace(), SpanId::NONE, "commit", n).0, SpanId(1));
     }
 
     #[test]

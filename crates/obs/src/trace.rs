@@ -24,7 +24,7 @@ use crate::{Snapshot, TraceSpan};
 pub struct TraceId(pub u64);
 
 impl TraceId {
-    /// The absent trace: tokens minted against it record nothing.
+    /// The absent trace: stages recorded against it record nothing.
     pub const NONE: TraceId = TraceId(0);
 
     /// True for [`TraceId::NONE`].
@@ -188,12 +188,21 @@ impl CriticalPath {
 }
 
 /// Computes the critical path of an assembled trace: spans are walked
-/// in causal order (start time, then sequence number) and each is
-/// attributed the virtual time it added beyond what earlier stages
-/// already covered. Deterministic: same spans, same path.
+/// in causal order and each is attributed the virtual time it added
+/// beyond what earlier stages already covered. Causal order is start
+/// time, then the event each span began at, then sequence number. A
+/// stage is recorded when it ends, so its own `seq` orders ends; one
+/// whose parent ended as it began (`sign` after its `append` marker,
+/// `replicate` after `sign`) began at its parent's record. Deterministic:
+/// same spans, same path.
 pub fn critical_path(tree: &TraceTree) -> CriticalPath {
-    let mut spans: Vec<&TraceSpan> = tree.nodes.iter().map(|n| &n.span).collect();
-    spans.sort_by_key(|s| (s.start, s.seq));
+    let began_at = |n: &TraceNode| match n.parent.map(|p| &tree.nodes[p].span) {
+        Some(p) if p.seq == n.span.parent && p.end == n.span.start => p.seq,
+        _ => n.span.seq,
+    };
+    let mut nodes: Vec<&TraceNode> = tree.nodes.iter().collect();
+    nodes.sort_by_key(|n| (n.span.start, began_at(n), n.span.seq));
+    let spans: Vec<&TraceSpan> = nodes.into_iter().map(|n| &n.span).collect();
     let start = spans.first().map(|s| s.start).unwrap_or(0);
     let mut covered = start;
     let mut stages = Vec::with_capacity(spans.len());
@@ -231,10 +240,8 @@ mod tests {
         start: u64,
         end: u64,
     ) {
-        reg.set_now(start);
-        let tok = reg.trace_enter(TraceId(trace), SpanId(parent), stage, node);
         reg.set_now(end);
-        reg.trace_exit(tok);
+        reg.trace_span(TraceId(trace), SpanId(parent), stage, node, start);
     }
 
     #[test]
@@ -243,19 +250,17 @@ mod tests {
         let n0 = reg.node_ref("n0");
         let n1 = reg.node_ref("n1");
         reg.set_now(10);
-        let root = reg.trace_enter(TraceId(1), SpanId::NONE, "request", n0);
-        let append = reg.trace_enter(TraceId(1), root.id(), "append", n0);
-        reg.trace_exit(append);
+        let (root, _) = reg.trace_mark(TraceId(1), SpanId::NONE, "request", n0);
         record(&reg, 2, 0, "request", n1, 10, 12);
         reg.set_now(20);
-        reg.trace_exit(root);
+        reg.trace_span(TraceId(1), root, "append", n0, 10);
         let trees = assemble(&reg.snapshot().trace_spans);
         assert_eq!(trees.len(), 2);
         assert_eq!(trees[0].trace, 1);
         assert_eq!(trees[0].nodes.len(), 2);
         assert_eq!(trees[0].orphans, 0);
-        // Spans are in seq order: append recorded first, but the root's
-        // seq (assigned at enter) is lower, so the root is node 0.
+        // Trace 2's span sits between them in the ring; grouping by
+        // trace links trace 1's append under its request root.
         assert_eq!(trees[0].nodes[0].span.stage, "request");
         assert_eq!(trees[0].nodes[1].span.stage, "append");
         assert_eq!(trees[0].nodes[1].parent, Some(0));
@@ -270,8 +275,7 @@ mod tests {
         let reg = Registry::with_capacities(2, 8);
         let n0 = reg.node_ref("n0");
         reg.set_now(1);
-        let root = reg.trace_enter(TraceId(1), SpanId::NONE, "request", n0);
-        let root_id = reg.trace_exit(root);
+        let (root_id, _) = reg.trace_mark(TraceId(1), SpanId::NONE, "request", n0);
         record(&reg, 1, root_id.0, "append", n0, 2, 2);
         record(&reg, 1, root_id.0, "sign", n0, 2, 5);
         record(&reg, 1, root_id.0, "commit", n0, 2, 9);
@@ -323,6 +327,29 @@ mod tests {
         assert!(line.contains("trace 1: 16 ms"), "{line}");
         assert!(line.contains("sign 6ms@n0"), "{line}");
         assert!(!line.contains("commit 0ms"), "{line}");
+    }
+
+    #[test]
+    fn critical_path_orders_equal_starts_by_the_event_they_began_at() {
+        let reg = Registry::new();
+        let n1 = reg.node_ref("n1");
+        let n2 = reg.node_ref("n2");
+        // n1 appends before n2 in the same millisecond, but n2's commit
+        // ends (and is recorded) first.
+        let (a1, _) = reg.trace_mark(TraceId(1), SpanId::NONE, "append", n1);
+        let (a2, _) = reg.trace_mark(TraceId(1), SpanId::NONE, "append", n2);
+        reg.set_now(5);
+        reg.trace_span(TraceId(1), a2, "commit", n2, 0);
+        reg.set_now(8);
+        reg.trace_span(TraceId(1), a1, "commit", n1, 0);
+        let cp = critical_path(&assemble(&reg.snapshot().trace_spans)[0]);
+        let order: Vec<(&str, &str, u64)> =
+            cp.stages.iter().map(|s| (s.stage.as_str(), s.node.as_str(), s.exclusive_ms)).collect();
+        assert_eq!(
+            order,
+            vec![("append", "n1", 0), ("commit", "n1", 8), ("append", "n2", 0), ("commit", "n2", 0)]
+        );
+        assert_eq!(cp.render(), "trace 1: 8 ms = commit 8ms@n1");
     }
 
     #[test]

@@ -141,8 +141,6 @@ fn primary_steps_down_when_partitioned_from_quorum() {
     use std::collections::BTreeSet;
 
     let cfg = ReplicaConfig {
-        election_timeout: (150, 300),
-        heartbeat_interval: 20,
         leadership_ack_window: 300,
         signature_interval: 5,
         signature_interval_ms: 0,

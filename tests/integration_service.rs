@@ -481,6 +481,62 @@ fn decrypted_once_per_backup_and_applied_identically(nodes: u64) {
 /// A node that joins from the primary's snapshot records its install and
 /// boot commit in the service registry: `consensus.snapshots_installed`
 /// counts it, and the invariant checker consumes the boot commit record.
+/// On one node a write that triggers a signature commits inside its own
+/// call, so its request-to-commit latency is 0 and is observed before the
+/// call returns, not at the next write's commit.
+#[test]
+fn one_node_commit_latency_is_observed_at_each_writes_own_commit() {
+    let mut service = start_open(3, 1);
+    for node in service.nodes.values() {
+        node.set_signature_policy(1, 10);
+    }
+    for i in 0..20 {
+        let r = service.user_request(0, "POST", "/log", format!("{i}=one node").as_bytes());
+        assert_eq!(r.status, 200, "{}", r.text());
+        service.run_for(7);
+    }
+    let snap = service.obs().snapshot();
+    for name in ["node.commit_latency_ms", "consensus.commit_latency_ms"] {
+        let h = &snap.histograms[name];
+        assert_eq!((h.count, h.sum), (20, 0), "{name}");
+    }
+}
+
+/// `node.commit_latency_ms` times each traced write at the node that
+/// proposed it: with writes sent through a backup session, its count is
+/// the committed writes and its sum the proposer's `commit` spans.
+#[test]
+fn node_commit_latency_agrees_with_the_proposers_commit_spans() {
+    let mut service = start_open(14, 3);
+    let primary = service.primary().unwrap();
+    let backup_idx = service.nodes.keys().position(|id| *id != primary).unwrap();
+    let session = service.open_session(backup_idx);
+    let mut last = None;
+    for i in 0..12 {
+        let r = service.session_request(session, "POST", "/log", format!("{i}=via backup").as_bytes());
+        assert_eq!(r.status, 200, "{}", r.text());
+        last = r.txid;
+        service.run_for(3);
+    }
+    service.run_until_committed(last.unwrap());
+    assert_eq!(service.primary(), Some(primary.clone()), "the primary changed");
+    let snap = service.obs().snapshot();
+    assert_eq!(snap.trace_spans_total, snap.trace_spans.len() as u64, "the span ring overflowed");
+    let on = |stage: &str, node: &str| -> Vec<&ccf_obs::TraceSpan> {
+        snap.trace_spans.iter().filter(|s| s.stage == stage && s.node == node).collect()
+    };
+    let backup = service.nodes.keys().nth(backup_idx).unwrap();
+    // The first write is forwarded; the session then sticks to the primary.
+    assert_eq!(on("forward", backup).len(), 1);
+    let commits = on("commit", &primary);
+    assert_eq!(commits.len(), 12);
+    let h = &snap.histograms["node.commit_latency_ms"];
+    assert_eq!(h.count, 12);
+    let span_sum: u64 = commits.iter().map(|s| s.end - s.start).sum();
+    assert!(span_sum > 0, "commits took no virtual time");
+    assert_eq!(h.sum, span_sum);
+}
+
 #[test]
 fn snapshot_join_records_its_boot_install_and_commit() {
     let mut service = start_open(26, 3);
